@@ -64,13 +64,35 @@ def _resolved_mode(config):
     return mode
 
 
+def _order(config, default):
+    """--order, or the subcommand's default when the flag is absent."""
+    if config.order is None:
+        return default
+    if config.order < 1:
+        raise InvalidInput("--order must be at least 1 (got %d)" % config.order)
+    return config.order
+
+
+def _parse_numbers(text, mode, flag):
+    """The comma-separated scalars of a coordinate flag.  Each must be a
+    finite number: the rational parser rejects nan and inf, and a float
+    conversion that would overflow raises."""
+    out = []
+    for i, part in enumerate(text.split(",")):
+        try:
+            out.append(scalars.coerce(part, mode))
+        except (ValueError, ArithmeticError):
+            raise InvalidInput(
+                "%s entry %d is not a finite number: %r" % (flag, i + 1, part.strip())
+            )
+    return out
+
+
 def _parse_coords(text, L):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != L.dim:
-        raise InvalidInput(
-            "expected %d coordinates, got %d" % (L.dim, len(parts))
-        )
-    return tuple(scalars.coerce(p, L.mode) for p in parts)
+    x = _parse_numbers(text, L.mode, "--x")
+    if len(x) != L.dim:
+        raise InvalidInput("expected %d coordinates, got %d" % (L.dim, len(x)))
+    return tuple(x)
 
 
 def _format_scalar(c):
@@ -266,7 +288,7 @@ def cmd_magnus(config):
     if config.x is None:
         raise InvalidInput("magnus needs --x coordinates")
     x = _parse_coords(config.x, L)
-    order = config.order or 5
+    order = _order(config, 5)
     try:
         chi = magnus.postlie_magnus(L, x, prod, order, method=config.method)
     except (CollapseFailure, PrimitivityFailure) as exc:
@@ -292,7 +314,7 @@ def cmd_factorize(config):
     from scipy.linalg import expm
 
     x = _parse_coords(config.x, L)
-    order = config.order or 10
+    order = _order(config, 10)
     prod = products.from_rmatrix(ctx, "-")
     chi = magnus.postlie_magnus(L, x, prod, order, method="ode")
 
@@ -321,18 +343,18 @@ def cmd_factorize(config):
 
 def cmd_flow(config):
     _resolved_mode(config)
-    order = config.order or 8
-    steps = config.steps or 11
+    order = _order(config, 8)
+    steps = 11 if config.steps is None else config.steps
     if steps < 2:
         raise InvalidInput("--steps must be at least 2")
     span = config.t1 - config.t0
     t_grid = [config.t0 + span * i / (steps - 1) for i in range(steps)]
-    if config.toda:
+    if config.toda is not None:
         if config.offdiag is None:
             raise InvalidInput("--toda needs --offdiag (and optionally --diag)")
-        diag = ([float(v) for v in config.diag.split(",")]
+        diag = (_parse_numbers(config.diag, scalars.FLOAT, "--diag")
                 if config.diag else [0.0] * config.toda)
-        off = [float(v) for v in config.offdiag.split(",")]
+        off = _parse_numbers(config.offdiag, scalars.FLOAT, "--offdiag")
         problem = flows.toda_problem(
             config.toda, diag, off, t_grid, order, flow_tolerance=config.tolerance
         )
@@ -402,7 +424,7 @@ def _coassociativity_defect(A):
 def cmd_hopf_suite(config):
     mode = _resolved_mode(config)
     L, prod = _product_for(config, mode)
-    order = config.order or 4
+    order = _order(config, 4)
     degree = min(config.degree, order)
     cases = config.cases
     seed = config.seed

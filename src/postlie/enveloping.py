@@ -62,10 +62,8 @@ def _normalize_terms(L, word):
             swapped = word[:i] + (a, b) + word[i + 2 :]
             for w, c in _normalize_terms(L, swapped).items():
                 out[w] = out.get(w, 0) + c
-            Cba = L.C[b][a]
-            for k in range(L.dim):
-                ck = Cba[k]
-                if ck != 0:
+            for j, k, ck in L.C_rows[b]:
+                if j == a:
                     shorter = word[:i] + (k,) + word[i + 2 :]
                     for w, c in _normalize_terms(L, shorter).items():
                         out[w] = out.get(w, 0) + ck * c
@@ -138,7 +136,7 @@ class EnvElement:
 
 
 def _check_pair(A, B):
-    if A.algebra is not B.algebra and A.algebra.C != B.algebra.C:
+    if A.algebra is not B.algebra and A.algebra.C_rows != B.algebra.C_rows:
         raise AlgebraMismatch("elements live over different algebras")
     if A.order != B.order:
         raise OrderMismatch("truncation grades differ: %d vs %d" % (A.order, B.order))
@@ -366,7 +364,9 @@ class LiftedProduct:
         if product.algebra.dim != algebra.dim:
             raise DimensionMismatch("product tensor does not match the algebra")
         self.algebra = algebra
-        self.product = product
+        # the rows, not the product: the product keys this context in
+        # _lift_contexts, and a strong reference would keep the entry alive
+        self.rows = product.T_rows
         self.order = order
         self._memo = {}
 
@@ -404,15 +404,14 @@ class LiftedProduct:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        T_i = self.product.T[i]
-        if len(w) == 1:
-            out = {(k,): c for k, c in enumerate(T_i[w[0]]) if c != 0}
+        y, rest = w[0], w[1:]
+        row = [(k, c) for j, k, c in self.rows[i] if j == y]
+        if not rest:
+            out = {(k,): c for k, c in row}
         else:
-            y, rest = w[0], w[1:]
             out = {}
-            for k, c in enumerate(T_i[y]):
-                if c != 0:
-                    self._add_into(out, self._mul_words((k,), rest), c)
+            for k, c in row:
+                self._add_into(out, self._mul_words((k,), rest), c)
             for ww, c in self.tri_letter(i, rest).items():
                 self._add_into(out, self._mul_words((y,), ww), c)
         out = _truncate({w2: c for w2, c in out.items() if c != 0}, self.order)

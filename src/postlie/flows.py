@@ -10,6 +10,7 @@ t-degree homogeneity.
 
 from __future__ import annotations
 
+import math
 import warnings
 from weakref import WeakKeyDictionary
 
@@ -141,6 +142,8 @@ class FlowProblem:
         self.algebra = L
         self.x0 = L.check_vector(x0)
         self.t_grid = tuple(float(t) for t in t_grid)
+        if not all(map(math.isfinite, self.x0 + self.t_grid)):
+            raise InvalidInput("the initial point and the time grid must be finite")
         self.order = int(order)
         self.flow_tolerance = float(flow_tolerance)
         self._product = None
@@ -297,10 +300,14 @@ def conservation_report(states):
 def toda_problem(n, diag, offdiag, t_grid, order, flow_tolerance=1e-9):
     """Symmetric tridiagonal initial data on gl(n) with the
     upper/strictly-lower splitting r-matrix."""
+    if n < 2:
+        raise BadDimensions("a Toda problem needs n >= 2 (got %d)" % (n,))
     if len(diag) != n or len(offdiag) != n - 1:
         raise BadDimensions(
             "need %d diagonal and %d off-diagonal entries" % (n, n - 1)
         )
+    if not all(map(math.isfinite, list(diag) + list(offdiag))):
+        raise InvalidInput("Toda diagonal and off-diagonal entries must be finite")
     L = builtin("upper_lower_split(%d)" % n, mode=scalars.FLOAT)
     plus, minus = L.splitting
     ctx = splitting_r(L, plus, minus)

@@ -2,15 +2,16 @@
 
 An algebra is validated at construction (antisymmetry is filled in from the
 sparse upper-triangular input, the Jacobi identity and the optional matrix
-realization are checked) and is immutable afterwards.  Vectors are plain
-tuples of scalars in the fixed basis; linear maps g -> g are LinearEndo
-objects storing a dense square matrix in column convention.
+realization are checked) and is immutable afterwards.  The structure
+constants are also kept as rows of their nonzero entries, and every
+contraction and check runs over those.  Vectors are plain tuples of scalars
+in the fixed basis; linear maps g -> g are LinearEndo objects storing a
+dense square matrix in column convention.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import scalars
 from .errors import (
@@ -82,10 +83,8 @@ class LinearEndo:
             raise DimensionMismatch(
                 "vector of length %d fed to endo of size %d" % (len(x), self.dim)
             )
-        return tuple(
-            sum(self.matrix[i][j] * x[j] for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        nonzero = [(j, c) for j, c in enumerate(x) if c != 0]
+        return tuple(sum(row[j] * c for j, c in nonzero) for row in self.matrix)
 
     __call__ = apply
 
@@ -125,6 +124,38 @@ class LinearEndo:
 
 
 # ---------------------------------------------------------------------------
+# sparse rank-3 tensors
+# ---------------------------------------------------------------------------
+
+
+def nonzero_rows(T):
+    """rows[i] = ((j, k, c), ...) listing the nonzero T[i][j][k] = c in (j, k)
+    order, so a contraction over the rows adds its terms in dense-scan order."""
+    return tuple(
+        tuple(
+            (j, k, c)
+            for j, row in enumerate(plane)
+            for k, c in enumerate(row)
+            if c != 0
+        )
+        for plane in T
+    )
+
+
+def contract(rows, x, y):
+    """sum_ijk x_i y_j T[i][j][k] e_k over the nonzero entries of T."""
+    out = [0] * len(x)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, k, c in rows[i]:
+            yj = y[j]
+            if yj != 0:
+                out[k] += xi * yj * c
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # the algebra itself
 # ---------------------------------------------------------------------------
 
@@ -140,6 +171,7 @@ class LieAlgebra:
         self.dim = dim
         self.labels = tuple(labels)
         self.C = C
+        self.C_rows = nonzero_rows(C)
         self.realization = realization
         self.mode = mode
         self.tolerance = tolerance
@@ -189,27 +221,38 @@ class LieAlgebra:
         )
 
 
-def _jacobi_defect(C, i, j, k, l, n):
-    total = 0
-    for m in range(n):
-        total += (
-            C[i][j][m] * C[m][k][l]
-            + C[k][i][m] * C[m][j][l]
-            + C[j][k][m] * C[m][i][l]
-        )
-    return total
+def _add_product(out, A, B, sign):
+    """out[a, b] += sign * (A.B)[a][b] for matrices given as their rows of
+    nonzero (column, value) pairs."""
+    for a, row in enumerate(A):
+        for t, v in row:
+            for b, w in B[t]:
+                out[a, b] = out.get((a, b), 0) + sign * v * w
 
 
 def _validate(L):
+    """Jacobi identity and realization, composed over nonzero entries only.
+
+    Every term left out has a zero factor, so both checks stay complete and
+    exact and report the first failing index tuple of a dense scan.
+    """
     n = L.dim
-    C = L.C
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    defect = _jacobi_defect(C, i, j, k, l, n)
-                    if not L.is_zero_scalar(defect):
-                        raise JacobiViolation(i, j, k, l, defect)
+    rows = L.C_rows
+    # D[i,j,k,l] = sum_m C[i][j][m] C[m][k][l]
+    D = {}
+    for i, row in enumerate(rows):
+        for j, m, c in row:
+            for k, l, c2 in rows[m]:
+                key = (i, j, k, l)
+                D[key] = D.get(key, 0) + c * c2
+    # the cyclic sum over (i, j, k) can be nonzero only where a term exists
+    candidates = sorted(
+        {tuple(sorted((i, j, k))) + (l,) for i, j, k, l in D if len({i, j, k}) == 3}
+    )
+    for i, j, k, l in candidates:
+        defect = D.get((i, j, k, l), 0) + D.get((k, i, j, l), 0) + D.get((j, k, i, l), 0)
+        if not L.is_zero_scalar(defect):
+            raise JacobiViolation(i, j, k, l, defect)
     if L.realization is not None:
         mats = L.realization
         if len(mats) != n:
@@ -218,21 +261,22 @@ def _validate(L):
         for M in mats:
             if len(M) != m or any(len(row) != m for row in M):
                 raise DimensionMismatch("realization matrices must be square of equal size")
+        sparse = [
+            [[(b, v) for b, v in enumerate(row) if v != 0] for row in M] for M in mats
+        ]
         for i in range(n):
             for j in range(i + 1, n):
-                comm = _mat_add(_mat_mul(mats[i], mats[j]), _mat_mul(mats[j], mats[i]), sign=-1)
-                want = [[0] * m for _ in range(m)]
-                for k in range(n):
-                    c = C[i][j][k]
-                    if c == 0:
-                        continue
-                    for a in range(m):
-                        for b in range(m):
-                            want[a][b] += c * mats[k][a][b]
-                for a in range(m):
-                    for b in range(m):
-                        if not L.is_zero_scalar(comm[a][b] - want[a][b]):
-                            raise RealizationMismatch(i, j)
+                # [rho(x_i), rho(x_j)] - sum_k C[i][j][k] rho(x_k)
+                defect = {}
+                _add_product(defect, sparse[i], sparse[j], 1)
+                _add_product(defect, sparse[j], sparse[i], -1)
+                for jj, k, c in rows[i]:
+                    if jj == j:
+                        for a, row in enumerate(sparse[k]):
+                            for b, v in row:
+                                defect[a, b] = defect.get((a, b), 0) - c * v
+                if not all(L.is_zero_scalar(d) for d in defect.values()):
+                    raise RealizationMismatch(i, j)
     return L
 
 
@@ -250,7 +294,8 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None,
     labels = [str(s) for s in labels]
     if len(labels) != dim:
         raise DimensionMismatch("need exactly %d basis labels" % dim)
-    C = [[[scalars.coerce(0, mode) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    zero = scalars.coerce(0, mode)
+    C = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for entry in structure_entries:
         i, j, k, value = entry
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
@@ -274,25 +319,7 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None,
 
 def bracket(L, x, y):
     """[x, y] by contraction against the structure constants."""
-    x = L.check_vector(x)
-    y = L.check_vector(y)
-    n = L.dim
-    out = [0] * n
-    for i in range(n):
-        xi = x[i]
-        if xi == 0:
-            continue
-        Ci = L.C[i]
-        for j in range(n):
-            yj = y[j]
-            if yj == 0:
-                continue
-            cij = Ci[j]
-            coeff = xi * yj
-            for k in range(n):
-                if cij[k] != 0:
-                    out[k] += coeff * cij[k]
-    return tuple(out)
+    return contract(L.C_rows, L.check_vector(x), L.check_vector(y))
 
 
 def ad(L, x):
@@ -312,12 +339,6 @@ def trace_form(L, x, y):
 # ---------------------------------------------------------------------------
 # built-in algebras
 # ---------------------------------------------------------------------------
-
-
-def _gl_data(n):
-    """Basis E_ab of gl(n) in (a,b) order given by `pairs`."""
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    return pairs
 
 
 def _gl_structure(pairs, n):
@@ -398,7 +419,7 @@ def builtin(name, mode=scalars.EXACT, tolerance=1e-10):
         if n < 2:
             raise UnsupportedName("need n >= 2 in %r" % (name,))
         if head == "gl":
-            pairs = _gl_data(n)
+            pairs = [(a, b) for a in range(n) for b in range(n)]
         else:
             pairs = [(a, b) for a in range(n) for b in range(n) if a <= b]
             pairs += [(a, b) for a in range(n) for b in range(n) if a > b]
@@ -446,12 +467,12 @@ def _scalar_to_str(v):
 
 
 def algebra_to_json(L):
-    structure = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(L.dim):
-                if L.C[i][j][k] != 0:
-                    structure.append([i, j, k, _scalar_to_str(L.C[i][j][k])])
+    structure = [
+        [i, j, k, _scalar_to_str(c)]
+        for i, row in enumerate(L.C_rows)
+        for j, k, c in row
+        if j > i
+    ]
     data = {"dim": L.dim, "basis": list(L.labels), "structure": structure}
     if L.realization is not None:
         data["realization"] = {

@@ -324,62 +324,62 @@ def postlie_magnus(L, x, product, order, method="star"):
     return GradedLieElement(L, order, chi_vec)
 
 
-def _series_tri(L, product, A, B, order):
-    """Graded g-level product: degree m of (sum A_i t^i) |> (sum B_j t^j)."""
-    out = [vzero(L.dim) for _ in range(order + 1)]
+def _graded(f, A, B, order):
+    """Degree m <= order of f(sum A_i t^i, sum B_j t^j) for a bilinear f,
+    skipping zero coefficients."""
+    out = [vzero(len(A[0])) for _ in range(order + 1)]
     for i, a in enumerate(A):
         if all(c == 0 for c in a):
             continue
         for j, b in enumerate(B):
             if i + j > order or all(c == 0 for c in b):
                 continue
-            out[i + j] = vadd(out[i + j], product.apply(a, b))
+            out[i + j] = vadd(out[i + j], f(a, b))
     return out
 
 
-def _series_bar_bracket(L, product, A, B, order):
-    """Graded star-commutator bracket [a,b] + a|>b - b|>a."""
-    out = [vzero(L.dim) for _ in range(order + 1)]
-    for i, a in enumerate(A):
-        if all(c == 0 for c in a):
-            continue
-        for j, b in enumerate(B):
-            if i + j > order or all(c == 0 for c in b):
-                continue
-            v = vadd(
-                bracket(L, a, b),
-                vsub(product.apply(a, b), product.apply(b, a)),
-            )
-            out[i + j] = vadd(out[i + j], v)
+def _ad_series(f, beta, V, coeff_of_n, order):
+    """sum_n coeff_of_n(n) f_beta^n(V) for n = 0..order, where f_beta is the
+    graded map f(beta, .) truncated at degree order (coeff_of_n(0) = 1)."""
+    out = list(V)
+    term = V
+    for n in range(1, order + 1):
+        term = _graded(f, beta, term, order)
+        c = coeff_of_n(n)
+        out = [vadd(a, vscale(c, b)) for a, b in zip(out, term)]
     return out
+
+
+def _exp_tri(L, product, neg_chi, x, order):
+    """exp*(-chi) |> x = sum_j (1/j!) (-chi |>)^j x up to degree order."""
+    X = [vzero(L.dim) for _ in range(order + 1)]
+    X[0] = x
+    return _ad_series(
+        product.apply, neg_chi, X, lambda j: _scalar(L, Fraction(1, factorial(j))), order
+    )
 
 
 def _chi_by_ode(L, x, product, order):
     """Order-by-order integration of
     d/dt chi = dexp*^{-1}_{-chi}( exp*(-chi) |> x ):
     the right side at degree m-1 only involves chi_1..chi_{m-1}, and every
-    intermediate is a g-vector."""
+    intermediate is a g-vector.  Each series is built up to degree m-1 only,
+    the one degree read off."""
     bern = bernoulli(order)
+
+    def bar(a, b):
+        # the star-commutator bracket [a,b] + a|>b - b|>a
+        return vadd(bracket(L, a, b), vsub(product.apply(a, b), product.apply(b, a)))
+
     chi = [vzero(L.dim) for _ in range(order + 1)]
     chi[1] = x
     for m in range(2, order + 1):
         deg = m - 1
-        neg_chi = [vscale(-1, c) for c in chi]
-        # u = exp*(-chi) |> x as a graded series up to degree m-1
-        u = [vzero(L.dim) for _ in range(order + 1)]
-        u[0] = x
-        term = u
-        for j in range(1, deg + 1):
-            term = _series_tri(L, product, neg_chi, term, order)
-            c = _scalar(L, Fraction(1, factorial(j)))
-            u = [vadd(a, vscale(c, b)) for a, b in zip(u, term)]
-        # rhs = dexp*^{-1}_{-chi}(u) via iterated graded bar-brackets
-        rhs = list(u)
-        ad_term = u
-        for n in range(1, deg + 1):
-            ad_term = _series_bar_bracket(L, product, neg_chi, ad_term, order)
-            c = _scalar(L, bern[n] / factorial(n))
-            rhs = [vadd(a, vscale(c, b)) for a, b in zip(rhs, ad_term)]
+        neg_chi = [vscale(-1, c) for c in chi[: deg + 1]]
+        u = _exp_tri(L, product, neg_chi, x, deg)
+        rhs = _ad_series(
+            bar, neg_chi, u, lambda n: _scalar(L, bern[n] / factorial(n)), deg
+        )
         chi[m] = vscale(_scalar(L, Fraction(1, m)), rhs[deg])
     return GradedLieElement(L, order, chi)
 
@@ -414,12 +414,7 @@ def prelie_magnus(L, x, product, order):
     pre-Lie product over an abelian bracket; agrees with postlie_magnus."""
     from .products import check_prelie
 
-    if any(
-        L.C[i][j][k] != 0
-        for i in range(L.dim)
-        for j in range(L.dim)
-        for k in range(L.dim)
-    ):
+    if any(L.C_rows):
         raise NotAbelian("prelie_magnus needs an abelian bracket")
     if not check_prelie(product)["ok"]:
         raise NotPreLie("the supplied product fails the pre-Lie identity")
@@ -431,15 +426,11 @@ def prelie_magnus(L, x, product, order):
     for m in range(2, order + 1):
         # degree-m part of sum_k b_k/k! l_chi^k(xt); x sits at degree 1 and
         # each l_chi factor adds at least one degree, so only known chi's enter
-        xt = [vzero(L.dim) for _ in range(order + 1)]
+        xt = [vzero(L.dim) for _ in range(m + 1)]
         xt[1] = x
-        total = vzero(L.dim)
-        term = xt
-        total = vadd(total, term[m] if m <= order else vzero(L.dim))  # k = 0
-        for k in range(1, m):
-            term = _series_tri(L, product, chi, term, order)
-            total = vadd(total, vscale(_scalar(L, bern[k] / factorial(k)), term[m]))
-        chi[m] = total
+        chi[m] = _ad_series(
+            product.apply, chi[:m], xt, lambda k: _scalar(L, bern[k] / factorial(k)), m
+        )[m]
     return GradedLieElement(L, order, chi)
 
 
@@ -461,16 +452,6 @@ def chi_pm(chi, ctx):
 # ---------------------------------------------------------------------------
 
 
-def _apply_ad_series(beta, V, bar_bracket_series, coeff_of_n, order):
-    out = [v for v in V]
-    term = V
-    for n in range(1, order + 1):
-        term = bar_bracket_series(beta, term)
-        c = coeff_of_n(n)
-        out = [vadd(a, vscale(c, b)) for a, b in zip(out, term)]
-    return out
-
-
 def _as_series(x, L, order):
     if isinstance(x, GradedLieElement):
         return list(x.coeffs)
@@ -483,46 +464,30 @@ def dexp_star(beta, v, derived_algebra, order):
     """sum_n 1/(n+1)! ad^n_beta(v) with the derived-algebra bracket
     (the star commutator reduces to it on g-valued series)."""
     L = beta.algebra
-    if derived_algebra.dim != L.dim:
-        raise DimensionMismatch("derived algebra does not match")
-    V = _as_series(v, L, order)
-    B = list(beta.coeffs)
-
-    def bb(A, T):
-        out = [vzero(L.dim) for _ in range(order + 1)]
-        for i, a in enumerate(A):
-            for j, t in enumerate(T):
-                if i + j > order:
-                    continue
-                out[i + j] = vadd(out[i + j], bracket(derived_algebra, a, t))
-        return out
-
-    coeffs = _apply_ad_series(
-        B, V, bb, lambda n: _scalar(L, Fraction(1, factorial(n + 1))), order
+    return _dexp_series(
+        beta, v, derived_algebra, lambda n: _scalar(L, Fraction(1, factorial(n + 1))), order
     )
-    return GradedLieElement(L, order, coeffs)
 
 
 def dexp_star_inv(beta, v, derived_algebra, order):
     """sum_n b_n/n! ad^n_beta(v); inverse of dexp_star up to t^order."""
     L = beta.algebra
+    bern = bernoulli(order)
+    return _dexp_series(
+        beta, v, derived_algebra, lambda n: _scalar(L, bern[n] / factorial(n)), order
+    )
+
+
+def _dexp_series(beta, v, derived_algebra, coeff_of_n, order):
+    L = beta.algebra
     if derived_algebra.dim != L.dim:
         raise DimensionMismatch("derived algebra does not match")
-    bern = bernoulli(order)
-    V = _as_series(v, L, order)
-    B = list(beta.coeffs)
-
-    def bb(A, T):
-        out = [vzero(L.dim) for _ in range(order + 1)]
-        for i, a in enumerate(A):
-            for j, t in enumerate(T):
-                if i + j > order:
-                    continue
-                out[i + j] = vadd(out[i + j], bracket(derived_algebra, a, t))
-        return out
-
-    coeffs = _apply_ad_series(
-        B, V, bb, lambda n: _scalar(L, bern[n] / factorial(n)), order
+    coeffs = _ad_series(
+        lambda a, b: bracket(derived_algebra, a, b),
+        list(beta.coeffs),
+        _as_series(v, L, order),
+        coeff_of_n,
+        order,
     )
     return GradedLieElement(L, order, coeffs)
 
@@ -533,14 +498,7 @@ def verify_chi_ode(L, x, product, order):
     chi = postlie_magnus(L, x, product, order)
     bar = ev.derived_bracket_algebra(L, product)
     neg = chi.scale(-1)
-    # u = exp*(-chi) |> x, g-level
-    u = [vzero(L.dim) for _ in range(order + 1)]
-    u[0] = L.check_vector(x)
-    term = u
-    for j in range(1, order + 1):
-        term = _series_tri(L, product, list(neg.coeffs), term, order)
-        c = _scalar(L, Fraction(1, factorial(j)))
-        u = [vadd(a, vscale(c, b)) for a, b in zip(u, term)]
+    u = _exp_tri(L, product, list(neg.coeffs), L.check_vector(x), order)
     rhs = dexp_star_inv(neg, GradedLieElement(L, order, u), bar, order)
     first_failure = None
     for m in range(order):

@@ -14,7 +14,7 @@ import json
 
 from . import scalars
 from .errors import DimensionMismatch, InvalidInput
-from .liealg import bracket, new_lie_algebra, vadd, vsub, vscale
+from .liealg import bracket, contract, new_lie_algebra, nonzero_rows, vadd, vsub
 
 LEFT = "left"
 RIGHT = "right"
@@ -37,6 +37,7 @@ class BilinearProduct:
             raise DimensionMismatch("product tensor must be %d^3" % (n,))
         self.algebra = algebra
         self.T = T
+        self.T_rows = nonzero_rows(T)
 
     @classmethod
     def from_function(cls, algebra, f):
@@ -52,23 +53,7 @@ class BilinearProduct:
 
     def apply(self, x, y):
         L = self.algebra
-        x = L.check_vector(x)
-        y = L.check_vector(y)
-        n = L.dim
-        out = [0] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            Ti = self.T[i]
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                c = x[i] * y[j]
-                row = Ti[j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += c * row[k]
-        return tuple(out)
+        return contract(self.T_rows, L.check_vector(x), L.check_vector(y))
 
     __call__ = apply
 
@@ -279,20 +264,12 @@ def check_prelie(product):
 
 
 def product_to_json(product):
-    n = product.algebra.dim
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = product.T[i][j][k]
-                if v != 0:
-                    entries.append([
-                        i,
-                        j,
-                        k,
-                        repr(v) if isinstance(v, float) else scalars.format_rational(v),
-                    ])
-    return {"dim": n, "product": entries}
+    entries = [
+        [i, j, k, repr(v) if isinstance(v, float) else scalars.format_rational(v)]
+        for i, row in enumerate(product.T_rows)
+        for j, k, v in row
+    ]
+    return {"dim": product.algebra.dim, "product": entries}
 
 
 def product_from_json(L, data):

@@ -165,6 +165,29 @@ def test_magnus_malformed_x(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["magnus", "--builtin", "sl2-borel", "--x", "1,0,1"],
+    ["factorize", "--builtin", "sl2-borel", "--x", "0.3,0,0.3"],
+    ["flow", "--toda", "2", "--offdiag", "0.1"],
+    ["hopf-suite", "--builtin", "sl2-borel"],
+], ids=lambda argv: argv[0])
+def test_nonpositive_order_rejected(capsys, argv, order):
+    code, out, err = run(capsys, *argv, "--order", order)
+    assert code == 2
+    assert out == ""
+    assert "--order must be at least 1 (got %s)" % order in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1/0"])
+def test_nonfinite_x_rejected(capsys, value):
+    code, _, err = run(
+        capsys, "flow", "--builtin", "split2", "--x", "0,%s,0,1" % value
+    )
+    assert code == 2
+    assert "--x entry 2 is not a finite number" in err
+
+
 # ---------------------------------------------------------------------------
 # factorize
 
@@ -276,6 +299,32 @@ def test_flow_toda_requires_offdiag(capsys):
     code, _, err = run(capsys, "flow", "--toda", "2")
     assert code == 2
     assert "input error" in err
+
+
+def test_flow_toda_needs_n_at_least_two(capsys):
+    code, _, err = run(capsys, "flow", "--toda", "1", "--offdiag", "1")
+    assert code == 2
+    assert "n >= 2" in err
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("--offdiag", ["--offdiag", "0.1,nan"]),
+    ("--offdiag", ["--offdiag", "inf,0.1"]),
+    ("--diag", ["--offdiag", "0.1,0.2", "--diag", "0,-inf,0"]),
+    ("--diag", ["--offdiag", "0.1,0.2", "--diag", "nan,0,0"]),
+])
+def test_flow_toda_nonfinite_entries_rejected(capsys, flag, args):
+    code, _, err = run(capsys, "flow", "--toda", "3", *args)
+    assert code == 2
+    assert "%s entry" % flag in err and "not a finite number" in err
+
+
+def test_flow_rejects_too_few_steps(capsys):
+    code, _, err = run(
+        capsys, "flow", "--toda", "2", "--offdiag", "0.1", "--steps", "0"
+    )
+    assert code == 2
+    assert "--steps must be at least 2" in err
 
 
 def test_flow_requires_x_or_toda(capsys):

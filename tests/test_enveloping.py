@@ -1,9 +1,11 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from postlie import enveloping as env
-from postlie import liealg, products, rmatrix, scalars
+from postlie import liealg, magnus, products, rmatrix, scalars
 from postlie.errors import (
     AlgebraMismatch,
     ModeMismatch,
@@ -499,3 +501,16 @@ def test_render_is_deterministic(sl2):
     assert env.render(A) == "2*e + e·h"
     assert env.render(env.unit(sl2, ORDER)) == "1"
     assert env.render(env.EnvElement(sl2, ORDER, {})) == "0"
+
+
+def test_lifted_contexts_are_freed_with_their_product():
+    contexts = []
+    for _ in range(3):
+        ctx = rmatrix.builtin_rmatrix("split2")
+        prod = products.from_rmatrix(ctx, "-")
+        magnus.postlie_magnus(ctx.algebra, (1, 0, 1, 1), prod, 4)
+        contexts.extend(weakref.ref(c) for c in env._lift_contexts[prod].values())
+        del ctx, prod
+    gc.collect()
+    assert len(contexts) == 3
+    assert [c for c in contexts if c() is not None] == []

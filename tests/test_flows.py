@@ -82,6 +82,21 @@ def test_toda_problem_dimension_checks():
         toda_problem(3, (1.0, 2.0), (0.1, 0.2), (0.5,), 4)
     with pytest.raises(BadDimensions):
         toda_problem(2, (1.0, 2.0), (0.1, 0.2), (0.5,), 4)
+    with pytest.raises(BadDimensions, match="n >= 2"):
+        toda_problem(1, (1.0,), (), (0.5,), 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_initial_data_rejected(bad):
+    with pytest.raises(InvalidInput, match="finite"):
+        toda_problem(3, (0.1, bad, 0.2), (0.1, 0.2), (0.5,), 4)
+    with pytest.raises(InvalidInput, match="finite"):
+        toda_problem(3, (0.1, 0.0, 0.2), (0.1, bad), (0.5,), 4)
+    ctx = builtin_rmatrix("split2", mode=scalars.FLOAT)
+    with pytest.raises(InvalidInput, match="finite"):
+        FlowProblem(ctx, [0.0, bad, 0.0, 1.0], (0.5,), 4)
+    with pytest.raises(InvalidInput, match="finite"):
+        FlowProblem(ctx, [0.0, 1.0, 0.0, 1.0], (0.5, bad), 4)
 
 
 def test_flow_problem_requires_float_mode():

@@ -1,0 +1,119 @@
+"""The sparse tensor core against dense references: Jacobi validation,
+bracket/product contraction and the truncated chi recursion, plus a
+deterministic count of the products the chi recursion evaluates."""
+
+from fractions import Fraction
+
+import pytest
+
+from postlie import liealg, magnus, products, rmatrix, scalars
+from postlie.errors import JacobiViolation
+from oracles.dense_reference import (
+    chi_by_ode_untruncated,
+    dense_contract,
+    dense_jacobi_violation,
+    dense_structure,
+)
+from conftest import seeded
+
+TOL = 1e-10
+
+
+def _float_split(n):
+    L = liealg.builtin("upper_lower_split(%d)" % n, mode=scalars.FLOAT)
+    ctx = rmatrix.splitting_r(L, *L.splitting)
+    return L, products.from_rmatrix(ctx, "-")
+
+
+def _perturbed(entries, dim, rng, deltas):
+    """One structure entry shifted, or a new one added, by a random delta."""
+    entries = list(entries)
+    delta = rng.choice(deltas)
+    if rng.random() < 0.5:
+        pos = rng.randrange(len(entries))
+        i, j, k, v = entries[pos]
+        entries[pos] = (i, j, k, v + delta)
+    else:
+        i, j = sorted(rng.sample(range(dim), 2))
+        entries.append((i, j, rng.randrange(dim), delta))
+    return entries
+
+
+@pytest.mark.parametrize("name", ["gl(3)", "so(3)"])
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_perturbed_structure_fails_jacobi_where_the_dense_check_does(name, mode):
+    data = liealg.algebra_to_json(liealg.builtin(name))
+    dim = data["dim"]
+    if mode == scalars.EXACT:
+        convert, deltas = Fraction, (Fraction(1), Fraction(-1), Fraction(1, 2))
+        is_zero = lambda v: v == 0
+    else:
+        convert, deltas = float, (1e-3, -0.25, 2.0)
+        is_zero = lambda v: abs(v) <= TOL
+    base = [(i, j, k, convert(scalars.parse_rational(v)))
+            for i, j, k, v in data["structure"]]
+    rng = seeded(31)
+    violations = 0
+    for _ in range(40):
+        entries = _perturbed(base, dim, rng, deltas)
+        expected = dense_jacobi_violation(
+            dense_structure(dim, entries, convert(0)), is_zero
+        )
+        if expected is None:
+            liealg.new_lie_algebra(dim, None, entries, mode=mode, tolerance=TOL)
+            continue
+        violations += 1
+        with pytest.raises(JacobiViolation) as info:
+            liealg.new_lie_algebra(dim, None, entries, mode=mode, tolerance=TOL)
+        assert info.value.indices == expected[0]
+        if mode == scalars.EXACT:
+            assert info.value.defect == expected[1]
+    assert violations >= 10
+
+
+def test_bracket_and_product_equal_the_dense_contraction():
+    L, P = _float_split(4)
+    rng = seeded(41)
+
+    def vector():
+        return tuple(
+            0.0 if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+            for _ in range(L.dim)
+        )
+
+    for _ in range(60):
+        x, y = vector(), vector()
+        assert liealg.bracket(L, x, y) == dense_contract(L.C, x, y)
+        assert P.apply(x, y) == dense_contract(P.T, x, y)
+
+
+def test_float_chi_equals_the_untruncated_recursion():
+    L, P = _float_split(3)
+    rng = seeded(43)
+    x = tuple(rng.uniform(-0.5, 0.5) for _ in range(L.dim))
+    chi = magnus.postlie_magnus(L, x, P, 8, method="ode")
+    reference = chi_by_ode_untruncated(
+        x,
+        8,
+        lambda a, b: dense_contract(P.T, a, b),
+        lambda a, b: dense_contract(L.C, a, b),
+    )
+    assert list(chi.coeffs) == reference
+
+
+def test_chi_ode_product_count_is_pinned(monkeypatch):
+    """Each order m builds its graded series only up to degree m-1.  With a
+    full-support x no term vanishes, so the count is set by the recursion
+    alone; building every series up to the full order makes 2,777 calls."""
+    L, P = _float_split(4)
+    calls = [0]
+    apply = products.BilinearProduct.apply
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return apply(self, x, y)
+
+    monkeypatch.setattr(products.BilinearProduct, "apply", counted)
+    x = tuple((i + 1) / 16 for i in range(L.dim))
+    magnus.postlie_magnus(L, x, P, 10, method="ode")
+    assert calls[0] == 1120
