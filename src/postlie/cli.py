@@ -16,22 +16,15 @@ import sys
 from . import enveloping as ev
 from . import flows, liealg, magnus, products, rmatrix, scalars
 from .errors import (
-    BadDimensions,
     CollapseFailure,
-    DimensionMismatch,
     InvalidInput,
     JacobiViolation,
-    ModeMismatch,
     NotADirectSum,
     NotASubalgebra,
-    NotInAugmentationIdeal,
-    NotUnitNormalized,
-    OrderMismatch,
     PostLieError,
     PrimitivityFailure,
     RealizationMismatch,
     RealizationRequired,
-    UnsupportedName,
 )
 
 EXIT_OK = 0

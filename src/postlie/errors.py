@@ -118,3 +118,12 @@ class BadDimensions(PostLieError):
 
 class NonConvergentSeries(UserWarning):
     """Order-N and order-(N-1) factorized solutions disagree noticeably."""
+
+    def __init__(self, t, gap, tolerance):
+        self.t = t
+        self.gap = gap
+        self.tolerance = tolerance
+        super().__init__(
+            "truncation tail %.3e at t=%g exceeds flow tolerance %.1e"
+            % (gap, t, tolerance)
+        )

@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedName,
 )
 from .liealg import (
-    LieAlgebra,
     LinearEndo,
     bracket,
     builtin,

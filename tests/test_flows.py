@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded
+from oracles.pointwise_flow import pointwise_solution
 
 from postlie import scalars
 from postlie.errors import (
@@ -210,6 +211,22 @@ def test_tail_warning_on_aggressive_problem():
     p = toda_problem(2, (0.0, 0.0), (2.0,), (2.0,), 6)
     with pytest.warns(NonConvergentSeries):
         factorized_solution(p)
+
+
+def test_tail_warning_carries_t_gap_and_tolerance():
+    # the problem of test_tail_warning_on_aggressive_problem; oracle: the
+    # point-by-point evaluation in tests/oracles/pointwise_flow.py
+    p = toda_problem(2, (0.0, 0.0), (2.0,), (2.0,), 6)
+    with pytest.warns(NonConvergentSeries) as record:
+        factorized_solution(p)
+    (w,) = [r.message for r in record if isinstance(r.message, NonConvergentSeries)]
+    gap, t = pointwise_solution(p)[1]
+    assert w.t == t == 2.0
+    assert w.tolerance == p.flow_tolerance == 1e-9
+    assert abs(w.gap - gap) <= 1e-12 * gap
+    assert str(w) == "truncation tail %.3e at t=2 exceeds flow tolerance 1.0e-09" % (
+        w.gap,
+    )
 
 
 def test_no_tail_warning_within_tolerance():
