@@ -25,6 +25,7 @@ from .errors import (
     PrimitivityFailure,
     RealizationMismatch,
     RealizationRequired,
+    YangBaxterFailure,
 )
 
 EXIT_OK = 0
@@ -177,46 +178,27 @@ def cmd_check_algebra(config):
 
 def cmd_check_rmatrix(config):
     mode = _resolved_mode(config)
-    if config.builtin:
-        ctx = rmatrix.builtin_rmatrix(
-            config.builtin, mode=mode, tolerance=config.tolerance
-        )
-        L, R, theta = ctx.algebra, ctx.R, ctx.theta
-    else:
-        if not (config.algebra and config.rmatrix):
-            raise InvalidInput("need --builtin, or --algebra with --rmatrix")
-        L = liealg.load_algebra(config.algebra, mode=mode, tolerance=config.tolerance)
-        with open(config.rmatrix) as fh:
-            data = json.load(fh)
-        if "plus" in data and "minus" in data:
-            try:
-                ctx = rmatrix.splitting_r(L, data["plus"], data["minus"])
-            except (NotADirectSum, NotASubalgebra) as exc:
-                _emit(config, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
-                return EXIT_CHECK_FAILED
-            R, theta = ctx.R, ctx.theta
-        else:
-            R = liealg.LinearEndo(
-                tuple(
-                    tuple(scalars.coerce(v, L.mode) for v in row)
-                    for row in data["matrix"]
-                )
-            )
-            theta = scalars.coerce(data.get("theta", "1"), L.mode)
-    verdict = rmatrix.is_rmatrix(L, R, theta)
-    report = {"ok": verdict["ok"], "theta": str(theta)}
-    lines = []
-    if not verdict["ok"]:
-        report["worst_pair"] = verdict["worst_pair"]
-        report["worst_defect_norm"] = str(verdict["worst_defect_norm"])
-        lines.append(
+    try:
+        ctx = _load_context(config, mode)
+    except (NotADirectSum, NotASubalgebra) as exc:
+        _emit(config, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
+        return EXIT_CHECK_FAILED
+    except YangBaxterFailure as exc:
+        report = {
+            "ok": False,
+            "theta": str(exc.theta),
+            "worst_pair": exc.worst_pair,
+            "worst_defect_norm": str(exc.worst_defect_norm),
+        }
+        lines = [
             "FAIL: Yang-Baxter defect %s at basis pair %s"
-            % (verdict["worst_defect_norm"], verdict["worst_pair"])
-        )
+            % (exc.worst_defect_norm, exc.worst_pair)
+        ]
         _emit(config, report, lines)
         return EXIT_CHECK_FAILED
-    ctx = rmatrix.rmatrix_context(L, R, theta)
-    lines.append("ok: (modified) Yang-Baxter equation holds (theta=%s)" % theta)
+    L, theta = ctx.algebra, ctx.theta
+    report = {"ok": True, "theta": str(theta)}
+    lines = ["ok: (modified) Yang-Baxter equation holds (theta=%s)" % theta]
     analysis = rmatrix.subalgebra_analysis(ctx)
     report["subalgebra_analysis"] = analysis
     lines.append(
@@ -418,6 +400,10 @@ def cmd_hopf_suite(config):
     mode = _resolved_mode(config)
     L, prod = _product_for(config, mode)
     order = _order(config, 4)
+    if config.cases < 1:
+        raise InvalidInput("--cases must be at least 1 (got %d)" % config.cases)
+    if config.degree < 0:
+        raise InvalidInput("--degree must be at least 0 (got %d)" % config.degree)
     degree = min(config.degree, order)
     cases = config.cases
     seed = config.seed

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -29,7 +30,7 @@ from .errors import (
     NotUnitNormalized,
     OrderMismatch,
 )
-from .liealg import new_lie_algebra
+from .liealg import algebra_from_bracket, bracket, vadd, vsub
 
 
 def _require_exact(L):
@@ -78,6 +79,39 @@ def _truncate(terms, order):
     return {w: c for w, c in terms.items() if len(w) <= order}
 
 
+def _add_into(dst, src, c=1):
+    """dst += c * src for term maps."""
+    for w, v in src.items():
+        dst[w] = dst.get(w, 0) + c * v
+
+
+def _bilinear(word_product, t1, t2):
+    """The bilinear extension of a product of words to term maps."""
+    out = {}
+    for w1, c1 in t1.items():
+        for w2, c2 in t2.items():
+            _add_into(out, word_product(w1, w2), c1 * c2)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _position_splits(n):
+    """(subset, complement) of the positions 0..n-1 for every subset,
+    ordered by subset size."""
+    return tuple(
+        (S, tuple(i for i in range(n) if i not in S))
+        for k in range(n + 1)
+        for S in combinations(range(n), k)
+    )
+
+
+def _unshuffles(word):
+    """The (left, right) legs of every unshuffle of word: the letters at a
+    position subset and at its complement, each in word order."""
+    for S, T in _position_splits(len(word)):
+        yield tuple(word[i] for i in S), tuple(word[i] for i in T)
+
+
 class EnvElement:
     """A finite sum of PBW-normal words of length <= order.
 
@@ -110,15 +144,13 @@ class EnvElement:
     def __add__(self, other):
         _check_pair(self, other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
+        _add_into(out, other.terms)
         return EnvElement(self.algebra, self.order, out)
 
     def __sub__(self, other):
         _check_pair(self, other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
+        _add_into(out, other.terms, -1)
         return EnvElement(self.algebra, self.order, out)
 
     def __neg__(self):
@@ -169,9 +201,7 @@ def env_element(L, order, raw_terms):
         for i in word:
             if not 0 <= i < L.dim:
                 raise DimensionMismatch("letter index %d out of range" % (i,))
-        c = scalars.coerce(c, scalars.EXACT)
-        for w, v in _normalize_terms(L, word).items():
-            out[w] = out.get(w, 0) + c * v
+        _add_into(out, _normalize_terms(L, word), scalars.coerce(c, scalars.EXACT))
     return EnvElement(L, order, _truncate(out, order))
 
 
@@ -185,12 +215,7 @@ def env_mul(A, B):
     only after full normalization."""
     _check_pair(A, B)
     L = A.algebra
-    out = {}
-    for w1, c1 in A.terms.items():
-        for w2, c2 in B.terms.items():
-            c = c1 * c2
-            for w, v in _normalize_terms(L, w1 + w2).items():
-                out[w] = out.get(w, 0) + c * v
+    out = _bilinear(lambda w1, w2: _normalize_terms(L, w1 + w2), A.terms, B.terms)
     return EnvElement(L, A.order, _truncate(out, A.order))
 
 
@@ -226,14 +251,12 @@ class TensorSquareElement:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
+        _add_into(out, other.terms)
         return TensorSquareElement(self.algebra, self.order, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) - c
+        _add_into(out, other.terms, -1)
         return TensorSquareElement(self.algebra, self.order, out)
 
     def scale(self, c):
@@ -248,63 +271,53 @@ class TensorSquareElement:
         return "TensorSquareElement(%d terms)" % (len(self.terms),)
 
 
+def _tensor_terms(t1, t2, order):
+    """t1 (x) t2 as a map over word pairs, truncating total length."""
+    return {
+        (w1, w2): c1 * c2
+        for w1, c1 in t1.items()
+        for w2, c2 in t2.items()
+        if len(w1) + len(w2) <= order
+    }
+
+
+def _tensor_square_mul(T1, T2, word_product):
+    """(a x b)(c x d) = ac x bd for a product of words, truncated at total
+    length > order."""
+    order = T1.order
+
+    def pair_product(p, q):
+        return _tensor_terms(word_product(p[0], q[0]), word_product(p[1], q[1]), order)
+
+    return TensorSquareElement(
+        T1.algebra, order, _bilinear(pair_product, T1.terms, T2.terms)
+    )
+
+
 def tensor_mul(T1, T2):
     """(a x b)(c x d) = ac x bd, truncated at total length > order."""
     L = T1.algebra
-    out = {}
-    for (a, b), c1 in T1.terms.items():
-        for (cw, d), c2 in T2.terms.items():
-            c = c1 * c2
-            left = _normalize_terms(L, a + cw)
-            right = _normalize_terms(L, b + d)
-            for w1, v1 in left.items():
-                for w2, v2 in right.items():
-                    if len(w1) + len(w2) <= T1.order:
-                        key = (w1, w2)
-                        out[key] = out.get(key, 0) + c * v1 * v2
-    return TensorSquareElement(L, T1.order, out)
+    return _tensor_square_mul(T1, T2, lambda a, b: _normalize_terms(L, a + b))
 
 
 def tensor_star_mul(T1, T2, product):
     """Componentwise star product on tensor squares:
     (a x b) * (c x d) = (a*c) x (b*d), truncated at total length."""
-    L = T1.algebra
-    ctx = lifted(L, product, T1.order)
-    out = {}
-    for (a, b), c1 in T1.terms.items():
-        for (cw, d), c2 in T2.terms.items():
-            c = c1 * c2
-            left = ctx.star_word(a, cw)
-            right = ctx.star_word(b, d)
-            for w1, v1 in left.items():
-                for w2, v2 in right.items():
-                    if len(w1) + len(w2) <= T1.order:
-                        key = (w1, w2)
-                        out[key] = out.get(key, 0) + c * v1 * v2
-    return TensorSquareElement(L, T1.order, out)
+    ctx = lifted(T1.algebra, product, T1.order)
+    return _tensor_square_mul(T1, T2, ctx.star_word)
 
 
 def tensor_of(A, B):
     """A (x) B as a TensorSquareElement, truncating total length."""
-    out = {}
-    for w1, c1 in A.terms.items():
-        for w2, c2 in B.terms.items():
-            if len(w1) + len(w2) <= A.order:
-                out[(w1, w2)] = out.get((w1, w2), 0) + c1 * c2
-    return TensorSquareElement(A.algebra, A.order, out)
+    terms = _tensor_terms(A.terms, B.terms, A.order)
+    return TensorSquareElement(A.algebra, A.order, terms)
 
 
 def _coproduct_word(word):
     """Unshuffle a sorted word over position subsets; legs stay sorted."""
-    n = len(word)
     out = {}
-    for k in range(n + 1):
-        for S in combinations(range(n), k):
-            Sset = set(S)
-            left = tuple(word[i] for i in S)
-            right = tuple(word[i] for i in range(n) if i not in Sset)
-            key = (left, right)
-            out[key] = out.get(key, 0) + 1
+    for pair in _unshuffles(word):
+        out[pair] = out.get(pair, 0) + 1
     return out
 
 
@@ -312,13 +325,8 @@ def coproduct(A):
     """The unshuffle coproduct; coassociative and an algebra morphism."""
     out = {}
     for w, c in A.terms.items():
-        for pair, m in _coproduct_word(w).items():
-            out[pair] = out.get(pair, 0) + c * m
+        _add_into(out, _coproduct_word(w), c)
     return TensorSquareElement(A.algebra, A.order, out)
-
-
-def counit(A):
-    return A.counit()
 
 
 def antipode(A):
@@ -327,8 +335,7 @@ def antipode(A):
     out = {}
     for w, c in A.terms.items():
         sign = -1 if len(w) % 2 else 1
-        for ww, v in _normalize_terms(L, tuple(reversed(w))).items():
-            out[ww] = out.get(ww, 0) + sign * c * v
+        _add_into(out, _normalize_terms(L, tuple(reversed(w))), sign * c)
     return EnvElement(L, A.order, _truncate(out, A.order))
 
 
@@ -380,20 +387,6 @@ class LiftedProduct:
             self._memo[key] = hit
         return hit
 
-    def _mul_elems(self, t1, t2):
-        out = {}
-        for w1, c1 in t1.items():
-            for w2, c2 in t2.items():
-                c = c1 * c2
-                for w, v in self._mul_words(w1, w2).items():
-                    out[w] = out.get(w, 0) + c * v
-        return out
-
-    @staticmethod
-    def _add_into(dst, src, c=1):
-        for w, v in src.items():
-            dst[w] = dst.get(w, 0) + c * v
-
     # -- the triangle lift --------------------------------------------------
 
     def tri_letter(self, i, w):
@@ -411,9 +404,9 @@ class LiftedProduct:
         else:
             out = {}
             for k, c in row:
-                self._add_into(out, self._mul_words((k,), rest), c)
+                _add_into(out, self._mul_words((k,), rest), c)
             for ww, c in self.tri_letter(i, rest).items():
-                self._add_into(out, self._mul_words((y,), ww), c)
+                _add_into(out, self._mul_words((y,), ww), c)
         out = _truncate({w2: c for w2, c in out.items() if c != 0}, self.order)
         self._memo[key] = out
         return out
@@ -432,44 +425,25 @@ class LiftedProduct:
         if len(w) == 1:
             x, rest = A[0], A[1:]
             for ww, c in self.tri_word(rest, w).items():
-                self._add_into(out, self.tri_letter_elem(x, {ww: 1}), c)
+                _add_into(out, self.tri_letter(x, ww), c)
             for ww, c in self.tri_letter(x, rest).items():
-                self._add_into(out, self.tri_word(ww, w), -c)
+                _add_into(out, self.tri_word(ww, w), -c)
         else:
             B, C = w[:1], w[1:]
-            n = len(A)
-            for k in range(n + 1):
-                for S in combinations(range(n), k):
-                    Sset = set(S)
-                    left = tuple(A[i] for i in S)
-                    right = tuple(A[i] for i in range(n) if i not in Sset)
-                    lval = self.tri_word(left, B)
-                    if not lval:
-                        continue
-                    rval = self.tri_word(right, C)
-                    if not rval:
-                        continue
-                    self._add_into(out, self._mul_elems(lval, rval))
+            for left, right in _unshuffles(A):
+                lval = self.tri_word(left, B)
+                if not lval:
+                    continue
+                rval = self.tri_word(right, C)
+                if not rval:
+                    continue
+                _add_into(out, _bilinear(self._mul_words, lval, rval))
         out = _truncate({w2: c for w2, c in out.items() if c != 0}, self.order)
         self._memo[key] = out
         return out
 
-    def tri_letter_elem(self, i, elem):
-        out = {}
-        for w, c in elem.items():
-            self._add_into(out, self.tri_letter(i, w), c)
-        return out
-
     def tri_elem(self, tA, tB):
-        out = {}
-        for wA, cA in tA.items():
-            for wB, cB in tB.items():
-                c = cA * cB
-                if not wB:
-                    if not wA:  # counit of the left factor
-                        out[()] = out.get((), 0) + c
-                    continue
-                self._add_into(out, self.tri_word(wA, wB), c)
+        out = _bilinear(self.tri_word, tA, tB)
         return {w: c for w, c in out.items() if c != 0}
 
     # -- star product ---------------------------------------------------------
@@ -481,28 +455,15 @@ class LiftedProduct:
         if hit is not None:
             return hit
         out = {}
-        n = len(A)
-        for k in range(n + 1):
-            for S in combinations(range(n), k):
-                Sset = set(S)
-                left = tuple(A[i] for i in S)
-                right = tuple(A[i] for i in range(n) if i not in Sset)
-                if right:
-                    acted = self.tri_word(right, B) if B else {}
-                else:
-                    acted = {B: 1} if len(B) <= self.order else {}
-                if not acted:
-                    continue
-                self._add_into(out, self._mul_elems({left: 1}, acted))
+        for left, right in _unshuffles(A):
+            for w, c in self.tri_word(right, B).items():
+                _add_into(out, self._mul_words(left, w), c)
         out = _truncate({w: c for w, c in out.items() if c != 0}, self.order)
         self._memo[key] = out
         return out
 
     def star_elem(self, tA, tB):
-        out = {}
-        for wA, cA in tA.items():
-            for wB, cB in tB.items():
-                self._add_into(out, self.star_word(wA, wB), cA * cB)
+        out = _bilinear(self.star_word, tA, tB)
         return {w: c for w, c in out.items() if c != 0}
 
     def star_gvec(self, x, elem):
@@ -512,8 +473,8 @@ class LiftedProduct:
             if ck == 0:
                 continue
             for w, c in elem.items():
-                self._add_into(out, self._mul_words((k,), w), ck * c)
-                self._add_into(out, self.tri_letter(k, w), ck * c)
+                _add_into(out, self._mul_words((k,), w), ck * c)
+                _add_into(out, self.tri_letter(k, w), ck * c)
         return {w: c for w, c in out.items() if c != 0}
 
     # -- star antipode ----------------------------------------------------------
@@ -528,14 +489,10 @@ class LiftedProduct:
         if hit is not None:
             return hit
         out = {w: -1} if len(w) <= self.order else {}
-        n = len(w)
-        for k in range(1, n):
-            for S in combinations(range(n), k):
-                Sset = set(S)
-                left = tuple(w[i] for i in S)
-                right = tuple(w[i] for i in range(n) if i not in Sset)
+        for left, right in _unshuffles(w):
+            if left and right:
                 inner = self.star_antipode_word(right)
-                self._add_into(out, self.star_elem({left: 1}, inner), -1)
+                _add_into(out, self.star_elem({left: 1}, inner), -1)
         out = _truncate({w2: c for w2, c in out.items() if c != 0}, self.order)
         self._memo[key] = out
         return out
@@ -574,7 +531,7 @@ def star_antipode(A, product):
     ctx = lifted(A.algebra, product, A.order)
     out = {}
     for w, c in A.terms.items():
-        LiftedProduct._add_into(out, ctx.star_antipode_word(w), c)
+        _add_into(out, ctx.star_antipode_word(w), c)
     return EnvElement(A.algebra, A.order, out)
 
 
@@ -657,15 +614,11 @@ def _set_partitions(n):
 def derived_bracket_algebra(L, product):
     """The Lie algebra with bracket the star commutator
     [x,y] + x |> y - y |> x (validated)."""
-    n = L.dim
-    entries = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                c = L.C[i][j][k] + product.T[i][j][k] - product.T[j][i][k]
-                if c != 0:
-                    entries.append((i, j, k, c))
-    return new_lie_algebra(n, list(L.labels), entries, None, L.mode, L.tolerance)
+
+    def star_commutator(x, y):
+        return vsub(vadd(bracket(L, x, y), product.apply(x, y)), product.apply(y, x))
+
+    return algebra_from_bracket(L, star_commutator)
 
 
 def phi_inverse(L, word, product, order, bar=None):
@@ -696,28 +649,33 @@ def _phi_inverse_letters(L, bar, letters, product, order):
 # ---------------------------------------------------------------------------
 
 
+def _r_pm_legs(A, ctx):
+    """(coefficient, R+ images of the left leg, R- images of the right leg)
+    for every unshuffle of every word of A."""
+    Rp, Rm = ctx.r_plus_minus()
+    L = ctx.algebra
+    for w, c in A.terms.items():
+        for left, right in _unshuffles(w):
+            yield (
+                c,
+                [Rp.apply(L.basis(i)) for i in left],
+                [Rm.apply(L.basis(i)) for i in right],
+            )
+
+
 def F_map(A, ctx):
     """m . (id x S) . (R+ x R-) . Delta applied wordwise: unshuffle each
     word, push R+ through the left leg and R- through the right leg
     letter-wise, take the antipode of the right image, and multiply."""
-    Rp, Rm = ctx.r_plus_minus()
     L = ctx.algebra
     order = A.order
     total = EnvElement(L, order, {})
-    for w, c in A.terms.items():
-        n = len(w)
-        acc = EnvElement(L, order, {})
-        for k in range(n + 1):
-            for S in combinations(range(n), k):
-                Sset = set(S)
-                left = [Rp.apply(L.basis(w[i])) for i in S]
-                right = [Rm.apply(L.basis(w[i])) for i in range(n) if i not in Sset]
-                piece = env_mul(
-                    word_of_vectors(L, order, left),
-                    antipode(word_of_vectors(L, order, right)),
-                )
-                acc = acc + piece
-        total = total + acc.scale(c)
+    for c, left, right in _r_pm_legs(A, ctx):
+        piece = env_mul(
+            word_of_vectors(L, order, left),
+            antipode(word_of_vectors(L, order, right)),
+        )
+        total = total + piece.scale(c)
     return total
 
 
@@ -725,22 +683,13 @@ def F_map_explicit(A, ctx):
     """Closed form of the same map: for each splitting of the word's
     positions, R+ letters in order times R- letters in reversed order with
     sign (-1)^(number of R- letters)."""
-    Rp, Rm = ctx.r_plus_minus()
     L = ctx.algebra
     order = A.order
     total = EnvElement(L, order, {})
-    for w, c in A.terms.items():
-        n = len(w)
-        acc = EnvElement(L, order, {})
-        for k in range(n + 1):
-            for S in combinations(range(n), k):
-                Sset = set(S)
-                left = [Rp.apply(L.basis(w[i])) for i in S]
-                right = [Rm.apply(L.basis(w[i])) for i in range(n) if i not in Sset]
-                sign = -1 if len(right) % 2 else 1
-                piece = word_of_vectors(L, order, left + list(reversed(right)))
-                acc = acc + piece.scale(sign)
-        total = total + acc.scale(c)
+    for c, left, right in _r_pm_legs(A, ctx):
+        sign = -1 if len(right) % 2 else 1
+        piece = word_of_vectors(L, order, left + list(reversed(right)))
+        total = total + piece.scale(sign * c)
     return total
 
 
@@ -751,25 +700,16 @@ def sts_product_check(a, B, ctx, product):
     base enveloping algebra; product is the g-level tensor the star product
     is built from.  Returns a report with the difference element.
     """
-    Rp, Rm = ctx.r_plus_minus()
     L = ctx.algebra
     order = B.order
     lhs = star_mul(F_map(a, ctx), B, product)
     rhs = EnvElement(L, order, {})
-    for w, c in a.terms.items():
-        n = len(w)
-        acc = EnvElement(L, order, {})
-        for k in range(n + 1):
-            for S in combinations(range(n), k):
-                Sset = set(S)
-                left = [Rp.apply(L.basis(w[i])) for i in S]
-                right = [Rm.apply(L.basis(w[i])) for i in range(n) if i not in Sset]
-                piece = env_mul(
-                    env_mul(word_of_vectors(L, order, left), B),
-                    antipode(word_of_vectors(L, order, right)),
-                )
-                acc = acc + piece
-        rhs = rhs + acc.scale(c)
+    for c, left, right in _r_pm_legs(a, ctx):
+        piece = env_mul(
+            env_mul(word_of_vectors(L, order, left), B),
+            antipode(word_of_vectors(L, order, right)),
+        )
+        rhs = rhs + piece.scale(c)
     diff = lhs - rhs
     return {"ok": diff.is_zero(), "difference": diff, "lhs": lhs, "rhs": rhs}
 
@@ -777,6 +717,31 @@ def sts_product_check(a, B, ctx, product):
 # ---------------------------------------------------------------------------
 # exponential / logarithm (plain and star)
 # ---------------------------------------------------------------------------
+
+
+def _exp_series(A, one, mul, n_terms):
+    """sum_{n <= n_terms} A^n / n! with the powers taken by mul, stopping at
+    the first power that vanishes."""
+    acc = power = one
+    for n in range(1, n_terms + 1):
+        power = mul(power, A)
+        if power.is_zero():
+            break
+        acc = acc + power.scale(Fraction(1, factorial(n)))
+    return acc
+
+
+def _log_series(B, one, mul, n_terms):
+    """sum_{1 <= n <= n_terms} (-1)^(n-1) B^n / n, the logarithm of one + B,
+    with the powers taken by mul."""
+    acc = one.scale(0)
+    power = one
+    for n in range(1, n_terms + 1):
+        power = mul(power, B)
+        if power.is_zero():
+            break
+        acc = acc + power.scale(Fraction((-1) ** (n - 1), n))
+    return acc
 
 
 def exp(A, terms=None):
@@ -790,14 +755,7 @@ def exp(A, terms=None):
     if A.counit() != 0:
         raise NotInAugmentationIdeal("exp needs a counit-free element")
     n_terms = A.order if terms is None else int(terms)
-    acc = unit(A.algebra, A.order)
-    power = acc
-    for n in range(1, n_terms + 1):
-        power = env_mul(power, A)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, factorial(n)))
-    return acc
+    return _exp_series(A, unit(A.algebra, A.order), env_mul, n_terms)
 
 
 def log(A, terms=None):
@@ -805,15 +763,8 @@ def log(A, terms=None):
     if A.counit() != 1:
         raise NotUnitNormalized("log needs an element with unit coefficient 1")
     n_terms = A.order if terms is None else int(terms)
-    B = A - unit(A.algebra, A.order)
-    acc = EnvElement(A.algebra, A.order, {})
-    power = unit(A.algebra, A.order)
-    for n in range(1, n_terms + 1):
-        power = env_mul(power, B)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (n - 1), n))
-    return acc
+    one = unit(A.algebra, A.order)
+    return _log_series(A - one, one, env_mul, n_terms)
 
 
 def exp_star(A, product, terms=None):
@@ -821,14 +772,9 @@ def exp_star(A, product, terms=None):
     if A.counit() != 0:
         raise NotInAugmentationIdeal("exp_star needs a counit-free element")
     n_terms = A.order if terms is None else int(terms)
-    acc = unit(A.algebra, A.order)
-    power = acc
-    for n in range(1, n_terms + 1):
-        power = star_mul(power, A, product)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, factorial(n)))
-    return acc
+    return _exp_series(
+        A, unit(A.algebra, A.order), lambda P, Q: star_mul(P, Q, product), n_terms
+    )
 
 
 def log_star(A, product, terms=None):
@@ -836,15 +782,8 @@ def log_star(A, product, terms=None):
     if A.counit() != 1:
         raise NotUnitNormalized("log_star needs an element with unit coefficient 1")
     n_terms = A.order if terms is None else int(terms)
-    B = A - unit(A.algebra, A.order)
-    acc = EnvElement(A.algebra, A.order, {})
-    power = unit(A.algebra, A.order)
-    for n in range(1, n_terms + 1):
-        power = star_mul(power, B, product)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (n - 1), n))
-    return acc
+    one = unit(A.algebra, A.order)
+    return _log_series(A - one, one, lambda P, Q: star_mul(P, Q, product), n_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,19 @@ class InvalidInput(PostLieError):
     """A precondition on the operation's input was violated."""
 
 
+class YangBaxterFailure(InvalidInput):
+    """R does not solve the modified Yang-Baxter equation for theta."""
+
+    def __init__(self, theta, worst_pair, worst_defect_norm):
+        self.theta = theta
+        self.worst_pair = worst_pair
+        self.worst_defect_norm = worst_defect_norm
+        super().__init__(
+            "R does not solve the modified Yang-Baxter equation "
+            "(worst pair %r, defect norm %.3g)" % (worst_pair, worst_defect_norm)
+        )
+
+
 class JacobiViolation(PostLieError):
     """Structure constants fail the Jacobi identity."""
 

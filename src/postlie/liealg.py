@@ -317,6 +317,19 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None,
     return _validate(LieAlgebra(dim, labels, C, realization, mode, float(tolerance)))
 
 
+def algebra_from_bracket(L, f):
+    """The validated algebra on L's basis, labels and mode whose bracket of
+    basis vectors is f, tabulated over the basis pairs i < j."""
+    entries = [
+        (i, j, k, c)
+        for i in range(L.dim)
+        for j in range(i + 1, L.dim)
+        for k, c in enumerate(f(L.basis(i), L.basis(j)))
+        if c != 0
+    ]
+    return new_lie_algebra(L.dim, list(L.labels), entries, None, L.mode, L.tolerance)
+
+
 def bracket(L, x, y):
     """[x, y] by contraction against the structure constants."""
     return contract(L.C_rows, L.check_vector(x), L.check_vector(y))

@@ -175,19 +175,22 @@ class _GradedEnv:
             s.parts[m] = ev.from_g_vector(x.algebra, x.order, x.coeffs[m])
         return s
 
-    def add(self, other):
+    def __add__(self, other):
         return _GradedEnv(
             self.algebra,
             self.order,
             [a + b for a, b in zip(self.parts, other.parts)],
         )
 
-    def sub(self, other):
+    def __sub__(self, other):
         return _GradedEnv(
             self.algebra,
             self.order,
             [a - b for a, b in zip(self.parts, other.parts)],
         )
+
+    def is_zero(self):
+        return all(p.is_zero() for p in self.parts)
 
     def scale(self, c):
         return _GradedEnv(self.algebra, self.order, [p.scale(c) for p in self.parts])
@@ -211,24 +214,16 @@ class _GradedEnv:
         power only reaches degrees >= n)."""
         if not self.parts[0].is_zero():
             raise InvalidInput("graded exp needs a series without degree-0 part")
-        acc = _GradedEnv.unit(self.algebra, self.order)
-        power = acc
-        for n in range(1, self.order + 1):
-            power = power.mul(self, star=star)
-            acc = acc.add(power.scale(Fraction(1, factorial(n))))
-        return acc
+        one = _GradedEnv.unit(self.algebra, self.order)
+        return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star), self.order)
 
     def log(self, star=None):
         """Logarithm of a series with degree-0 part 1."""
-        B = self.sub(_GradedEnv.unit(self.algebra, self.order))
+        one = _GradedEnv.unit(self.algebra, self.order)
+        B = self - one
         if not B.parts[0].is_zero():
             raise InvalidInput("graded log needs degree-0 part equal to 1")
-        acc = _GradedEnv(self.algebra, self.order)
-        power = _GradedEnv.unit(self.algebra, self.order)
-        for n in range(1, self.order + 1):
-            power = power.mul(B, star=star)
-            acc = acc.add(power.scale(Fraction((-1) ** (n - 1), n)))
-        return acc
+        return ev._log_series(B, one, lambda a, b: a.mul(b, star=star), self.order)
 
     def __eq__(self, other):
         return self.parts == other.parts

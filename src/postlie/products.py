@@ -14,7 +14,7 @@ import json
 
 from . import scalars
 from .errors import DimensionMismatch, InvalidInput
-from .liealg import bracket, contract, new_lie_algebra, nonzero_rows, vadd, vsub
+from .liealg import algebra_from_bracket, bracket, contract, nonzero_rows, vadd, vsub
 
 LEFT = "left"
 RIGHT = "right"
@@ -181,18 +181,12 @@ def derived_bracket(pl):
     if pl.handedness != LEFT:
         raise InvalidInput("derived_bracket is defined for left structures; convert first")
     L = pl.bracket_algebra
-    entries = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            x, y = L.basis(i), L.basis(j)
-            v = vsub(
-                vsub(pl.product.apply(x, y), pl.product.apply(y, x)),
-                bracket(L, x, y),
-            )
-            for k, c in enumerate(v):
-                if c != 0:
-                    entries.append((i, j, k, c))
-    return new_lie_algebra(L.dim, list(L.labels), entries, None, L.mode, L.tolerance)
+    return algebra_from_bracket(
+        L,
+        lambda x, y: vsub(
+            vsub(pl.product.apply(x, y), pl.product.apply(y, x)), bracket(L, x, y)
+        ),
+    )
 
 
 def to_right(pl):

@@ -21,12 +21,13 @@ from .errors import (
     NotADirectSum,
     NotASubalgebra,
     UnsupportedName,
+    YangBaxterFailure,
 )
 from .liealg import (
     LinearEndo,
+    algebra_from_bracket,
     bracket,
     builtin,
-    new_lie_algebra,
     vadd,
     vsub,
     vscale,
@@ -160,10 +161,8 @@ def rmatrix_context(L, R, theta=1):
         raise InvalidInput("theta must be 0 or 1 in the high-level interface")
     report = is_rmatrix(L, R, theta_val)
     if not report["ok"]:
-        raise InvalidInput(
-            "R does not solve the modified Yang-Baxter equation "
-            "(worst pair %r, defect norm %.3g)"
-            % (report["worst_pair"], report["worst_defect_norm"])
+        raise YangBaxterFailure(
+            theta_val, report["worst_pair"], report["worst_defect_norm"]
         )
     return RMatrixContext(L, R, theta_val)
 
@@ -171,19 +170,7 @@ def rmatrix_context(L, R, theta=1):
 def derived_algebra(ctx):
     """The Lie algebra g_R carried by the same space with bracket [.,.]_R."""
     L = ctx.algebra
-    entries = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            v = r_bracket(L, ctx.R, L.basis(i), L.basis(j))
-            for k, c in enumerate(v):
-                if c != 0:
-                    entries.append((i, j, k, c))
-    return new_lie_algebra(L.dim, list(L.labels), entries, None, L.mode, L.tolerance)
-
-
-def r_plus_minus(ctx):
-    """R_pm = (R +/- id)/2; satisfies R_plus - R_minus = id exactly."""
-    return ctx.r_plus_minus()
+    return algebra_from_bracket(L, lambda x, y: r_bracket(L, ctx.R, x, y))
 
 
 def post_product(ctx, sign, x, y):
@@ -331,15 +318,6 @@ class _ExactSpan:
     @property
     def rank(self):
         return len(self.rows)
-
-
-def _float_span(vectors, tol):
-    import numpy as np
-
-    A = np.array([list(map(float, v)) for v in vectors], dtype=float)
-    if A.size == 0:
-        return 0
-    return int(np.linalg.matrix_rank(A, tol=tol))
 
 
 def _image_basis(L, endo):
@@ -504,16 +482,19 @@ def rmatrix_to_json(ctx):
 
 
 def rmatrix_from_json(L, data):
+    if not isinstance(data, dict):
+        raise InvalidInput(
+            "malformed r-matrix JSON: expected an object, got %s" % type(data).__name__
+        )
     try:
         if "plus" in data and "minus" in data:
             return splitting_r(L, data["plus"], data["minus"])
         theta = data.get("theta", "1")
-        rows = data["matrix"]
+        R = LinearEndo(tuple(
+            tuple(scalars.coerce(v, L.mode) for v in row) for row in data["matrix"]
+        ))
     except (KeyError, TypeError) as exc:
         raise InvalidInput("malformed r-matrix JSON: %s" % (exc,))
-    R = LinearEndo(tuple(
-        tuple(scalars.coerce(v, L.mode) for v in row) for row in rows
-    ))
     return rmatrix_context(L, R, scalars.coerce(theta, L.mode))
 
 

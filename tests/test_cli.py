@@ -86,6 +86,61 @@ def test_check_rmatrix_json_report(capsys):
     assert rep["subalgebra_analysis"]["subalgebras_ok"] is True
 
 
+SL2_JSON = {
+    "dim": 3,
+    "basis": ["e", "h", "f"],
+    "structure": [[0, 1, 0, "-2"], [0, 2, 1, "1"], [1, 2, 2, "-2"]],
+}
+
+
+def check_rmatrix_file(capsys, tmp_path, rmatrix_data, *extra):
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(json.dumps(SL2_JSON))
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps(rmatrix_data))
+    return run(
+        capsys, "check-rmatrix", "--algebra", str(algebra), "--rmatrix", str(rfile),
+        *extra,
+    )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"plus": [0, 1], "minus": [2]},
+        {"theta": "1", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]},
+    ],
+    ids=["splitting", "matrix"],
+)
+def test_check_rmatrix_file_ok(capsys, tmp_path, data):
+    code, out, _ = check_rmatrix_file(capsys, tmp_path, data)
+    assert code == 0
+    assert out.startswith("ok: (modified) Yang-Baxter equation holds")
+    assert "subalgebras ok: True; ideals ok: True" in out
+
+
+def test_check_rmatrix_file_yang_baxter_failure(capsys, tmp_path):
+    data = {"theta": "1", "matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}
+    code, out, _ = check_rmatrix_file(capsys, tmp_path, data)
+    assert code == 1
+    assert out.startswith("FAIL: Yang-Baxter defect 2.0 at basis pair (1, 2)")
+    code, out, _ = check_rmatrix_file(capsys, tmp_path, data, "--json")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False and rep["worst_pair"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"theta": "1"}, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]],
+    ids=["no-matrix", "list"],
+)
+def test_check_rmatrix_file_malformed(capsys, tmp_path, data):
+    code, _, err = check_rmatrix_file(capsys, tmp_path, data)
+    assert code == 2
+    assert "malformed r-matrix JSON" in err
+
+
 def test_check_postlie_both_signs(capsys):
     code, out, _ = run(capsys, "check-postlie", "--builtin", "split2")
     assert code == 0
@@ -390,3 +445,13 @@ def test_hopf_suite_json_and_determinism(capsys):
     assert rep["ok"] is True and rep["seed"] == 7
     assert not any(rep["failures"].values())
     assert run(capsys, *argv) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--cases", "0"), ("--cases", "-1"), ("--degree", "-2")]
+)
+def test_hopf_suite_rejects_bad_counts(capsys, flag, value):
+    code, out, err = run(capsys, "hopf-suite", "--builtin", "sl2-borel", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "input error: %s must be at least" % flag in err

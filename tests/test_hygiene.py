@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never reads."""
+"""Source hygiene: no module of the package imports a name it never reads,
+and no module defines a private function or class that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,52 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_definitions(sources):
+    """Module-level private functions and classes of the sources that no
+    source reads; a read inside the definition's own body does not count,
+    so a function that only calls itself is reported."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    }
+    read = set()
+    for tree in trees:
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return sorted(defined - read)
+
+
+def test_scan_finds_an_unreferenced_private_definition():
+    sources = [
+        "def _used():\n    return 1\n"
+        "def _self_only(n):\n    return _self_only(n - 1)\n"
+        "class _Dead:\n    pass\n"
+        "def public():\n    return _used()\n",
+        "from .a import _imported\n",
+        "def _imported():\n    pass\n"
+        "def _by_attribute():\n    pass\n",
+        "import b\nb._by_attribute()\n",
+    ]
+    assert unreferenced_private_definitions(sources) == ["_Dead", "_self_only"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_definitions(sources) == []

@@ -101,6 +101,17 @@ def test_bch_degree_one_and_two_generic(sl2):
         assert out.coeff(2) == half
 
 
+def test_graded_exp_log_reject_bad_degree_zero_part(sl2):
+    one = magnus._GradedEnv.unit(sl2, 3)
+    with pytest.raises(InvalidInput, match="without degree-0 part"):
+        one.exp()
+    with pytest.raises(InvalidInput, match="degree-0 part equal to 1"):
+        one.scale(2).log()
+    # the boundary cases the checks accept: log(1) = 0 and exp(0) = 1
+    assert one.log().is_zero()
+    assert (one - one).exp() == one
+
+
 # ---------------------------------------------------------------------------
 # the chi expansion: closed forms and both computation paths
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_r_bracket_unhalved_agrees_for_modified_solutions(borel_ctx):
 def test_r_plus_minus_difference_is_identity():
     for name in BUILTIN_RMATRICES:
         ctx = rmatrix.builtin_rmatrix(name)
-        Rp, Rm = rmatrix.r_plus_minus(ctx)
+        Rp, Rm = ctx.r_plus_minus()
         assert Rp - Rm == LinearEndo.identity(ctx.algebra.dim)
         assert Rp + Rm == ctx.R
 
@@ -106,7 +106,7 @@ def test_pm_identities_hold_on_builtin_splittings():
 
 def test_post_product_signs(borel_ctx):
     L = borel_ctx.algebra
-    Rp, Rm = rmatrix.r_plus_minus(borel_ctx)
+    Rp, Rm = borel_ctx.r_plus_minus()
     x, y = (1, 2, 3), (0, -1, 1)
     assert rmatrix.post_product(borel_ctx, "+", x, y) == liealg.bracket(
         L, Rp.apply(x), y
@@ -153,3 +153,11 @@ def test_json_round_trip(borel_ctx):
     back = rmatrix.rmatrix_from_json(borel_ctx.algebra, data)
     assert back.R == borel_ctx.R
     assert back.theta == borel_ctx.theta
+
+
+@pytest.mark.parametrize(
+    "data", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], {"theta": "1"}, {"matrix": 5}]
+)
+def test_json_malformed_rejected(sl2, data):
+    with pytest.raises(InvalidInput, match="malformed r-matrix JSON"):
+        rmatrix.rmatrix_from_json(sl2, data)
