@@ -128,6 +128,8 @@ def _load_algebra(config, mode):
 def _load_context(config, mode):
     """An r-matrix context from --builtin (registry name) or from
     --algebra + --rmatrix files."""
+    if config.builtin and (config.algebra or config.rmatrix):
+        raise InvalidInput("give either --builtin or --algebra with --rmatrix, not both")
     if config.builtin:
         return rmatrix.builtin_rmatrix(
             config.builtin, mode=mode, tolerance=config.tolerance
@@ -286,7 +288,6 @@ def cmd_factorize(config):
     if config.x is None:
         raise InvalidInput("factorize needs --x coordinates")
     import numpy as np
-    from scipy.linalg import expm
 
     x = _parse_coords(config.x, L)
     order = _order(config, 10)
@@ -301,9 +302,8 @@ def cmd_factorize(config):
         plus, minus = magnus.chi_pm(g, ctx)
         # chi_pm's minus part already carries its sign; the two
         # exponential factors multiply directly
-        E = expm(np.array(L.rho(x), dtype=float))
-        Ep = expm(np.array(L.rho(plus.coeff(1)), dtype=float))
-        Em = expm(np.array(L.rho(minus.coeff(1)), dtype=float))
+        mats = [L.rho(v) for v in (x, plus.coeff(1), minus.coeff(1))]
+        E, Ep, Em = flows._expm(np.array(mats, dtype=float))
         return float(np.linalg.norm(E - Ep @ Em, 2))
 
     r_full = residual(order)

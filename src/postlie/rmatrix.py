@@ -356,11 +356,11 @@ def _kernel_basis(L, endo):
     n = endo.dim
     if L.mode == scalars.FLOAT:
         import numpy as np
-        from scipy.linalg import null_space
 
         A = np.array([[float(endo.matrix[i][j]) for j in range(n)] for i in range(n)])
-        ns = null_space(A, rcond=max(L.tolerance, 1e-12))
-        return [tuple(float(x) for x in ns[:, k]) for k in range(ns.shape[1])]
+        _, sv, vh = np.linalg.svd(A)
+        rank = int((sv > sv.max() * max(L.tolerance, 1e-12)).sum())
+        return [tuple(float(x) for x in v) for v in vh[rank:]]
     span = _ExactSpan()
     for row in endo.matrix:
         span.add(row)

@@ -141,6 +141,22 @@ def test_check_rmatrix_file_malformed(capsys, tmp_path, data):
     assert "malformed r-matrix JSON" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-rmatrix", "--builtin", "sl2-borel", "--rmatrix", "FILE"],
+    ["magnus", "--builtin", "sl2-borel", "--algebra", "FILE", "--x", "1,0,1"],
+    ["flow", "--builtin", "split2", "--algebra", "FILE", "--rmatrix", "FILE",
+     "--x", "0.1,0.3,-0.1,0.3"],
+])
+def test_builtin_with_files_rejected(capsys, tmp_path, argv):
+    # the file is a valid r-matrix that fails Yang-Baxter: it must not be
+    # silently ignored in favour of the built-in
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"theta": "1", "matrix": [[9] * 3] * 3}))
+    code, out, err = run(capsys, *[str(rfile) if a == "FILE" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "--builtin" in err and "--algebra with --rmatrix" in err
+
+
 def test_check_postlie_both_signs(capsys):
     code, out, _ = run(capsys, "check-postlie", "--builtin", "split2")
     assert code == 0
@@ -372,6 +388,16 @@ def test_flow_toda_nonfinite_entries_rejected(capsys, flag, args):
     code, _, err = run(capsys, "flow", "--toda", "3", *args)
     assert code == 2
     assert "%s entry" % flag in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize("path", ["matrix", "adjoint"])
+def test_flow_nonfinite_expansion_rejected(capsys, path):
+    code, out, err = run(
+        capsys, "flow", "--toda", "3", "--diag", "0.1,0.2,-0.1", "--offdiag", "0.3,0.2",
+        "--t1", "1e40", "--steps", "3", "--path", path,
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: the expansion u(t) is not finite at t=5e+39\n"
 
 
 def test_flow_rejects_too_few_steps(capsys):

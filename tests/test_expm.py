@@ -1,0 +1,94 @@
+"""The stacked matrix exponential flows._expm against a 50-digit mpmath
+reference and, for nilpotent slices, the exact finite Taylor sum.
+
+Each slice may be off by at most 10x SciPy's own error on that slice, plus
+1e-15, in the max-entry relative error.  The flow layer hands _expm rho(u)
+with u in g_minus, which for Toda is strictly lower triangular, so the
+nilpotent stacks go up to norm 1e20: a scaling taken from ||A|| alone loses
+all accuracy there.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from postlie.flows import _expm
+
+
+def mp_expm(A):
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+
+
+def taylor_expm(A):
+    """sum_{k<n} A^k/k! in exact rationals: exp(A) for nilpotent n x n A."""
+    n = len(A)
+    M = [[Fraction(float(x)) for x in row] for row in A]
+    S = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    T = [row[:] for row in S]
+    for k in range(1, n):
+        T = [[sum(T[i][l] * M[l][j] for l in range(n)) / k for j in range(n)]
+             for i in range(n)]
+        S = [[S[i][j] + T[i][j] for j in range(n)] for i in range(n)]
+    return np.array([[float(x) for x in row] for row in S])
+
+
+def rel_err(X, R):
+    return np.abs(X - R).max() / np.abs(R).max()
+
+
+def scaled_stack(A, norms):
+    """A with slice k rescaled to 1-norm norms[k]."""
+    A = np.asarray(A, dtype=float)
+    ones = np.abs(A).sum(axis=-2).max(axis=-1)
+    return A * (np.asarray(norms) / ones)[..., None, None]
+
+
+def assert_within_scipy(A, oracles):
+    X = _expm(A)
+    assert X.shape == A.shape
+    Y = expm(A)
+    flat = A.reshape((-1,) + A.shape[-2:])
+    for a, x, y in zip(flat, X.reshape(flat.shape), Y.reshape(flat.shape)):
+        for oracle in oracles:
+            R = oracle(a)
+            assert rel_err(x, R) <= 10 * rel_err(y, R) + 1e-15, (a, x, R)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_dense_stack_with_mixed_norms(n):
+    rng = np.random.default_rng(600 + n)
+    norms = np.logspace(-8, np.log10(50), 12)
+    rng.shuffle(norms)
+    A = scaled_stack(rng.standard_normal((2, 6, n, n)), norms.reshape(2, 6))
+    assert_within_scipy(A, [mp_expm])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("k", [-1, 1], ids=["lower", "upper"])
+def test_strictly_triangular_stack_up_to_norm_1e20(n, k):
+    rng = np.random.default_rng(700 + 10 * n + k)
+    tri = np.tril if k < 0 else np.triu
+    norms = np.array([1e-8, 1e-2, 1.0, 1e2, 1e5, 1e10, 1e15, 1e20])
+    rng.shuffle(norms)
+    A = scaled_stack(tri(rng.standard_normal((len(norms), n, n)), k), norms)
+    assert_within_scipy(A, [mp_expm, taylor_expm])
+
+
+def test_zero_stack_is_identity():
+    assert np.array_equal(_expm(np.zeros((3, 2, 4, 4))), np.broadcast_to(np.eye(4), (3, 2, 4, 4)))
+
+
+def test_one_by_one_slices():
+    A = np.linspace(-50, 50, 21).reshape(-1, 1, 1)
+    assert_within_scipy(A, [mp_expm])
+
+
+def test_single_matrix():
+    A = scaled_stack(np.random.default_rng(5).standard_normal((4, 4)), 20.0)
+    X = _expm(A)
+    assert X.shape == (4, 4)
+    assert rel_err(X, mp_expm(A)) <= 10 * rel_err(expm(A), mp_expm(A)) + 1e-15

@@ -236,6 +236,19 @@ def test_no_tail_warning_within_tolerance():
         factorized_solution(p)
 
 
+@pytest.mark.parametrize("path", ["matrix", "adjoint"])
+@pytest.mark.parametrize("grid,t", [((0.0, 5e39, 1e40), "5e+39"), ((0.0, 1.0, 1e40), "1e+40")])
+def test_nonfinite_expansion_names_first_t(path, grid, t):
+    # t^10 overflows past t ~ 1e30; the check must come before any NumPy
+    # warning, and name the first such grid point
+    p = toda_problem(3, (0.1, 0.2, -0.1), (0.3, 0.2), grid, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput) as exc:
+            factorized_solution(p, path=path)
+    assert str(exc.value) == "the expansion u(t) is not finite at t=%s" % t
+
+
 def test_invalid_path_rejected():
     p = toda_problem(2, (0.1, -0.1), (0.3,), (0.5,), 4)
     with pytest.raises(InvalidInput):

@@ -1,12 +1,18 @@
 """Source hygiene: no module of the package imports a name it never reads,
-and no module defines a private function or class that nothing reads."""
+no module defines a private function or class that nothing reads, the
+package runs without SciPy, and every demo runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "postlie"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "postlie"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # __init__.py imports names to re-export them, so it is left out
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -96,3 +102,42 @@ def test_scan_finds_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_definitions(sources) == []
+
+
+def run_python(*args):
+    """A fresh interpreter with src/ first on its path."""
+    paths = [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=ROOT, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def test_float_paths_do_not_import_scipy():
+    # SciPy is a test dependency only: the float flow, factorize and the
+    # float kernel of check-rmatrix run on NumPy alone
+    script = "\n".join([
+        "import sys",
+        "import postlie",
+        "from postlie.cli import main",
+        "assert main(['flow', '--toda', '3', '--offdiag', '0.3,0.2', '--steps', '3']) == 0",
+        "assert main(['factorize', '--builtin', 'sl2-borel', '--x', '0.3,0,0.3']) == 0",
+        "assert main(['check-rmatrix', '--builtin', 'split2', '--mode', 'float']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert "subalgebras ok: True; ideals ok: True" in result.stdout
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo):
+    result = run_python(str(demo))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

@@ -143,6 +143,29 @@ def test_subalgebra_analysis_dimensions(split2_ctx):
     assert report["dim_im_minus"] == 1
 
 
+def _splitting_context(name, mode):
+    if name.startswith("upper_lower_split"):
+        L = liealg.builtin(name, mode=mode)
+        return rmatrix.splitting_r(L, *L.splitting)
+    return rmatrix.builtin_rmatrix(name, mode=mode)
+
+
+@pytest.mark.parametrize("name", ["split2", "sl2-borel", "upper_lower_split(3)"])
+def test_float_subalgebra_analysis_matches_exact(name):
+    exact = rmatrix.subalgebra_analysis(_splitting_context(name, "exact"))
+    ctx = _splitting_context(name, "float")
+    assert rmatrix.subalgebra_analysis(ctx) == exact
+    assert exact["subalgebras_ok"] and exact["ideals_ok"]
+    # R_plus and R_minus of a splitting are the two projections, so both
+    # kernels are nonzero: the float kernel basis is really exercised
+    L = ctx.algebra
+    for endo, dim in zip(ctx.r_plus_minus(), ("minus", "plus")):
+        kernel = rmatrix._kernel_basis(L, endo)
+        assert len(kernel) == exact["dim_ker_mp"][dim] > 0
+        for v in kernel:
+            assert max(abs(c) for c in endo.apply(v)) <= L.tolerance
+
+
 def test_builtin_rmatrix_unknown_name():
     with pytest.raises(UnsupportedName):
         rmatrix.builtin_rmatrix("frobnicate")
