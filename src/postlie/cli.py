@@ -303,7 +303,10 @@ def cmd_factorize(config):
         # chi_pm's minus part already carries its sign; the two
         # exponential factors multiply directly
         mats = [L.rho(v) for v in (x, plus.coeff(1), minus.coeff(1))]
-        E, Ep, Em = flows._expm(np.array(mats, dtype=float))
+        exps = flows._expm(np.array(mats, dtype=float))
+        if not np.isfinite(exps).all():
+            raise InvalidInput("the matrix exponential overflows")
+        E, Ep, Em = exps
         return float(np.linalg.norm(E - Ep @ Em, 2))
 
     r_full = residual(order)
@@ -344,7 +347,7 @@ def cmd_flow(config):
     if config.integrator == "rk4":
         states = flows.rk4_reference(problem, config.step)
     else:
-        states = flows.factorized_solution(problem, path=config.path)
+        states = flows.factorized_solution(problem)
     text = flows.flow_csv(states)
     if config.output:
         with open(config.output, "w") as fh:
@@ -535,7 +538,6 @@ def build_parser():
         "--integrator", choices=["factorized", "rk4"], default="factorized"
     )
     p.add_argument("--step", type=float, default=1e-3, help="rk4 step size")
-    p.add_argument("--path", choices=["matrix", "adjoint"], default="matrix")
 
     p = sub.add_parser("bell", parents=[common])
     p.add_argument("--n", type=int)

@@ -26,7 +26,7 @@ from .errors import (
     RealizationRequired,
     StepTooLarge,
 )
-from .liealg import builtin
+from .liealg import bracket, builtin
 from .magnus import postlie_magnus
 from .products import from_rmatrix
 from .rmatrix import splitting_r
@@ -63,34 +63,43 @@ _PADE13 = [math.perm(26 - k, 13) // math.factorial(k) for k in range(14)]
 
 def _expm(A):
     """exp of each matrix of a stack (..., n, n): Pade-13 scaling and squaring, with
-    s per slice from the exact ||A^p||^(1/p), p = 6, 8, 10 (Al-Mohy and Higham 2009)."""
+    s per slice from the exact ||A^p||^(1/p), p = 6, 8, 10 (Al-Mohy and Higham 2009).
+    A slice whose exponential overflows comes back not finite, without a warning."""
     A = np.asarray(A, dtype=float)
-    if A.shape[-1] == 1:
-        return np.exp(A)
-    norm = lambda M: np.abs(M).sum(axis=-2).max(axis=-1)
-    I = np.eye(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    d6, d8, d10 = (norm(M) ** (1 / p) for M, p in ((A6, 6), (A4 @ A4, 8), (A4 @ A6, 10)))
-    # where A^8 = 0, as for rho(u) of Toda flows up to n = 8, exp(A) is this Taylor
-    # sum; on such slices of large norm the pivoted solve below loses digits
-    T = I + A2 / 2 + A4 / 24 + A6 / 720 + A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
-    if (d8 == 0).all():
-        return T
-    eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
-    # theta_13 = 4.25: the largest eta at which Pade-13's backward error is <= 2^-53
-    s = np.ceil(np.log2(np.maximum(eta / 4.25, 1.0)))
-    c = (2.0 ** -s)[..., None, None]
-    A, A2, A4, A6 = A * c, A2 * c**2, A4 * c**4, A6 * c**6
-    P = lambda k: _PADE13[k + 6] * A6 + _PADE13[k + 4] * A4 + _PADE13[k + 2] * A2
-    U = A @ (A6 @ P(7) + P(1) + _PADE13[1] * I)
-    V = A6 @ P(6) + P(0) + _PADE13[0] * I
-    X = np.linalg.solve(V - U, V + U)
-    # square each slice s times; a block can mix small and large t
-    for k in range(int(s.max(initial=0))):
-        m = s > k
-        X[m] = X[m] @ X[m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if A.shape[-1] == 1:
+            return np.exp(A)
+        norm = lambda M: np.abs(M).sum(axis=-2).max(axis=-1)
+        I = np.eye(A.shape[-1])
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        d6, d8, d10 = (
+            norm(M) ** (1 / p) for M, p in ((A6, 6), (A4 @ A4, 8), (A4 @ A6, 10))
+        )
+        # where A^8 = 0, as for rho(u) of Toda flows up to n = 8, exp(A) is this
+        # Taylor sum; on such slices of large norm the pivoted solve loses digits
+        T = I + A2 / 2 + A4 / 24 + A6 / 720 + A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
+        if (d8 == 0).all():
+            return T
+        eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+        # a slice whose powers leave the float range has no finite exponential
+        # here; it stays NaN and is kept out of the solve
+        ok = np.isfinite(eta)
+        # theta_13 = 4.25: the largest eta at which Pade-13's backward error is <= 2^-53
+        s = np.ceil(np.log2(np.maximum(eta[ok] / 4.25, 1.0)))
+        c = (2.0 ** -s)[:, None, None]
+        A, A2, A4, A6 = A[ok] * c, A2[ok] * c**2, A4[ok] * c**4, A6[ok] * c**6
+        P = lambda k: _PADE13[k + 6] * A6 + _PADE13[k + 4] * A4 + _PADE13[k + 2] * A2
+        U = A @ (A6 @ P(7) + P(1) + _PADE13[1] * I)
+        V = A6 @ P(6) + P(0) + _PADE13[0] * I
+        Y = np.linalg.solve(V - U, V + U)
+        # square each slice s times; a block can mix small and large t
+        for k in range(int(s.max(initial=0))):
+            m = s > k
+            Y[m] = Y[m] @ Y[m]
+        X = np.full(T.shape, np.nan)
+        X[ok] = Y
     return np.where((d8 == 0)[..., None, None], T, X)
 
 
@@ -114,11 +123,6 @@ def lax_vector_field(ctx, x):
     """[x, R_minus(x)], the right side of the Lax flow."""
     L = ctx.algebra
     x = L.check_vector(x)
-    if L.mode == scalars.FLOAT:
-        xv = np.array(x, dtype=float)
-        return tuple(_bracket_np(L, xv, _rminus_np(ctx) @ xv))
-    from .liealg import bracket
-
     _, Rm = ctx.r_plus_minus()
     return bracket(L, x, Rm.apply(x))
 
@@ -225,35 +229,12 @@ class FlowProblem:
         return self._chi
 
 
-def _conjugate(L, x0, u, path, order):
-    """Ad_{exp(-u)} x0 for every coordinate row of the stack u (..., dim)."""
-    if path == "matrix":
-        Einv = _expm(_rho_np(L, u))
-        M = np.linalg.inv(Einv) @ _rho_np(L, x0) @ Einv
-        return M.reshape(u.shape[:-1] + (-1,)) @ _np_data(L)["pullback"].T
-    # adjoint series: sum (-1)^n/n! ad_u^n x0, truncated at the flow order
-    ad = np.tensordot(u, _np_data(L)["C"], axes=1)  # ad_u[..., j, k]
-    acc = np.broadcast_to(x0, u.shape)
-    term = acc
-    fact = 1.0
-    for n in range(1, order + 1):
-        term = np.einsum("...j,...jk->...k", term, ad)
-        fact *= n
-        acc = acc + term * ((-1) ** n) / fact
-    return acc
-
-
-def factorized_solution(problem, path="matrix"):
+def factorized_solution(problem):
     """x(t) = Ad_{exp(-u(t))} x0 with u(t) = R_minus(chi(x0 t)), one state per
-    grid point.  path is "matrix" (realization conjugation, default) or
-    "adjoint" (truncated adjoint series).  Emits a NonConvergentSeries
+    grid point, conjugating in the realization.  Emits a NonConvergentSeries
     warning when dropping the top expansion order moves any point by more
     than the flow tolerance.
     """
-    if path not in ("matrix", "adjoint"):
-        raise InvalidInput("path must be 'matrix' or 'adjoint'")
-    if path == "matrix" and problem.algebra.realization is None:
-        raise RealizationRequired("matrix path needs a realization")
     L = problem.algebra
     chi = np.array(problem.chi_coefficients())
     order = len(chi)
@@ -270,11 +251,19 @@ def factorized_solution(problem, path="matrix"):
     bad = ~np.isfinite(u).all(axis=(0, 2))
     if bad.any():
         raise InvalidInput("the expansion u(t) is not finite at t=%g" % grid[bad.argmax()])
-    x0 = np.array(problem.x0)
+    X0 = _rho_np(L, np.array(problem.x0))
+    pullback = _np_data(L)["pullback"]
     states = []
     gaps = np.empty(len(grid))
     for lo in range(0, len(grid), BLOCK):
-        xs = _conjugate(L, x0, u[:, lo:lo + BLOCK], path, order)
+        E = _expm(_rho_np(L, u[:, lo:lo + BLOCK]))
+        bad = ~np.isfinite(E).all(axis=(0, 2, 3))
+        if bad.any():
+            raise InvalidInput(
+                "the matrix exponential of u(t) overflows at t=%g" % grid[lo + bad.argmax()]
+            )
+        M = np.linalg.inv(E) @ X0 @ E
+        xs = M.reshape(E.shape[:2] + (-1,)) @ pullback.T
         gaps[lo:lo + BLOCK] = np.abs(xs[1:] - xs[0]).max(axis=(0, 2))
         states += _states(L, grid[lo:lo + BLOCK], xs[0])
     worst = int(np.argmax(gaps))

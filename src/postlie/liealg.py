@@ -3,7 +3,7 @@
 An algebra is validated at construction (antisymmetry is filled in from the
 sparse upper-triangular input, the Jacobi identity and the optional matrix
 realization are checked) and is immutable afterwards.  The structure
-constants are also kept as rows of their nonzero entries, and every
+constants are stored only as rows of their nonzero entries, and every
 contraction and check runs over those.  Vectors are plain tuples of scalars
 in the fixed basis; linear maps g -> g are LinearEndo objects storing a
 dense square matrix in column convention.
@@ -123,6 +123,11 @@ class LinearEndo:
         return "LinearEndo(%r)" % (self.matrix,)
 
 
+def max_norm(v):
+    """The largest absolute coordinate of v as a float; 0.0 for no coordinates."""
+    return max((abs(float(c)) for c in v), default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # sparse rank-3 tensors
 # ---------------------------------------------------------------------------
@@ -161,17 +166,17 @@ def contract(rows, x, y):
 
 
 class LieAlgebra:
-    """Structure constants C[i][j][k] with [x_i,x_j] = sum_k C[i][j][k] x_k.
+    """Structure constants C[i][j][k] with [x_i,x_j] = sum_k C[i][j][k] x_k,
+    stored as C_rows = nonzero_rows(C).
 
     Do not call directly; use new_lie_algebra / builtin / algebra_from_json,
     which validate the data.
     """
 
-    def __init__(self, dim, labels, C, realization, mode, tolerance):
+    def __init__(self, dim, labels, C_rows, realization, mode, tolerance):
         self.dim = dim
         self.labels = tuple(labels)
-        self.C = C
-        self.C_rows = nonzero_rows(C)
+        self.C_rows = C_rows
         self.realization = realization
         self.mode = mode
         self.tolerance = tolerance
@@ -180,6 +185,10 @@ class LieAlgebra:
 
     def is_zero_scalar(self, value):
         return scalars.is_zero(value, self.mode, self.tolerance)
+
+    def vanishes(self, values):
+        """True when every value is zero in this algebra's mode."""
+        return all(self.is_zero_scalar(c) for c in values)
 
     def ratio(self, p, q=1):
         return scalars.ratio(p, q, self.mode)
@@ -275,7 +284,7 @@ def _validate(L):
                         for a, row in enumerate(sparse[k]):
                             for b, v in row:
                                 defect[a, b] = defect.get((a, b), 0) - c * v
-                if not all(L.is_zero_scalar(d) for d in defect.values()):
+                if not L.vanishes(defect.values()):
                     raise RealizationMismatch(i, j)
     return L
 
@@ -308,13 +317,14 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None,
         v = scalars.coerce(value, mode)
         C[i][j][k] += v
         C[j][i][k] -= v
-    C = tuple(tuple(tuple(row) for row in plane) for plane in C)
     if realization is not None:
         realization = tuple(
             tuple(tuple(scalars.coerce(x, mode) for x in row) for row in M)
             for M in realization
         )
-    return _validate(LieAlgebra(dim, labels, C, realization, mode, float(tolerance)))
+    return _validate(
+        LieAlgebra(dim, labels, nonzero_rows(C), realization, mode, float(tolerance))
+    )
 
 
 def algebra_from_bracket(L, f):
@@ -328,6 +338,21 @@ def algebra_from_bracket(L, f):
         if c != 0
     ]
     return new_lie_algebra(L.dim, list(L.labels), entries, None, L.mode, L.tolerance)
+
+
+def defect_scan(L, defect, index_tuples):
+    """Evaluate defect(*t) for each index tuple t.  Returns (ok, worst, where):
+    ok when every defect vanishes in L's mode, worst the largest max_norm and
+    where the first tuple reaching it (None when every norm is 0.0)."""
+    ok, worst, where = True, 0.0, None
+    for t in index_tuples:
+        d = defect(*t)
+        if ok and not L.vanishes(d):
+            ok = False
+        norm = max_norm(d)
+        if norm > worst:
+            worst, where = norm, t
+    return ok, worst, where
 
 
 def bracket(L, x, y):
@@ -502,11 +527,11 @@ def algebra_from_json(data, mode=scalars.EXACT, tolerance=1e-10):
         dim = int(data["dim"])
         labels = data.get("basis")
         structure = [(int(i), int(j), int(k), v) for (i, j, k, v) in data["structure"]]
+        realization = data.get("realization")
+        if realization is not None:
+            realization = [[list(row) for row in M] for M in realization["matrices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput("malformed algebra JSON: %s" % (exc,))
-    realization = None
-    if "realization" in data and data["realization"] is not None:
-        realization = data["realization"]["matrices"]
     return new_lie_algebra(dim, labels, structure, realization, mode, tolerance)
 
 

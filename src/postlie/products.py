@@ -1,7 +1,7 @@
 """Post-Lie and pre-Lie structures given by explicit bilinear product tensors.
 
 A BilinearProduct stores x_i o x_j = sum_k T[i][j][k] x_k over a fixed
-algebra; a PostLieStructure pairs such a product with a Lie bracket and an
+algebra as the rows of the nonzero entries of T; a PostLieStructure pairs such a product with a Lie bracket and an
 explicit handedness.  Axiom checks run over basis triples (bilinearity
 extends them), and the derived bracket / right-conversion / Lie-admissible
 companion follow the left-handed conventions, with right-handed structures
@@ -11,17 +11,28 @@ handled by their own axiom set.
 from __future__ import annotations
 
 import json
+from itertools import product as index_product
 
 from . import scalars
 from .errors import DimensionMismatch, InvalidInput
-from .liealg import algebra_from_bracket, bracket, contract, nonzero_rows, vadd, vsub
+from .liealg import (
+    algebra_from_bracket,
+    bracket,
+    contract,
+    defect_scan,
+    nonzero_rows,
+    vadd,
+    vscale,
+    vsub,
+)
 
 LEFT = "left"
 RIGHT = "right"
 
 
 class BilinearProduct:
-    """A bilinear product as a rank-3 tensor over an algebra's basis."""
+    """A bilinear product as a rank-3 tensor T over an algebra's basis, given
+    densely and stored as T_rows = nonzero_rows(T)."""
 
     def __init__(self, algebra, T):
         n = algebra.dim
@@ -36,7 +47,6 @@ class BilinearProduct:
         ):
             raise DimensionMismatch("product tensor must be %d^3" % (n,))
         self.algebra = algebra
-        self.T = T
         self.T_rows = nonzero_rows(T)
 
     @classmethod
@@ -75,10 +85,6 @@ def _associator(prod, x, y, z):
     return vsub(prod.apply(prod.apply(x, y), z), prod.apply(x, prod.apply(y, z)))
 
 
-def _norm(v):
-    return max((abs(float(c)) for c in v), default=0.0)
-
-
 def check_postlie(product, bracket_algebra, handedness):
     """Evaluate both post-Lie axioms on all basis triples.
 
@@ -94,50 +100,35 @@ def check_postlie(product, bracket_algebra, handedness):
     L = bracket_algebra
     if product.algebra.dim != L.dim or product.algebra.mode != L.mode:
         raise DimensionMismatch("product tensor and bracket algebra disagree")
-    worst1 = (0.0, None)
-    worst2 = (0.0, None)
-    ok1 = ok2 = True
-    n = L.dim
-    for i in range(n):
-        x = L.basis(i)
-        for j in range(n):
-            y = L.basis(j)
-            for k in range(n):
-                z = L.basis(k)
-                d1 = vsub(
-                    product.apply(x, bracket(L, y, z)),
-                    vadd(
-                        bracket(L, product.apply(x, y), z),
-                        bracket(L, y, product.apply(x, z)),
-                    ),
-                )
-                if handedness == LEFT:
-                    rhs = vsub(_associator(product, x, y, z), _associator(product, y, x, z))
-                else:
-                    rhs = vsub(_associator(product, y, x, z), _associator(product, x, y, z))
-                d2 = vsub(product.apply(bracket(L, x, y), z), rhs)
-                if not all(L.is_zero_scalar(c) for c in d1):
-                    ok1 = False
-                if not all(L.is_zero_scalar(c) for c in d2):
-                    ok2 = False
-                n1, n2 = _norm(d1), _norm(d2)
-                if n1 > worst1[0]:
-                    worst1 = (n1, (i, j, k))
-                if n2 > worst2[0]:
-                    worst2 = (n2, (i, j, k))
+
+    def derivation_defect(x, y, z):
+        return vsub(
+            product.apply(x, bracket(L, y, z)),
+            vadd(bracket(L, product.apply(x, y), z), bracket(L, y, product.apply(x, z))),
+        )
+
+    def bracket_defect(x, y, z):
+        p, q = (x, y) if handedness == LEFT else (y, x)
+        rhs = vsub(_associator(product, p, q, z), _associator(product, q, p, z))
+        return vsub(product.apply(bracket(L, x, y), z), rhs)
+
+    derivation = _triple_report(L, derivation_defect)
+    bracket_axiom = _triple_report(L, bracket_defect)
     return {
-        "ok": ok1 and ok2,
-        "derivation_axiom": {
-            "ok": ok1,
-            "worst_defect_norm": worst1[0],
-            "worst_triple": worst1[1],
-        },
-        "bracket_axiom": {
-            "ok": ok2,
-            "worst_defect_norm": worst2[0],
-            "worst_triple": worst2[1],
-        },
+        "ok": derivation["ok"] and bracket_axiom["ok"],
+        "derivation_axiom": derivation,
+        "bracket_axiom": bracket_axiom,
     }
+
+
+def _triple_report(L, defect):
+    """{ok, worst_defect_norm, worst_triple} of defect(x_i, x_j, x_k) over all
+    basis triples (i, j, k)."""
+    b = L.basis
+    ok, worst, where = defect_scan(
+        L, lambda i, j, k: defect(b(i), b(j), b(k)), index_product(range(L.dim), repeat=3)
+    )
+    return {"ok": ok, "worst_defect_norm": worst, "worst_triple": where}
 
 
 class PostLieStructure:
@@ -194,17 +185,10 @@ def to_right(pl):
     if pl.handedness != LEFT:
         raise InvalidInput("to_right expects a left structure")
     L = pl.bracket_algebra
-    n = L.dim
-    T = tuple(
-        tuple(
-            tuple(pl.product.T[i][j][k] - L.C[i][j][k] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
+    prod = BilinearProduct.from_function(
+        pl.product.algebra, lambda x, y: vsub(pl.product.apply(x, y), bracket(L, x, y))
     )
-    return PostLieStructure(
-        BilinearProduct(pl.product.algebra, T), L, RIGHT, validate=False
-    )
+    return PostLieStructure(prod, L, RIGHT, validate=False)
 
 
 def lie_admissible(pl):
@@ -220,36 +204,18 @@ def lie_admissible(pl):
     """
     L = pl.bracket_algebra
     half = L.ratio(1, 2)
-    n = L.dim
-    T = tuple(
-        tuple(
-            tuple(pl.product.T[i][j][k] + half * L.C[i][j][k] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
+    return BilinearProduct.from_function(
+        pl.product.algebra,
+        lambda x, y: vadd(pl.product.apply(x, y), vscale(half, bracket(L, x, y))),
     )
-    return BilinearProduct(pl.product.algebra, T)
 
 
 def check_prelie(product):
     """Left pre-Lie identity a(x,y,z) = a(y,x,z) on all basis triples."""
-    L = product.algebra
-    worst = (0.0, None)
-    ok = True
-    n = L.dim
-    for i in range(n):
-        x = L.basis(i)
-        for j in range(n):
-            y = L.basis(j)
-            for k in range(n):
-                z = L.basis(k)
-                d = vsub(_associator(product, x, y, z), _associator(product, y, x, z))
-                if not all(L.is_zero_scalar(c) for c in d):
-                    ok = False
-                nd = _norm(d)
-                if nd > worst[0]:
-                    worst = (nd, (i, j, k))
-    return {"ok": ok, "worst_defect_norm": worst[0], "worst_triple": worst[1]}
+    return _triple_report(
+        product.algebra,
+        lambda x, y, z: vsub(_associator(product, x, y, z), _associator(product, y, x, z)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from . import scalars
@@ -28,6 +29,8 @@ from .liealg import (
     algebra_from_bracket,
     bracket,
     builtin,
+    defect_scan,
+    max_norm,
     vadd,
     vsub,
     vscale,
@@ -63,25 +66,15 @@ def mcybe_defect(L, R, theta, x, y):
     return vsub(out, vscale(theta, bracket(L, x, y)))
 
 
-def _vec_norm(v):
-    return max((abs(float(c)) for c in v), default=0.0)
-
-
 def is_rmatrix(L, R, theta):
     """Check the defect on all basis pairs; returns
     {ok, worst_pair, worst_defect_norm} rather than raising."""
     R = _as_endo(L, R)
-    worst_pair = None
-    worst = 0.0
-    ok = True
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            d = mcybe_defect(L, R, theta, L.basis(i), L.basis(j))
-            if not all(L.is_zero_scalar(c) for c in d):
-                ok = False
-            norm = _vec_norm(d)
-            if norm > worst:
-                worst, worst_pair = norm, (i, j)
+    ok, worst, worst_pair = defect_scan(
+        L,
+        lambda i, j: mcybe_defect(L, R, theta, L.basis(i), L.basis(j)),
+        combinations(range(L.dim), 2),
+    )
     return {"ok": ok, "worst_pair": worst_pair, "worst_defect_norm": worst}
 
 
@@ -204,16 +197,12 @@ def check_pm_identities(ctx):
                 lhs = bracket(L, Rx, Ry)
                 inner = vadd(bracket(L, Rx, y), bracket(L, x, Ry))
                 inner = vsub(inner, vscale(sign, bracket(L, x, y)))
-                if not _vanishes(L, vsub(lhs, Rs.apply(inner))):
+                if not L.vanishes(vsub(lhs, Rs.apply(inner))):
                     failures.append({"identity": "bracket", "sign": sign, "pair": (i, j)})
                 morph = vsub(Rs.apply(r_bracket(L, ctx.R, x, y)), lhs)
-                if not _vanishes(L, morph):
+                if not L.vanishes(morph):
                     failures.append({"identity": "morphism", "sign": sign, "pair": (i, j)})
     return {"ok": not failures, "failures": failures}
-
-
-def _vanishes(L, v):
-    return all(L.is_zero_scalar(c) for c in v)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +235,7 @@ def splitting_r(L, plus_indices, minus_indices):
                 if a >= b:
                     continue
                 v = bracket(L, L.basis(a), L.basis(b))
-                if any(
-                    not L.is_zero_scalar(c)
-                    for k, c in enumerate(v)
-                    if k not in inside
-                ):
+                if not L.vanishes(c for k, c in enumerate(v) if k not in inside):
                     raise NotASubalgebra(side, (a, b))
     diag = [0] * L.dim
     for i in plus:
@@ -320,22 +305,18 @@ class _ExactSpan:
         return len(self.rows)
 
 
-def _image_basis(L, endo):
-    """Independent subset of endo's columns (exact) or an orthonormal image
-    basis (float); returns (dim, list of vectors, membership test)."""
-    cols = [endo.column(j) for j in range(endo.dim)]
+def _span(L, vectors):
+    """Independent subset of the vectors (exact) or an orthonormal basis of
+    their span (float); returns (dim, list of vectors, membership test)."""
     if L.mode == scalars.EXACT:
         span = _ExactSpan()
-        basis = []
-        for c in cols:
-            if span.add(c):
-                basis.append(c)
+        basis = [v for v in vectors if span.add(v)]
         return span.rank, basis, span.contains
     import numpy as np
 
-    A = np.array([list(map(float, c)) for c in cols], dtype=float).T
+    A = np.array([list(map(float, c)) for c in vectors], dtype=float).T
     if not A.any():
-        return 0, [], lambda v: _vec_norm(v) <= L.tolerance
+        return 0, [], lambda v: max_norm(v) <= L.tolerance
     q, r = np.linalg.qr(A)
     keep = [j for j in range(min(A.shape)) if abs(r[j, j]) > L.tolerance]
     Q = q[:, keep]
@@ -386,48 +367,24 @@ def subalgebra_analysis(ctx):
     """
     L = ctx.algebra
     Rp, Rm = ctx.r_plus_minus()
-    dim_p, basis_p, in_p = _image_basis(L, Rp)
-    dim_m, basis_m, in_m = _image_basis(L, Rm)
+    dim_p, basis_p, in_p = _span(L, [Rp.column(j) for j in range(L.dim)])
+    dim_m, basis_m, in_m = _span(L, [Rm.column(j) for j in range(L.dim)])
     ker_for_p = _kernel_basis(L, Rm)  # the ideal inside im R_plus
     ker_for_m = _kernel_basis(L, Rp)
-    subalgebras_ok = True
-    for basis, member in ((basis_p, in_p), (basis_m, in_m)):
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                if not member(bracket(L, basis[a], basis[b])):
-                    subalgebras_ok = False
+    subalgebras_ok = all(
+        member(bracket(L, a, b))
+        for basis, member in ((basis_p, in_p), (basis_m, in_m))
+        for a, b in combinations(basis, 2)
+    )
     ideals_ok = True
     for ker, basis, im_member in (
         (ker_for_p, basis_p, in_p),
         (ker_for_m, basis_m, in_m),
     ):
-        kspan = None
-        if L.mode == scalars.EXACT:
-            kspan = _ExactSpan()
-            for u in ker:
-                kspan.add(u)
-        for u in ker:
-            if not im_member(u):
-                ideals_ok = False
-        for u in ker:
-            for v in basis:
-                w = bracket(L, u, v)
-                if kspan is not None:
-                    if not kspan.contains(w):
-                        ideals_ok = False
-                else:
-                    import numpy as np
-
-                    if ker:
-                        A = np.array([list(map(float, kv)) for kv in ker]).T
-                        wv = np.array(list(map(float, w)))
-                        coef, *_ = np.linalg.lstsq(A, wv, rcond=None)
-                        if float(np.linalg.norm(A @ coef - wv)) > max(
-                            L.tolerance, 1e-9
-                        ) * max(1.0, float(np.linalg.norm(wv))):
-                            ideals_ok = False
-                    elif _vec_norm(w) > L.tolerance:
-                        ideals_ok = False
+        in_ker = _span(L, ker)[2]
+        ideals_ok = ideals_ok and all(
+            im_member(u) and all(in_ker(bracket(L, u, v)) for v in basis) for u in ker
+        )
     return {
         "dim_im_plus": dim_p,
         "dim_im_minus": dim_m,

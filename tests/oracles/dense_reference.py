@@ -1,4 +1,5 @@
-"""Dense reference computations for the sparse tensor core.
+"""Dense reference computations for the sparse tensor core and for the
+defect reports of the r-matrix and post-Lie checks.
 
 Deliberately does NOT import the package: each function works on plain
 nested sequences (a structure or product tensor T[i][j][k]) and plain
@@ -57,6 +58,124 @@ def dense_jacobi_violation(C, is_zero):
                     if not is_zero(defect):
                         return (i, j, k, l), defect
     return None
+
+
+def _apply(M, x):
+    """M x for a dense square matrix (column convention), summed over the
+    nonzero coordinates of x in index order."""
+    nonzero = [(j, c) for j, c in enumerate(x) if c != 0]
+    return tuple(sum(row[j] * c for j, c in nonzero) for row in M)
+
+
+def _add(a, b):
+    return tuple(p + q for p, q in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(p - q for p, q in zip(a, b))
+
+
+def _scale(c, a):
+    return tuple(c * p for p in a)
+
+
+def _basis(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def _worst(reports, is_zero):
+    """(ok, worst max-norm, first index reaching it) over (index, defect)."""
+    ok, worst, where = True, 0.0, None
+    for index, d in reports:
+        if not all(is_zero(c) for c in d):
+            ok = False
+        norm = max((abs(float(c)) for c in d), default=0.0)
+        if norm > worst:
+            worst, where = norm, index
+    return ok, worst, where
+
+
+def dense_mcybe_report(C, R, theta, is_zero):
+    """(ok, worst norm, worst pair) of the modified Yang-Baxter defect
+    R([Rx,y] + [x,Ry]) - [Rx,Ry] - theta [x,y] over basis pairs i < j."""
+    n = len(C)
+    br = lambda a, b: dense_contract(C, a, b)
+    reports = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = _basis(n, i), _basis(n, j)
+            Rx, Ry = _apply(R, x), _apply(R, y)
+            d = _sub(_apply(R, _add(br(Rx, y), br(x, Ry))), br(Rx, Ry))
+            reports.append(((i, j), _sub(d, _scale(theta, br(x, y)))))
+    return _worst(reports, is_zero)
+
+
+def dense_pm_failures(C, R, half, is_zero):
+    """The failure list of the R_pm identities for R_pm = (R +/- id)/2: per
+    sign (+1 then -1) and basis pair i < j, the bracket identity
+    [R_s x, R_s y] = R_s([R_s x, y] + [x, R_s y] - s[x, y]) and the
+    morphism identity R_s([x, y]_R) = [R_s x, R_s y]."""
+    n = len(C)
+    br = lambda a, b: dense_contract(C, a, b)
+    failures = []
+    for sign in (1, -1):
+        Rs = [
+            [half * (R[i][j] + sign * (1 if i == j else 0)) for j in range(n)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            for j in range(i + 1, n):
+                x, y = _basis(n, i), _basis(n, j)
+                Rx, Ry = _apply(Rs, x), _apply(Rs, y)
+                lhs = br(Rx, Ry)
+                inner = _sub(_add(br(Rx, y), br(x, Ry)), _scale(sign, br(x, y)))
+                if not all(is_zero(c) for c in _sub(lhs, _apply(Rs, inner))):
+                    failures.append({"identity": "bracket", "sign": sign, "pair": (i, j)})
+                r_br = _scale(half, _add(br(_apply(R, x), y), br(x, _apply(R, y))))
+                if not all(is_zero(c) for c in _sub(_apply(Rs, r_br), lhs)):
+                    failures.append({"identity": "morphism", "sign": sign, "pair": (i, j)})
+    return failures
+
+
+def _associator(T, x, y, z):
+    prod = lambda a, b: dense_contract(T, a, b)
+    return _sub(prod(prod(x, y), z), prod(x, prod(y, z)))
+
+
+def dense_postlie_reports(T, C, left, is_zero):
+    """(derivation, bracket) reports, each (ok, worst norm, worst triple),
+    of the post-Lie axioms of the product T over the bracket C on all basis
+    triples: x o [y,z] = [x o y, z] + [y, x o z], and [x,y] o z equal to
+    a(x,y,z) - a(y,x,z) (left) or a(y,x,z) - a(x,y,z) (right)."""
+    n = len(C)
+    br = lambda a, b: dense_contract(C, a, b)
+    prod = lambda a, b: dense_contract(T, a, b)
+    first, second = [], []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = _basis(n, i), _basis(n, j), _basis(n, k)
+                first.append(((i, j, k), _sub(
+                    prod(x, br(y, z)), _add(br(prod(x, y), z), br(y, prod(x, z)))
+                )))
+                p, q = (x, y) if left else (y, x)
+                rhs = _sub(_associator(T, p, q, z), _associator(T, q, p, z))
+                second.append(((i, j, k), _sub(prod(br(x, y), z), rhs)))
+    return _worst(first, is_zero), _worst(second, is_zero)
+
+
+def dense_prelie_report(T, is_zero):
+    """(ok, worst norm, worst triple) of a(x,y,z) - a(y,x,z) on basis triples."""
+    n = len(T)
+    reports = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = _basis(n, i), _basis(n, j), _basis(n, k)
+                reports.append(((i, j, k), _sub(
+                    _associator(T, x, y, z), _associator(T, y, x, z)
+                )))
+    return _worst(reports, is_zero)
 
 
 def bernoulli(n):

@@ -5,19 +5,25 @@ stacked grid points into blocks: one Python iteration per grid point, two
 matrix exponentials per conjugation, and a spectrum and trace powers per
 state.  It reads only the public data of a ``FlowProblem`` (algebra,
 r-matrix context, initial point, grid, order, tolerance and the expansion
-coefficients) and imports nothing from ``postlie.flows``.
+coefficients) and imports nothing from ``postlie.flows``.  Besides that
+conjugation in the realization, it can sum the truncated adjoint series
+sum (-1)^n/n! ad_u^n x0 instead, a second evaluation the library does not
+have.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 
+from postlie.liealg import algebra_to_json
+
 
 def _dense(L):
-    C = np.array(
-        [[[float(L.C[i][j][k]) for k in range(L.dim)] for j in range(L.dim)]
-         for i in range(L.dim)],
-        dtype=float,
-    )
+    C = np.zeros((L.dim,) * 3)
+    for i, j, k, v in algebra_to_json(L)["structure"]:
+        C[i, j, k] = float(Fraction(v))
+        C[j, i, k] = -C[i, j, k]
     rho = np.array(
         [[[float(a) for a in row] for row in M] for M in L.realization], dtype=float
     )

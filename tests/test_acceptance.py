@@ -468,7 +468,7 @@ def test_criterion_11_prelie_specialization_matches():
         prod = products.BilinearProduct.from_function(
             sl2, lambda a, b: liealg.bracket(sl2, R.apply(a), b)
         )
-        flat_prod = products.BilinearProduct(flat, prod.T)
+        flat_prod = products.BilinearProduct.from_function(flat, prod.apply)
         assert products.check_prelie(flat_prod)["ok"]
         x = _random_exact_vector(sl2, rng, span=2)
         pre = magnus.prelie_magnus(flat, x, flat_prod, 4)

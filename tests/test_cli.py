@@ -60,6 +60,17 @@ def test_check_algebra_missing_file(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "realization", [{}, {"matrices": 5}], ids=["no-matrices", "matrices-int"]
+)
+def test_check_algebra_malformed_realization(capsys, tmp_path, realization):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 2, "structure": [], "realization": realization}))
+    code, out, err = run(capsys, "check-algebra", "--algebra", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: malformed algebra JSON: ")
+
+
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "check-algebra", "--builtin", "e8")
     assert code == 2
@@ -298,6 +309,23 @@ def test_factorize_json_report(capsys):
     assert rep["residual"] < rep["residual_previous_order"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["factorize", "--builtin", "sl2-borel", "--x", "1e200,1,1"],
+     "the matrix exponential overflows"),
+    (["flow", "--toda", "9", "--offdiag", "0.3,0.2,0.1,0.3,0.2,0.1,0.3,0.2",
+      "--t1", "1e25", "--steps", "3"],
+     "the matrix exponential of u(t) overflows at t=5e+24"),
+], ids=["factorize", "flow"])
+def test_matrix_exponential_overflow_rejected(capsys, argv, message):
+    # rejected before NumPy warns: every warning is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "input error: %s\n" % message
+
+
 def test_factorize_requires_float_mode(capsys):
     code, _, err = run(
         capsys, "factorize", "--builtin", "sl2-borel", "--x", "1,0,1",
@@ -357,10 +385,10 @@ def test_flow_rk4_integrator(capsys):
     assert len(out.strip().split("\n")) == 4
 
 
-def test_flow_explicit_initial_point_adjoint_path(capsys):
+def test_flow_explicit_initial_point(capsys):
     code, out, _ = run(
         capsys, "flow", "--builtin", "split2", "--x", "0.1,0.3,-0.1,0.3",
-        "--t1", "0.5", "--steps", "3", "--order", "8", "--path", "adjoint",
+        "--t1", "0.5", "--steps", "3", "--order", "8",
     )
     assert code == 0
     assert out.startswith("t,x0,")
@@ -390,11 +418,10 @@ def test_flow_toda_nonfinite_entries_rejected(capsys, flag, args):
     assert "%s entry" % flag in err and "not a finite number" in err
 
 
-@pytest.mark.parametrize("path", ["matrix", "adjoint"])
-def test_flow_nonfinite_expansion_rejected(capsys, path):
+def test_flow_nonfinite_expansion_rejected(capsys):
     code, out, err = run(
         capsys, "flow", "--toda", "3", "--diag", "0.1,0.2,-0.1", "--offdiag", "0.3,0.2",
-        "--t1", "1e40", "--steps", "3", "--path", path,
+        "--t1", "1e40", "--steps", "3",
     )
     assert code == 2 and out == ""
     assert err == "input error: the expansion u(t) is not finite at t=5e+39\n"

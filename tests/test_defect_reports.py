@@ -1,0 +1,171 @@
+"""The defect reports of is_rmatrix, check_pm_identities, check_postlie and
+check_prelie against the dense loops in tests/oracles/dense_reference.py,
+on seeded perturbations of R and of the product tensor T: ok, the worst
+norm and the first index reaching it must agree."""
+
+from fractions import Fraction
+
+import pytest
+
+from postlie import liealg, products, rmatrix, scalars
+from postlie.liealg import LinearEndo
+from oracles.dense_reference import (
+    dense_mcybe_report,
+    dense_pm_failures,
+    dense_postlie_reports,
+    dense_prelie_report,
+    dense_structure,
+)
+from conftest import seeded
+
+TOL = 1e-10
+CASES = 8
+MODES = [scalars.EXACT, scalars.FLOAT]
+
+
+def _convert(mode):
+    return Fraction if mode == scalars.EXACT else float
+
+
+def _deltas(mode):
+    if mode == scalars.EXACT:
+        return (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3))
+    # 1e-11 stays below the tolerance: ok holds while the worst norm is not 0
+    return (1e-11, 1e-3, -0.25, 2.0)
+
+
+def _is_zero(mode):
+    if mode == scalars.EXACT:
+        return lambda v: v == 0
+    return lambda v: abs(v) <= TOL
+
+
+def _context(name, mode):
+    return rmatrix.builtin_rmatrix(name, mode=mode, tolerance=TOL)
+
+
+def _dense_C(L):
+    convert = _convert(L.mode)
+    data = liealg.algebra_to_json(L)
+    entries = [(i, j, k, convert(scalars.parse_rational(v)))
+               for i, j, k, v in data["structure"]]
+    return dense_structure(data["dim"], entries, convert(0))
+
+
+def _dense_T(product):
+    convert = _convert(product.algebra.mode)
+    n = product.algebra.dim
+    T = [[[convert(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in products.product_to_json(product)["product"]:
+        T[i][j][k] = convert(scalars.parse_rational(v))
+    return T
+
+
+def _perturb(entry_of, shape, rng, mode):
+    """Up to two entries shifted by a random delta; none in one case of four,
+    so the unperturbed report is compared too."""
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        index = tuple(rng.randrange(n) for n in shape)
+        entry_of(index, rng.choice(_deltas(mode)))
+
+
+def _assert_report(got, want, keys, mode):
+    ok, worst, where = want
+    assert got[keys[0]] == ok
+    assert got[keys[2]] == where
+    if mode == scalars.EXACT:
+        assert got[keys[1]] == worst
+    else:
+        assert got[keys[1]] == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+def _perturbed_R(ctx, rng):
+    R = [list(row) for row in ctx.R.matrix]
+
+    def shift(index, delta):
+        R[index[0]][index[1]] += delta
+
+    _perturb(shift, (len(R), len(R)), rng, ctx.algebra.mode)
+    return R
+
+
+def _perturbed_product(product, rng):
+    T = _dense_T(product)
+    n = len(T)
+
+    def shift(index, delta):
+        i, j, k = index
+        T[i][j][k] += delta
+
+    _perturb(shift, (n, n, n), rng, product.algebra.mode)
+    return T, products.BilinearProduct(product.algebra, T)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["sl2-borel", "split2"])
+def test_is_rmatrix_and_pm_identities_match_the_dense_loops(name, mode):
+    ctx = _context(name, mode)
+    L = ctx.algebra
+    C = _dense_C(L)
+    rng = seeded(71)
+    failing = 0
+    for _ in range(CASES):
+        R = _perturbed_R(ctx, rng)
+        theta = scalars.coerce(rng.choice((0, 1)), mode)
+        want = dense_mcybe_report(C, R, theta, _is_zero(mode))
+        got = rmatrix.is_rmatrix(L, R, theta)
+        _assert_report(got, want, ("ok", "worst_defect_norm", "worst_pair"), mode)
+        failing += not want[0]
+        perturbed = rmatrix.RMatrixContext(L, LinearEndo(R), ctx.theta)
+        assert rmatrix.check_pm_identities(perturbed)["failures"] == dense_pm_failures(
+            C, R, L.ratio(1, 2), _is_zero(mode)
+        )
+    assert failing >= CASES // 2
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,sign", [("sl2-borel", "-"), ("split2", "+")])
+def test_postlie_and_prelie_reports_match_the_dense_loops(name, sign, mode):
+    ctx = _context(name, mode)
+    L = ctx.algebra
+    C = _dense_C(L)
+    base = products.from_rmatrix(ctx, sign)
+    rng = seeded(73)
+    keys = ("ok", "worst_defect_norm", "worst_triple")
+    failing = 0
+    for _ in range(CASES):
+        T, product = _perturbed_product(base, rng)
+        for handedness in (products.LEFT, products.RIGHT):
+            derivation, bracket = dense_postlie_reports(
+                T, C, handedness == products.LEFT, _is_zero(mode)
+            )
+            got = products.check_postlie(product, L, handedness)
+            _assert_report(got["derivation_axiom"], derivation, keys, mode)
+            _assert_report(got["bracket_axiom"], bracket, keys, mode)
+            assert got["ok"] == (derivation[0] and bracket[0])
+            failing += not derivation[0]
+        want = dense_prelie_report(T, _is_zero(mode))
+        _assert_report(products.check_prelie(product), want, keys, mode)
+    assert failing >= CASES // 2
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_prelie_report_on_theta_zero_products(mode):
+    # x o y = [ad_e x, y] is pre-Lie (ad_e solves the theta = 0 equation), so
+    # the unperturbed cases report ok with a zero worst norm
+    L = liealg.builtin("sl(2)", mode=mode, tolerance=TOL)
+    R = liealg.ad(L, L.basis(0))
+    base = products.BilinearProduct.from_function(
+        L, lambda x, y: liealg.bracket(L, R.apply(x), y)
+    )
+    rng = seeded(79)
+    seen = set()
+    for _ in range(CASES):
+        T, product = _perturbed_product(base, rng)
+        want = dense_prelie_report(T, _is_zero(mode))
+        _assert_report(
+            products.check_prelie(product), want,
+            ("ok", "worst_defect_norm", "worst_triple"), mode,
+        )
+        seen.add(want[0])
+    assert seen == {True, False}

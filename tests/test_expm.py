@@ -8,6 +8,7 @@ nilpotent stacks go up to norm 1e20: a scaling taken from ||A|| alone loses
 all accuracy there.
 """
 
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -85,6 +86,22 @@ def test_zero_stack_is_identity():
 def test_one_by_one_slices():
     A = np.linspace(-50, 50, 21).reshape(-1, 1, 1)
     assert_within_scipy(A, [mp_expm])
+
+
+def test_overflowing_slices_are_not_finite_and_silent():
+    # exp(diag(1000, -1000)) overflows only in the squaring, [[1, 1e200],
+    # [1, -1]] already in its powers; the finite slice keeps its value
+    A = np.array([
+        [[0.5, 1.0], [-2.0, 0.25]],
+        [[1000.0, 0.0], [0.0, -1000.0]],
+        [[1.0, 1e200], [1.0, -1.0]],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = _expm(A)
+    assert np.isfinite(X[0]).all()
+    assert rel_err(X[0], mp_expm(A[0])) <= 10 * rel_err(expm(A[0]), mp_expm(A[0])) + 1e-15
+    assert not np.isfinite(X[1]).all() and not np.isfinite(X[2]).all()
 
 
 def test_single_matrix():

@@ -1,5 +1,5 @@
 """The block-stacked factorized solution against the point-by-point oracle
-in tests/oracles/pointwise_flow.py, on both evaluation paths."""
+in tests/oracles/pointwise_flow.py."""
 
 import warnings
 
@@ -46,22 +46,21 @@ def _problem_specs():
 SPECS = _problem_specs()
 
 
-def _solve(problem, path):
+def _solve(problem):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NonConvergentSeries)
-        states = factorized_solution(problem, path=path)
+        states = factorized_solution(problem)
     tails = [w.message for w in caught if issubclass(w.category, NonConvergentSeries)]
     return states, tails
 
 
-@pytest.mark.parametrize("path", ["matrix", "adjoint"])
 @pytest.mark.parametrize("spec", SPECS, ids=[s[0] for s in SPECS])
-def test_blocked_solution_matches_pointwise_oracle(spec, path):
+def test_blocked_solution_matches_pointwise_oracle(spec):
     _, n, diag, off, top, order, warns = spec
     problem = toda_problem(n, diag, off, _grid(top), order)
     assert BLOCK < GRID_POINTS < 3 * BLOCK
-    states, tails = _solve(problem, path)
-    want, (worst_gap, worst_t) = pointwise_solution(problem, path)
+    states, tails = _solve(problem)
+    want, (worst_gap, worst_t) = pointwise_solution(problem)
     assert len(states) == len(want) == GRID_POINTS
     for got, ref in zip(states, want):
         assert got.t == ref["t"]

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never reads,
-no module defines a private function or class that nothing reads, the
-package runs without SciPy, and every demo runs."""
+no module defines a private function or class that nothing reads, no two
+module-level functions share a body, the package runs without SciPy, and
+every demo runs."""
 
 import ast
 import os
@@ -102,6 +103,39 @@ def test_scan_finds_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_definitions(sources) == []
+
+
+def duplicate_functions(sources):
+    """Groups of module-level functions, named module.function, whose bodies
+    have identical ASTs once a leading docstring is dropped; sources maps a
+    module name to its text."""
+    bodies = {}
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            key = ast.dump(ast.Module(body=body, type_ignores=[]))
+            bodies.setdefault(key, []).append("%s.%s" % (module, node.name))
+    return sorted(names for names in bodies.values() if len(names) > 1)
+
+
+def test_scan_finds_duplicate_functions():
+    sources = {
+        "a": 'def norm(v):\n    """Largest entry."""\n    return max(v)\n'
+             "def other(v):\n    return min(v)\n",
+        "b": "def _norm(v):\n    return max(v)\n"
+             "def renamed(w):\n    return max(w)\n"
+             "class K:\n    def method(self, v):\n        return max(v)\n",
+    }
+    assert duplicate_functions(sources) == [["a.norm", "b._norm"]]
+
+
+def test_no_duplicate_functions():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert duplicate_functions(sources) == []
 
 
 def run_python(*args):

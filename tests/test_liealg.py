@@ -174,7 +174,7 @@ def test_json_round_trip(sl2):
     data = liealg.algebra_to_json(sl2)
     back = liealg.algebra_from_json(data)
     assert back.dim == sl2.dim and back.labels == sl2.labels
-    assert back.C == sl2.C
+    assert back.C_rows == sl2.C_rows
     assert back.realization == sl2.realization
 
 

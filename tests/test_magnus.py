@@ -324,7 +324,7 @@ def _theta_zero_product(s=None):
 def test_prelie_magnus_matches_postlie_with_abelian_bracket():
     sl2, prod = _theta_zero_product()
     flat = liealg.new_lie_algebra(3, ["e", "h", "f"], [])
-    flat_prod = products.BilinearProduct(flat, prod.T)
+    flat_prod = products.BilinearProduct.from_function(flat, prod.apply)
     rng = seeded(233)
     for _ in range(5):
         x = random_vector(sl2, rng, span=2)

@@ -149,7 +149,7 @@ def test_product_json_round_trip(borel_ctx):
     prod = products.from_rmatrix(borel_ctx, "-")
     data = products.product_to_json(prod)
     back = products.product_from_json(borel_ctx.algebra, data)
-    assert back.T == prod.T
+    assert back.T_rows == prod.T_rows
 
 
 def test_product_json_dimension_check(sl2):

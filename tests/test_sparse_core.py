@@ -25,6 +25,19 @@ def _float_split(n):
     return L, products.from_rmatrix(ctx, "-")
 
 
+def _dense_float_tensors(L, P):
+    """The dense structure and product tensors rebuilt from the JSON forms."""
+    value = lambda v: float(scalars.parse_rational(v))
+    data = liealg.algebra_to_json(L)
+    C = dense_structure(
+        data["dim"], [(i, j, k, value(v)) for i, j, k, v in data["structure"]], 0.0
+    )
+    T = [[[0.0] * L.dim for _ in range(L.dim)] for _ in range(L.dim)]
+    for i, j, k, v in products.product_to_json(P)["product"]:
+        T[i][j][k] = value(v)
+    return C, T
+
+
 def _perturbed(entries, dim, rng, deltas):
     """One structure entry shifted, or a new one added, by a random delta."""
     entries = list(entries)
@@ -73,6 +86,7 @@ def test_perturbed_structure_fails_jacobi_where_the_dense_check_does(name, mode)
 
 def test_bracket_and_product_equal_the_dense_contraction():
     L, P = _float_split(4)
+    C, T = _dense_float_tensors(L, P)
     rng = seeded(41)
 
     def vector():
@@ -83,20 +97,21 @@ def test_bracket_and_product_equal_the_dense_contraction():
 
     for _ in range(60):
         x, y = vector(), vector()
-        assert liealg.bracket(L, x, y) == dense_contract(L.C, x, y)
-        assert P.apply(x, y) == dense_contract(P.T, x, y)
+        assert liealg.bracket(L, x, y) == dense_contract(C, x, y)
+        assert P.apply(x, y) == dense_contract(T, x, y)
 
 
 def test_float_chi_equals_the_untruncated_recursion():
     L, P = _float_split(3)
+    C, T = _dense_float_tensors(L, P)
     rng = seeded(43)
     x = tuple(rng.uniform(-0.5, 0.5) for _ in range(L.dim))
     chi = magnus.postlie_magnus(L, x, P, 8, method="ode")
     reference = chi_by_ode_untruncated(
         x,
         8,
-        lambda a, b: dense_contract(P.T, a, b),
-        lambda a, b: dense_contract(L.C, a, b),
+        lambda a, b: dense_contract(T, a, b),
+        lambda a, b: dense_contract(C, a, b),
     )
     assert list(chi.coeffs) == reference
 
