@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: check-algebra, check-rmatrix, check-postlie, magnus,
-factorize, flow, bell, hopf-suite.  Exit codes: 0 success, 1 a
+factorize, flow, bell, hopf-suite.  Each takes only the flags it reads;
+any other flag is an argparse error.  Exit codes: 0 success, 1 a
 mathematical check failed, 2 input error.  Randomized suites take --seed
 and print it, so failures reproduce.
 """
@@ -24,7 +25,6 @@ from .errors import (
     PostLieError,
     PrimitivityFailure,
     RealizationMismatch,
-    RealizationRequired,
     YangBaxterFailure,
 )
 
@@ -32,39 +32,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 
-_EXACT_ONLY = ("check-postlie", "magnus", "bell", "hopf-suite")
-_FLOAT_ONLY = ("factorize", "flow")
 
-
-class RunConfig:
-    """Parsed invocation: mode, order, input sources, and the subcommand's
-    own parameters (kept as attributes)."""
-
-    def __init__(self, namespace):
-        self.__dict__.update(vars(namespace))
-
-    def default_mode(self):
-        if self.command in _FLOAT_ONLY:
-            return scalars.FLOAT
-        return scalars.EXACT
-
-
-def _resolved_mode(config):
-    mode = config.mode or config.default_mode()
-    if config.command in _EXACT_ONLY and mode != scalars.EXACT:
-        raise InvalidInput("%s requires exact mode" % (config.command,))
-    if config.command in _FLOAT_ONLY and mode != scalars.FLOAT:
-        raise InvalidInput("%s requires float mode" % (config.command,))
-    return mode
-
-
-def _order(config, default):
+def _order(args, default):
     """--order, or the subcommand's default when the flag is absent."""
-    if config.order is None:
+    if args.order is None:
         return default
-    if config.order < 1:
-        raise InvalidInput("--order must be at least 1 (got %d)" % config.order)
-    return config.order
+    if args.order < 1:
+        raise InvalidInput("--order must be at least 1 (got %d)" % args.order)
+    return args.order
 
 
 def _parse_numbers(text, mode, flag):
@@ -82,66 +57,70 @@ def _parse_numbers(text, mode, flag):
     return out
 
 
-def _parse_coords(text, L):
-    x = _parse_numbers(text, L.mode, "--x")
+def _parse_coords(args, L):
+    if args.x is None:
+        raise InvalidInput("%s needs --x coordinates" % args.command)
+    x = _parse_numbers(args.x, L.mode, "--x")
     if len(x) != L.dim:
         raise InvalidInput("expected %d coordinates, got %d" % (L.dim, len(x)))
     return tuple(x)
 
 
-def _format_scalar(c):
-    if isinstance(c, float):
-        return "%.12g" % c
-    return scalars.format_rational(c)
-
-
 def _format_vector(L, v):
-    parts = []
-    for i, c in enumerate(v):
-        if L.is_zero_scalar(c):
-            continue
-        parts.append((c, L.labels[i]))
-    if not parts:
-        return "0"
+    """An exact g-vector as a signed sum of basis labels."""
     out = []
-    for k, (c, lab) in enumerate(parts):
-        neg = (c < 0)
-        mag = _format_scalar(-c if neg else c)
+    for c, lab in zip(v, L.labels):
+        if c == 0:
+            continue
+        mag = scalars.format_rational(abs(c))
         body = lab if mag == "1" else "%s*%s" % (mag, lab)
-        if k == 0:
-            out.append("-" + body if neg else body)
+        if not out:
+            out.append("-" + body if c < 0 else body)
         else:
-            out.append(("- " if neg else "+ ") + body)
-    return " ".join(out)
+            out.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(out) or "0"
 
 
-def _load_algebra(config, mode):
-    if config.builtin and config.algebra:
+# `tolerance`, when given, is the zero tolerance of a float-mode algebra;
+# without it the library's default applies.
+
+
+def _load_algebra(args, mode, **tolerance):
+    if args.builtin and args.algebra:
         raise InvalidInput("give either --builtin or --algebra, not both")
-    if config.builtin:
-        return liealg.builtin(config.builtin, mode=mode, tolerance=config.tolerance)
-    if config.algebra:
-        return liealg.load_algebra(config.algebra, mode=mode, tolerance=config.tolerance)
+    if args.builtin:
+        return liealg.builtin(args.builtin, mode=mode, **tolerance)
+    if args.algebra:
+        return liealg.load_algebra(args.algebra, mode=mode, **tolerance)
     raise InvalidInput("need --builtin or --algebra")
 
 
-def _load_context(config, mode):
+def _load_context(args, mode, **tolerance):
     """An r-matrix context from --builtin (registry name) or from
     --algebra + --rmatrix files."""
-    if config.builtin and (config.algebra or config.rmatrix):
+    if args.builtin and (args.algebra or args.rmatrix):
         raise InvalidInput("give either --builtin or --algebra with --rmatrix, not both")
-    if config.builtin:
-        return rmatrix.builtin_rmatrix(
-            config.builtin, mode=mode, tolerance=config.tolerance
-        )
-    if config.algebra and config.rmatrix:
-        L = liealg.load_algebra(config.algebra, mode=mode, tolerance=config.tolerance)
-        return rmatrix.load_rmatrix(L, config.rmatrix)
-    raise InvalidInput("need --builtin, or --algebra together with --rmatrix")
+    if args.builtin:
+        return rmatrix.builtin_rmatrix(args.builtin, mode=mode, **tolerance)
+    if not (args.algebra and args.rmatrix):
+        raise InvalidInput("need --builtin, or --algebra together with --rmatrix")
+    return rmatrix.load_rmatrix(_load_algebra(args, mode, **tolerance), args.rmatrix)
 
 
-def _emit(config, report, human_lines):
-    if config.json:
+def _product_for(args):
+    """The exact bilinear product under test: induced by an r-matrix context
+    and --sign, or read from a --product tensor file."""
+    if args.product:
+        if args.rmatrix:
+            raise InvalidInput("give either --product or --rmatrix, not both")
+        L = _load_algebra(args, scalars.EXACT)
+        return L, products.load_product(L, args.product)
+    ctx = _load_context(args, scalars.EXACT)
+    return ctx.algebra, products.from_rmatrix(ctx, args.sign)
+
+
+def _emit(args, report, human_lines):
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
         for line in human_lines:
@@ -153,12 +132,11 @@ def _emit(config, report, human_lines):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_algebra(config):
-    mode = _resolved_mode(config)
+def cmd_check_algebra(args):
     try:
-        L = _load_algebra(config, mode)
+        L = _load_algebra(args, args.mode, tolerance=args.tolerance)
     except (JacobiViolation, RealizationMismatch) as exc:
-        _emit(config, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
+        _emit(args, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
         return EXIT_CHECK_FAILED
     report = {
         "ok": True,
@@ -168,7 +146,7 @@ def cmd_check_algebra(config):
         "mode": L.mode,
     }
     _emit(
-        config,
+        args,
         report,
         [
             "ok: Jacobi identity and realization (if any) verified",
@@ -178,12 +156,11 @@ def cmd_check_algebra(config):
     return EXIT_OK
 
 
-def cmd_check_rmatrix(config):
-    mode = _resolved_mode(config)
+def cmd_check_rmatrix(args):
     try:
-        ctx = _load_context(config, mode)
+        ctx = _load_context(args, args.mode, tolerance=args.tolerance)
     except (NotADirectSum, NotASubalgebra) as exc:
-        _emit(config, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
+        _emit(args, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
         return EXIT_CHECK_FAILED
     except YangBaxterFailure as exc:
         report = {
@@ -196,7 +173,7 @@ def cmd_check_rmatrix(config):
             "FAIL: Yang-Baxter defect %s at basis pair %s"
             % (exc.worst_defect_norm, exc.worst_pair)
         ]
-        _emit(config, report, lines)
+        _emit(args, report, lines)
         return EXIT_CHECK_FAILED
     L, theta = ctx.algebra, ctx.theta
     report = {"ok": True, "theta": str(theta)}
@@ -217,30 +194,17 @@ def cmd_check_rmatrix(config):
         report["pm_identities_ok"] = pm["ok"]
         lines.append("R+/R- bracket and morphism identities: %s" % ("ok" if pm["ok"] else "FAIL"))
         if not pm["ok"]:
-            _emit(config, report, lines)
+            _emit(args, report, lines)
             return EXIT_CHECK_FAILED
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return EXIT_OK
 
 
-def _product_for(config, mode):
-    """The bilinear product under test: induced by an r-matrix context and
-    --sign, or read from a --product tensor file."""
-    if config.product:
-        L = _load_algebra(config, mode)
-        prod = products.load_product(L, config.product)
-        return L, prod
-    ctx = _load_context(config, mode)
-    prod = products.from_rmatrix(ctx, config.sign)
-    return ctx.algebra, prod
-
-
-def cmd_check_postlie(config):
-    mode = _resolved_mode(config)
-    L, prod = _product_for(config, mode)
-    handedness = config.handedness
+def cmd_check_postlie(args):
+    L, prod = _product_for(args)
+    handedness = args.handedness
     if handedness is None:
-        handedness = products.LEFT if config.sign in ("+", "plus") else products.RIGHT
+        handedness = products.LEFT if args.sign in ("+", "plus") else products.RIGHT
     report = products.check_postlie(prod, L, handedness)
     lines = ["handedness: %s" % handedness]
     for axiom in ("derivation_axiom", "bracket_axiom"):
@@ -255,23 +219,20 @@ def cmd_check_postlie(config):
         "derivation_axiom_ok": report["derivation_axiom"]["ok"],
         "bracket_axiom_ok": report["bracket_axiom"]["ok"],
     }
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-def cmd_magnus(config):
-    mode = _resolved_mode(config)
-    L, prod = _product_for(config, mode)
-    if config.x is None:
-        raise InvalidInput("magnus needs --x coordinates")
-    x = _parse_coords(config.x, L)
-    order = _order(config, 5)
+def cmd_magnus(args):
+    L, prod = _product_for(args)
+    x = _parse_coords(args, L)
+    order = _order(args, 5)
     try:
-        chi = magnus.postlie_magnus(L, x, prod, order, method=config.method)
+        chi = magnus.postlie_magnus(L, x, prod, order, method=args.method)
     except (CollapseFailure, PrimitivityFailure) as exc:
-        _emit(config, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
+        _emit(args, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
         return EXIT_CHECK_FAILED
-    if config.json:
+    if args.json:
         print(json.dumps(magnus.graded_to_json(chi), indent=2))
     else:
         for m in range(1, order + 1):
@@ -279,97 +240,70 @@ def cmd_magnus(config):
     return EXIT_OK
 
 
-def cmd_factorize(config):
-    mode = _resolved_mode(config)
-    ctx = _load_context(config, mode)
-    L = ctx.algebra
-    if L.realization is None:
-        raise RealizationRequired("factorize needs a matrix realization")
-    if config.x is None:
-        raise InvalidInput("factorize needs --x coordinates")
-    import numpy as np
-
-    x = _parse_coords(config.x, L)
-    order = _order(config, 10)
-    prod = products.from_rmatrix(ctx, "-")
-    chi = magnus.postlie_magnus(L, x, prod, order, method="ode")
-
-    def residual(upto):
-        total = [0.0] * L.dim
-        for m in range(1, upto + 1):
-            total = liealg.vadd(total, chi.coeff(m))
-        g = magnus.GradedLieElement.from_vector(L, 1, total)
-        plus, minus = magnus.chi_pm(g, ctx)
-        # chi_pm's minus part already carries its sign; the two
-        # exponential factors multiply directly
-        mats = [L.rho(v) for v in (x, plus.coeff(1), minus.coeff(1))]
-        exps = flows._expm(np.array(mats, dtype=float))
-        if not np.isfinite(exps).all():
-            raise InvalidInput("the matrix exponential overflows")
-        E, Ep, Em = exps
-        return float(np.linalg.norm(E - Ep @ Em, 2))
-
-    r_full = residual(order)
-    r_drop = residual(order - 1) if order > 1 else None
-    report = {"order": order, "residual": r_full, "residual_previous_order": r_drop}
-    lines = ["residual at order %d: %.6e" % (order, r_full)]
+def cmd_factorize(args):
+    ctx = _load_context(args, scalars.FLOAT, tolerance=args.tolerance)
+    x = _parse_coords(args, ctx.algebra)
+    order = _order(args, 10)
+    residuals = flows.factorization_residuals(flows.FlowProblem(ctx, x, (1.0,), order))
+    r_drop = residuals[-2] if order > 1 else None
+    report = {"order": order, "residual": residuals[-1], "residual_previous_order": r_drop}
+    lines = ["residual at order %d: %.6e" % (order, residuals[-1])]
     if r_drop is not None:
         lines.append("residual at order %d: %.6e" % (order - 1, r_drop))
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return EXIT_OK
 
 
-def cmd_flow(config):
-    _resolved_mode(config)
-    order = _order(config, 8)
-    steps = 11 if config.steps is None else config.steps
-    if steps < 2:
+def cmd_flow(args):
+    order = _order(args, 8)
+    if args.steps < 2:
         raise InvalidInput("--steps must be at least 2")
-    span = config.t1 - config.t0
-    t_grid = [config.t0 + span * i / (steps - 1) for i in range(steps)]
-    if config.toda is not None:
-        if config.offdiag is None:
+    span = args.t1 - args.t0
+    t_grid = [args.t0 + span * i / (args.steps - 1) for i in range(args.steps)]
+    if args.toda is not None:
+        if args.builtin or args.algebra or args.rmatrix or args.x:
+            raise InvalidInput("--toda sets its own r-matrix and initial point: "
+                               "drop --builtin, --algebra, --rmatrix and --x")
+        if args.offdiag is None:
             raise InvalidInput("--toda needs --offdiag (and optionally --diag)")
-        diag = (_parse_numbers(config.diag, scalars.FLOAT, "--diag")
-                if config.diag else [0.0] * config.toda)
-        off = _parse_numbers(config.offdiag, scalars.FLOAT, "--offdiag")
+        diag = (_parse_numbers(args.diag, scalars.FLOAT, "--diag")
+                if args.diag else [0.0] * args.toda)
+        off = _parse_numbers(args.offdiag, scalars.FLOAT, "--offdiag")
         problem = flows.toda_problem(
-            config.toda, diag, off, t_grid, order, flow_tolerance=config.tolerance
+            args.toda, diag, off, t_grid, order, flow_tolerance=args.tolerance
         )
     else:
-        ctx = _load_context(config, scalars.FLOAT)
-        if config.x is None:
-            raise InvalidInput("flow needs --x (or --toda with --diag/--offdiag)")
-        x0 = _parse_coords(config.x, ctx.algebra)
-        problem = flows.FlowProblem(
-            ctx, x0, t_grid, order, flow_tolerance=config.tolerance
-        )
-    if config.integrator == "rk4":
-        states = flows.rk4_reference(problem, config.step)
+        if args.diag or args.offdiag:
+            raise InvalidInput("--diag and --offdiag need --toda")
+        # --tolerance bounds the truncation tail only; the algebra and the
+        # Yang-Baxter check keep the library's zero tolerance
+        ctx = _load_context(args, scalars.FLOAT)
+        x0 = _parse_coords(args, ctx.algebra)
+        problem = flows.FlowProblem(ctx, x0, t_grid, order, flow_tolerance=args.tolerance)
+    if args.integrator == "rk4":
+        states = flows.rk4_reference(problem, args.step)
     else:
         states = flows.factorized_solution(problem)
-    text = flows.flow_csv(states)
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
-        rep = flows.conservation_report(states) if len(states) > 1 else {}
-        print("wrote %d states to %s" % (len(states), config.output))
-        if rep:
-            print(
-                "max eigenvalue drift %.3e, max trace-power drift %.3e"
-                % (rep["max_eig_drift"], rep["max_trace_power_drift"])
-            )
-    else:
-        sys.stdout.write(text)
+    if not args.output:
+        sys.stdout.write(flows.flow_csv(states))
+        return EXIT_OK
+    flows.write_flow_csv(states, args.output)
+    print("wrote %d states to %s" % (len(states), args.output))
+    if len(states) > 1:
+        rep = flows.conservation_report(states)
+        print(
+            "max eigenvalue drift %.3e, max trace-power drift %.3e"
+            % (rep["max_eig_drift"], rep["max_trace_power_drift"])
+        )
     return EXIT_OK
 
 
-def cmd_bell(config):
-    if config.n is None:
+def cmd_bell(args):
+    if args.n is None:
         raise InvalidInput("bell needs --n")
-    if config.n < 1:
+    if args.n < 1:
         raise InvalidInput("--n must be positive")
-    print(ev.phi_term_count(config.n))
+    print(ev.phi_term_count(args.n))
     return EXIT_OK
 
 
@@ -382,95 +316,30 @@ def _random_element(L, order, degree, rng):
     return ev.env_element(L, order, terms)
 
 
-def _coassociativity_defect(A):
-    """Compare (coproduct x id) and (id x coproduct) applied to Delta(A),
-    as dictionaries over word triples."""
-    D = ev.coproduct(A)
-    left = {}
-    right = {}
-    for (a, b), c in D.terms.items():
-        for (u, v), cu in ev._coproduct_word(a).items():
-            key = (u, v, b)
-            left[key] = left.get(key, 0) + c * cu
-        for (u, v), cu in ev._coproduct_word(b).items():
-            key = (a, u, v)
-            right[key] = right.get(key, 0) + c * cu
-    keys = set(left) | set(right)
-    return sum(1 for k in keys if left.get(k, 0) != right.get(k, 0))
-
-
-def cmd_hopf_suite(config):
-    mode = _resolved_mode(config)
-    L, prod = _product_for(config, mode)
-    order = _order(config, 4)
-    if config.cases < 1:
-        raise InvalidInput("--cases must be at least 1 (got %d)" % config.cases)
-    if config.degree < 0:
-        raise InvalidInput("--degree must be at least 0 (got %d)" % config.degree)
-    degree = min(config.degree, order)
-    cases = config.cases
-    seed = config.seed
+def cmd_hopf_suite(args):
+    L, prod = _product_for(args)
+    order = _order(args, 4)
+    if args.cases < 1:
+        raise InvalidInput("--cases must be at least 1 (got %d)" % args.cases)
+    if args.degree < 0:
+        raise InvalidInput("--degree must be at least 0 (got %d)" % args.degree)
+    degree = min(args.degree, order)
     print("seed %d, %d cases, words of length <= %d, truncation order %d"
-          % (seed, cases, degree, order))
-    rng = random.Random(seed)
-    failures = {
-        "coassociativity": 0,
-        "counit": 0,
-        "antipode": 0,
-        "coproduct_multiplicative": 0,
-        "star_antipode": 0,
-        "star_coproduct_multiplicative": 0,
-    }
-    one = ev.unit(L, order)
-    for _ in range(cases):
+          % (args.seed, args.cases, degree, order))
+    rng = random.Random(args.seed)
+    failures = dict.fromkeys(ev.HOPF_IDENTITIES, 0)
+    for _ in range(args.cases):
         A = _random_element(L, order, degree, rng)
         B = _random_element(L, order, degree, rng)
-        if _coassociativity_defect(A):
-            failures["coassociativity"] += 1
-        D = ev.coproduct(A)
-        lefts = {}
-        rights = {}
-        for (a, b), c in D.terms.items():
-            if not b:
-                lefts[a] = lefts.get(a, 0) + c
-            if not a:
-                rights[b] = rights.get(b, 0) + c
-        if (
-            ev.EnvElement(L, order, lefts) != A
-            or ev.EnvElement(L, order, rights) != A
-        ):
-            failures["counit"] += 1
-        sa = ev.EnvElement(L, order, {})
-        for (a, b), c in D.terms.items():
-            sa = sa + (
-                ev.antipode(ev.EnvElement(L, order, {a: 1}))
-                * ev.EnvElement(L, order, {b: 1})
-            ).scale(c)
-        if sa != one.scale(A.counit()):
-            failures["antipode"] += 1
-        if ev.coproduct(A * B) != ev.tensor_mul(ev.coproduct(A), ev.coproduct(B)):
-            failures["coproduct_multiplicative"] += 1
-        ssa = ev.EnvElement(L, order, {})
-        for (a, b), c in D.terms.items():
-            ssa = ssa + ev.star_mul(
-                ev.star_antipode(ev.EnvElement(L, order, {a: 1}), prod),
-                ev.EnvElement(L, order, {b: 1}),
-                prod,
-            ).scale(c)
-        if ssa != one.scale(A.counit()):
-            failures["star_antipode"] += 1
-        AB = ev.star_mul(A, B, prod)
-        if ev.coproduct(AB) != ev.tensor_star_mul(
-            ev.coproduct(A), ev.coproduct(B), prod
-        ):
-            failures["star_coproduct_multiplicative"] += 1
+        for name in ev.hopf_identity_failures(A, B, prod):
+            failures[name] += 1
     ok = not any(failures.values())
-    report = {"ok": ok, "cases": cases, "seed": seed, "failures": failures}
+    report = {"ok": ok, "cases": args.cases, "seed": args.seed, "failures": failures}
     lines = [
         "%s: %s" % (name, "ok" if not count else "FAIL (%d cases)" % count)
         for name, count in failures.items()
     ]
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -478,32 +347,31 @@ def cmd_hopf_suite(config):
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "check-algebra": cmd_check_algebra,
-    "check-rmatrix": cmd_check_rmatrix,
-    "check-postlie": cmd_check_postlie,
-    "magnus": cmd_magnus,
-    "factorize": cmd_factorize,
-    "flow": cmd_flow,
-    "bell": cmd_bell,
-    "hopf-suite": cmd_hopf_suite,
-}
-
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=[scalars.EXACT, scalars.FLOAT])
-    common.add_argument("--order", type=int)
-    common.add_argument("--algebra", help="algebra JSON file")
-    common.add_argument("--rmatrix", help="r-matrix JSON file")
-    common.add_argument("--builtin", help="built-in algebra or r-matrix name")
-    common.add_argument("--t0", type=float, default=0.0)
-    common.add_argument("--t1", type=float, default=1.0)
-    common.add_argument("--steps", type=int)
-    common.add_argument("--output")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--json", action="store_true")
+    def flags(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    algebra = flags()
+    algebra.add_argument("--builtin", help="built-in algebra or r-matrix name")
+    algebra.add_argument("--algebra", help="algebra JSON file")
+    context = flags(algebra)
+    context.add_argument("--rmatrix", help="r-matrix JSON file")
+    product = flags(context)
+    product.add_argument("--sign", choices=["+", "-", "plus", "minus"], default="-")
+    product.add_argument("--product", help="product tensor JSON file")
+    mode = flags()
+    mode.add_argument("--mode", choices=[scalars.EXACT, scalars.FLOAT], default=scalars.EXACT)
+    tolerance = flags()
+    tolerance.add_argument(
+        "--tolerance", type=float, default=1e-9, help="zero tolerance of a float-mode algebra"
+    )
+    order = flags()
+    order.add_argument("--order", type=int)
+    coords = flags()
+    coords.add_argument("--x", help="comma-separated coordinates")
+    report = flags()
+    report.add_argument("--json", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="postlie",
@@ -512,55 +380,54 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check-algebra", parents=[common])
-    sub.add_parser("check-rmatrix", parents=[common])
+    def command(name, run, *parents):
+        p = sub.add_parser(name, parents=parents)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("check-postlie", parents=[common])
-    p.add_argument("--sign", choices=["+", "-", "plus", "minus"], default="-")
-    p.add_argument("--product", help="product tensor JSON file")
+    command("check-algebra", cmd_check_algebra, algebra, mode, tolerance, report)
+    command("check-rmatrix", cmd_check_rmatrix, context, mode, tolerance, report)
+
+    p = command("check-postlie", cmd_check_postlie, product, report)
     p.add_argument("--handedness", choices=[products.LEFT, products.RIGHT])
 
-    p = sub.add_parser("magnus", parents=[common])
-    p.add_argument("--sign", choices=["+", "-", "plus", "minus"], default="-")
-    p.add_argument("--product", help="product tensor JSON file")
-    p.add_argument("--x", help="comma-separated coordinates")
+    p = command("magnus", cmd_magnus, product, coords, order, report)
     p.add_argument("--method", choices=["star", "ode"], default="star")
 
-    p = sub.add_parser("factorize", parents=[common])
-    p.add_argument("--x", help="comma-separated coordinates")
+    command("factorize", cmd_factorize, context, coords, order, tolerance, report)
 
-    p = sub.add_parser("flow", parents=[common])
-    p.add_argument("--x", help="comma-separated coordinates")
+    p = command("flow", cmd_flow, context, coords, order)
+    p.add_argument(
+        "--tolerance", type=float, default=1e-9,
+        help="largest accepted truncation tail of the expansion",
+    )
     p.add_argument("--toda", type=int, help="Toda problem size n")
     p.add_argument("--diag", help="comma-separated diagonal entries")
     p.add_argument("--offdiag", help="comma-separated off-diagonal entries")
+    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--output")
     p.add_argument(
         "--integrator", choices=["factorized", "rk4"], default="factorized"
     )
     p.add_argument("--step", type=float, default=1e-3, help="rk4 step size")
 
-    p = sub.add_parser("bell", parents=[common])
+    p = command("bell", cmd_bell)
     p.add_argument("--n", type=int)
 
-    p = sub.add_parser("hopf-suite", parents=[common])
-    p.add_argument("--sign", choices=["+", "-", "plus", "minus"], default="-")
-    p.add_argument("--product", help="product tensor JSON file")
+    p = command("hopf-suite", cmd_hopf_suite, product, order, report)
     p.add_argument("--cases", type=int, default=50)
     p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(args)
-    # subcommand-specific attributes that shared code may probe
-    for attr in ("sign", "product", "x", "handedness"):
-        if not hasattr(config, attr):
-            setattr(config, attr, None)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[config.command](config)
+        return args.run(args)
     except (
         JacobiViolation,
         RealizationMismatch,
@@ -569,10 +436,7 @@ def main(argv=None):
     ) as exc:
         print("FAIL: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except PostLieError as exc:
+    except (OSError, ValueError, PostLieError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

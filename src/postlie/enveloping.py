@@ -6,8 +6,9 @@ truncation grade N are discarded after full normalization, so every
 identity that stays within total degree N holds exactly.  On top of the
 plain product live the full Hopf structure (unshuffle coproduct, counit,
 antipode), the lift of a bilinear g-product to words, the associated star
-product with its own antipode, the word-to-star isomorphism and its
-inverse, and the r-matrix linearization map built from R_pm.
+product with its own antipode, a check of the identities of both Hopf
+structures, the word-to-star isomorphism and its inverse, and the r-matrix
+linearization map built from R_pm.
 
 Float mode is rejected throughout: the identities checked here are exact
 statements.
@@ -30,7 +31,8 @@ from .errors import (
     NotUnitNormalized,
     OrderMismatch,
 )
-from .liealg import algebra_from_bracket, bracket, vadd, vsub
+from .liealg import algebra_from_bracket
+from .products import star_commutator
 
 
 def _require_exact(L):
@@ -44,6 +46,10 @@ def _require_exact(L):
 # ---------------------------------------------------------------------------
 # PBW normalization (bubble rewriting of adjacent inversions, memoized)
 # ---------------------------------------------------------------------------
+
+
+def _nonzero(terms):
+    return {w: c for w, c in terms.items() if c != 0}
 
 
 def _normalize_terms(L, word):
@@ -68,7 +74,7 @@ def _normalize_terms(L, word):
                     shorter = word[:i] + (k,) + word[i + 2 :]
                     for w, c in _normalize_terms(L, shorter).items():
                         out[w] = out.get(w, 0) + ck * c
-            out = {w: c for w, c in out.items() if c != 0}
+            out = _nonzero(out)
             cache[word] = out
             return out
     cache[word] = {word: 1}
@@ -123,7 +129,7 @@ class EnvElement:
     def __init__(self, algebra, order, terms):
         self.algebra = algebra
         self.order = order
-        self.terms = {w: c for w, c in terms.items() if c != 0}
+        self.terms = _nonzero(terms)
 
     def is_zero(self):
         return not self.terms
@@ -240,7 +246,7 @@ class TensorSquareElement:
     def __init__(self, algebra, order, terms):
         self.algebra = algebra
         self.order = order
-        self.terms = {p: c for p, c in terms.items() if c != 0}
+        self.terms = _nonzero(terms)
 
     def __eq__(self, other):
         return (
@@ -329,13 +335,18 @@ def coproduct(A):
     return TensorSquareElement(A.algebra, A.order, out)
 
 
+def _antipode_word(L, w):
+    """S(w) = (-1)^n w reversed, re-normalized, for a word w of length n."""
+    sign = -1 if len(w) % 2 else 1
+    return {v: sign * c for v, c in _normalize_terms(L, w[::-1]).items()}
+
+
 def antipode(A):
     """S(x_{i1}...x_{in}) = (-1)^n x_{in}...x_{i1}, re-normalized."""
     L = A.algebra
     out = {}
     for w, c in A.terms.items():
-        sign = -1 if len(w) % 2 else 1
-        _add_into(out, _normalize_terms(L, tuple(reversed(w))), sign * c)
+        _add_into(out, _antipode_word(L, w), c)
     return EnvElement(L, A.order, _truncate(out, A.order))
 
 
@@ -407,7 +418,7 @@ class LiftedProduct:
                 _add_into(out, self._mul_words((k,), rest), c)
             for ww, c in self.tri_letter(i, rest).items():
                 _add_into(out, self._mul_words((y,), ww), c)
-        out = _truncate({w2: c for w2, c in out.items() if c != 0}, self.order)
+        out = _truncate(_nonzero(out), self.order)
         self._memo[key] = out
         return out
 
@@ -438,13 +449,13 @@ class LiftedProduct:
                 if not rval:
                     continue
                 _add_into(out, _bilinear(self._mul_words, lval, rval))
-        out = _truncate({w2: c for w2, c in out.items() if c != 0}, self.order)
+        out = _truncate(_nonzero(out), self.order)
         self._memo[key] = out
         return out
 
     def tri_elem(self, tA, tB):
         out = _bilinear(self.tri_word, tA, tB)
-        return {w: c for w, c in out.items() if c != 0}
+        return _nonzero(out)
 
     # -- star product ---------------------------------------------------------
 
@@ -458,13 +469,13 @@ class LiftedProduct:
         for left, right in _unshuffles(A):
             for w, c in self.tri_word(right, B).items():
                 _add_into(out, self._mul_words(left, w), c)
-        out = _truncate({w: c for w, c in out.items() if c != 0}, self.order)
+        out = _truncate(_nonzero(out), self.order)
         self._memo[key] = out
         return out
 
     def star_elem(self, tA, tB):
         out = _bilinear(self.star_word, tA, tB)
-        return {w: c for w, c in out.items() if c != 0}
+        return _nonzero(out)
 
     def star_gvec(self, x, elem):
         """x * B = x.B + x |> B for a g-vector x."""
@@ -475,7 +486,7 @@ class LiftedProduct:
             for w, c in elem.items():
                 _add_into(out, self._mul_words((k,), w), ck * c)
                 _add_into(out, self.tri_letter(k, w), ck * c)
-        return {w: c for w, c in out.items() if c != 0}
+        return _nonzero(out)
 
     # -- star antipode ----------------------------------------------------------
 
@@ -493,7 +504,7 @@ class LiftedProduct:
             if left and right:
                 inner = self.star_antipode_word(right)
                 _add_into(out, self.star_elem({left: 1}, inner), -1)
-        out = _truncate({w2: c for w2, c in out.items() if c != 0}, self.order)
+        out = _truncate(_nonzero(out), self.order)
         self._memo[key] = out
         return out
 
@@ -533,6 +544,56 @@ def star_antipode(A, product):
     for w, c in A.terms.items():
         _add_into(out, ctx.star_antipode_word(w), c)
     return EnvElement(A.algebra, A.order, out)
+
+
+HOPF_IDENTITIES = (
+    "coassociativity",
+    "counit",
+    "antipode",
+    "coproduct_multiplicative",
+    "star_antipode",
+    "star_coproduct_multiplicative",
+)
+
+
+def hopf_identity_failures(A, B, product):
+    """The names, in HOPF_IDENTITIES order, of the identities of the two Hopf
+    structures that fail on A and B: coassociativity and counit of the
+    coproduct at A; m(S x id)Delta(A) = counit(A) for the plain antipode and
+    for the star antipode; Delta(AB) = Delta(A)Delta(B) for the plain and for
+    the star product."""
+    _check_pair(A, B)
+    L, order = A.algebra, A.order
+    ctx = lifted(L, product, order)
+    D = coproduct(A)
+    # (Delta x id)Delta(A), (id x Delta)Delta(A), the legs beside an empty
+    # word, and the two antipode sums, all as term maps
+    left, right, lefts, rights, plain, star = {}, {}, {}, {}, {}, {}
+    for (a, b), c in D.terms.items():
+        for (u, v), k in _coproduct_word(a).items():
+            left[u, v, b] = left.get((u, v, b), 0) + c * k
+        for (u, v), k in _coproduct_word(b).items():
+            right[a, u, v] = right.get((a, u, v), 0) + c * k
+        if not b:
+            lefts[a] = lefts.get(a, 0) + c
+        if not a:
+            rights[b] = rights.get(b, 0) + c
+        for w, s in _antipode_word(L, a).items():
+            _add_into(plain, _normalize_terms(L, w + b), c * s)
+        for w, s in ctx.star_antipode_word(a).items():
+            _add_into(star, ctx.star_word(w, b), c * s)
+    counit = _nonzero({(): A.counit()})
+    DB = coproduct(B)
+    failed = {
+        "coassociativity": _nonzero(left) != _nonzero(right),
+        "counit": _nonzero(lefts) != A.terms or _nonzero(rights) != A.terms,
+        "antipode": _nonzero(_truncate(plain, order)) != counit,
+        "coproduct_multiplicative": coproduct(env_mul(A, B)) != tensor_mul(D, DB),
+        "star_antipode": _nonzero(star) != counit,
+        "star_coproduct_multiplicative":
+            coproduct(star_mul(A, B, product)) != tensor_star_mul(D, DB, product),
+    }
+    return [name for name in HOPF_IDENTITIES if failed[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +675,7 @@ def _set_partitions(n):
 def derived_bracket_algebra(L, product):
     """The Lie algebra with bracket the star commutator
     [x,y] + x |> y - y |> x (validated)."""
-
-    def star_commutator(x, y):
-        return vsub(vadd(bracket(L, x, y), product.apply(x, y)), product.apply(y, x))
-
-    return algebra_from_bracket(L, star_commutator)
+    return algebra_from_bracket(L, lambda x, y: star_commutator(L, product, x, y))
 
 
 def phi_inverse(L, word, product, order, bar=None):

@@ -1,7 +1,8 @@
 """Isospectral Lax flows dx/dt = [x, R_minus(x)]: the exact factorized
-solution driven by the graded expansion of the magnus module, a classical
-RK4 reference integrator, conservation diagnostics, and the Toda-type
-built-in family on the upper/strictly-lower splitting of gl(n).
+solution driven by the graded expansion of the magnus module, the residual
+of the truncated two-factor factorization, a classical RK4 reference
+integrator, conservation diagnostics, and the Toda-type built-in family on
+the upper/strictly-lower splitting of gl(n).
 
 Float mode throughout: the expansion coefficients are computed once per
 (x0, order) through the g-level recursion and rescaled along the time grid
@@ -26,7 +27,7 @@ from .errors import (
     RealizationRequired,
     StepTooLarge,
 )
-from .liealg import bracket, builtin
+from .liealg import bracket, builtin, vscale
 from .magnus import postlie_magnus
 from .products import from_rmatrix
 from .rmatrix import splitting_r
@@ -167,17 +168,26 @@ def _sorted_eigs(M, tol=1e-10):
     return out[0] if M.ndim == 2 else out
 
 
-def _states(L, ts, xs):
+def _states(L, ts, xs, finite=True):
     """FlowStates at the times ts for the coordinate rows of xs, with the
-    spectra and trace powers of the whole stack computed together."""
-    M = _rho_np(L, xs)
+    spectra and trace powers of the whole stack computed together.  With
+    finite set, raises InvalidInput naming the first t at which the point or
+    its trace powers are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _rho_np(L, xs)
+        powers = []
+        P = np.eye(M.shape[-1])
+        for k in range(1, M.shape[-1] + 1):
+            P = P @ M
+            powers.append(np.trace(P, axis1=-2, axis2=-1) / k)
+    powers = np.stack(powers, axis=-1)
+    bad = ~np.isfinite(np.concatenate([xs, powers], axis=-1)).all(axis=-1)
+    if finite and bad.any():
+        raise InvalidInput(
+            "the flowed point or its trace powers are not finite at t=%g" % ts[bad.argmax()]
+        )
     eigs = _sorted_eigs(M)
-    powers = []
-    P = np.eye(M.shape[-1])
-    for k in range(1, M.shape[-1] + 1):
-        P = P @ M
-        powers.append(np.trace(P, axis1=-2, axis2=-1) / k)
-    powers = np.stack(powers, axis=-1).tolist()
+    powers = powers.tolist()
     return [
         FlowState(float(t), x, e, f)
         for t, x, e, f in zip(ts, xs.tolist(), eigs, powers)
@@ -193,9 +203,7 @@ class FlowProblem:
         if L.mode != scalars.FLOAT:
             raise ModeMismatch("flows require a float-mode algebra")
         if L.realization is None:
-            raise RealizationRequired(
-                "eigenvalue diagnostics need a matrix realization"
-            )
+            raise RealizationRequired("flow problems need a matrix realization")
         if not t_grid:
             raise InvalidInput("t_grid must be nonempty")
         if int(order) < 1:
@@ -262,8 +270,9 @@ def factorized_solution(problem):
             raise InvalidInput(
                 "the matrix exponential of u(t) overflows at t=%g" % grid[lo + bad.argmax()]
             )
-        M = np.linalg.inv(E) @ X0 @ E
-        xs = M.reshape(E.shape[:2] + (-1,)) @ pullback.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = np.linalg.inv(E) @ X0 @ E
+            xs = M.reshape(E.shape[:2] + (-1,)) @ pullback.T
         gaps[lo:lo + BLOCK] = np.abs(xs[1:] - xs[0]).max(axis=(0, 2))
         states += _states(L, grid[lo:lo + BLOCK], xs[0])
     worst = int(np.argmax(gaps))
@@ -272,6 +281,23 @@ def factorized_solution(problem):
             NonConvergentSeries(grid[worst], float(gaps[worst]), problem.flow_tolerance)
         )
     return states
+
+
+def factorization_residuals(problem):
+    """||exp(x0) - exp(R_plus chi_<=m) exp(-R_minus chi_<=m)||_2 for m = 1..order,
+    in the realization, where chi_<=m sums the expansion of x0 through order
+    m: how far the truncated two-factor form of the factorization theorem is
+    from exp(x0).  Raises InvalidInput if a matrix exponential overflows."""
+    L = problem.algebra
+    Rp, Rm = problem.ctx.r_plus_minus()
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = np.cumsum(problem.chi_coefficients(), axis=0).tolist()
+    halves = [Rp.apply(v) for v in partial] + [vscale(-1, Rm.apply(v)) for v in partial]
+    exps = _expm(np.array([L.rho(v) for v in [problem.x0] + halves], dtype=float))
+    if not np.isfinite(exps).all():
+        raise InvalidInput("the matrix exponential overflows")
+    E, plus, minus = exps[0], exps[1:len(partial) + 1], exps[len(partial) + 1:]
+    return [float(np.linalg.norm(E - p @ m, 2)) for p, m in zip(plus, minus)]
 
 
 def _rk4_step(L, Rm_mat, x, h):
@@ -309,7 +335,7 @@ def rk4_reference(problem, step):
     # states past the first drifting one are discarded, and their trace
     # powers may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        ref, *states = _states(L, (0.0,) + reached, np.array(xs))
+        ref, *states = _states(L, (0.0,) + reached, np.array(xs), finite=False)
     scale = max(1.0, max(abs(f) for f in ref.trace_powers))
     for state in states:
         drift = max(
@@ -324,22 +350,26 @@ def rk4_reference(problem, step):
     return states
 
 
+def _drifts(states):
+    """(eigenvalue drift, trace-power drift) of each state: the largest
+    entry change of its sorted spectrum and of its trace powers against the
+    first state."""
+    e0, f0 = states[0].eigenvalues, states[0].trace_powers
+    return [
+        (
+            max(abs(a - b) for a, b in zip(s.eigenvalues, e0)),
+            max(abs(a - b) for a, b in zip(s.trace_powers, f0)),
+        )
+        for s in states
+    ]
+
+
 def conservation_report(states):
     """Worst-case drift of the sorted spectrum and of the trace powers
     relative to the first state."""
     if len(states) < 2:
         raise InvalidInput("need at least two states")
-    e0 = states[0].eigenvalues
-    f0 = states[0].trace_powers
-    eig_drift = 0.0
-    fk_drift = 0.0
-    for s in states[1:]:
-        eig_drift = max(
-            eig_drift, max(abs(a - b) for a, b in zip(s.eigenvalues, e0))
-        )
-        fk_drift = max(
-            fk_drift, max(abs(a - b) for a, b in zip(s.trace_powers, f0))
-        )
+    eig_drift, fk_drift = (max(0.0, *col) for col in zip(*_drifts(states)[1:]))
     return {"max_eig_drift": float(eig_drift), "max_trace_power_drift": float(fk_drift)}
 
 
@@ -383,11 +413,8 @@ def flow_csv(states):
         + ["eig_drift", "trace_power_drift"]
     )
     lines = [",".join(cols)]
-    e0, f0 = states[0].eigenvalues, states[0].trace_powers
     fmt = lambda v: "%.12g" % v
-    for s in states:
-        ed = max(abs(a - b) for a, b in zip(s.eigenvalues, e0))
-        fd = max(abs(a - b) for a, b in zip(s.trace_powers, f0))
+    for s, (ed, fd) in zip(states, _drifts(states)):
         row = (
             [fmt(s.t)]
             + [fmt(c) for c in s.x]

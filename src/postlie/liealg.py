@@ -108,10 +108,6 @@ class LinearEndo:
         return LinearEndo(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zero(n):
-        return LinearEndo(tuple((0,) * n for _ in range(n)))
-
-    @staticmethod
     def from_columns(cols):
         n = len(cols)
         return LinearEndo(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))

@@ -24,6 +24,7 @@ from .errors import (
     PrimitivityFailure,
 )
 from .liealg import bracket, vadd, vscale, vsub, vzero
+from .products import check_prelie, star_commutator
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (first kind: b1 = -1/2)
@@ -361,11 +362,7 @@ def _chi_by_ode(L, x, product, order):
     intermediate is a g-vector.  Each series is built up to degree m-1 only,
     the one degree read off."""
     bern = bernoulli(order)
-
-    def bar(a, b):
-        # the star-commutator bracket [a,b] + a|>b - b|>a
-        return vadd(bracket(L, a, b), vsub(product.apply(a, b), product.apply(b, a)))
-
+    bar = lambda a, b: star_commutator(L, product, a, b)
     chi = [vzero(L.dim) for _ in range(order + 1)]
     chi[1] = x
     for m in range(2, order + 1):
@@ -407,8 +404,6 @@ def verify_grouplike_identity(L, x, product, order):
 def prelie_magnus(L, x, product, order):
     """chi solving chi = sum_k (b_k/k!) l_chi^k (xt) order by order, for a
     pre-Lie product over an abelian bracket; agrees with postlie_magnus."""
-    from .products import check_prelie
-
     if any(L.C_rows):
         raise NotAbelian("prelie_magnus needs an abelian bracket")
     if not check_prelie(product)["ok"]:

@@ -80,6 +80,12 @@ def from_rmatrix(ctx, sign):
     )
 
 
+def star_commutator(L, product, x, y):
+    """[x,y] + x o y - y o x: the bracket of the Lie algebra a post-Lie
+    product derives from the bracket of L."""
+    return vadd(bracket(L, x, y), vsub(product.apply(x, y), product.apply(y, x)))
+
+
 def _associator(prod, x, y, z):
     """(x o y) o z - x o (y o z)."""
     return vsub(prod.apply(prod.apply(x, y), z), prod.apply(x, prod.apply(y, z)))

@@ -3,6 +3,7 @@ output, JSON reports, and error paths for every subcommand."""
 
 import json
 import os
+import random
 import warnings
 
 import pytest
@@ -19,6 +20,28 @@ def run(capsys, *argv):
         code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parse_error(capsys, *argv):
+    """Exit code and stderr of an invocation that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["bell", "--n", "3"], ["--json"]),
+    (["flow", "--toda", "2", "--offdiag", "0.1"], ["--json"]),
+    (["check-algebra", "--builtin", "sl(2)"], ["--rmatrix", "f"]),
+    (["magnus", "--builtin", "sl2-borel", "--x", "1,0,1"], ["--seed", "1"]),
+    (["hopf-suite", "--builtin", "sl2-borel"], ["--t1", "2"]),
+    (["magnus", "--builtin", "sl2-borel", "--x", "1,0,1"], ["--mode", "exact"]),
+], ids=lambda v: v[0])
+def test_unread_flag_rejected(capsys, argv, unread):
+    # a subcommand takes only the flags it reads
+    code, err = parse_error(capsys, *argv, *unread)
+    assert code == 2
+    assert "error: unrecognized arguments: %s\n" % " ".join(unread) in err
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +191,25 @@ def test_builtin_with_files_rejected(capsys, tmp_path, argv):
     assert "--builtin" in err and "--algebra with --rmatrix" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check-postlie", "--algebra", "FILE", "--rmatrix", "FILE", "--product", "FILE"],
+     "give either --product or --rmatrix, not both"),
+    (["flow", "--toda", "2", "--offdiag", "0.3", "--builtin", "split2"],
+     "--toda sets its own r-matrix and initial point"),
+    (["flow", "--toda", "2", "--offdiag", "0.3", "--x", "1,1,1,1"],
+     "--toda sets its own r-matrix and initial point"),
+    (["flow", "--builtin", "split2", "--x", "0.1,0.3,-0.1,0.3", "--offdiag", "0.3"],
+     "--diag and --offdiag need --toda"),
+], ids=["product-rmatrix", "toda-builtin", "toda-x", "offdiag-without-toda"])
+def test_ignored_input_rejected(capsys, tmp_path, argv, message):
+    # an input the command would not use is an error, not silently dropped
+    path = tmp_path / "any.json"
+    path.write_text("{}")
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_check_postlie_both_signs(capsys):
     code, out, _ = run(capsys, "check-postlie", "--builtin", "split2")
     assert code == 0
@@ -225,12 +267,12 @@ def test_magnus_json_output(capsys):
 
 
 def test_magnus_requires_exact_mode(capsys):
-    code, _, err = run(
+    code, err = parse_error(
         capsys, "magnus", "--builtin", "sl2-borel", "--x", "1,0,1",
         "--mode", "float",
     )
     assert code == 2
-    assert "input error" in err
+    assert "unrecognized arguments: --mode float" in err
 
 
 def test_magnus_requires_x(capsys):
@@ -327,12 +369,12 @@ def test_matrix_exponential_overflow_rejected(capsys, argv, message):
 
 
 def test_factorize_requires_float_mode(capsys):
-    code, _, err = run(
+    code, err = parse_error(
         capsys, "factorize", "--builtin", "sl2-borel", "--x", "1,0,1",
         "--mode", "exact",
     )
     assert code == 2
-    assert "input error" in err
+    assert "unrecognized arguments: --mode exact" in err
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +484,51 @@ def test_flow_requires_x_or_toda(capsys):
 
 
 def test_flow_rejects_exact_mode(capsys):
-    code, _, err = run(
+    code, err = parse_error(
         capsys, "flow", "--toda", "2", "--offdiag", "1", "--mode", "exact"
     )
     assert code == 2
-    assert "input error" in err
+    assert "unrecognized arguments: --mode exact" in err
+
+
+def test_flow_tolerance_is_not_the_algebra_tolerance(capsys, tmp_path):
+    # R = (11/10) I has Yang-Baxter defect 0.42 on sl(2); a loose truncation
+    # tolerance must not let the flow accept it
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(json.dumps(dict(SL2_JSON, realization={
+        "size": 2, "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]],
+    })))
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"theta": "1", "matrix": [
+        ["11/10", "0", "0"], ["0", "11/10", "0"], ["0", "0", "11/10"],
+    ]}))
+    files = ("--algebra", str(algebra), "--rmatrix", str(rfile))
+    code, out, _ = run(capsys, "check-rmatrix", *files, "--mode", "float")
+    assert code == 1
+    assert out.startswith("FAIL: Yang-Baxter defect 0.42")
+    code, out, err = run(capsys, "flow", *files, "--x", "1,0,1", "--tolerance", "0.5")
+    assert code == 2 and out == ""
+    assert "does not solve the modified Yang-Baxter equation" in err
+    code, out, _ = run(
+        capsys, "flow", "--toda", "2", "--offdiag", "1", "--t1", "0.5", "--steps", "3",
+        "--tolerance", "1",
+    )
+    assert code == 0 and out.startswith("t,x0,")
+
+
+def test_flow_overflowed_state_rejected(capsys):
+    # u(t) and its exponential stay finite, the flowed point's trace powers
+    # do not: no row is written, and NumPy does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "flow", "--toda", "3", "--offdiag", "0.3,0.2", "--t1", "1e12", "--steps", "3",
+        ])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == (
+        "input error: the flowed point or its trace powers are not finite at t=1e+12\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +580,38 @@ def test_hopf_suite_json_and_determinism(capsys):
     assert rep["ok"] is True and rep["seed"] == 7
     assert not any(rep["failures"].values())
     assert run(capsys, *argv) == (code, out, "")
+
+
+def test_hopf_suite_reports_failures(capsys, tmp_path):
+    # a random integer product on sl(2) is not post-Lie: its star product is
+    # not associative, and the star antipode fails on some cases
+    rng = random.Random(0)
+    entries = [[i, j, k, rng.randint(-2, 2)]
+               for i in range(3) for j in range(3) for k in range(3)]
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"dim": 3, "product": entries}))
+    argv = ("hopf-suite", "--builtin", "sl(2)", "--product", str(path),
+            "--order", "4", "--cases", "10")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "seed 0, 10 cases, words of length <= 4, truncation order 4",
+        "coassociativity: ok",
+        "counit: ok",
+        "antipode: ok",
+        "coproduct_multiplicative: ok",
+        "star_antipode: FAIL (5 cases)",
+        "star_coproduct_multiplicative: ok",
+    ]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    rep = json.loads(out[out.index("{"):])
+    assert rep["ok"] is False
+    assert rep["failures"] == {
+        "coassociativity": 0, "counit": 0, "antipode": 0,
+        "coproduct_multiplicative": 0, "star_antipode": 5,
+        "star_coproduct_multiplicative": 0,
+    }
 
 
 @pytest.mark.parametrize(

@@ -345,6 +345,25 @@ def test_star_antipode_axiom(borel_ctx, borel_product):
         assert _star_antipode_convolution(A, borel_product) == want
 
 
+def test_hopf_identity_failures(borel_ctx, borel_product):
+    # none fails for the post-Lie product of the r-matrix; the product
+    # e o e = e alone is not post-Lie, and the only identity it breaks is the
+    # star antipode, exactly where the convolution above says so
+    L = borel_ctx.algebra
+    bad = products.product_from_json(L, {"dim": 3, "product": [[0, 0, 0, 1]]})
+    rng = seeded(44)
+    flagged = 0
+    for _ in range(8):
+        A = _random_element(L, ORDER, rng, max_len=4)
+        B = _random_element(L, ORDER, rng, max_len=4)
+        assert env.hopf_identity_failures(A, B, borel_product) == []
+        want = env.unit(L, ORDER).scale(A.counit())
+        fails = _star_antipode_convolution(A, bad) != want
+        assert env.hopf_identity_failures(A, B, bad) == ["star_antipode"] * fails
+        flagged += fails
+    assert flagged
+
+
 def test_exp_star_log_star_round_trip(borel_ctx, borel_product):
     L = borel_ctx.algebra
     X = env.from_g_vector(L, ORDER, (1, 0, 1))

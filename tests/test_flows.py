@@ -25,6 +25,7 @@ from postlie.flows import (
     FlowProblem,
     _sorted_eigs,
     conservation_report,
+    factorization_residuals,
     factorized_solution,
     flow_csv,
     lax_vector_field,
@@ -249,6 +250,32 @@ def test_nonfinite_expansion_names_first_t(grid, t):
         with pytest.raises(InvalidInput) as exc:
             factorized_solution(p)
     assert str(exc.value) == "the expansion u(t) is not finite at t=%s" % t
+
+
+def test_overflowed_state_names_first_t():
+    # u(t) and exp(u(t)) stay finite; the flowed point at t = 1e12 has trace
+    # powers past the float range, which must be named before NumPy warns
+    p = toda_problem(3, (0.0, 0.0, 0.0), (0.3, 0.2), (0.0, 5e11, 1e12), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput) as exc:
+            factorized_solution(p)
+    assert str(exc.value) == (
+        "the flowed point or its trace powers are not finite at t=1e+12"
+    )
+
+
+def test_factorization_residuals():
+    # R = I: R_minus = 0, so chi = x and exp(x) = exp(x) exp(0) at every order
+    ctx = builtin_rmatrix("sl2-id", mode=scalars.FLOAT)
+    res = factorization_residuals(FlowProblem(ctx, (0.4, 0.1, -0.2), (1.0,), 6))
+    assert res == [0.0] * 6
+    # Borel splitting at radius 0.3: one residual per order, falling with
+    # the truncation tail
+    ctx = builtin_rmatrix("sl2-borel", mode=scalars.FLOAT)
+    res = factorization_residuals(FlowProblem(ctx, (0.3, 0.0, 0.3), (1.0,), 10))
+    assert len(res) == 10 and all(b < a for a, b in zip(res, res[1:]))
+    assert res[-1] < 1e-7
 
 
 # ---------------------------------------------------------------------------
