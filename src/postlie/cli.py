@@ -107,16 +107,20 @@ def _load_context(args, mode, **tolerance):
     return rmatrix.load_rmatrix(_load_algebra(args, mode, **tolerance), args.rmatrix)
 
 
-def _product_for(args):
+def _product_for(args, reads_sign=False):
     """The exact bilinear product under test: induced by an r-matrix context
-    and --sign, or read from a --product tensor file."""
+    and --sign (default '-'), or read from a --product tensor file.  With
+    --product, --sign selects nothing, so it is rejected unless the command
+    reads it for something else (reads_sign)."""
     if args.product:
         if args.rmatrix:
             raise InvalidInput("give either --product or --rmatrix, not both")
+        if args.sign and not reads_sign:
+            raise InvalidInput("give either --product or --sign, not both")
         L = _load_algebra(args, scalars.EXACT)
         return L, products.load_product(L, args.product)
     ctx = _load_context(args, scalars.EXACT)
-    return ctx.algebra, products.from_rmatrix(ctx, args.sign)
+    return ctx.algebra, products.from_rmatrix(ctx, args.sign or "-")
 
 
 def _emit(args, report, human_lines):
@@ -201,7 +205,8 @@ def cmd_check_rmatrix(args):
 
 
 def cmd_check_postlie(args):
-    L, prod = _product_for(args)
+    # --sign also sets the default handedness, with --product too
+    L, prod = _product_for(args, reads_sign=True)
     handedness = args.handedness
     if handedness is None:
         handedness = products.LEFT if args.sign in ("+", "plus") else products.RIGHT
@@ -358,7 +363,7 @@ def build_parser():
     context = flags(algebra)
     context.add_argument("--rmatrix", help="r-matrix JSON file")
     product = flags(context)
-    product.add_argument("--sign", choices=["+", "-", "plus", "minus"], default="-")
+    product.add_argument("--sign", choices=["+", "-", "plus", "minus"])
     product.add_argument("--product", help="product tensor JSON file")
     mode = flags()
     mode.add_argument("--mode", choices=[scalars.EXACT, scalars.FLOAT], default=scalars.EXACT)

@@ -131,11 +131,13 @@ def max_norm(v):
 
 def nonzero_rows(T):
     """rows[i] = ((j, k, c), ...) listing the nonzero T[i][j][k] = c in (j, k)
-    order, so a contraction over the rows adds its terms in dense-scan order."""
+    order, so a contraction over the rows adds its terms in dense-scan order.
+    The entries are scalars, so a row with no true entry is all zero."""
     return tuple(
         tuple(
             (j, k, c)
             for j, row in enumerate(plane)
+            if any(row)
             for k, c in enumerate(row)
             if c != 0
         )
@@ -144,7 +146,11 @@ def nonzero_rows(T):
 
 
 def contract(rows, x, y):
-    """sum_ijk x_i y_j T[i][j][k] e_k over the nonzero entries of T."""
+    """sum_ijk x_i y_j T[i][j][k] e_k over the nonzero entries of T.
+
+    Unchecked: x and y must already be vectors of the tensor's dimension in
+    its mode.  bracket and BilinearProduct.apply are the checked entry
+    points; the library's inner loops call this on vectors checked once."""
     out = [0] * len(x)
     for i, xi in enumerate(x):
         if xi == 0:

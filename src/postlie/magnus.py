@@ -19,11 +19,12 @@ from .errors import (
     CollapseFailure,
     DimensionMismatch,
     InvalidInput,
+    ModeMismatch,
     NotAbelian,
     NotPreLie,
     PrimitivityFailure,
 )
-from .liealg import bracket, vadd, vscale, vsub, vzero
+from .liealg import bracket, contract, vadd, vscale, vsub, vzero
 from .products import check_prelie, star_commutator
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,12 @@ def postlie_magnus(L, x, product, order, method="star"):
     star path is the witness-carrying default.
     """
     x = L.check_vector(x)
+    if product.algebra.dim != L.dim:
+        raise DimensionMismatch("product tensor and bracket algebra disagree")
+    if product.algebra.mode != L.mode:
+        raise ModeMismatch(
+            "product in %s mode, algebra in %s mode" % (product.algebra.mode, L.mode)
+        )
     if method == "ode":
         return _chi_by_ode(L, x, product, order)
     if method != "star":
@@ -347,11 +354,14 @@ def _ad_series(f, beta, V, coeff_of_n, order):
 
 
 def _exp_tri(L, product, neg_chi, x, order):
-    """exp*(-chi) |> x = sum_j (1/j!) (-chi |>)^j x up to degree order."""
+    """exp*(-chi) |> x = sum_j (1/j!) (-chi |>)^j x up to degree order, for
+    a checked x, contracted on the product's rows."""
     X = [vzero(L.dim) for _ in range(order + 1)]
     X[0] = x
+    T = product.T_rows
     return _ad_series(
-        product.apply, neg_chi, X, lambda j: _scalar(L, Fraction(1, factorial(j))), order
+        lambda a, b: contract(T, a, b), neg_chi, X,
+        lambda j: _scalar(L, Fraction(1, factorial(j))), order,
     )
 
 
@@ -360,7 +370,8 @@ def _chi_by_ode(L, x, product, order):
     d/dt chi = dexp*^{-1}_{-chi}( exp*(-chi) |> x ):
     the right side at degree m-1 only involves chi_1..chi_{m-1}, and every
     intermediate is a g-vector.  Each series is built up to degree m-1 only,
-    the one degree read off."""
+    the one degree read off.  x is checked; the recursion contracts the rows
+    of L and of the product directly."""
     bern = bernoulli(order)
     bar = lambda a, b: star_commutator(L, product, a, b)
     chi = [vzero(L.dim) for _ in range(order + 1)]

@@ -36,9 +36,15 @@ class BilinearProduct:
 
     def __init__(self, algebra, T):
         n = algebra.dim
+        mode = algebra.mode
+        native = scalars.NATIVE[mode]
+        # a row of its mode's own types needs no coercion, so a product
+        # built from coerced values makes no call per entry
         T = tuple(
             tuple(
-                tuple(scalars.coerce(v, algebra.mode) for v in row) for row in plane
+                row if native.issuperset(map(type, row))
+                else tuple(scalars.coerce(v, mode) for v in row)
+                for row in map(tuple, plane)
             )
             for plane in T
         )
@@ -72,18 +78,29 @@ class BilinearProduct:
 
 
 def from_rmatrix(ctx, sign):
-    """The product x |>_sign y = [R_sign x, y] tabulated as a tensor."""
-    from .rmatrix import post_product
-
-    return BilinearProduct.from_function(
-        ctx.algebra, lambda x, y: post_product(ctx, sign, x, y)
-    )
+    """The product x |>_sign y = [R_sign x, y] as the tensor
+    T[i] = sum_a R_sign[a][i] C[a], composed from the rows of C.  Each entry
+    adds its terms in increasing a, as the contraction of R_sign e_i with
+    e_j does, so T[i][j] equals that bracket to the last bit."""
+    L = ctx.algebra
+    Rs = ctx.r_sign(sign).matrix
+    zero = scalars.coerce(0, L.mode)
+    T = [[[zero] * L.dim for _ in range(L.dim)] for _ in range(L.dim)]
+    for i, plane in enumerate(T):
+        for a, row in enumerate(L.C_rows):
+            r = Rs[a][i]
+            if r != 0:
+                for j, k, c in row:
+                    plane[j][k] += r * c
+    return BilinearProduct(L, T)
 
 
 def star_commutator(L, product, x, y):
     """[x,y] + x o y - y o x: the bracket of the Lie algebra a post-Lie
-    product derives from the bracket of L."""
-    return vadd(bracket(L, x, y), vsub(product.apply(x, y), product.apply(y, x)))
+    product derives from the bracket of L, contracted on the rows of both.
+    Unchecked, like contract: x and y must be vectors of L in its mode."""
+    T = product.T_rows
+    return vadd(contract(L.C_rows, x, y), vsub(contract(T, x, y), contract(T, y, x)))
 
 
 def _associator(prod, x, y, z):

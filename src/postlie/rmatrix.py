@@ -29,6 +29,7 @@ from .liealg import (
     algebra_from_bracket,
     bracket,
     builtin,
+    contract,
     defect_scan,
     max_norm,
     vadd,
@@ -53,26 +54,43 @@ def _as_endo(L, R):
     ))
 
 
+def _coerced(L, R):
+    """R as a LinearEndo of L's dimension with every entry coerced to L's mode."""
+    R = _as_endo(L, R)
+    return LinearEndo(tuple(
+        tuple(scalars.coerce(v, L.mode) for v in row) for row in R.matrix
+    ))
+
+
+def _defect(L, R, theta, x, Rx, y, Ry):
+    """The defect of mcybe_defect from a coerced R and theta, coerced x and y
+    and their images Rx and Ry, contracted on the rows of L."""
+    C = L.C_rows
+    inner = vadd(contract(C, Rx, y), contract(C, x, Ry))
+    out = vsub(R.apply(inner), contract(C, Rx, Ry))
+    return vsub(out, vscale(theta, contract(C, x, y)))
+
+
 def mcybe_defect(L, R, theta, x, y):
     """R([Rx,y]+[x,Ry]) - theta*[x,y] - [Rx,Ry]; zero iff (R,theta) solves
     the modified Yang-Baxter equation on this pair."""
-    R = _as_endo(L, R)
+    R = _coerced(L, R)
     x = L.check_vector(x)
     y = L.check_vector(y)
-    theta = scalars.coerce(theta, L.mode)
-    Rx, Ry = R.apply(x), R.apply(y)
-    inner = vadd(bracket(L, Rx, y), bracket(L, x, Ry))
-    out = vsub(R.apply(inner), bracket(L, Rx, Ry))
-    return vsub(out, vscale(theta, bracket(L, x, y)))
+    return _defect(L, R, scalars.coerce(theta, L.mode), x, R.apply(x), y, R.apply(y))
 
 
 def is_rmatrix(L, R, theta):
     """Check the defect on all basis pairs; returns
-    {ok, worst_pair, worst_defect_norm} rather than raising."""
-    R = _as_endo(L, R)
+    {ok, worst_pair, worst_defect_norm} rather than raising.  R, theta and
+    the basis are coerced once, and the images R e_i computed once."""
+    R = _coerced(L, R)
+    theta = scalars.coerce(theta, L.mode)
+    basis = [L.check_vector(L.basis(i)) for i in range(L.dim)]
+    images = [R.apply(e) for e in basis]
     ok, worst, worst_pair = defect_scan(
         L,
-        lambda i, j: mcybe_defect(L, R, theta, L.basis(i), L.basis(j)),
+        lambda i, j: _defect(L, R, theta, basis[i], images[i], basis[j], images[j]),
         combinations(range(L.dim), 2),
     )
     return {"ok": ok, "worst_pair": worst_pair, "worst_defect_norm": worst}
@@ -139,6 +157,11 @@ class RMatrixContext:
             )
         return self._pm
 
+    def r_sign(self, sign):
+        """R_plus for sign '+', R_minus for sign '-'."""
+        Rp, Rm = self.r_plus_minus()
+        return Rp if _norm_sign(sign) > 0 else Rm
+
     def __repr__(self):
         return "RMatrixContext(algebra=%r, theta=%r)" % (self.algebra, self.theta)
 
@@ -168,9 +191,8 @@ def derived_algebra(ctx):
 
 def post_product(ctx, sign, x, y):
     """x |>_sign y = [R_sign x, y]; the left (+) / right (-) post-Lie product."""
-    Rp, Rm = ctx.r_plus_minus()
-    Rs = Rp if _norm_sign(sign) > 0 else Rm
-    return bracket(ctx.algebra, Rs.apply(x), y)
+    L = ctx.algebra
+    return bracket(L, ctx.r_sign(sign).apply(L.check_vector(x)), y)
 
 
 def _norm_sign(sign):
@@ -228,13 +250,14 @@ def splitting_r(L, plus_indices, minus_indices):
         raise NotADirectSum(
             "plus/minus index sets must partition 0..%d" % (L.dim - 1,)
         )
+    basis = [L.check_vector(L.basis(i)) for i in range(L.dim)]
     for side, idx in (("plus", plus), ("minus", minus)):
         inside = set(idx)
         for a in idx:
             for b in idx:
                 if a >= b:
                     continue
-                v = bracket(L, L.basis(a), L.basis(b))
+                v = contract(L.C_rows, basis[a], basis[b])
                 if not L.vanishes(c for k, c in enumerate(v) if k not in inside):
                     raise NotASubalgebra(side, (a, b))
     diag = [0] * L.dim

@@ -13,6 +13,10 @@ from .errors import ModeMismatch
 EXACT = "exact"
 FLOAT = "float"
 
+# per mode, the types whose values coerce returns as they are (a bool is not
+# among them: type(True) is bool)
+NATIVE = {EXACT: frozenset((int, Fraction)), FLOAT: frozenset((float,))}
+
 
 def check_mode(mode):
     if mode not in (EXACT, FLOAT):

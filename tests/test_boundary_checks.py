@@ -1,0 +1,66 @@
+"""The public entry points check and coerce the vectors they are given: a
+vector of the wrong length raises DimensionMismatch, and in exact mode a
+float or a bool entry raises ModeMismatch.  The loops behind them contract
+vectors that were checked once, so these are the checks."""
+
+import pytest
+
+from postlie import liealg, magnus, products, rmatrix
+from postlie.errors import DimensionMismatch, ModeMismatch
+
+GOOD = (1, 0, 1)
+BAD = {
+    "length": ((1, 0, 1, 0), DimensionMismatch),
+    "float": ((1, 0.5, 1), ModeMismatch),
+    "bool": ((1, True, 1), ModeMismatch),
+}
+
+
+def _entry_points():
+    """name -> (function of the vector arguments, number of them), on the
+    exact sl2-borel context and its right post-Lie product."""
+    ctx = rmatrix.builtin_rmatrix("sl2-borel")
+    L = ctx.algebra
+    P = products.from_rmatrix(ctx, "-")
+    return {
+        "bracket": (lambda x, y: liealg.bracket(L, x, y), 2),
+        "apply": (P.apply, 2),
+        "mcybe_defect": (lambda x, y: rmatrix.mcybe_defect(L, ctx.R, 1, x, y), 2),
+        "post_product": (lambda x, y: rmatrix.post_product(ctx, "+", x, y), 2),
+        "magnus-star": (lambda x: magnus.postlie_magnus(L, x, P, 3), 1),
+        "magnus-ode": (lambda x: magnus.postlie_magnus(L, x, P, 3, method="ode"), 1),
+    }
+
+
+CASES = [
+    (name, position, kind)
+    for name, (_, arity) in _entry_points().items()
+    for position in range(arity)
+    for kind in BAD
+]
+
+
+@pytest.mark.parametrize(
+    "name,position,kind", CASES, ids=["%s-%d-%s" % case for case in CASES]
+)
+def test_entry_point_rejects_a_bad_vector(name, position, kind):
+    f, arity = _entry_points()[name]
+    bad, error = BAD[kind]
+    args = [GOOD] * arity
+    f(*args)
+    args[position] = bad
+    with pytest.raises(error):
+        f(*args)
+
+
+@pytest.mark.parametrize("method", ["star", "ode"])
+def test_postlie_magnus_rejects_a_product_over_another_algebra(method):
+    # the recursions contract the product's rows directly, so the product
+    # must match the algebra in dimension and mode
+    L = rmatrix.builtin_rmatrix("sl2-borel").algebra
+    for other, error in (
+        (rmatrix.builtin_rmatrix("split2"), DimensionMismatch),
+        (rmatrix.builtin_rmatrix("sl2-borel", mode="float"), ModeMismatch),
+    ):
+        with pytest.raises(error):
+            magnus.postlie_magnus(L, GOOD, products.from_rmatrix(other, "-"), 3, method=method)

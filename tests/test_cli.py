@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from postlie import products, rmatrix
 from postlie.cli import main
 from postlie.errors import NonConvergentSeries
 
@@ -217,6 +218,46 @@ def test_check_postlie_both_signs(capsys):
     code, out, _ = run(capsys, "check-postlie", "--builtin", "split2", "--sign", "+")
     assert code == 0
     assert "handedness: left" in out
+
+
+def _product_file(tmp_path, sign):
+    """The product of sl2-borel for a sign, as a product file on sl(2)."""
+    ctx = rmatrix.builtin_rmatrix("sl2-borel")
+    path = tmp_path / ("product%s.json" % sign)
+    path.write_text(json.dumps(products.product_to_json(products.from_rmatrix(ctx, sign))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["magnus", "--x", "1,0,1", "--order", "3"],
+    ["hopf-suite", "--cases", "3"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_sign_with_product_rejected(capsys, tmp_path, argv, sign):
+    # --sign selects R_plus or R_minus; a product file leaves it nothing to
+    # select, and dropping it silently would hide the mistake
+    base = [*argv, "--builtin", "sl(2)", "--product", _product_file(tmp_path, "-")]
+    code, out, err = run(capsys, *base, "--sign", sign)
+    assert code == 2 and out == ""
+    assert "input error: give either --product or --sign, not both" in err
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and out
+
+
+def test_sign_selects_the_rmatrix_product(capsys):
+    base = ("magnus", "--builtin", "sl2-borel", "--x", "1,0,1", "--order", "3")
+    _, default, _ = run(capsys, *base)
+    assert run(capsys, *base, "--sign", "-")[1] == default
+    assert run(capsys, *base, "--sign", "+")[1] != default
+
+
+def test_check_postlie_reads_sign_with_product(capsys, tmp_path):
+    # the + product is left post-Lie; --sign sets the default handedness
+    base = ("check-postlie", "--builtin", "sl(2)", "--product", _product_file(tmp_path, "+"))
+    code, out, _ = run(capsys, *base, "--sign", "+")
+    assert code == 0 and "handedness: left" in out
+    code, out, _ = run(capsys, *base)
+    assert code == 1 and "handedness: right" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The defect reports of is_rmatrix, check_pm_identities, check_postlie and
 check_prelie against the dense loops in tests/oracles/dense_reference.py,
 on seeded perturbations of R and of the product tensor T: ok, the worst
-norm and the first index reaching it must agree."""
+norm and the first index reaching it must agree.  The product rows of
+from_rmatrix must equal a dense tabulation of [R_pm e_i, e_j]."""
 
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from postlie import liealg, products, rmatrix, scalars
 from postlie.liealg import LinearEndo
 from oracles.dense_reference import (
+    dense_contract,
     dense_mcybe_report,
     dense_pm_failures,
     dense_postlie_reports,
@@ -41,6 +43,10 @@ def _is_zero(mode):
 
 
 def _context(name, mode):
+    """A named r-matrix, or the splitting r-matrix of upper_lower_split(n)."""
+    if name.startswith("upper_lower_split"):
+        L = liealg.builtin(name, mode=mode, tolerance=TOL)
+        return rmatrix.splitting_r(L, *L.splitting)
     return rmatrix.builtin_rmatrix(name, mode=mode, tolerance=TOL)
 
 
@@ -102,7 +108,7 @@ def _perturbed_product(product, rng):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", ["sl2-borel", "split2"])
+@pytest.mark.parametrize("name", ["sl2-borel", "split2", "upper_lower_split(3)"])
 def test_is_rmatrix_and_pm_identities_match_the_dense_loops(name, mode):
     ctx = _context(name, mode)
     L = ctx.algebra
@@ -121,6 +127,64 @@ def test_is_rmatrix_and_pm_identities_match_the_dense_loops(name, mode):
             C, R, L.ratio(1, 2), _is_zero(mode)
         )
     assert failing >= CASES // 2
+
+
+def _dense_product_rows(ctx, sign):
+    """The rows of T[i][j] = [R_pm e_i, e_j] by a full scan of C, with
+    R_pm = (R +/- id)/2 taken from R."""
+    L = ctx.algebra
+    C = _dense_C(L)
+    R = ctx.R.matrix
+    n = L.dim
+    s = 1 if sign == "+" else -1
+    columns = [
+        tuple(L.ratio(1, 2) * (R[a][i] + s * (1 if a == i else 0)) for a in range(n))
+        for i in range(n)
+    ]
+    T = [[dense_contract(C, columns[i], L.basis(j)) for j in range(n)] for i in range(n)]
+    return tuple(
+        tuple((j, k, c) for j in range(n) for k, c in enumerate(T[i][j]) if c != 0)
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("name,mode", [
+    *(("upper_lower_split(%d)" % n, scalars.FLOAT) for n in range(2, 7)),
+    *((name, scalars.EXACT) for name in ("split2", "sl2-borel", "sl2-id")),
+])
+def test_from_rmatrix_rows_equal_the_dense_tabulation(name, mode):
+    ctx = _context(name, mode)
+    for sign in ("+", "-"):
+        assert products.from_rmatrix(ctx, sign).T_rows == _dense_product_rows(ctx, sign)
+
+
+def _dense_gl2(mode):
+    """gl(2) in the basis P e_i for P upper triangular with ones: an entry of
+    C[a] gets up to four terms, where the standard basis gives at most two."""
+    L = liealg.builtin("gl(2)")
+    P = [[1 if i <= j else 0 for j in range(4)] for i in range(4)]
+    P_inv = [[1 if i == j else -1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    mat = lambda M, v: tuple(sum(M[i][j] * v[j] for j in range(4)) for i in range(4))
+    dense = liealg.algebra_from_bracket(
+        L, lambda x, y: mat(P_inv, liealg.bracket(L, mat(P, x), mat(P, y)))
+    )
+    convert = _convert(mode)
+    entries = [(i, j, k, convert(scalars.parse_rational(v)))
+               for i, j, k, v in liealg.algebra_to_json(dense)["structure"]]
+    return liealg.new_lie_algebra(4, None, entries, mode=mode, tolerance=TOL)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_from_rmatrix_rows_for_a_dense_R(mode):
+    # a dense R on an algebra with dense structure constants: each entry of T
+    # sums several products, so the order of the float additions is tested
+    L = _dense_gl2(mode)
+    rng = seeded(83)
+    convert = _convert(mode)
+    R = [[convert(rng.choice(_deltas(mode))) for _ in range(L.dim)] for _ in range(L.dim)]
+    ctx = rmatrix.RMatrixContext(L, LinearEndo(R), 1)
+    for sign in ("+", "-"):
+        assert products.from_rmatrix(ctx, sign).T_rows == _dense_product_rows(ctx, sign)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,12 +1,14 @@
 """The sparse tensor core against dense references: Jacobi validation,
-bracket/product contraction and the truncated chi recursion, plus a
-deterministic count of the products the chi recursion evaluates."""
+bracket/product contraction and the truncated chi recursion, plus
+deterministic counts of the products the chi recursion evaluates and of
+the scalars a Toda problem coerces."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from postlie import liealg, magnus, products, rmatrix, scalars
+from postlie import flows, liealg, magnus, products, rmatrix, scalars
 from postlie.errors import JacobiViolation
 from oracles.dense_reference import (
     chi_by_ode_untruncated,
@@ -116,19 +118,51 @@ def test_float_chi_equals_the_untruncated_recursion():
     assert list(chi.coeffs) == reference
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace every binding of original in the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "postlie" or name.startswith("postlie."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_chi_ode_product_count_is_pinned(monkeypatch):
     """Each order m builds its graded series only up to degree m-1.  With a
-    full-support x no term vanishes, so the count is set by the recursion
-    alone; building every series up to the full order makes 2,777 calls."""
+    full-support x no term vanishes, so the count of product contractions
+    (liealg.contract on P.T_rows) is set by the recursion alone; building
+    every series up to the full order makes 2,777."""
     L, P = _float_split(4)
     calls = [0]
-    apply = products.BilinearProduct.apply
+    contract = liealg.contract
 
-    def counted(self, x, y):
-        calls[0] += 1
-        return apply(self, x, y)
+    def counted(rows, x, y):
+        calls[0] += rows is P.T_rows
+        return contract(rows, x, y)
 
-    monkeypatch.setattr(products.BilinearProduct, "apply", counted)
+    _patch_everywhere(monkeypatch, contract, counted)
     x = tuple((i + 1) / 16 for i in range(L.dim))
     magnus.postlie_magnus(L, x, P, 10, method="ode")
     assert calls[0] == 1120
+
+
+def test_toda_coerce_count_is_pinned(monkeypatch):
+    """Vectors are checked where they enter the library, not in its inner
+    loops: building a float Toda n = 6 problem (algebra, r-matrix context
+    and its check, product) and its order-10 chi coerces 5,866 scalars.
+    Checking every vector at every internal bracket and product coerced
+    523,454."""
+    calls = [0]
+    coerce = scalars.coerce
+
+    def counted(value, mode):
+        calls[0] += 1
+        return coerce(value, mode)
+
+    monkeypatch.setattr(scalars, "coerce", counted)
+    problem = flows.toda_problem(
+        6, [0.1, -0.2, 0.05, 0.3, -0.1, 0.2], [0.1, 0.2, -0.1, 0.15, 0.25],
+        [0.0, 1.0], 10,
+    )
+    problem.chi_coefficients()
+    assert calls[0] == 5866
