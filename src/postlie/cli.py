@@ -81,46 +81,38 @@ def _format_vector(L, v):
     return " ".join(out) or "0"
 
 
-# `tolerance`, when given, is the zero tolerance of a float-mode algebra;
-# without it the library's default applies.
-
-
-def _load_algebra(args, mode, **tolerance):
+def _load_algebra(args, mode):
     if args.builtin and args.algebra:
         raise InvalidInput("give either --builtin or --algebra, not both")
     if args.builtin:
-        return liealg.builtin(args.builtin, mode=mode, **tolerance)
+        return liealg.builtin(args.builtin, mode=mode)
     if args.algebra:
-        return liealg.load_algebra(args.algebra, mode=mode, **tolerance)
+        return liealg.load_algebra(args.algebra, mode=mode)
     raise InvalidInput("need --builtin or --algebra")
 
 
-def _load_context(args, mode, **tolerance):
+def _load_context(args, mode):
     """An r-matrix context from --builtin (registry name) or from
     --algebra + --rmatrix files."""
     if args.builtin and (args.algebra or args.rmatrix):
         raise InvalidInput("give either --builtin or --algebra with --rmatrix, not both")
     if args.builtin:
-        return rmatrix.builtin_rmatrix(args.builtin, mode=mode, **tolerance)
+        return rmatrix.builtin_rmatrix(args.builtin, mode=mode)
     if not (args.algebra and args.rmatrix):
         raise InvalidInput("need --builtin, or --algebra together with --rmatrix")
-    return rmatrix.load_rmatrix(_load_algebra(args, mode, **tolerance), args.rmatrix)
+    return rmatrix.load_rmatrix(_load_algebra(args, mode), args.rmatrix)
 
 
-def _product_for(args, reads_sign=False):
-    """The exact bilinear product under test: induced by an r-matrix context
-    and --sign (default '-'), or read from a --product tensor file.  With
-    --product, --sign selects nothing, so it is rejected unless the command
-    reads it for something else (reads_sign)."""
+def _product_for(args, sign="-"):
+    """The exact bilinear product under test: the product [R_sign x, y] of
+    an r-matrix context, or the tensor of a --product file."""
     if args.product:
         if args.rmatrix:
             raise InvalidInput("give either --product or --rmatrix, not both")
-        if args.sign and not reads_sign:
-            raise InvalidInput("give either --product or --sign, not both")
         L = _load_algebra(args, scalars.EXACT)
         return L, products.load_product(L, args.product)
     ctx = _load_context(args, scalars.EXACT)
-    return ctx.algebra, products.from_rmatrix(ctx, args.sign or "-")
+    return ctx.algebra, products.from_rmatrix(ctx, sign)
 
 
 def _emit(args, report, human_lines):
@@ -138,7 +130,7 @@ def _emit(args, report, human_lines):
 
 def cmd_check_algebra(args):
     try:
-        L = _load_algebra(args, args.mode, tolerance=args.tolerance)
+        L = _load_algebra(args, args.mode)
     except (JacobiViolation, RealizationMismatch) as exc:
         _emit(args, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
         return EXIT_CHECK_FAILED
@@ -162,7 +154,7 @@ def cmd_check_algebra(args):
 
 def cmd_check_rmatrix(args):
     try:
-        ctx = _load_context(args, args.mode, tolerance=args.tolerance)
+        ctx = _load_context(args, args.mode)
     except (NotADirectSum, NotASubalgebra) as exc:
         _emit(args, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
         return EXIT_CHECK_FAILED
@@ -193,7 +185,7 @@ def cmd_check_rmatrix(args):
             analysis["ideals_ok"],
         )
     )
-    if not L.is_zero_scalar(theta):
+    if theta == 1:
         pm = rmatrix.check_pm_identities(ctx)
         report["pm_identities_ok"] = pm["ok"]
         lines.append("R+/R- bracket and morphism identities: %s" % ("ok" if pm["ok"] else "FAIL"))
@@ -205,11 +197,11 @@ def cmd_check_rmatrix(args):
 
 
 def cmd_check_postlie(args):
-    # --sign also sets the default handedness, with --product too
-    L, prod = _product_for(args, reads_sign=True)
-    handedness = args.handedness
-    if handedness is None:
-        handedness = products.LEFT if args.sign in ("+", "plus") else products.RIGHT
+    # --sign selects the r-matrix product and, with --product too, the
+    # default handedness: [R+ x, y] is left post-Lie, [R- x, y] right
+    left = args.sign in ("+", "plus")
+    L, prod = _product_for(args, "+" if left else "-")
+    handedness = args.handedness or (products.LEFT if left else products.RIGHT)
     report = products.check_postlie(prod, L, handedness)
     lines = ["handedness: %s" % handedness]
     for axiom in ("derivation_axiom", "bracket_axiom"):
@@ -246,7 +238,7 @@ def cmd_magnus(args):
 
 
 def cmd_factorize(args):
-    ctx = _load_context(args, scalars.FLOAT, tolerance=args.tolerance)
+    ctx = _load_context(args, scalars.FLOAT)
     x = _parse_coords(args, ctx.algebra)
     order = _order(args, 10)
     residuals = flows.factorization_residuals(flows.FlowProblem(ctx, x, (1.0,), order))
@@ -280,8 +272,6 @@ def cmd_flow(args):
     else:
         if args.diag or args.offdiag:
             raise InvalidInput("--diag and --offdiag need --toda")
-        # --tolerance bounds the truncation tail only; the algebra and the
-        # Yang-Baxter check keep the library's zero tolerance
         ctx = _load_context(args, scalars.FLOAT)
         x0 = _parse_coords(args, ctx.algebra)
         problem = flows.FlowProblem(ctx, x0, t_grid, order, flow_tolerance=args.tolerance)
@@ -363,14 +353,9 @@ def build_parser():
     context = flags(algebra)
     context.add_argument("--rmatrix", help="r-matrix JSON file")
     product = flags(context)
-    product.add_argument("--sign", choices=["+", "-", "plus", "minus"])
     product.add_argument("--product", help="product tensor JSON file")
     mode = flags()
     mode.add_argument("--mode", choices=[scalars.EXACT, scalars.FLOAT], default=scalars.EXACT)
-    tolerance = flags()
-    tolerance.add_argument(
-        "--tolerance", type=float, default=1e-9, help="zero tolerance of a float-mode algebra"
-    )
     order = flags()
     order.add_argument("--order", type=int)
     coords = flags()
@@ -390,16 +375,17 @@ def build_parser():
         p.set_defaults(run=run)
         return p
 
-    command("check-algebra", cmd_check_algebra, algebra, mode, tolerance, report)
-    command("check-rmatrix", cmd_check_rmatrix, context, mode, tolerance, report)
+    command("check-algebra", cmd_check_algebra, algebra, mode, report)
+    command("check-rmatrix", cmd_check_rmatrix, context, mode, report)
 
     p = command("check-postlie", cmd_check_postlie, product, report)
+    p.add_argument("--sign", choices=["+", "-", "plus", "minus"])
     p.add_argument("--handedness", choices=[products.LEFT, products.RIGHT])
 
     p = command("magnus", cmd_magnus, product, coords, order, report)
     p.add_argument("--method", choices=["star", "ode"], default="star")
 
-    command("factorize", cmd_factorize, context, coords, order, tolerance, report)
+    command("factorize", cmd_factorize, context, coords, order, report)
 
     p = command("flow", cmd_flow, context, coords, order)
     p.add_argument(

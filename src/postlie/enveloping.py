@@ -561,7 +561,8 @@ def hopf_identity_failures(A, B, product):
     structures that fail on A and B: coassociativity and counit of the
     coproduct at A; m(S x id)Delta(A) = counit(A) for the plain antipode and
     for the star antipode; Delta(AB) = Delta(A)Delta(B) for the plain and for
-    the star product."""
+    the star product.  The star identities assume a right-handed post-Lie
+    product such as [R_- x, y]; the left-handed [R_+ x, y] fails them."""
     _check_pair(A, B)
     L, order = A.algebra, A.order
     ctx = lifted(L, product, order)

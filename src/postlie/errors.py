@@ -117,16 +117,8 @@ class NotAbelian(PostLieError):
     """The supplied bracket is not identically zero."""
 
 
-class RealizationRequired(PostLieError):
-    """The matrix evaluation path needs a realization."""
-
-
 class StepTooLarge(PostLieError):
     """The integrator's drift heuristic tripped; reduce the step."""
-
-
-class BadDimensions(PostLieError):
-    """Lattice data has inconsistent sizes."""
 
 
 class NonConvergentSeries(UserWarning):

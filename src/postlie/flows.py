@@ -20,11 +20,11 @@ import numpy as np
 
 from . import scalars
 from .errors import (
-    BadDimensions,
+    DimensionMismatch,
     InvalidInput,
     ModeMismatch,
     NonConvergentSeries,
-    RealizationRequired,
+    NoRealization,
     StepTooLarge,
 )
 from .liealg import bracket, builtin, vscale
@@ -142,16 +142,16 @@ class FlowState:
         return "FlowState(t=%g)" % (self.t,)
 
 
-def _sorted_eigs(M, tol=1e-10):
+def _sorted_eigs(M):
     """Spectrum of each matrix of a stack (..., n, n), one list per matrix;
     a single matrix gives a single list.  Real spectra are floats in
     ascending order, others complex values ordered by (real, imag)."""
     M = np.asarray(M, dtype=float)
     stack = M.reshape((-1,) + M.shape[-2:])
     # eigvalsh reads one triangle only, so the symmetry test must be absolute:
-    # a relative tolerance would pass an asymmetry of 1e-6 on entries near
-    # 0.1 and shift the spectrum by the same order
-    atol = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    # a relative test would pass an asymmetry of 1e-6 on entries near 0.1
+    # and shift the spectrum by the same order
+    atol = scalars.TOLERANCE * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
     sym = asym <= atol
     out = [None] * len(stack)
@@ -203,7 +203,7 @@ class FlowProblem:
         if L.mode != scalars.FLOAT:
             raise ModeMismatch("flows require a float-mode algebra")
         if L.realization is None:
-            raise RealizationRequired("flow problems need a matrix realization")
+            raise NoRealization("flow problems need a matrix realization")
         if not t_grid:
             raise InvalidInput("t_grid must be nonempty")
         if int(order) < 1:
@@ -377,9 +377,9 @@ def toda_problem(n, diag, offdiag, t_grid, order, flow_tolerance=1e-9):
     """Symmetric tridiagonal initial data on gl(n) with the
     upper/strictly-lower splitting r-matrix."""
     if n < 2:
-        raise BadDimensions("a Toda problem needs n >= 2 (got %d)" % (n,))
+        raise DimensionMismatch("a Toda problem needs n >= 2 (got %d)" % (n,))
     if len(diag) != n or len(offdiag) != n - 1:
-        raise BadDimensions(
+        raise DimensionMismatch(
             "need %d diagonal and %d off-diagonal entries" % (n, n - 1)
         )
     if not all(map(math.isfinite, list(diag) + list(offdiag))):

@@ -175,22 +175,18 @@ class LieAlgebra:
     which validate the data.
     """
 
-    def __init__(self, dim, labels, C_rows, realization, mode, tolerance):
+    def __init__(self, dim, labels, C_rows, realization, mode):
         self.dim = dim
         self.labels = tuple(labels)
         self.C_rows = C_rows
         self.realization = realization
         self.mode = mode
-        self.tolerance = tolerance
         self._pbw_cache = {}
         self.splitting = None  # (plus_indices, minus_indices) for split builtins
 
-    def is_zero_scalar(self, value):
-        return scalars.is_zero(value, self.mode, self.tolerance)
-
     def vanishes(self, values):
         """True when every value is zero in this algebra's mode."""
-        return all(self.is_zero_scalar(c) for c in values)
+        return all(scalars.is_zero(c, self.mode) for c in values)
 
     def ratio(self, p, q=1):
         return scalars.ratio(p, q, self.mode)
@@ -262,7 +258,7 @@ def _validate(L):
     )
     for i, j, k, l in candidates:
         defect = D.get((i, j, k, l), 0) + D.get((k, i, j, l), 0) + D.get((j, k, i, l), 0)
-        if not L.is_zero_scalar(defect):
+        if not scalars.is_zero(defect, L.mode):
             raise JacobiViolation(i, j, k, l, defect)
     if L.realization is not None:
         mats = L.realization
@@ -291,8 +287,7 @@ def _validate(L):
     return L
 
 
-def new_lie_algebra(dim, labels, structure_entries, realization=None,
-                    mode=scalars.EXACT, tolerance=1e-10):
+def new_lie_algebra(dim, labels, structure_entries, realization=None, mode=scalars.EXACT):
     """Build and validate an algebra from sparse entries (i, j, k, value), i < j.
 
     The antisymmetric completion C[j][i][k] = -C[i][j][k] is automatic.
@@ -324,9 +319,7 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None,
             tuple(tuple(scalars.coerce(x, mode) for x in row) for row in M)
             for M in realization
         )
-    return _validate(
-        LieAlgebra(dim, labels, nonzero_rows(C), realization, mode, float(tolerance))
-    )
+    return _validate(LieAlgebra(dim, labels, nonzero_rows(C), realization, mode))
 
 
 def algebra_from_bracket(L, f):
@@ -339,7 +332,7 @@ def algebra_from_bracket(L, f):
         for k, c in enumerate(f(L.basis(i), L.basis(j)))
         if c != 0
     ]
-    return new_lie_algebra(L.dim, list(L.labels), entries, None, L.mode, L.tolerance)
+    return new_lie_algebra(L.dim, list(L.labels), entries, None, L.mode)
 
 
 def defect_scan(L, defect, index_tuples):
@@ -417,7 +410,7 @@ def _parse_builtin(name):
     return name, None
 
 
-def builtin(name, mode=scalars.EXACT, tolerance=1e-10):
+def builtin(name, mode=scalars.EXACT):
     """Construct a built-in algebra with its defining matrix realization.
 
     Names: gl(n) with n >= 2, sl(2), so(3), upper_lower_split(n).  The split
@@ -437,7 +430,7 @@ def builtin(name, mode=scalars.EXACT, tolerance=1e-10):
             [[1, 0], [0, -1]],
             [[0, 0], [1, 0]],
         ]
-        return new_lie_algebra(3, ["e", "h", "f"], entries, realization, mode, tolerance)
+        return new_lie_algebra(3, ["e", "h", "f"], entries, realization, mode)
     if head == "so" and arg == "3":
         entries = [
             (0, 1, 2, 1),
@@ -450,7 +443,7 @@ def builtin(name, mode=scalars.EXACT, tolerance=1e-10):
             [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
             [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
         ]
-        return new_lie_algebra(3, ["e1", "e2", "e3"], entries, realization, mode, tolerance)
+        return new_lie_algebra(3, ["e1", "e2", "e3"], entries, realization, mode)
     if head in ("gl", "upper_lower_split"):
         try:
             n = int(arg)
@@ -465,12 +458,7 @@ def builtin(name, mode=scalars.EXACT, tolerance=1e-10):
             pairs += [(a, b) for a in range(n) for b in range(n) if a > b]
         labels = ["E%d%d" % (a + 1, b + 1) for (a, b) in pairs]
         L = new_lie_algebra(
-            n * n,
-            labels,
-            _gl_structure(pairs, n),
-            _gl_realization(pairs, n),
-            mode,
-            tolerance,
+            n * n, labels, _gl_structure(pairs, n), _gl_realization(pairs, n), mode
         )
         if head == "upper_lower_split":
             n_up = sum(1 for (a, b) in pairs if a <= b)
@@ -500,15 +488,9 @@ def splitting_projections(L):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_to_str(v):
-    if isinstance(v, float):
-        return repr(v)
-    return scalars.format_rational(v)
-
-
 def algebra_to_json(L):
     structure = [
-        [i, j, k, _scalar_to_str(c)]
+        [i, j, k, scalars.to_text(c)]
         for i, row in enumerate(L.C_rows)
         for j, k, c in row
         if j > i
@@ -518,13 +500,13 @@ def algebra_to_json(L):
         data["realization"] = {
             "size": len(L.realization[0]),
             "matrices": [
-                [[_scalar_to_str(x) for x in row] for row in M] for M in L.realization
+                [[scalars.to_text(x) for x in row] for row in M] for M in L.realization
             ],
         }
     return data
 
 
-def algebra_from_json(data, mode=scalars.EXACT, tolerance=1e-10):
+def algebra_from_json(data, mode=scalars.EXACT):
     try:
         dim = int(data["dim"])
         labels = data.get("basis")
@@ -534,9 +516,9 @@ def algebra_from_json(data, mode=scalars.EXACT, tolerance=1e-10):
             realization = [[list(row) for row in M] for M in realization["matrices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput("malformed algebra JSON: %s" % (exc,))
-    return new_lie_algebra(dim, labels, structure, realization, mode, tolerance)
+    return new_lie_algebra(dim, labels, structure, realization, mode)
 
 
-def load_algebra(path, mode=scalars.EXACT, tolerance=1e-10):
+def load_algebra(path, mode=scalars.EXACT):
     with open(path) as fh:
-        return algebra_from_json(json.load(fh), mode, tolerance)
+        return algebra_from_json(json.load(fh), mode)

@@ -132,13 +132,9 @@ class GradedLieElement:
 
 
 def graded_to_json(x):
-    def fmt(v):
-        return [
-            repr(c) if isinstance(c, float) else scalars.format_rational(c)
-            for c in v
-        ]
-
-    return {"orders": [fmt(x.coeffs[m]) for m in range(1, x.order + 1)]}
+    return {
+        "orders": [[scalars.to_text(c) for c in x.coeffs[m]] for m in range(1, x.order + 1)]
+    }
 
 
 def graded_from_json(L, data):
@@ -284,6 +280,11 @@ def postlie_magnus(L, x, product, order, method="star"):
     differential equation instead (a g-level recursion that never builds
     words, hence also available in float mode); both paths agree and the
     star path is the witness-carrying default.
+
+    The product must be right-handed post-Lie, as x |> y = [R_- x, y] is:
+    the star lift and both recursions assume it.  For the left-handed
+    [R_+ x, y] the two methods disagree and neither series satisfies
+    exp(x) = exp*(chi).
     """
     x = L.check_vector(x)
     if product.algebra.dim != L.dim:

@@ -248,7 +248,7 @@ def check_prelie(product):
 
 def product_to_json(product):
     entries = [
-        [i, j, k, repr(v) if isinstance(v, float) else scalars.format_rational(v)]
+        [i, j, k, scalars.to_text(v)]
         for i, row in enumerate(product.T_rows)
         for j, k, v in row
     ]

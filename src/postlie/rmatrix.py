@@ -31,7 +31,6 @@ from .liealg import (
     builtin,
     contract,
     defect_scan,
-    max_norm,
     vadd,
     vsub,
     vscale,
@@ -339,15 +338,15 @@ def _span(L, vectors):
 
     A = np.array([list(map(float, c)) for c in vectors], dtype=float).T
     if not A.any():
-        return 0, [], lambda v: max_norm(v) <= L.tolerance
+        return 0, [], L.vanishes
     q, r = np.linalg.qr(A)
-    keep = [j for j in range(min(A.shape)) if abs(r[j, j]) > L.tolerance]
+    keep = [j for j in range(min(A.shape)) if abs(r[j, j]) > scalars.TOLERANCE]
     Q = q[:, keep]
 
     def member(v):
         w = np.array(list(map(float, v)), dtype=float)
         resid = w - Q @ (Q.T @ w)
-        return float(np.linalg.norm(resid)) <= max(L.tolerance, 1e-12) * max(
+        return float(np.linalg.norm(resid)) <= scalars.TOLERANCE * max(
             1.0, float(np.linalg.norm(w))
         )
 
@@ -363,7 +362,7 @@ def _kernel_basis(L, endo):
 
         A = np.array([[float(endo.matrix[i][j]) for j in range(n)] for i in range(n)])
         _, sv, vh = np.linalg.svd(A)
-        rank = int((sv > sv.max() * max(L.tolerance, 1e-12)).sum())
+        rank = int((sv > sv.max() * scalars.TOLERANCE).sum())
         return [tuple(float(x) for x in v) for v in vh[rank:]]
     span = _ExactSpan()
     for row in endo.matrix:
@@ -424,7 +423,7 @@ def subalgebra_analysis(ctx):
 BUILTIN_RMATRICES = ("sl2-borel", "split2", "sl2-id")
 
 
-def builtin_rmatrix(name, mode=scalars.EXACT, tolerance=1e-10):
+def builtin_rmatrix(name, mode=scalars.EXACT):
     """Named (algebra, R) pairs used by the command-line tools and tests.
 
     sl2-borel: sl(2) split into span{e,h} and span{f}.
@@ -432,13 +431,13 @@ def builtin_rmatrix(name, mode=scalars.EXACT, tolerance=1e-10):
     sl2-id:    the identity map on sl(2) (theta = 1).
     """
     if name == "sl2-borel":
-        L = builtin("sl(2)", mode, tolerance)
+        L = builtin("sl(2)", mode)
         return splitting_r(L, (0, 1), (2,))
     if name == "split2":
-        L = builtin("upper_lower_split(2)", mode, tolerance)
+        L = builtin("upper_lower_split(2)", mode)
         return splitting_r(L, L.splitting[0], L.splitting[1])
     if name == "sl2-id":
-        L = builtin("sl(2)", mode, tolerance)
+        L = builtin("sl(2)", mode)
         return rmatrix_context(L, LinearEndo.identity(3), 1)
     raise UnsupportedName(
         "unknown built-in r-matrix %r (choose from %s)"
@@ -448,16 +447,8 @@ def builtin_rmatrix(name, mode=scalars.EXACT, tolerance=1e-10):
 
 def rmatrix_to_json(ctx):
     return {
-        "theta": scalars.format_rational(ctx.theta)
-        if ctx.algebra.mode == scalars.EXACT
-        else repr(ctx.theta),
-        "matrix": [
-            [
-                scalars.format_rational(v) if ctx.algebra.mode == scalars.EXACT else repr(v)
-                for v in row
-            ]
-            for row in ctx.R.matrix
-        ],
+        "theta": scalars.to_text(ctx.theta),
+        "matrix": [[scalars.to_text(v) for v in row] for row in ctx.R.matrix],
     }
 
 

@@ -2,8 +2,10 @@
 
 The mode lives on the owning algebra/context, never on individual values.
 Exact mode works with int/Fraction (arithmetic is exact by construction);
-float mode works with int/float and compares against a tolerance.  Mixing a
-float into an exact context raises ModeMismatch.
+float mode works with int/float.  Mixing a float into an exact context
+raises ModeMismatch.  Every scalar rule lives here: coercion, the zero test
+(exactly zero, or within TOLERANCE in float mode) and the text form that
+the JSON writers use.
 """
 
 from fractions import Fraction
@@ -12,6 +14,9 @@ from .errors import ModeMismatch
 
 EXACT = "exact"
 FLOAT = "float"
+
+# a float is zero when its absolute value is at most this
+TOLERANCE = 1e-10
 
 # per mode, the types whose values coerce returns as they are (a bool is not
 # among them: type(True) is bool)
@@ -52,10 +57,16 @@ def format_rational(q):
     return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 else "%d" % q.numerator
 
 
-def is_zero(value, mode, tol):
+def to_text(v):
+    """A scalar as text: repr for a float (it reads back exactly), 'p/q' or
+    'p' otherwise."""
+    return repr(v) if isinstance(v, float) else format_rational(v)
+
+
+def is_zero(value, mode):
     if mode == EXACT:
         return value == 0
-    return abs(value) <= tol
+    return abs(value) <= TOLERANCE
 
 
 def ratio(p, q, mode):

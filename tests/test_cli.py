@@ -4,12 +4,13 @@ output, JSON reports, and error paths for every subcommand."""
 import json
 import os
 import random
+import re
 import warnings
 
 import pytest
 
-from postlie import products, rmatrix
-from postlie.cli import main
+from postlie import magnus, products, rmatrix
+from postlie.cli import build_parser, main
 from postlie.errors import NonConvergentSeries
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -37,12 +38,56 @@ def parse_error(capsys, *argv):
     (["magnus", "--builtin", "sl2-borel", "--x", "1,0,1"], ["--seed", "1"]),
     (["hopf-suite", "--builtin", "sl2-borel"], ["--t1", "2"]),
     (["magnus", "--builtin", "sl2-borel", "--x", "1,0,1"], ["--mode", "exact"]),
+    (["check-algebra", "--builtin", "sl(2)"], ["--tolerance", "1e-9"]),
+    (["check-rmatrix", "--builtin", "split2"], ["--tolerance", "1e-9"]),
+    (["factorize", "--builtin", "split2", "--x", "0,0.3,0,0.3"], ["--tolerance", "1e-9"]),
 ], ids=lambda v: v[0])
 def test_unread_flag_rejected(capsys, argv, unread):
-    # a subcommand takes only the flags it reads
+    # a subcommand takes only the flags it reads; the zero tolerance of a
+    # float-mode algebra is the library constant, so only flow reads
+    # --tolerance (as its truncation tolerance)
     code, err = parse_error(capsys, *argv, *unread)
     assert code == 2
     assert "error: unrecognized arguments: %s\n" % " ".join(unread) in err
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+CONTEXT_FLAGS = {"--builtin", "--algebra", "--rmatrix"}
+PRODUCT_FLAGS = CONTEXT_FLAGS | {"--product"}
+
+
+def _readme_flag_table():
+    """{subcommand: flags} from the README table; the words context and
+    product stand for the flags the README defines them by."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = {}
+    for line in lines:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or not re.fullmatch(r"`[a-z-]+`", cells[0]):
+            continue
+        code = re.findall(r"`([^`]*)`", cells[1])
+        flags = {c.split()[0] for c in code if c.startswith("--")}
+        words = set(re.findall(r"\b(context|product)\b", re.sub(r"`[^`]*`", "", cells[1])))
+        if "context" in words:
+            flags |= CONTEXT_FLAGS
+        if "product" in words:
+            flags |= PRODUCT_FLAGS
+        rows[cells[0].strip("`")] = flags
+    return rows
+
+
+def test_readme_flag_table_matches_parser():
+    # the README lists each subcommand's flags; a flag added to or removed
+    # from the parser must be added to or removed from the table too
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    parsed = {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+        - {"--help"}
+        for name, sub in subparsers.items()
+    }
+    assert _readme_flag_table() == parsed
+    assert sum(map(len, parsed.values())) == 55
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +119,17 @@ def test_check_algebra_corrupted_structure(capsys, tmp_path):
     code, out, _ = run(capsys, "check-algebra", "--algebra", str(path))
     assert code == 1
     assert "Jacobi" in out
+
+
+@pytest.mark.parametrize("defect, code", [(5e-10, 1), (5e-11, 0)])
+def test_float_check_uses_the_one_zero_tolerance(capsys, tmp_path, defect, code):
+    # [a,b] = d c and [b,c] = b leave the Jacobi defect -d c on (a, b, c):
+    # a float-mode algebra accepts it only within scalars.TOLERANCE = 1e-10
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dim": 3, "structure": [[0, 1, 2, defect], [1, 2, 1, 1]]}))
+    got, out, _ = run(capsys, "check-algebra", "--algebra", str(path), "--mode", "float")
+    assert got == code
+    assert out.startswith("FAIL: Jacobi identity fails" if code else "ok:")
 
 
 def test_check_algebra_missing_file(capsys, tmp_path):
@@ -234,21 +290,27 @@ def _product_file(tmp_path, sign):
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_sign_with_product_rejected(capsys, tmp_path, argv, sign):
-    # --sign selects R_plus or R_minus; a product file leaves it nothing to
-    # select, and dropping it silently would hide the mistake
+    # magnus and hopf-suite take no --sign, with a product file or without
     base = [*argv, "--builtin", "sl(2)", "--product", _product_file(tmp_path, "-")]
-    code, out, err = run(capsys, *base, "--sign", sign)
-    assert code == 2 and out == ""
-    assert "input error: give either --product or --sign, not both" in err
+    code, err = parse_error(capsys, *base, "--sign", sign)
+    assert code == 2
+    assert "error: unrecognized arguments: --sign %s\n" % sign in err
     code, out, _ = run(capsys, *base)
     assert code == 0 and out
 
 
-def test_sign_selects_the_rmatrix_product(capsys):
-    base = ("magnus", "--builtin", "sl2-borel", "--x", "1,0,1", "--order", "3")
-    _, default, _ = run(capsys, *base)
-    assert run(capsys, *base, "--sign", "-")[1] == default
-    assert run(capsys, *base, "--sign", "+")[1] != default
+def test_magnus_uses_the_right_handed_product(capsys):
+    # the star lift and both recursions assume x |> y = [R_- x, y]; for
+    # [R_+ x, y] the star and ode methods disagree at order 4, so magnus
+    # has no --sign that could select it
+    ctx = rmatrix.builtin_rmatrix("sl2-borel")
+    chi = magnus.postlie_magnus(ctx.algebra, (1, 0, 1), products.from_rmatrix(ctx, "-"), 5)
+    base = ("magnus", "--builtin", "sl2-borel", "--x", "1,0,1", "--order", "5", "--json")
+    for method in ("star", "ode"):
+        code, out, _ = run(capsys, *base, "--method", method)
+        assert code == 0 and json.loads(out) == magnus.graded_to_json(chi)
+    code, err = parse_error(capsys, *base, "--sign", "+")
+    assert code == 2 and "unrecognized arguments: --sign +" in err
 
 
 def test_check_postlie_reads_sign_with_product(capsys, tmp_path):

@@ -45,9 +45,9 @@ def _is_zero(mode):
 def _context(name, mode):
     """A named r-matrix, or the splitting r-matrix of upper_lower_split(n)."""
     if name.startswith("upper_lower_split"):
-        L = liealg.builtin(name, mode=mode, tolerance=TOL)
+        L = liealg.builtin(name, mode=mode)
         return rmatrix.splitting_r(L, *L.splitting)
-    return rmatrix.builtin_rmatrix(name, mode=mode, tolerance=TOL)
+    return rmatrix.builtin_rmatrix(name, mode=mode)
 
 
 def _dense_C(L):
@@ -171,7 +171,7 @@ def _dense_gl2(mode):
     convert = _convert(mode)
     entries = [(i, j, k, convert(scalars.parse_rational(v)))
                for i, j, k, v in liealg.algebra_to_json(dense)["structure"]]
-    return liealg.new_lie_algebra(4, None, entries, mode=mode, tolerance=TOL)
+    return liealg.new_lie_algebra(4, None, entries, mode=mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -217,7 +217,7 @@ def test_postlie_and_prelie_reports_match_the_dense_loops(name, sign, mode):
 def test_prelie_report_on_theta_zero_products(mode):
     # x o y = [ad_e x, y] is pre-Lie (ad_e solves the theta = 0 equation), so
     # the unperturbed cases report ok with a zero worst norm
-    L = liealg.builtin("sl(2)", mode=mode, tolerance=TOL)
+    L = liealg.builtin("sl(2)", mode=mode)
     R = liealg.ad(L, L.basis(0))
     base = products.BilinearProduct.from_function(
         L, lambda x, y: liealg.bracket(L, R.apply(x), y)

@@ -13,12 +13,11 @@ from oracles.pointwise_flow import pointwise_solution
 
 from postlie import scalars
 from postlie.errors import (
-    BadDimensions,
     DimensionMismatch,
     InvalidInput,
     ModeMismatch,
     NonConvergentSeries,
-    RealizationRequired,
+    NoRealization,
     StepTooLarge,
 )
 from postlie.flows import (
@@ -80,11 +79,11 @@ def test_toda_problem_places_tridiagonal_entries():
 
 
 def test_toda_problem_dimension_checks():
-    with pytest.raises(BadDimensions):
+    with pytest.raises(DimensionMismatch):
         toda_problem(3, (1.0, 2.0), (0.1, 0.2), (0.5,), 4)
-    with pytest.raises(BadDimensions):
+    with pytest.raises(DimensionMismatch):
         toda_problem(2, (1.0, 2.0), (0.1, 0.2), (0.5,), 4)
-    with pytest.raises(BadDimensions, match="n >= 2"):
+    with pytest.raises(DimensionMismatch, match="n >= 2"):
         toda_problem(1, (1.0,), (), (0.5,), 4)
 
 
@@ -109,7 +108,7 @@ def test_flow_problem_requires_float_mode():
 def test_flow_problem_requires_realization():
     ab = new_lie_algebra(2, ("p", "q"), [], mode=scalars.FLOAT)
     ctx = rmatrix_context(ab, [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(RealizationRequired):
+    with pytest.raises(NoRealization):
         FlowProblem(ctx, [1.0, 2.0], (0.5,), 4)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import liealg, rmatrix
+from postlie import liealg, rmatrix, scalars
 from postlie.errors import InvalidInput, NotADirectSum, NotASubalgebra, UnsupportedName
 from postlie.liealg import LinearEndo
 from conftest import BUILTIN_RMATRICES, random_vector, seeded
@@ -163,7 +163,7 @@ def test_float_subalgebra_analysis_matches_exact(name):
         kernel = rmatrix._kernel_basis(L, endo)
         assert len(kernel) == exact["dim_ker_mp"][dim] > 0
         for v in kernel:
-            assert max(abs(c) for c in endo.apply(v)) <= L.tolerance
+            assert max(abs(c) for c in endo.apply(v)) <= scalars.TOLERANCE
 
 
 def test_builtin_rmatrix_unknown_name():

@@ -44,10 +44,25 @@ def test_parse_and_format_rational_round_trip():
 
 
 def test_is_zero_respects_mode_and_tolerance():
-    assert scalars.is_zero(Fraction(0), scalars.EXACT, 1e-10)
-    assert not scalars.is_zero(Fraction(1, 10**12), scalars.EXACT, 1e-10)
-    assert scalars.is_zero(1e-12, scalars.FLOAT, 1e-10)
-    assert not scalars.is_zero(1e-8, scalars.FLOAT, 1e-10)
+    assert scalars.TOLERANCE == 1e-10
+    assert scalars.is_zero(Fraction(0), scalars.EXACT)
+    assert not scalars.is_zero(Fraction(1, 10**12), scalars.EXACT)
+    assert scalars.is_zero(1e-12, scalars.FLOAT)
+    assert scalars.is_zero(-1e-10, scalars.FLOAT)
+    assert not scalars.is_zero(1.5e-10, scalars.FLOAT)
+    assert not scalars.is_zero(1e-8, scalars.FLOAT)
+
+
+@pytest.mark.parametrize("value,text", [
+    (0, "0"), (-3, "-3"), (Fraction(22, 7), "22/7"), (Fraction(-1, 2), "-1/2"),
+    (0.1, "0.1"), (-2.0, "-2.0"), (1e-300, "1e-300"),
+])
+def test_to_text(value, text):
+    # a float keeps its repr, which reads back to the same float; anything
+    # else is written as p/q
+    assert scalars.to_text(value) == text
+    mode = scalars.FLOAT if isinstance(value, float) else scalars.EXACT
+    assert scalars.coerce(text, mode) == value
 
 
 def test_ratio_is_exact_in_exact_mode():

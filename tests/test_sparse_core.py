@@ -75,11 +75,11 @@ def test_perturbed_structure_fails_jacobi_where_the_dense_check_does(name, mode)
             dense_structure(dim, entries, convert(0)), is_zero
         )
         if expected is None:
-            liealg.new_lie_algebra(dim, None, entries, mode=mode, tolerance=TOL)
+            liealg.new_lie_algebra(dim, None, entries, mode=mode)
             continue
         violations += 1
         with pytest.raises(JacobiViolation) as info:
-            liealg.new_lie_algebra(dim, None, entries, mode=mode, tolerance=TOL)
+            liealg.new_lie_algebra(dim, None, entries, mode=mode)
         assert info.value.indices == expected[0]
         if mode == scalars.EXACT:
             assert info.value.defect == expected[1]
