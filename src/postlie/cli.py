@@ -66,21 +66,6 @@ def _parse_coords(args, L):
     return tuple(x)
 
 
-def _format_vector(L, v):
-    """An exact g-vector as a signed sum of basis labels."""
-    out = []
-    for c, lab in zip(v, L.labels):
-        if c == 0:
-            continue
-        mag = scalars.format_rational(abs(c))
-        body = lab if mag == "1" else "%s*%s" % (mag, lab)
-        if not out:
-            out.append("-" + body if c < 0 else body)
-        else:
-            out.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(out) or "0"
-
-
 def _load_algebra(args, mode):
     if args.builtin and args.algebra:
         raise InvalidInput("give either --builtin or --algebra, not both")
@@ -233,7 +218,7 @@ def cmd_magnus(args):
         print(json.dumps(magnus.graded_to_json(chi), indent=2))
     else:
         for m in range(1, order + 1):
-            print("order %d: %s" % (m, _format_vector(L, chi.coeff(m))))
+            print("order %d: %s" % (m, ev.render(ev.from_g_vector(L, 1, chi.coeff(m)))))
     return EXIT_OK
 
 

@@ -118,11 +118,9 @@ def _unshuffles(word):
         yield tuple(word[i] for i in S), tuple(word[i] for i in T)
 
 
-class EnvElement:
-    """A finite sum of PBW-normal words of length <= order.
-
-    Immutable value; equal iff the term maps are equal (canonical form).
-    """
+class _TermMap:
+    """A finite sum of words or word pairs with coefficients, of total length
+    <= order; an immutable value, equal iff type, order and terms are."""
 
     __slots__ = ("algebra", "order", "terms")
 
@@ -134,15 +132,9 @@ class EnvElement:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), 0)
-
-    def counit(self):
-        return self.terms.get((), 0)
-
     def __eq__(self, other):
         return (
-            isinstance(other, EnvElement)
+            isinstance(other, type(self))
             and self.order == other.order
             and self.terms == other.terms
         )
@@ -151,20 +143,32 @@ class EnvElement:
         _check_pair(self, other)
         out = dict(self.terms)
         _add_into(out, other.terms)
-        return EnvElement(self.algebra, self.order, out)
+        return type(self)(self.algebra, self.order, out)
 
     def __sub__(self, other):
         _check_pair(self, other)
         out = dict(self.terms)
         _add_into(out, other.terms, -1)
-        return EnvElement(self.algebra, self.order, out)
-
-    def __neg__(self):
-        return self.scale(-1)
+        return type(self)(self.algebra, self.order, out)
 
     def scale(self, c):
         c = scalars.coerce(c, scalars.EXACT)
-        return EnvElement(self.algebra, self.order, {w: c * v for w, v in self.terms.items()})
+        return type(self)(self.algebra, self.order, {w: c * v for w, v in self.terms.items()})
+
+
+class EnvElement(_TermMap):
+    """A finite sum of PBW-normal words of length <= order."""
+
+    __slots__ = ()
+
+    def coefficient(self, word):
+        return self.terms.get(tuple(word), 0)
+
+    def counit(self):
+        return self.terms.get((), 0)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def __mul__(self, other):
         return env_mul(self, other)
@@ -238,40 +242,10 @@ def word_of_vectors(L, order, vectors):
 # ---------------------------------------------------------------------------
 
 
-class TensorSquareElement:
+class TensorSquareElement(_TermMap):
     """Finite sum of word pairs with total length <= order."""
 
-    __slots__ = ("algebra", "order", "terms")
-
-    def __init__(self, algebra, order, terms):
-        self.algebra = algebra
-        self.order = order
-        self.terms = _nonzero(terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorSquareElement)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return TensorSquareElement(self.algebra, self.order, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return TensorSquareElement(self.algebra, self.order, out)
-
-    def scale(self, c):
-        return TensorSquareElement(
-            self.algebra, self.order, {p: c * v for p, v in self.terms.items()}
-        )
-
-    def is_zero(self):
-        return not self.terms
+    __slots__ = ()
 
     def __repr__(self):
         return "TensorSquareElement(%d terms)" % (len(self.terms),)
@@ -477,17 +451,6 @@ class LiftedProduct:
         out = _bilinear(self.star_word, tA, tB)
         return _nonzero(out)
 
-    def star_gvec(self, x, elem):
-        """x * B = x.B + x |> B for a g-vector x."""
-        out = {}
-        for k, ck in enumerate(x):
-            if ck == 0:
-                continue
-            for w, c in elem.items():
-                _add_into(out, self._mul_words((k,), w), ck * c)
-                _add_into(out, self.tri_letter(k, w), ck * c)
-        return _nonzero(out)
-
     # -- star antipode ----------------------------------------------------------
 
     def star_antipode_word(self, w):
@@ -623,27 +586,22 @@ def phi(L, word, product, order):
     ctx = lifted(L, product, order)
     acc = {(): 1}
     for v in reversed(_as_vector_letters(L, word)):
-        acc = ctx.star_gvec(v, acc)
+        acc = ctx.star_elem({(k,): c for k, c in enumerate(v) if c != 0}, acc)
     return EnvElement(L, order, acc)
 
 
-def phi_partition(L, word, product, order):
-    """The same map evaluated by the closed set-partition formula: one
-    summand per partition, each block contributing the left-nested product
-    on its increasingly-ordered letters (block maximum last), blocks
-    multiplied in ascending order of their maxima."""
-    letters = _as_vector_letters(L, word)
-    total = EnvElement(L, order, {})
-    for part in _set_partitions(len(letters)):
-        blocks = sorted(part, key=max)
-        vectors = [_block_vector(product, letters, b) for b in blocks]
-        total = total + word_of_vectors(L, order, vectors)
-    return total
-
-
 def phi_term_count(n):
-    """Number of summands in the closed formula (the Bell numbers)."""
-    return sum(1 for _ in _set_partitions(n))
+    """Number of summands in the closed set-partition formula of phi on n
+    letters: the Bell number B_n, read off the Bell triangle (each row
+    starts with the last entry of the row above, and each further entry
+    adds the entry above it to its left neighbour; B_n starts row n)."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
 
 
 def _block_vector(product, letters, block):
@@ -734,20 +692,6 @@ def F_map(A, ctx):
             antipode(word_of_vectors(L, order, right)),
         )
         total = total + piece.scale(c)
-    return total
-
-
-def F_map_explicit(A, ctx):
-    """Closed form of the same map: for each splitting of the word's
-    positions, R+ letters in order times R- letters in reversed order with
-    sign (-1)^(number of R- letters)."""
-    L = ctx.algebra
-    order = A.order
-    total = EnvElement(L, order, {})
-    for c, left, right in _r_pm_legs(A, ctx):
-        sign = -1 if len(right) % 2 else 1
-        piece = word_of_vectors(L, order, left + list(reversed(right)))
-        total = total + piece.scale(sign * c)
     return total
 
 

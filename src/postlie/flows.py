@@ -337,10 +337,7 @@ def rk4_reference(problem, step):
     with np.errstate(over="ignore", invalid="ignore"):
         ref, *states = _states(L, (0.0,) + reached, np.array(xs), finite=False)
     scale = max(1.0, max(abs(f) for f in ref.trace_powers))
-    for state in states:
-        drift = max(
-            abs(a - b) for a, b in zip(state.trace_powers, ref.trace_powers)
-        )
+    for state, (_, drift) in zip(states, _drifts([ref] + states)[1:]):
         if drift > 0.25 * scale:
             raise StepTooLarge(
                 "trace-power drift %.3e at t=%g; decrease the step" % (drift, state.t)

@@ -11,7 +11,7 @@ dense square matrix in column convention.
 
 from __future__ import annotations
 
-import json
+import math
 
 from . import scalars
 from .errors import (
@@ -104,8 +104,15 @@ class LinearEndo:
         return tuple(self.matrix[i][j] for i in range(self.dim))
 
     @staticmethod
+    def diagonal(entries):
+        n = len(entries)
+        return LinearEndo(tuple(
+            tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
+        ))
+
+    @staticmethod
     def identity(n):
-        return LinearEndo(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return LinearEndo.diagonal((1,) * n)
 
     @staticmethod
     def from_columns(cols):
@@ -120,8 +127,11 @@ class LinearEndo:
 
 
 def max_norm(v):
-    """The largest absolute coordinate of v as a float; 0.0 for no coordinates."""
-    return max((abs(float(c)) for c in v), default=0.0)
+    """The largest absolute coordinate of v as a float; 0.0 for no
+    coordinates, nan when a coordinate is nan."""
+    norms = [abs(float(c)) for c in v]
+    # a sum of non-negative floats is nan only when a term is
+    return math.nan if math.isnan(sum(norms)) else max(norms, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +348,15 @@ def algebra_from_bracket(L, f):
 def defect_scan(L, defect, index_tuples):
     """Evaluate defect(*t) for each index tuple t.  Returns (ok, worst, where):
     ok when every defect vanishes in L's mode, worst the largest max_norm and
-    where the first tuple reaching it (None when every norm is 0.0)."""
+    where the first tuple reaching it (None when every norm is 0.0).  A nan
+    norm outranks every number: the first nan is reported."""
     ok, worst, where = True, 0.0, None
     for t in index_tuples:
         d = defect(*t)
         if ok and not L.vanishes(d):
             ok = False
         norm = max_norm(d)
-        if norm > worst:
+        if not (norm <= worst or math.isnan(worst)):
             worst, where = norm, t
     return ok, worst, where
 
@@ -471,16 +482,9 @@ def splitting_projections(L):
     """(pi_plus, pi_minus) for an algebra carrying `.splitting` index ranges."""
     if L.splitting is None:
         raise InvalidInput("algebra carries no splitting data")
-    plus, minus = L.splitting
-    n = L.dim
-    d_plus = [1 if i in set(plus) else 0 for i in range(n)]
-    pi_plus = LinearEndo(tuple(
-        tuple(d_plus[i] if i == j else 0 for j in range(n)) for i in range(n)
-    ))
-    pi_minus = LinearEndo(tuple(
-        tuple((1 - d_plus[i]) if i == j else 0 for j in range(n)) for i in range(n)
-    ))
-    return pi_plus, pi_minus
+    plus = set(L.splitting[0])
+    d_plus = [1 if i in plus else 0 for i in range(L.dim)]
+    return LinearEndo.diagonal(d_plus), LinearEndo.diagonal([1 - d for d in d_plus])
 
 
 # ---------------------------------------------------------------------------
@@ -520,5 +524,4 @@ def algebra_from_json(data, mode=scalars.EXACT):
 
 
 def load_algebra(path, mode=scalars.EXACT):
-    with open(path) as fh:
-        return algebra_from_json(json.load(fh), mode)
+    return algebra_from_json(scalars.read_json(path), mode)

@@ -32,11 +32,6 @@ from .products import check_prelie, star_commutator
 # ---------------------------------------------------------------------------
 
 
-def _scalar(L, q):
-    """A rational series coefficient in the algebra's scalar domain."""
-    return float(q) if L.mode == scalars.FLOAT else q
-
-
 def bernoulli(n):
     """b_0..b_n by the Akiyama-Tanigawa recurrence (sign convention with
     b_1 = -1/2; the recurrence natively yields +1/2, and the two kinds
@@ -362,7 +357,7 @@ def _exp_tri(L, product, neg_chi, x, order):
     T = product.T_rows
     return _ad_series(
         lambda a, b: contract(T, a, b), neg_chi, X,
-        lambda j: _scalar(L, Fraction(1, factorial(j))), order,
+        lambda j: L.ratio(1, factorial(j)), order,
     )
 
 
@@ -382,9 +377,9 @@ def _chi_by_ode(L, x, product, order):
         neg_chi = [vscale(-1, c) for c in chi[: deg + 1]]
         u = _exp_tri(L, product, neg_chi, x, deg)
         rhs = _ad_series(
-            bar, neg_chi, u, lambda n: _scalar(L, bern[n] / factorial(n)), deg
+            bar, neg_chi, u, lambda n: L.ratio(bern[n], factorial(n)), deg
         )
-        chi[m] = vscale(_scalar(L, Fraction(1, m)), rhs[deg])
+        chi[m] = vscale(L.ratio(1, m), rhs[deg])
     return GradedLieElement(L, order, chi)
 
 
@@ -431,7 +426,7 @@ def prelie_magnus(L, x, product, order):
         xt = [vzero(L.dim) for _ in range(m + 1)]
         xt[1] = x
         chi[m] = _ad_series(
-            product.apply, chi[:m], xt, lambda k: _scalar(L, bern[k] / factorial(k)), m
+            product.apply, chi[:m], xt, lambda k: L.ratio(bern[k], factorial(k)), m
         )[m]
     return GradedLieElement(L, order, chi)
 
@@ -467,7 +462,7 @@ def dexp_star(beta, v, derived_algebra, order):
     (the star commutator reduces to it on g-valued series)."""
     L = beta.algebra
     return _dexp_series(
-        beta, v, derived_algebra, lambda n: _scalar(L, Fraction(1, factorial(n + 1))), order
+        beta, v, derived_algebra, lambda n: L.ratio(1, factorial(n + 1)), order
     )
 
 
@@ -476,7 +471,7 @@ def dexp_star_inv(beta, v, derived_algebra, order):
     L = beta.algebra
     bern = bernoulli(order)
     return _dexp_series(
-        beta, v, derived_algebra, lambda n: _scalar(L, bern[n] / factorial(n)), order
+        beta, v, derived_algebra, lambda n: L.ratio(bern[n], factorial(n)), order
     )
 
 

@@ -10,7 +10,6 @@ handled by their own axiom set.
 
 from __future__ import annotations
 
-import json
 from itertools import product as index_product
 
 from . import scalars
@@ -272,5 +271,4 @@ def product_from_json(L, data):
 
 
 def load_product(L, path):
-    with open(path) as fh:
-        return product_from_json(L, json.load(fh))
+    return product_from_json(L, scalars.read_json(path))

@@ -10,7 +10,6 @@ im R_pm and ker R_mp.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -107,22 +106,6 @@ def r_bracket(L, R, x, y):
     y = L.check_vector(y)
     half = L.ratio(1, 2)
     return vscale(half, vadd(bracket(L, R.apply(x), y), bracket(L, x, R.apply(y))))
-
-
-def r_bracket_unhalved(L, R, x, y):
-    """The un-halved form [R_plus x, y] - [R_plus y, x] - [x,y].
-
-    Documented alias: coincides with r_bracket whenever (R, theta=1) solves
-    the modified Yang-Baxter equation (tests pin the equality); kept because
-    both conventions are in circulation.
-    """
-    R = _as_endo(L, R)
-    x = L.check_vector(x)
-    y = L.check_vector(y)
-    half = L.ratio(1, 2)
-    Rp = _half_shift(L, R, +1, half)
-    out = vsub(bracket(L, Rp.apply(x), y), bracket(L, Rp.apply(y), x))
-    return vsub(out, bracket(L, x, y))
 
 
 def _half_shift(L, R, sign, half):
@@ -264,10 +247,7 @@ def splitting_r(L, plus_indices, minus_indices):
         diag[i] = 1
     for i in minus:
         diag[i] = -1
-    R = LinearEndo(tuple(
-        tuple(diag[i] if i == j else 0 for j in range(L.dim)) for i in range(L.dim)
-    ))
-    return rmatrix_context(L, R, 1)
+    return rmatrix_context(L, LinearEndo.diagonal(diag), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -470,5 +450,4 @@ def rmatrix_from_json(L, data):
 
 
 def load_rmatrix(L, path):
-    with open(path) as fh:
-        return rmatrix_from_json(L, json.load(fh))
+    return rmatrix_from_json(L, scalars.read_json(path))

@@ -4,13 +4,15 @@ The mode lives on the owning algebra/context, never on individual values.
 Exact mode works with int/Fraction (arithmetic is exact by construction);
 float mode works with int/float.  Mixing a float into an exact context
 raises ModeMismatch.  Every scalar rule lives here: coercion, the zero test
-(exactly zero, or within TOLERANCE in float mode) and the text form that
-the JSON writers use.
+(exactly zero, or within TOLERANCE in float mode), the text form that the
+JSON writers use and the finite-number rule of the JSON readers.
 """
 
+import json
+import math
 from fractions import Fraction
 
-from .errors import ModeMismatch
+from .errors import InvalidInput, ModeMismatch
 
 EXACT = "exact"
 FLOAT = "float"
@@ -63,6 +65,21 @@ def to_text(v):
     return repr(v) if isinstance(v, float) else format_rational(v)
 
 
+def read_json(path):
+    """The JSON document in the file at path.  Every number in it must be
+    finite: NaN, Infinity and a float literal beyond the float range raise
+    InvalidInput naming the file."""
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise InvalidInput("%s: %s is not a finite number" % (path, text))
+        return value
+
+    with open(path) as fh:
+        return json.load(fh, parse_float=finite, parse_constant=finite)
+
+
 def is_zero(value, mode):
     if mode == EXACT:
         return value == 0
@@ -70,5 +87,7 @@ def is_zero(value, mode):
 
 
 def ratio(p, q, mode):
-    """The scalar p/q in the given mode (exact division vs float division)."""
-    return Fraction(p, q) if mode == EXACT else p / q
+    """The scalar p/q of ints or Fractions in the given mode: exact, or the
+    float nearest to it (for ints the same value as p / q)."""
+    exact = Fraction(p, q)
+    return exact if mode == EXACT else float(exact)

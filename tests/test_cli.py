@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import signal
 import warnings
 
 import pytest
@@ -230,6 +231,40 @@ def test_check_rmatrix_file_malformed(capsys, tmp_path, data):
     code, _, err = check_rmatrix_file(capsys, tmp_path, data)
     assert code == 2
     assert "malformed r-matrix JSON" in err
+
+
+NON_FINITE_FILES = {
+    # subcommand, file text with LIT for the literal, argv with FILE for the
+    # file and SL2 for an exact sl(2) algebra file
+    "algebra": (
+        "check-algebra", '{"dim": 3, "structure": [[0, 1, 2, LIT], [1, 2, 1, 1]]}',
+        ["--algebra", "FILE", "--mode", "float"],
+    ),
+    "rmatrix": (
+        "check-rmatrix", '{"theta": 1, "matrix": [[LIT, 0, 0], [0, 1, 0], [0, 0, -1]]}',
+        ["--algebra", "SL2", "--rmatrix", "FILE", "--mode", "float"],
+    ),
+    "product": (
+        "check-postlie", '{"dim": 3, "product": [[0, 1, 2, LIT]]}',
+        ["--algebra", "SL2", "--product", "FILE"],
+    ),
+}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_FILES))
+def test_non_finite_number_in_a_file_rejected(capsys, tmp_path, kind, literal):
+    # json reads NaN and Infinity, and 1e400 as inf; a NaN r-matrix entry
+    # used to give "FAIL: Yang-Baxter defect 0.0 at basis pair None"
+    command, text, argv = NON_FINITE_FILES[kind]
+    path = tmp_path / ("%s.json" % kind)
+    path.write_text(text.replace("LIT", literal))
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(json.dumps(SL2_JSON))
+    argv = [{"FILE": str(path), "SL2": str(algebra)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err == "input error: %s: %s is not a finite number\n" % (path, literal)
 
 
 @pytest.mark.parametrize("argv", [
@@ -643,6 +678,26 @@ def test_bell_counts(capsys, n, count):
     code, out, _ = run(capsys, "bell", "--n", str(n))
     assert code == 0
     assert out.strip() == str(count)
+
+
+class TooSlow(Exception):
+    pass
+
+
+def test_bell_30_is_counted_not_enumerated(capsys):
+    # the Bell triangle counts 8.5e23 set partitions at once; enumerating
+    # them would not finish, so an alarm ends the call after one second
+    def alarm(signum, frame):
+        raise TooSlow("bell --n 30 took more than a second")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, _ = run(capsys, "bell", "--n", "30")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and out == "846749014511809332450147\n"
 
 
 def test_bell_rejects_nonpositive(capsys):

@@ -14,6 +14,7 @@ from postlie.errors import (
     OrderMismatch,
 )
 from conftest import random_word, random_vector, seeded
+from oracles.closed_forms import F_map_explicit, phi_partition
 
 F = Fraction
 ORDER = 4
@@ -389,12 +390,18 @@ def test_phi_matches_partition_formula(borel_ctx, borel_product):
     for _ in range(10):
         w = random_word(L, rng, max_len=4)
         lhs = env.phi(L, w, borel_product, ORDER)
-        rhs = env.phi_partition(L, w, borel_product, ORDER)
+        rhs = phi_partition(L, w, borel_product, ORDER)
         assert lhs == rhs
 
 
 def test_phi_term_counts_are_bell_numbers():
     assert [env.phi_term_count(n) for n in range(1, 7)] == [1, 2, 5, 15, 52, 203]
+
+
+def test_phi_term_count_equals_the_partition_count():
+    # the Bell triangle against enumeration, B_0 = 1 included
+    for n in range(9):
+        assert env.phi_term_count(n) == sum(1 for _ in env._set_partitions(n))
 
 
 def test_phi_is_morphism_to_star(borel_ctx, borel_product):
@@ -470,7 +477,7 @@ def test_F_map_equals_phi_and_explicit_form(borel_ctx, borel_product):
         w = tuple(sorted(random_word(L, rng, max_len=3)))
         A = env.EnvElement(L, ORDER, {w: F(1)})
         via_hopf = env.F_map(A, borel_ctx)
-        explicit = env.F_map_explicit(A, borel_ctx)
+        explicit = F_map_explicit(A, borel_ctx)
         assert via_hopf == explicit
         assert via_hopf == env.phi(L, w, borel_product, ORDER)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,13 @@ def test_upper_lower_split_ordering_and_projections():
 def test_splitting_projection_requires_split_algebra(sl2):
     with pytest.raises(InvalidInput):
         liealg.splitting_projections(sl2)
+
+
+def test_max_norm_propagates_nan():
+    assert liealg.max_norm((1.0, -3.0)) == 3.0
+    assert liealg.max_norm(()) == 0.0
+    for v in ((math.nan, 1.0), (1.0, math.nan), (math.inf, math.nan)):
+        assert math.isnan(liealg.max_norm(v))
 
 
 def test_builtin_unknown_name():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from postlie import liealg, rmatrix, scalars
 from postlie.errors import InvalidInput, NotADirectSum, NotASubalgebra, UnsupportedName
 from postlie.liealg import LinearEndo
 from conftest import BUILTIN_RMATRICES, random_vector, seeded
+from oracles.closed_forms import r_bracket_unhalved
 
 F = Fraction
 
@@ -50,6 +52,19 @@ def test_scaled_identity_fails():
         rmatrix.rmatrix_context(sl2, R, 1)
 
 
+@pytest.mark.parametrize("diag, pair", [
+    ((math.nan, 1.0, -1.0), (0, 1)),
+    ((2.0, 2.0, math.nan), (0, 2)),
+], ids=["first-pair", "after-a-finite-defect"])
+def test_nan_defect_reported_at_its_pair(diag, pair):
+    # a nan norm outranks every number, and the first one is kept
+    sl2 = liealg.builtin("sl(2)", scalars.FLOAT)
+    report = rmatrix.is_rmatrix(sl2, LinearEndo.diagonal(diag), 1)
+    assert not report["ok"]
+    assert report["worst_pair"] == pair
+    assert math.isnan(report["worst_defect_norm"])
+
+
 def test_theta_restricted_in_context(sl2):
     with pytest.raises(InvalidInput):
         rmatrix.rmatrix_context(sl2, LinearEndo.identity(3), theta=F(1, 2))
@@ -84,7 +99,7 @@ def test_r_bracket_unhalved_agrees_for_modified_solutions(borel_ctx):
     rng = seeded(23)
     for _ in range(15):
         x, y = random_vector(L, rng), random_vector(L, rng)
-        assert rmatrix.r_bracket(L, borel_ctx.R, x, y) == rmatrix.r_bracket_unhalved(
+        assert rmatrix.r_bracket(L, borel_ctx.R, x, y) == r_bracket_unhalved(
             L, borel_ctx.R, x, y
         )
 
