@@ -20,6 +20,7 @@ from .errors import (
     CollapseFailure,
     InvalidInput,
     JacobiViolation,
+    NonFiniteNumber,
     NotADirectSum,
     NotASubalgebra,
     PostLieError,
@@ -44,13 +45,13 @@ def _order(args, default):
 
 def _parse_numbers(text, mode, flag):
     """The comma-separated scalars of a coordinate flag.  Each must be a
-    finite number: the rational parser rejects nan and inf, and a float
-    conversion that would overflow raises."""
+    finite number: the rational parser rejects nan and inf, and float mode
+    rejects a number beyond the float range."""
     out = []
     for i, part in enumerate(text.split(",")):
         try:
             out.append(scalars.coerce(part, mode))
-        except (ValueError, ArithmeticError):
+        except (ValueError, ArithmeticError, NonFiniteNumber):
             raise InvalidInput(
                 "%s entry %d is not a finite number: %r" % (flag, i + 1, part.strip())
             )

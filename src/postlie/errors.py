@@ -17,6 +17,10 @@ class InvalidInput(PostLieError):
     """A precondition on the operation's input was violated."""
 
 
+class NonFiniteNumber(InvalidInput):
+    """A float-mode number is NaN, infinite or beyond the float range."""
+
+
 class YangBaxterFailure(InvalidInput):
     """R does not solve the modified Yang-Baxter equation for theta."""
 

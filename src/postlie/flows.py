@@ -293,7 +293,7 @@ def factorization_residuals(problem):
     with np.errstate(over="ignore", invalid="ignore"):
         partial = np.cumsum(problem.chi_coefficients(), axis=0).tolist()
     halves = [Rp.apply(v) for v in partial] + [vscale(-1, Rm.apply(v)) for v in partial]
-    exps = _expm(np.array([L.rho(v) for v in [problem.x0] + halves], dtype=float))
+    exps = _expm(_rho_np(L, np.array([problem.x0] + halves, dtype=float)))
     if not np.isfinite(exps).all():
         raise InvalidInput("the matrix exponential overflows")
     E, plus, minus = exps[0], exps[1:len(partial) + 1], exps[len(partial) + 1:]

@@ -12,6 +12,7 @@ dense square matrix in column convention.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from . import scalars
 from .errors import (
@@ -142,10 +143,12 @@ def max_norm(v):
 def nonzero_rows(T):
     """rows[i] = ((j, k, c), ...) listing the nonzero T[i][j][k] = c in (j, k)
     order, so a contraction over the rows adds its terms in dense-scan order.
-    The entries are scalars, so a row with no true entry is all zero."""
+    The entries are scalars, so a row with no true entry is all zero.  An
+    integral Fraction is stored as an int, so exact contractions of integral
+    tensors do integer arithmetic."""
     return tuple(
         tuple(
-            (j, k, c)
+            (j, k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
             for j, row in enumerate(plane)
             if any(row)
             for k, c in enumerate(row)
@@ -524,4 +527,4 @@ def algebra_from_json(data, mode=scalars.EXACT):
 
 
 def load_algebra(path, mode=scalars.EXACT):
-    return algebra_from_json(scalars.read_json(path), mode)
+    return scalars.read_json(path, lambda data: algebra_from_json(data, mode))

@@ -57,16 +57,18 @@ class GradedLieElement:
     """t-graded g-valued series; coeffs[m] is the t^m coefficient, m=0..N.
 
     The degree-0 slot exists for operator outputs (it is zero for the
-    Magnus expansions); JSON export covers orders 1..N.
+    Magnus expansions); JSON export covers orders 1..N.  An entry already of
+    its mode's type is kept as it is, so a computed coefficient that
+    overflowed reaches the check that names it; any other is coerced.
     """
 
     def __init__(self, algebra, order, coeffs):
-        coeffs = [algebra.check_vector(c) for c in coeffs]
-        if len(coeffs) != order + 1:
+        coeffs = tuple(scalars.coerce_row(c, algebra.mode) for c in coeffs)
+        if len(coeffs) != order + 1 or any(len(c) != algebra.dim for c in coeffs):
             raise DimensionMismatch("need %d graded coefficients" % (order + 1,))
         self.algebra = algebra
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @classmethod
     def zero(cls, algebra, order):
@@ -323,17 +325,13 @@ def postlie_magnus(L, x, product, order, method="star"):
     return GradedLieElement(L, order, chi_vec)
 
 
-def _graded(f, A, B, order):
-    """Degree m <= order of f(sum A_i t^i, sum B_j t^j) for a bilinear f,
-    skipping zero coefficients."""
-    out = [vzero(len(A[0])) for _ in range(order + 1)]
-    for i, a in enumerate(A):
-        if all(c == 0 for c in a):
-            continue
-        for j, b in enumerate(B):
-            if i + j > order or all(c == 0 for c in b):
-                continue
-            out[i + j] = vadd(out[i + j], f(a, b))
+def _graded_at(f, A, B, d):
+    """Degree d of f(sum A_i t^i, sum B_j t^j) for a bilinear f, adding the
+    products in increasing i and skipping zero coefficients."""
+    out = vzero(len(B[0]))
+    for i in range(max(0, d + 1 - len(B)), min(d + 1, len(A))):
+        if any(A[i]) and any(B[d - i]):
+            out = vadd(out, f(A[i], B[d - i]))
     return out
 
 
@@ -343,43 +341,48 @@ def _ad_series(f, beta, V, coeff_of_n, order):
     out = list(V)
     term = V
     for n in range(1, order + 1):
-        term = _graded(f, beta, term, order)
+        term = [_graded_at(f, beta, term, d) for d in range(order + 1)]
         c = coeff_of_n(n)
         out = [vadd(a, vscale(c, b)) for a, b in zip(out, term)]
     return out
 
 
-def _exp_tri(L, product, neg_chi, x, order):
-    """exp*(-chi) |> x = sum_j (1/j!) (-chi |>)^j x up to degree order, for
-    a checked x, contracted on the product's rows."""
-    X = [vzero(L.dim) for _ in range(order + 1)]
-    X[0] = x
-    T = product.T_rows
-    return _ad_series(
-        lambda a, b: contract(T, a, b), neg_chi, X,
-        lambda j: L.ratio(1, factorial(j)), order,
-    )
+def _grow(table, f, beta, base, coeffs):
+    """Append degree d = len(table[0]) to table[n], the degree-by-degree
+    coefficients of f(beta, .)^n applied to table[0], given base, the
+    degree-d coefficient of table[0]; return sum_n coeffs[n] table[n][d]."""
+    d = len(table[0])
+    table[0].append(base)
+    table.append([vzero(len(base))] * d)
+    out = base
+    for n in range(1, d + 1):
+        table[n].append(_graded_at(f, beta, table[n - 1], d))
+        out = vadd(out, vscale(coeffs[n], table[n][d]))
+    return out
 
 
 def _chi_by_ode(L, x, product, order):
     """Order-by-order integration of
     d/dt chi = dexp*^{-1}_{-chi}( exp*(-chi) |> x ):
     the right side at degree m-1 only involves chi_1..chi_{m-1}, and every
-    intermediate is a g-vector.  Each series is built up to degree m-1 only,
-    the one degree read off.  x is checked; the recursion contracts the rows
-    of L and of the product directly."""
+    intermediate is a g-vector.  Two tables keep, per degree, the powers
+    (-chi |>)^n x and bar(-chi, .)^n u of u = exp*(-chi) |> x; their
+    lower-degree entries never change, so order m adds only degree m-1 to
+    each, in the order _ad_series would add it.  x is checked; the
+    recursion contracts the rows of L and of the product directly."""
     bern = bernoulli(order)
+    exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
+    inv_c = [L.ratio(bern[n], factorial(n)) for n in range(order)]
+    tri = lambda a, b: contract(product.T_rows, a, b)
     bar = lambda a, b: star_commutator(L, product, a, b)
-    chi = [vzero(L.dim) for _ in range(order + 1)]
+    chi = [vzero(L.dim)] * (order + 1)
     chi[1] = x
+    neg_chi = [chi[0]]
+    powers, bars = [[x]], [[x]]
     for m in range(2, order + 1):
-        deg = m - 1
-        neg_chi = [vscale(-1, c) for c in chi[: deg + 1]]
-        u = _exp_tri(L, product, neg_chi, x, deg)
-        rhs = _ad_series(
-            bar, neg_chi, u, lambda n: L.ratio(bern[n], factorial(n)), deg
-        )
-        chi[m] = vscale(L.ratio(1, m), rhs[deg])
+        neg_chi.append(vscale(-1, chi[m - 1]))
+        u = _grow(powers, tri, neg_chi, vzero(L.dim), exp_c)
+        chi[m] = vscale(L.ratio(1, m), _grow(bars, bar, neg_chi, u, inv_c))
     return GradedLieElement(L, order, chi)
 
 
@@ -418,16 +421,13 @@ def prelie_magnus(L, x, product, order):
     ev._require_exact(L)
     x = L.check_vector(x)
     bern = bernoulli(order)
-    chi = [vzero(L.dim) for _ in range(order + 1)]
-    chi[1] = x
-    for m in range(2, order + 1):
-        # degree-m part of sum_k b_k/k! l_chi^k(xt); x sits at degree 1 and
-        # each l_chi factor adds at least one degree, so only known chi's enter
-        xt = [vzero(L.dim) for _ in range(m + 1)]
-        xt[1] = x
-        chi[m] = _ad_series(
-            product.apply, chi[:m], xt, lambda k: L.ratio(bern[k], factorial(k)), m
-        )[m]
+    coeffs = [L.ratio(bern[k], factorial(k)) for k in range(order + 1)]
+    # degree m of sum_k b_k/k! l_chi^k(xt); x sits at degree 1 and each
+    # l_chi factor adds at least one degree, so only known chi's enter
+    chi, powers = [vzero(L.dim), x], [[vzero(L.dim)]]
+    _grow(powers, product.apply, chi, x, coeffs)  # degree 1 is x itself
+    for _ in range(2, order + 1):
+        chi.append(_grow(powers, product.apply, chi, vzero(L.dim), coeffs))
     return GradedLieElement(L, order, chi)
 
 
@@ -495,7 +495,12 @@ def verify_chi_ode(L, x, product, order):
     chi = postlie_magnus(L, x, product, order)
     bar = ev.derived_bracket_algebra(L, product)
     neg = chi.scale(-1)
-    u = _exp_tri(L, product, list(neg.coeffs), L.check_vector(x), order)
+    # u = exp*(-chi) |> x, one degree per _grow call
+    tri = lambda a, b: contract(product.T_rows, a, b)
+    x = L.check_vector(x)
+    powers = [[x]]
+    exp_c = [L.ratio(1, factorial(n)) for n in range(order + 1)]
+    u = [x] + [_grow(powers, tri, neg.coeffs, vzero(L.dim), exp_c) for _ in range(order)]
     rhs = dexp_star_inv(neg, GradedLieElement(L, order, u), bar, order)
     first_failure = None
     for m in range(order):

@@ -35,17 +35,9 @@ class BilinearProduct:
 
     def __init__(self, algebra, T):
         n = algebra.dim
-        mode = algebra.mode
-        native = scalars.NATIVE[mode]
-        # a row of its mode's own types needs no coercion, so a product
-        # built from coerced values makes no call per entry
+        # a product built from coerced values makes no call per entry
         T = tuple(
-            tuple(
-                row if native.issuperset(map(type, row))
-                else tuple(scalars.coerce(v, mode) for v in row)
-                for row in map(tuple, plane)
-            )
-            for plane in T
+            tuple(scalars.coerce_row(row, algebra.mode) for row in plane) for plane in T
         )
         if len(T) != n or any(
             len(plane) != n or any(len(row) != n for row in plane) for plane in T
@@ -271,4 +263,4 @@ def product_from_json(L, data):
 
 
 def load_product(L, path):
-    return product_from_json(L, scalars.read_json(path))
+    return scalars.read_json(path, lambda data: product_from_json(L, data))

@@ -47,17 +47,14 @@ def _as_endo(L, R):
                 "endo of size %d on algebra of dimension %d" % (R.dim, L.dim)
             )
         return R
-    return LinearEndo(tuple(
-        tuple(scalars.coerce(v, L.mode) for v in row) for row in R
-    ))
+    return LinearEndo(tuple(scalars.coerce_row(row, L.mode) for row in R))
 
 
 def _coerced(L, R):
-    """R as a LinearEndo of L's dimension with every entry coerced to L's mode."""
+    """R as a LinearEndo of L's dimension with every entry in L's mode (a
+    float NaN is kept, for the defect scan to report)."""
     R = _as_endo(L, R)
-    return LinearEndo(tuple(
-        tuple(scalars.coerce(v, L.mode) for v in row) for row in R.matrix
-    ))
+    return LinearEndo(tuple(scalars.coerce_row(row, L.mode) for row in R.matrix))
 
 
 def _defect(L, R, theta, x, Rx, y, Ry):
@@ -450,4 +447,4 @@ def rmatrix_from_json(L, data):
 
 
 def load_rmatrix(L, path):
-    return rmatrix_from_json(L, scalars.read_json(path))
+    return scalars.read_json(path, lambda data: rmatrix_from_json(L, data))

@@ -3,16 +3,16 @@
 The mode lives on the owning algebra/context, never on individual values.
 Exact mode works with int/Fraction (arithmetic is exact by construction);
 float mode works with int/float.  Mixing a float into an exact context
-raises ModeMismatch.  Every scalar rule lives here: coercion, the zero test
-(exactly zero, or within TOLERANCE in float mode), the text form that the
-JSON writers use and the finite-number rule of the JSON readers.
+raises ModeMismatch.  Every scalar rule lives here: coercion with its
+finite-number rule for float mode and the JSON readers, the zero test
+(exactly zero, or within TOLERANCE in float mode) and the JSON text form.
 """
 
 import json
 import math
 from fractions import Fraction
 
-from .errors import InvalidInput, ModeMismatch
+from .errors import ModeMismatch, NonFiniteNumber
 
 EXACT = "exact"
 FLOAT = "float"
@@ -20,8 +20,8 @@ FLOAT = "float"
 # a float is zero when its absolute value is at most this
 TOLERANCE = 1e-10
 
-# per mode, the types whose values coerce returns as they are (a bool is not
-# among them: type(True) is bool)
+# per mode, the types whose values coerce_row keeps as they are (a bool is
+# not among them: type(True) is bool)
 NATIVE = {EXACT: frozenset((int, Fraction)), FLOAT: frozenset((float,))}
 
 
@@ -32,7 +32,8 @@ def check_mode(mode):
 
 
 def coerce(value, mode):
-    """Validate and normalize one scalar for the given mode."""
+    """Validate and normalize one scalar for the given mode.  In float mode,
+    NaN, an infinity or a number beyond the float range is NonFiniteNumber."""
     if isinstance(value, bool):
         raise ModeMismatch("booleans are not scalars")
     if mode == EXACT:
@@ -41,11 +42,22 @@ def coerce(value, mode):
         if isinstance(value, str):
             return parse_rational(value)
         raise ModeMismatch("exact mode rejects %r (use int, Fraction or 'p/q')" % (value,))
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        return float(parse_rational(value))
+    if isinstance(value, (int, float, str)):
+        try:
+            out = float(parse_rational(value) if isinstance(value, str) else value)
+            if math.isfinite(out):
+                return out
+        except OverflowError:
+            pass
+        raise NonFiniteNumber("%s is not a finite number" % (value,))
     raise ModeMismatch("float mode rejects %r" % (value,))
+
+
+def coerce_row(row, mode):
+    """row as a tuple of scalars of the mode; an entry of one of the mode's
+    own types is kept as it is, with no call to coerce."""
+    native = NATIVE[mode]
+    return tuple(v if type(v) in native else coerce(v, mode) for v in row)
 
 
 def parse_rational(s):
@@ -65,19 +77,23 @@ def to_text(v):
     return repr(v) if isinstance(v, float) else format_rational(v)
 
 
-def read_json(path):
-    """The JSON document in the file at path.  Every number in it must be
-    finite: NaN, Infinity and a float literal beyond the float range raise
-    InvalidInput naming the file."""
+def read_json(path, build):
+    """build(document) for the JSON document in the file at path.  Every
+    number in it must be finite: NaN, Infinity, a float literal beyond the
+    float range, and a number that build coerces to float mode beyond it
+    raise NonFiniteNumber naming the file."""
 
     def finite(text):
         value = float(text)
         if not math.isfinite(value):
-            raise InvalidInput("%s: %s is not a finite number" % (path, text))
+            raise NonFiniteNumber("%s is not a finite number" % (text,))
         return value
 
-    with open(path) as fh:
-        return json.load(fh, parse_float=finite, parse_constant=finite)
+    try:
+        with open(path) as fh:
+            return build(json.load(fh, parse_float=finite, parse_constant=finite))
+    except NonFiniteNumber as exc:
+        raise NonFiniteNumber("%s: %s" % (path, exc)) from None
 
 
 def is_zero(value, mode):

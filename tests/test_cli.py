@@ -267,6 +267,27 @@ def test_non_finite_number_in_a_file_rejected(capsys, tmp_path, kind, literal):
     assert err == "input error: %s: %s is not a finite number\n" % (path, literal)
 
 
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "-1e400"],
+                         ids=["int", "string", "negative-string"])
+@pytest.mark.parametrize("kind", ["algebra", "rmatrix"])
+def test_number_beyond_the_float_range_in_a_float_file_rejected(
+    capsys, tmp_path, kind, number
+):
+    # a JSON integer, or a string, beyond the float range is read as a
+    # number and fails only in its float conversion, which used to end in
+    # an OverflowError traceback
+    command, text, argv = NON_FINITE_FILES[kind]
+    literal = number if number.isdigit() else '"%s"' % number
+    path = tmp_path / ("%s.json" % kind)
+    path.write_text(text.replace("LIT", literal))
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(json.dumps(SL2_JSON))
+    argv = [{"FILE": str(path), "SL2": str(algebra)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err == "input error: %s: %s is not a finite number\n" % (path, number)
+
+
 @pytest.mark.parametrize("argv", [
     ["check-rmatrix", "--builtin", "sl2-borel", "--rmatrix", "FILE"],
     ["magnus", "--builtin", "sl2-borel", "--algebra", "FILE", "--x", "1,0,1"],

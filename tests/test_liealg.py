@@ -186,6 +186,16 @@ def test_json_round_trip(sl2):
     assert back.realization == sl2.realization
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400, "1e400"],
+                         ids=["nan", "inf", "10**400", "'1e400'"])
+def test_float_algebra_with_a_non_finite_entry_rejected(dim, value):
+    # with dim 2 there is no Jacobi triple to expose a nan; with dim 3 the
+    # Jacobi check used to report "defect nan" instead of naming the input
+    with pytest.raises(InvalidInput, match="is not a finite number"):
+        liealg.new_lie_algebra(dim, None, [(0, 1, 1, value)], None, scalars.FLOAT)
+
+
 def test_json_malformed_rejected():
     with pytest.raises(InvalidInput):
         liealg.algebra_from_json({"dim": 2})

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from postlie import scalars
-from postlie.errors import ModeMismatch
+from postlie.errors import InvalidInput, ModeMismatch
 
 
 def test_modes_are_distinct_strings():
@@ -29,6 +30,17 @@ def test_coerce_float_accepts_ints_floats_strings():
     assert scalars.coerce(0.5, scalars.FLOAT) == 0.5
     assert scalars.coerce(3, scalars.FLOAT) == 3.0
     assert scalars.coerce("1/4", scalars.FLOAT) == 0.25
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400, "1e400", "-1e400"],
+    ids=["nan", "inf", "-inf", "10**400", "'1e400'", "'-1e400'"],
+)
+def test_coerce_float_rejects_non_finite_numbers(value):
+    # the float conversion of 10**400 and "1e400" raises OverflowError, and
+    # nan and inf convert without an error
+    with pytest.raises(InvalidInput, match="is not a finite number"):
+        scalars.coerce(value, scalars.FLOAT)
 
 
 def test_coerce_float_rejects_raw_fractions():

@@ -128,9 +128,10 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 def test_chi_ode_product_count_is_pinned(monkeypatch):
-    """Each order m builds its graded series only up to degree m-1.  With a
+    """Each order m adds only degree m-1 to its two graded series.  With a
     full-support x no term vanishes, so the count of product contractions
-    (liealg.contract on P.T_rows) is set by the recursion alone; building
+    (liealg.contract on P.T_rows) is set by the recursion alone; rebuilding
+    each series up to degree m-1 at every order makes 1,120, and building
     every series up to the full order makes 2,777."""
     L, P = _float_split(4)
     calls = [0]
@@ -143,15 +144,16 @@ def test_chi_ode_product_count_is_pinned(monkeypatch):
     _patch_everywhere(monkeypatch, contract, counted)
     x = tuple((i + 1) / 16 for i in range(L.dim))
     magnus.postlie_magnus(L, x, P, 10, method="ode")
-    assert calls[0] == 1120
+    assert calls[0] == 383
 
 
 def test_toda_coerce_count_is_pinned(monkeypatch):
     """Vectors are checked where they enter the library, not in its inner
     loops: building a float Toda n = 6 problem (algebra, r-matrix context
-    and its check, product) and its order-10 chi coerces 5,866 scalars.
-    Checking every vector at every internal bracket and product coerced
-    523,454."""
+    and its check, product) and its order-10 chi coerces 5,506 scalars; the
+    float chi coefficients are kept as computed, not coerced again
+    (coercing them made 5,866).  Checking every vector at every internal
+    bracket and product coerced 523,454."""
     calls = [0]
     coerce = scalars.coerce
 
@@ -165,4 +167,36 @@ def test_toda_coerce_count_is_pinned(monkeypatch):
         [0.0, 1.0], 10,
     )
     problem.chi_coefficients()
-    assert calls[0] == 5866
+    assert calls[0] == 5506
+
+
+def _exact_context(name):
+    if name.startswith("upper_lower_split"):
+        L = liealg.builtin(name)
+        return rmatrix.splitting_r(L, *L.splitting)
+    return rmatrix.builtin_rmatrix(name)
+
+
+@pytest.mark.parametrize("name", ("upper_lower_split(3)",) + rmatrix.BUILTIN_RMATRICES)
+def test_integral_exact_entries_are_ints(name):
+    """R_pm = (R -+ I)/2 gives the splitting products integer-valued
+    Fractions; the rows store them as ints, and the chi both methods compute
+    from such rows is the same exact series."""
+    ctx = _exact_context(name)
+    L = ctx.algebra
+    P = products.from_rmatrix(ctx, "-")
+    entries = [c for rows in (L.C_rows, P.T_rows) for row in rows for _, _, c in row]
+    assert entries and all(
+        type(c) is int for c in entries if Fraction(c).denominator == 1
+    )
+    x = tuple(range(1, L.dim + 1))
+    assert magnus.postlie_magnus(L, x, P, 5) == magnus.postlie_magnus(
+        L, x, P, 5, method="ode"
+    )
+
+
+def test_verify_chi_ode_on_split_gl3_at_order_8():
+    L = liealg.builtin("upper_lower_split(3)")
+    P = products.from_rmatrix(rmatrix.splitting_r(L, *L.splitting), "-")
+    report = magnus.verify_chi_ode(L, (1, -1, 2, 0, 1, -2, 1, 0, 1), P, 8)
+    assert report["ok"] and report["first_failure"] is None
