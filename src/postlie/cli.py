@@ -20,6 +20,7 @@ from .errors import (
     CollapseFailure,
     InvalidInput,
     JacobiViolation,
+    MalformedNumber,
     NonFiniteNumber,
     NotADirectSum,
     NotASubalgebra,
@@ -51,7 +52,7 @@ def _parse_numbers(text, mode, flag):
     for i, part in enumerate(text.split(",")):
         try:
             out.append(scalars.coerce(part, mode))
-        except (ValueError, ArithmeticError, NonFiniteNumber):
+        except (MalformedNumber, NonFiniteNumber):
             raise InvalidInput(
                 "%s entry %d is not a finite number: %r" % (flag, i + 1, part.strip())
             )

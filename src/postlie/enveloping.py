@@ -665,34 +665,27 @@ def _phi_inverse_letters(L, bar, letters, product, order):
 # ---------------------------------------------------------------------------
 
 
-def _r_pm_legs(A, ctx):
-    """(coefficient, R+ images of the left leg, R- images of the right leg)
-    for every unshuffle of every word of A."""
+def _sts_sum(a, B, ctx):
+    """sum R+(a1) . B . S(R-(a2)) over the unshuffles a1 (x) a2 of every
+    word of a: R+ is pushed through the left leg and R- through the right
+    leg letter-wise, and S is the antipode."""
     Rp, Rm = ctx.r_plus_minus()
     L = ctx.algebra
-    for w, c in A.terms.items():
+    order = B.order
+    total = EnvElement(L, order, {})
+    for w, c in a.terms.items():
         for left, right in _unshuffles(w):
-            yield (
-                c,
-                [Rp.apply(L.basis(i)) for i in left],
-                [Rm.apply(L.basis(i)) for i in right],
-            )
+            plus = word_of_vectors(L, order, [Rp.apply(L.basis(i)) for i in left])
+            minus = word_of_vectors(L, order, [Rm.apply(L.basis(i)) for i in right])
+            total = total + env_mul(env_mul(plus, B), antipode(minus)).scale(c)
+    return total
 
 
 def F_map(A, ctx):
-    """m . (id x S) . (R+ x R-) . Delta applied wordwise: unshuffle each
-    word, push R+ through the left leg and R- through the right leg
-    letter-wise, take the antipode of the right image, and multiply."""
-    L = ctx.algebra
-    order = A.order
-    total = EnvElement(L, order, {})
-    for c, left, right in _r_pm_legs(A, ctx):
-        piece = env_mul(
-            word_of_vectors(L, order, left),
-            antipode(word_of_vectors(L, order, right)),
-        )
-        total = total + piece.scale(c)
-    return total
+    """m . (id x S) . (R+ x R-) . Delta applied wordwise: the sum of
+    R+(a1) . S(R-(a2)) over the unshuffles of each word, the B = 1 case of
+    the sum sts_product_check evaluates."""
+    return _sts_sum(A, unit(ctx.algebra, A.order), ctx)
 
 
 def sts_product_check(a, B, ctx, product):
@@ -702,16 +695,8 @@ def sts_product_check(a, B, ctx, product):
     base enveloping algebra; product is the g-level tensor the star product
     is built from.  Returns a report with the difference element.
     """
-    L = ctx.algebra
-    order = B.order
     lhs = star_mul(F_map(a, ctx), B, product)
-    rhs = EnvElement(L, order, {})
-    for c, left, right in _r_pm_legs(a, ctx):
-        piece = env_mul(
-            env_mul(word_of_vectors(L, order, left), B),
-            antipode(word_of_vectors(L, order, right)),
-        )
-        rhs = rhs + piece.scale(c)
+    rhs = _sts_sum(a, B, ctx)
     diff = lhs - rhs
     return {"ok": diff.is_zero(), "difference": diff, "lhs": lhs, "rhs": rhs}
 
@@ -721,11 +706,11 @@ def sts_product_check(a, B, ctx, product):
 # ---------------------------------------------------------------------------
 
 
-def _exp_series(A, one, mul, n_terms):
-    """sum_{n <= n_terms} A^n / n! with the powers taken by mul, stopping at
+def _exp_series(A, one, mul):
+    """sum_{n <= A.order} A^n / n! with the powers taken by mul, stopping at
     the first power that vanishes."""
     acc = power = one
-    for n in range(1, n_terms + 1):
+    for n in range(1, A.order + 1):
         power = mul(power, A)
         if power.is_zero():
             break
@@ -733,12 +718,12 @@ def _exp_series(A, one, mul, n_terms):
     return acc
 
 
-def _log_series(B, one, mul, n_terms):
-    """sum_{1 <= n <= n_terms} (-1)^(n-1) B^n / n, the logarithm of one + B,
+def _log_series(B, one, mul):
+    """sum_{1 <= n <= B.order} (-1)^(n-1) B^n / n, the logarithm of one + B,
     with the powers taken by mul."""
     acc = one.scale(0)
     power = one
-    for n in range(1, n_terms + 1):
+    for n in range(1, B.order + 1):
         power = mul(power, B)
         if power.is_zero():
             break
@@ -746,46 +731,40 @@ def _log_series(B, one, mul, n_terms):
     return acc
 
 
-def exp(A, terms=None):
-    """Truncated exponential sum_{n<=terms} A^n / n! (terms defaults to the
-    grade N).  Requires counit(A) = 0.
+def exp(A):
+    """Truncated exponential sum_{n<=N} A^n / n! for the grade N.  Requires
+    counit(A) = 0.
 
     Note on truncation: words the normalization shortens can receive
     contributions from arbitrarily high powers, so the cut is exact only
-    when such feedback terminates (graded situations, nilpotent letters
-    with a deepened `terms`, single basis letters)."""
+    when such feedback terminates (graded situations, single basis
+    letters)."""
     if A.counit() != 0:
         raise NotInAugmentationIdeal("exp needs a counit-free element")
-    n_terms = A.order if terms is None else int(terms)
-    return _exp_series(A, unit(A.algebra, A.order), env_mul, n_terms)
+    return _exp_series(A, unit(A.algebra, A.order), env_mul)
 
 
-def log(A, terms=None):
+def log(A):
     """Truncated logarithm of 1 + (A - 1); requires counit(A) = 1."""
     if A.counit() != 1:
         raise NotUnitNormalized("log needs an element with unit coefficient 1")
-    n_terms = A.order if terms is None else int(terms)
     one = unit(A.algebra, A.order)
-    return _log_series(A - one, one, env_mul, n_terms)
+    return _log_series(A - one, one, env_mul)
 
 
-def exp_star(A, product, terms=None):
+def exp_star(A, product):
     """Exponential with star powers."""
     if A.counit() != 0:
         raise NotInAugmentationIdeal("exp_star needs a counit-free element")
-    n_terms = A.order if terms is None else int(terms)
-    return _exp_series(
-        A, unit(A.algebra, A.order), lambda P, Q: star_mul(P, Q, product), n_terms
-    )
+    return _exp_series(A, unit(A.algebra, A.order), lambda P, Q: star_mul(P, Q, product))
 
 
-def log_star(A, product, terms=None):
+def log_star(A, product):
     """Logarithm with star powers."""
     if A.counit() != 1:
         raise NotUnitNormalized("log_star needs an element with unit coefficient 1")
-    n_terms = A.order if terms is None else int(terms)
     one = unit(A.algebra, A.order)
-    return _log_series(A - one, one, lambda P, Q: star_mul(P, Q, product), n_terms)
+    return _log_series(A - one, one, lambda P, Q: star_mul(P, Q, product))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ class NonFiniteNumber(InvalidInput):
     """A float-mode number is NaN, infinite or beyond the float range."""
 
 
+class MalformedNumber(InvalidInput):
+    """Text given as a scalar is not a rational: p/q, an integer or a decimal."""
+
+
 class YangBaxterFailure(InvalidInput):
     """R does not solve the modified Yang-Baxter equation for theta."""
 

@@ -481,15 +481,6 @@ def builtin(name, mode=scalars.EXACT):
     raise UnsupportedName("unknown built-in algebra %r" % (name,))
 
 
-def splitting_projections(L):
-    """(pi_plus, pi_minus) for an algebra carrying `.splitting` index ranges."""
-    if L.splitting is None:
-        raise InvalidInput("algebra carries no splitting data")
-    plus = set(L.splitting[0])
-    d_plus = [1 if i in plus else 0 for i in range(L.dim)]
-    return LinearEndo.diagonal(d_plus), LinearEndo.diagonal([1 - d for d in d_plus])
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------

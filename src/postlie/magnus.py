@@ -210,7 +210,7 @@ class _GradedEnv:
         if not self.parts[0].is_zero():
             raise InvalidInput("graded exp needs a series without degree-0 part")
         one = _GradedEnv.unit(self.algebra, self.order)
-        return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star), self.order)
+        return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star))
 
     def log(self, star=None):
         """Logarithm of a series with degree-0 part 1."""
@@ -218,7 +218,7 @@ class _GradedEnv:
         B = self - one
         if not B.parts[0].is_zero():
             raise InvalidInput("graded log needs degree-0 part equal to 1")
-        return ev._log_series(B, one, lambda a, b: a.mul(b, star=star), self.order)
+        return ev._log_series(B, one, lambda a, b: a.mul(b, star=star))
 
     def __eq__(self, other):
         return self.parts == other.parts
@@ -335,18 +335,6 @@ def _graded_at(f, A, B, d):
     return out
 
 
-def _ad_series(f, beta, V, coeff_of_n, order):
-    """sum_n coeff_of_n(n) f_beta^n(V) for n = 0..order, where f_beta is the
-    graded map f(beta, .) truncated at degree order (coeff_of_n(0) = 1)."""
-    out = list(V)
-    term = V
-    for n in range(1, order + 1):
-        term = [_graded_at(f, beta, term, d) for d in range(order + 1)]
-        c = coeff_of_n(n)
-        out = [vadd(a, vscale(c, b)) for a, b in zip(out, term)]
-    return out
-
-
 def _grow(table, f, beta, base, coeffs):
     """Append degree d = len(table[0]) to table[n], the degree-by-degree
     coefficients of f(beta, .)^n applied to table[0], given base, the
@@ -368,8 +356,8 @@ def _chi_by_ode(L, x, product, order):
     intermediate is a g-vector.  Two tables keep, per degree, the powers
     (-chi |>)^n x and bar(-chi, .)^n u of u = exp*(-chi) |> x; their
     lower-degree entries never change, so order m adds only degree m-1 to
-    each, in the order _ad_series would add it.  x is checked; the
-    recursion contracts the rows of L and of the product directly."""
+    each.  x is checked; the recursion contracts the rows of L and of the
+    product directly."""
     bern = bernoulli(order)
     exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
     inv_c = [L.ratio(bern[n], factorial(n)) for n in range(order)]
@@ -449,44 +437,36 @@ def chi_pm(chi, ctx):
 # ---------------------------------------------------------------------------
 
 
-def _as_series(x, L, order):
-    if isinstance(x, GradedLieElement):
-        return list(x.coeffs)
-    series = [vzero(L.dim) for _ in range(order + 1)]
-    series[0] = L.check_vector(x)
-    return series
-
-
 def dexp_star(beta, v, derived_algebra, order):
     """sum_n 1/(n+1)! ad^n_beta(v) with the derived-algebra bracket
-    (the star commutator reduces to it on g-valued series)."""
-    L = beta.algebra
-    return _dexp_series(
-        beta, v, derived_algebra, lambda n: L.ratio(1, factorial(n + 1)), order
-    )
+    (the star commutator reduces to it on g-valued series); beta must have
+    no degree-0 part, v must be a series of the given order."""
+    coeffs = [beta.algebra.ratio(1, factorial(n + 1)) for n in range(order + 1)]
+    return _dexp_series(beta, v, derived_algebra, coeffs, order)
 
 
 def dexp_star_inv(beta, v, derived_algebra, order):
     """sum_n b_n/n! ad^n_beta(v); inverse of dexp_star up to t^order."""
-    L = beta.algebra
     bern = bernoulli(order)
-    return _dexp_series(
-        beta, v, derived_algebra, lambda n: L.ratio(bern[n], factorial(n)), order
-    )
+    coeffs = [beta.algebra.ratio(bern[n], factorial(n)) for n in range(order + 1)]
+    return _dexp_series(beta, v, derived_algebra, coeffs, order)
 
 
-def _dexp_series(beta, v, derived_algebra, coeff_of_n, order):
+def _dexp_series(beta, v, derived_algebra, coeffs, order):
+    """sum_n coeffs[n] ad^n_beta(v) through degree order, one degree per
+    _grow call; beta has no degree-0 part, so ad_beta raises the degree."""
     L = beta.algebra
     if derived_algebra.dim != L.dim:
         raise DimensionMismatch("derived algebra does not match")
-    coeffs = _ad_series(
-        lambda a, b: bracket(derived_algebra, a, b),
-        list(beta.coeffs),
-        _as_series(v, L, order),
-        coeff_of_n,
-        order,
-    )
-    return GradedLieElement(L, order, coeffs)
+    if v.order != order:
+        raise DimensionMismatch("need %d graded coefficients" % (order + 1,))
+    if any(beta.coeffs[0]):
+        raise InvalidInput("dexp needs a series beta without degree-0 part")
+    f = lambda a, b: bracket(derived_algebra, a, b)
+    table, out = [[v.coeffs[0]]], [v.coeffs[0]]
+    for d in range(1, order + 1):
+        out.append(_grow(table, f, beta.coeffs, v.coeffs[d], coeffs))
+    return GradedLieElement(L, order, out)
 
 
 def verify_chi_ode(L, x, product, order):

@@ -12,7 +12,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import ModeMismatch, NonFiniteNumber
+from .errors import MalformedNumber, ModeMismatch, NonFiniteNumber
 
 EXACT = "exact"
 FLOAT = "float"
@@ -61,8 +61,14 @@ def coerce_row(row, mode):
 
 
 def parse_rational(s):
-    """Parse 'p/q' or 'p' into a Fraction (used by the JSON loaders)."""
-    return Fraction(str(s).strip())
+    """Parse 'p/q', 'p' or a decimal into a Fraction (used by the JSON
+    loaders); any other text, 'nan' and 'p/0' among it, is MalformedNumber."""
+    try:
+        return Fraction(str(s).strip())
+    except (ValueError, ZeroDivisionError):
+        raise MalformedNumber(
+            "%r is not a number (write p/q, p or a decimal)" % (s,)
+        ) from None
 
 
 def format_rational(q):
@@ -81,7 +87,8 @@ def read_json(path, build):
     """build(document) for the JSON document in the file at path.  Every
     number in it must be finite: NaN, Infinity, a float literal beyond the
     float range, and a number that build coerces to float mode beyond it
-    raise NonFiniteNumber naming the file."""
+    raise NonFiniteNumber naming the file; text that build reads as a
+    number and is none raises MalformedNumber naming the file."""
 
     def finite(text):
         value = float(text)
@@ -92,8 +99,8 @@ def read_json(path, build):
     try:
         with open(path) as fh:
             return build(json.load(fh, parse_float=finite, parse_constant=finite))
-    except NonFiniteNumber as exc:
-        raise NonFiniteNumber("%s: %s" % (path, exc)) from None
+    except (NonFiniteNumber, MalformedNumber) as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from None
 
 
 def is_zero(value, mode):

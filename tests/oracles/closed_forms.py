@@ -16,8 +16,8 @@ they evaluate independently is the closed formula itself.
 from postlie.enveloping import (
     EnvElement,
     _block_vector,
-    _r_pm_legs,
     _set_partitions,
+    _unshuffles,
     word_of_vectors,
 )
 from postlie.liealg import LinearEndo, bracket, vsub
@@ -43,12 +43,14 @@ def F_map_explicit(A, ctx):
     in order times the R- letters in reversed order, with sign
     (-1)^(number of R- letters)."""
     L = ctx.algebra
-    order = A.order
-    total = EnvElement(L, order, {})
-    for c, left, right in _r_pm_legs(A, ctx):
-        sign = -1 if len(right) % 2 else 1
-        piece = word_of_vectors(L, order, left + list(reversed(right)))
-        total = total + piece.scale(sign * c)
+    Rp, Rm = ctx.r_plus_minus()
+    total = EnvElement(L, A.order, {})
+    for w, c in A.terms.items():
+        for left, right in _unshuffles(w):
+            letters = [Rp.apply(L.basis(i)) for i in left]
+            letters += [Rm.apply(L.basis(i)) for i in reversed(right)]
+            sign = -1 if len(right) % 2 else 1
+            total = total + word_of_vectors(L, A.order, letters).scale(sign * c)
     return total
 
 

@@ -288,6 +288,20 @@ def test_number_beyond_the_float_range_in_a_float_file_rejected(
     assert err == "input error: %s: %s is not a finite number\n" % (path, number)
 
 
+@pytest.mark.parametrize("text", ["nan", "abc", "1/0"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_text_that_is_no_number_in_a_file_rejected(capsys, tmp_path, mode, text):
+    # a string entry is read as p/q, p or a decimal; other text used to be
+    # reported without the file ("input error: Invalid literal for
+    # Fraction: 'nan'"), and '1/0' ended in a ZeroDivisionError traceback
+    path = tmp_path / "algebra.json"
+    path.write_text(NON_FINITE_FILES["algebra"][1].replace("LIT", '"%s"' % text))
+    code, out, err = run(capsys, "check-algebra", "--algebra", str(path), "--mode", mode)
+    assert code == 2 and out == ""
+    assert err == "input error: %s: %r is not a number (write p/q, p or a decimal)\n" % (
+        path, text)
+
+
 @pytest.mark.parametrize("argv", [
     ["check-rmatrix", "--builtin", "sl2-borel", "--rmatrix", "FILE"],
     ["magnus", "--builtin", "sl2-borel", "--algebra", "FILE", "--x", "1,0,1"],

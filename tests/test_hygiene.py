@@ -1,12 +1,16 @@
 """Source hygiene: no module of the package imports a name it never reads,
 no module defines a private function or class that nothing reads, no two
-module-level functions share a body, the package runs without SciPy, and
-every demo runs."""
+module-level functions share a body, no parameter has a default that no
+call overrides, the benchmark's tracer still finds what it wraps and reads,
+the package runs without SciPy, and every demo runs."""
 
 import ast
+import importlib.util
+import math
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -136,6 +140,132 @@ def test_scan_finds_duplicate_functions():
 def test_no_duplicate_functions():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert duplicate_functions(sources) == []
+
+
+def _functions(node, owner=None):
+    """(class name or None, def) for every function defined under node;
+    the class name is set for a method of that class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, child.name)
+        elif isinstance(child, ast.FunctionDef):
+            yield owner, child
+            yield from _functions(child)
+        else:
+            yield from _functions(child, owner)
+
+
+def never_passed_defaults(definitions, callers):
+    """Parameters with a default that no call passes, named
+    module.[Class.]function(parameter); definitions maps a module name to
+    its source, callers lists the sources read for calls.  A call f(...) or
+    x.f(...) counts for every function named f, and a call of a class for
+    its __init__; it passes a parameter by position (after self, for a
+    method that is not static), by keyword, or through *args or **kwargs."""
+    calls = defaultdict(list)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls[name].append((
+                    math.inf if starred else len(node.args),
+                    {k.arg for k in node.keywords},  # None for **kwargs
+                ))
+    found = []
+    for module, source in sorted(definitions.items()):
+        for owner, node in _functions(ast.parse(source)):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            skip = 1 if owner and not static else 0
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (math.inf, a.arg)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            callee = owner if node.name == "__init__" else node.name
+            for slot, name in defaulted:
+                if not any(
+                    count > slot or name in keywords or None in keywords
+                    for count, keywords in calls[callee]
+                ):
+                    found.append("%s.%s%s(%s)" % (
+                        module, owner + "." if owner else "", node.name, name))
+    return sorted(found)
+
+
+def test_scan_finds_a_never_passed_default():
+    definitions = {"m": (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def g(*args, k=None, **kw):\n    pass\n"
+        "def h(a=1):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n        pass\n"
+        "    def m(self, p=1, q=2):\n        pass\n"
+        "    @staticmethod\n"
+        "    def s(p=1):\n        pass\n"
+    )}
+    callers = [
+        definitions["m"],
+        "f(0, 5)\nf(0, d=1)\ng(**{})\nh(*rest)\nK(1)\nK().m(q=3)\nk.s(1)\n",
+    ]
+    assert never_passed_defaults(definitions, callers) == [
+        "m.K.__init__(y)", "m.K.m(p)", "m.f(c)", "m.f(e)",
+    ]
+
+
+def test_no_never_passed_defaults():
+    definitions = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    callers = [
+        p.read_text()
+        for folder in ("src", "tests", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert never_passed_defaults(definitions, callers) == []
+
+
+def perfbench_spans():
+    """The benchmark's span module, loaded from its file (perfbench/ is not
+    a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_span_targets_exist():
+    # a traced benchmark run wraps each (owner, attribute) of TARGETS
+    missing = [
+        "%s.%s" % (owner.__name__, attr)
+        for owner, attr, _ in perfbench_spans().TARGETS
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []
+
+
+def test_perfbench_gauges_read_live_names():
+    # record_gauges reads enveloping._lift_contexts, each lifted context's
+    # _memo and each traced algebra's _pbw_cache; a star product fills all
+    from postlie import enveloping, liealg, products, rmatrix
+
+    tracer = perfbench_spans().Tracer()
+    tracer.install()
+    try:
+        L = liealg.builtin("sl(2)")
+        product = products.from_rmatrix(rmatrix.splitting_r(L, (0, 1), (2,)), "-")
+        e, f = enveloping.letter(L, 3, 0), enveloping.letter(L, 3, 2)
+        enveloping.star_mul(f, e, product)
+        tracer.record_gauges()
+    finally:
+        tracer.uninstall()
+    gauges = tracer.gauges[-1]
+    assert gauges["enveloping.lift_contexts_alive"] >= 1, gauges
+    assert gauges["enveloping.lift_memo_entries"] >= 1, gauges
+    assert gauges["enveloping.pbw_cache_entries"] >= 1, gauges
 
 
 def run_python(*args):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import liealg, scalars
+from postlie import liealg, rmatrix, scalars
 from postlie.errors import (
     DimensionMismatch,
     InvalidInput,
     JacobiViolation,
     NoRealization,
+    NotASubalgebra,
     RealizationMismatch,
     UnsupportedName,
 )
@@ -132,9 +133,10 @@ def test_upper_lower_split_ordering_and_projections():
     assert list(L.labels) == ["E11", "E12", "E22", "E21"]
     plus, minus = L.splitting
     assert plus == (0, 1, 2) and minus == (3,)
-    pi_p, pi_m = liealg.splitting_projections(L)
-    assert pi_p((1, 2, 3, 4)) == (1, 2, 3, 0)
-    assert pi_m((1, 2, 3, 4)) == (0, 0, 0, 4)
+    # R_plus and -R_minus of the splitting r-matrix are the two projections
+    Rp, Rm = rmatrix.splitting_r(L, *L.splitting).r_plus_minus()
+    assert Rp((1, 2, 3, 4)) == (1, 2, 3, 0)
+    assert Rm((1, 2, 3, 4)) == (0, 0, 0, -4)
     # both ranges really are subalgebras
     for rng_ix in (plus, minus):
         for i in rng_ix:
@@ -144,8 +146,14 @@ def test_upper_lower_split_ordering_and_projections():
 
 
 def test_splitting_projection_requires_split_algebra(sl2):
-    with pytest.raises(InvalidInput):
-        liealg.splitting_projections(sl2)
+    # sl(2) carries no splitting of its own; its projections come from a
+    # partition of the basis into two subalgebras, such as the Borel one
+    assert sl2.splitting is None
+    Rp, Rm = rmatrix.splitting_r(sl2, (0, 1), (2,)).r_plus_minus()
+    assert Rp((1, 2, 3)) == (1, 2, 0)
+    assert Rm((1, 2, 3)) == (0, 0, -3)
+    with pytest.raises(NotASubalgebra):
+        rmatrix.splitting_r(sl2, (0, 2), (1,))
 
 
 def test_max_norm_propagates_nan():

@@ -298,6 +298,17 @@ def test_dexp_star_inverse_round_trip(borel_ctx, borel_product):
         assert back.coeff(m) == v.coeff(m)
 
 
+@pytest.mark.parametrize("dexp", ["dexp_star", "dexp_star_inv"])
+def test_dexp_needs_beta_without_degree_zero_part(borel_ctx, dexp):
+    # ad_beta must raise the degree for the series to stop at the order
+    L = borel_ctx.algebra
+    bar = rmatrix.derived_algebra(borel_ctx)
+    beta = magnus.GradedLieElement(L, 3, [(1, 0, 0)] + [(0, 0, 0)] * 3)
+    v = magnus.GradedLieElement.from_vector(L, 3, (0, 1, 2))
+    with pytest.raises(InvalidInput, match="degree-0"):
+        getattr(magnus, dexp)(beta, v, bar, 3)
+
+
 # ---------------------------------------------------------------------------
 # pre-Lie specialization
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -142,6 +143,50 @@ def test_splitting_r_requires_partition_of_subalgebras():
     # {E12, E21} spans no subalgebra: [E12,E21] = E11 - E22 escapes
     with pytest.raises(NotASubalgebra):
         rmatrix.splitting_r(L, (0, 2), (1, 3))
+
+
+def _closure_matches_yang_baxter(L):
+    """Over every partition of L's basis, splitting_r accepts exactly when
+    is_rmatrix accepts R = diag(+-1) with theta = 1; returns the number
+    accepted."""
+    accepted = 0
+    for signs in itertools.product((1, -1), repeat=L.dim):
+        plus = [i for i, s in enumerate(signs) if s > 0]
+        minus = [i for i, s in enumerate(signs) if s < 0]
+        try:
+            ctx = rmatrix.splitting_r(L, plus, minus)
+        except NotASubalgebra:
+            ctx = None
+        report = rmatrix.is_rmatrix(L, LinearEndo.diagonal(signs), 1)
+        assert (ctx is not None) == report["ok"], (signs, report)
+        if ctx is not None:
+            assert rmatrix.is_rmatrix(L, ctx.R, ctx.theta)["ok"]
+            accepted += 1
+    return accepted
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+@pytest.mark.parametrize("name", ["sl(2)", "so(3)", "gl(2)", "upper_lower_split(3)"])
+def test_splitting_closure_is_the_yang_baxter_check(name, mode):
+    # for R = pi_plus - pi_minus the theta = 1 defect is -4 pi_other[x, y]
+    # on a same-side pair and 0 on a mixed one, so closure is the equation
+    assert _closure_matches_yang_baxter(liealg.builtin(name, mode)) >= 2
+
+
+@pytest.mark.parametrize("eps, accepted", [
+    (1e-11, True), (2.4e-11, True), (2.6e-11, False), (5e-11, False), (2e-10, False),
+])
+def test_splitting_closure_near_the_float_tolerance(eps, accepted):
+    # [e0, e1] = eps e2: the split {e0, e1} + {e2} leaves 4 eps outside,
+    # which is zero only up to TOLERANCE = 1e-10
+    L = liealg.new_lie_algebra(3, None, [(0, 1, 2, eps)], None, scalars.FLOAT)
+    _closure_matches_yang_baxter(L)
+    try:
+        rmatrix.splitting_r(L, (0, 1), (2,))
+    except NotASubalgebra:
+        assert not accepted
+    else:
+        assert accepted
 
 
 def test_borel_splitting_shape(borel_ctx):

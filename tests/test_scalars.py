@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from postlie import scalars
-from postlie.errors import InvalidInput, ModeMismatch
+from postlie.errors import InvalidInput, MalformedNumber, ModeMismatch
 
 
 def test_modes_are_distinct_strings():
@@ -53,6 +53,13 @@ def test_coerce_float_rejects_raw_fractions():
 def test_parse_and_format_rational_round_trip():
     for text in ("0", "5", "-3/4", "22/7"):
         assert scalars.format_rational(scalars.parse_rational(text)) == text
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "abc", "1/0", ""])
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_text_that_is_no_rational_is_malformed(text, mode):
+    with pytest.raises(MalformedNumber, match="is not a number"):
+        scalars.coerce(text, mode)
 
 
 def test_is_zero_respects_mode_and_tolerance():

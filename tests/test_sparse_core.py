@@ -149,11 +149,11 @@ def test_chi_ode_product_count_is_pinned(monkeypatch):
 
 def test_toda_coerce_count_is_pinned(monkeypatch):
     """Vectors are checked where they enter the library, not in its inner
-    loops: building a float Toda n = 6 problem (algebra, r-matrix context
-    and its check, product) and its order-10 chi coerces 5,506 scalars; the
-    float chi coefficients are kept as computed, not coerced again
-    (coercing them made 5,866).  Checking every vector at every internal
-    bracket and product coerced 523,454."""
+    loops: building a float Toda n = 6 problem (algebra, splitting r-matrix
+    context, product) and its order-10 chi coerces 2,913 scalars.  A second
+    Yang-Baxter scan of the splitting, which coerced R and the basis again,
+    made 5,506; coercing the float chi coefficients as well made 5,866, and
+    checking every vector at every internal bracket and product 523,454."""
     calls = [0]
     coerce = scalars.coerce
 
@@ -167,7 +167,7 @@ def test_toda_coerce_count_is_pinned(monkeypatch):
         [0.0, 1.0], 10,
     )
     problem.chi_coefficients()
-    assert calls[0] == 5506
+    assert calls[0] == 2913
 
 
 def _exact_context(name):
