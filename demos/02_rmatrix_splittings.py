@@ -24,7 +24,7 @@ def main():
               rep["dim_im_minus"])
 
         prod = products.from_rmatrix(ctx, "-")
-        check = products.check_postlie(prod, L, products.RIGHT)
+        check = products.check_postlie(prod, products.RIGHT)
         print("  induced product passes both axioms:", check["ok"])
 
         # the product antisymmetrizes to the difference of the two brackets:

@@ -96,10 +96,8 @@ def _product_for(args, sign="-"):
     if args.product:
         if args.rmatrix:
             raise InvalidInput("give either --product or --rmatrix, not both")
-        L = _load_algebra(args, scalars.EXACT)
-        return L, products.load_product(L, args.product)
-    ctx = _load_context(args, scalars.EXACT)
-    return ctx.algebra, products.from_rmatrix(ctx, sign)
+        return products.load_product(_load_algebra(args, scalars.EXACT), args.product)
+    return products.from_rmatrix(_load_context(args, scalars.EXACT), sign)
 
 
 def _emit(args, report, human_lines):
@@ -187,9 +185,9 @@ def cmd_check_postlie(args):
     # --sign selects the r-matrix product and, with --product too, the
     # default handedness: [R+ x, y] is left post-Lie, [R- x, y] right
     left = args.sign in ("+", "plus")
-    L, prod = _product_for(args, "+" if left else "-")
+    prod = _product_for(args, "+" if left else "-")
     handedness = args.handedness or (products.LEFT if left else products.RIGHT)
-    report = products.check_postlie(prod, L, handedness)
+    report = products.check_postlie(prod, handedness)
     lines = ["handedness: %s" % handedness]
     for axiom in ("derivation_axiom", "bracket_axiom"):
         sub = report[axiom]
@@ -208,7 +206,8 @@ def cmd_check_postlie(args):
 
 
 def cmd_magnus(args):
-    L, prod = _product_for(args)
+    prod = _product_for(args)
+    L = prod.algebra
     x = _parse_coords(args, L)
     order = _order(args, 5)
     try:
@@ -299,7 +298,8 @@ def _random_element(L, order, degree, rng):
 
 
 def cmd_hopf_suite(args):
-    L, prod = _product_for(args)
+    prod = _product_for(args)
+    L = prod.algebra
     order = _order(args, 4)
     if args.cases < 1:
         raise InvalidInput("--cases must be at least 1 (got %d)" % args.cases)

@@ -374,28 +374,6 @@ class LiftedProduct:
 
     # -- the triangle lift --------------------------------------------------
 
-    def tri_letter(self, i, w):
-        """x_i |> w for a normal word w."""
-        if not w:
-            return {}
-        key = ("l", i, w)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        y, rest = w[0], w[1:]
-        row = [(k, c) for j, k, c in self.rows[i] if j == y]
-        if not rest:
-            out = {(k,): c for k, c in row}
-        else:
-            out = {}
-            for k, c in row:
-                _add_into(out, self._mul_words((k,), rest), c)
-            for ww, c in self.tri_letter(i, rest).items():
-                _add_into(out, self._mul_words((y,), ww), c)
-        out = _truncate(_nonzero(out), self.order)
-        self._memo[key] = out
-        return out
-
     def tri_word(self, A, w):
         """A |> w for normal words A, w."""
         if not A:
@@ -409,10 +387,13 @@ class LiftedProduct:
         out = {}
         if len(w) == 1:
             x, rest = A[0], A[1:]
-            for ww, c in self.tri_word(rest, w).items():
-                _add_into(out, self.tri_letter(x, ww), c)
-            for ww, c in self.tri_letter(x, rest).items():
-                _add_into(out, self.tri_word(ww, w), -c)
+            if not rest:  # letter on letter: the product tensor itself
+                out = {(k,): c for j, k, c in self.rows[x] if j == w[0]}
+            else:
+                for ww, c in self.tri_word(rest, w).items():
+                    _add_into(out, self.tri_word((x,), ww), c)
+                for ww, c in self.tri_word((x,), rest).items():
+                    _add_into(out, self.tri_word(ww, w), -c)
         else:
             B, C = w[:1], w[1:]
             for left, right in _unshuffles(A):

@@ -295,33 +295,24 @@ def postlie_magnus(L, x, product, order, method="star"):
     if method != "star":
         raise InvalidInput("method must be 'star' or 'ode'")
     ev._require_exact(L)
-    chi_vec = [vzero(L.dim), x]
-    chi_env = [None, ev.from_g_vector(L, order, x)]
     X = ev.from_g_vector(L, order, x)
+    chi_vec = [vzero(L.dim), x]
+    # P[k][m] is the degree-m part of chi^{*k}; order n adds only degree n
+    P = [None, {1: X}]
     x_power = X
     for n in range(2, order + 1):
         x_power = ev.env_mul(x_power, X)
         rhs = x_power.scale(Fraction(1, factorial(n)))
-        # P[k][m] = sum over compositions of m into k parts of star products
-        # of known chi's; only parts <= n-1 occur for k >= 2.
-        P_prev = {m: chi_env[m] for m in range(1, n)}
+        P.append({})
         for k in range(2, n + 1):
-            P_curr = {}
-            for m in range(k, n + 1):
-                acc = None
-                for p in range(1, m - k + 2):
-                    if p >= len(chi_env) or m - p not in P_prev:
-                        continue
-                    piece = ev.star_mul(chi_env[p], P_prev[m - p], product)
-                    acc = piece if acc is None else acc + piece
-                if acc is not None:
-                    P_curr[m] = acc
-            if n in P_curr:
-                rhs = rhs - P_curr[n].scale(Fraction(1, factorial(k)))
-            P_prev = P_curr
+            parts = [
+                ev.star_mul(P[1][p], P[k - 1][n - p], product) for p in range(1, n - k + 2)
+            ]
+            P[k][n] = sum(parts[1:], parts[0])
+            rhs = rhs - P[k][n].scale(Fraction(1, factorial(k)))
         vec = _extract_g_vector(L, rhs, CollapseFailure, n)
         chi_vec.append(vec)
-        chi_env.append(ev.from_g_vector(L, order, vec))
+        P[1][n] = ev.from_g_vector(L, order, vec)
     return GradedLieElement(L, order, chi_vec)
 
 

@@ -1,11 +1,11 @@
 """Post-Lie and pre-Lie structures given by explicit bilinear product tensors.
 
 A BilinearProduct stores x_i o x_j = sum_k T[i][j][k] x_k over a fixed
-algebra as the rows of the nonzero entries of T; a PostLieStructure pairs such a product with a Lie bracket and an
-explicit handedness.  Axiom checks run over basis triples (bilinearity
-extends them), and the derived bracket / right-conversion / Lie-admissible
-companion follow the left-handed conventions, with right-handed structures
-handled by their own axiom set.
+algebra as the rows of the nonzero entries of T; it is post-Lie over the
+bracket of that same algebra.  Axiom checks run over basis triples
+(bilinearity extends them) for an explicit handedness.  The derived
+bracket and the right-conversion follow the left-handed conventions and
+check the left axioms first; right-handed products have their own axiom set.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ def _associator(prod, x, y, z):
     return vsub(prod.apply(prod.apply(x, y), z), prod.apply(x, prod.apply(y, z)))
 
 
-def check_postlie(product, bracket_algebra, handedness):
-    """Evaluate both post-Lie axioms on all basis triples.
+def check_postlie(product, handedness):
+    """Evaluate both post-Lie axioms on all basis triples, with the bracket
+    of product.algebra.
 
     Left axioms:   x o [y,z] = [x o y, z] + [y, x o z]
                    [x,y] o z = a(x,y,z) - a(y,x,z)
@@ -111,9 +112,7 @@ def check_postlie(product, bracket_algebra, handedness):
     """
     if handedness not in (LEFT, RIGHT):
         raise InvalidInput("handedness must be 'left' or 'right'")
-    L = bracket_algebra
-    if product.algebra.dim != L.dim or product.algebra.mode != L.mode:
-        raise DimensionMismatch("product tensor and bracket algebra disagree")
+    L = product.algebra
 
     def derivation_defect(x, y, z):
         return vsub(
@@ -145,82 +144,52 @@ def _triple_report(L, defect):
     return {"ok": ok, "worst_defect_norm": worst, "worst_triple": where}
 
 
-class PostLieStructure:
-    """A product tensor plus bracket algebra with explicit handedness.
-
-    Validated on construction: the stated axioms must hold on all basis
-    triples (pass validate=False only when the caller just checked them).
-    """
-
-    def __init__(self, product, bracket_algebra, handedness, validate=True):
-        if handedness not in (LEFT, RIGHT):
-            raise InvalidInput("handedness must be 'left' or 'right'")
-        if product.algebra.dim != bracket_algebra.dim:
-            raise DimensionMismatch("product tensor and bracket algebra disagree")
-        self.product = product
-        self.bracket_algebra = bracket_algebra
-        self.handedness = handedness
-        if validate:
-            report = check_postlie(product, bracket_algebra, handedness)
-            if not report["ok"]:
-                raise InvalidInput(
-                    "the %s post-Lie axioms fail (derivation axiom ok=%s, "
-                    "bracket axiom ok=%s)"
-                    % (
-                        handedness,
-                        report["derivation_axiom"]["ok"],
-                        report["bracket_axiom"]["ok"],
-                    )
-                )
-
-    def __repr__(self):
-        return "PostLieStructure(dim=%d, handedness=%s)" % (
-            self.bracket_algebra.dim,
-            self.handedness,
+def _require_left(product, name):
+    """Raise InvalidInput unless the left post-Lie axioms hold."""
+    report = check_postlie(product, LEFT)
+    if not report["ok"]:
+        raise InvalidInput(
+            "%s needs a left post-Lie product (derivation axiom ok=%s, "
+            "bracket axiom ok=%s)"
+            % (name, report["derivation_axiom"]["ok"], report["bracket_axiom"]["ok"])
         )
 
 
-def derived_bracket(pl):
-    """The bracket <<x,y>> = x o y - y o x - [x,y] of a left structure,
-    returned as a validated LieAlgebra."""
-    if pl.handedness != LEFT:
-        raise InvalidInput("derived_bracket is defined for left structures; convert first")
-    L = pl.bracket_algebra
+def derived_bracket(product):
+    """The bracket <<x,y>> = x o y - y o x - [x,y] of a left post-Lie
+    product, returned as a validated LieAlgebra."""
+    _require_left(product, "derived_bracket")
+    L = product.algebra
     return algebra_from_bracket(
-        L,
-        lambda x, y: vsub(
-            vsub(pl.product.apply(x, y), pl.product.apply(y, x)), bracket(L, x, y)
-        ),
+        L, lambda x, y: vsub(vsub(product.apply(x, y), product.apply(y, x)), bracket(L, x, y))
     )
 
 
-def to_right(pl):
-    """Convert a left structure to the right structure x o' y = x o y - [x,y]."""
-    if pl.handedness != LEFT:
-        raise InvalidInput("to_right expects a left structure")
-    L = pl.bracket_algebra
-    prod = BilinearProduct.from_function(
-        pl.product.algebra, lambda x, y: vsub(pl.product.apply(x, y), bracket(L, x, y))
+def to_right(product):
+    """Convert a left post-Lie product to the right post-Lie product
+    x o' y = x o y - [x,y]."""
+    _require_left(product, "to_right")
+    L = product.algebra
+    return BilinearProduct.from_function(
+        L, lambda x, y: vsub(product.apply(x, y), bracket(L, x, y))
     )
-    return PostLieStructure(prod, L, RIGHT, validate=False)
 
 
-def lie_admissible(pl):
+def lie_admissible(product):
     """The companion product x > y = x o y + [x,y]/2.
 
     Its antisymmetrization is x o y - y o x + [x,y].  For a right-handed
-    structure that expression is the derived Lie bracket (for the product
+    product that expression is the derived Lie bracket (for the product
     [R_minus x, y] of an r-matrix it recovers the R-bracket, and the
-    companion itself collapses to [Rx/2, y]); for a left-handed structure it
+    companion itself collapses to [Rx/2, y]); for a left-handed product it
     exceeds the derived bracket by 2[x,y] and need not satisfy Jacobi.  Both
     handednesses are accepted since the right case is the useful one for
-    r-matrix products while zero-product structures are naturally left.
+    r-matrix products while zero products are naturally left.
     """
-    L = pl.bracket_algebra
+    L = product.algebra
     half = L.ratio(1, 2)
     return BilinearProduct.from_function(
-        pl.product.algebra,
-        lambda x, y: vadd(pl.product.apply(x, y), vscale(half, bracket(L, x, y))),
+        L, lambda x, y: vadd(product.apply(x, y), vscale(half, bracket(L, x, y)))
     )
 
 

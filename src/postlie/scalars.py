@@ -88,7 +88,9 @@ def read_json(path, build):
     number in it must be finite: NaN, Infinity, a float literal beyond the
     float range, and a number that build coerces to float mode beyond it
     raise NonFiniteNumber naming the file; text that build reads as a
-    number and is none raises MalformedNumber naming the file."""
+    number and is none raises MalformedNumber naming the file, and an entry
+    the mode does not take (null, true, a float literal in exact mode)
+    ModeMismatch naming the file."""
 
     def finite(text):
         value = float(text)
@@ -99,7 +101,7 @@ def read_json(path, build):
     try:
         with open(path) as fh:
             return build(json.load(fh, parse_float=finite, parse_constant=finite))
-    except (NonFiniteNumber, MalformedNumber) as exc:
+    except (NonFiniteNumber, MalformedNumber, ModeMismatch) as exc:
         raise type(exc)("%s: %s" % (path, exc)) from None
 
 

@@ -302,6 +302,26 @@ def test_text_that_is_no_number_in_a_file_rejected(capsys, tmp_path, mode, text)
         path, text)
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("null", {"exact": "exact mode rejects None (use int, Fraction or 'p/q')",
+              "float": "float mode rejects None"}),
+    ("true", {"exact": "booleans are not scalars", "float": "booleans are not scalars"}),
+    ("1.5", {"exact": "exact mode rejects 1.5 (use int, Fraction or 'p/q')", "float": None}),
+], ids=["null", "true", "1.5"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_entry_the_mode_does_not_take_names_the_file(capsys, tmp_path, mode, literal, message):
+    # a JSON entry that is no scalar of the mode is a ModeMismatch, which
+    # names the file like the other number errors of the loaders
+    path = tmp_path / "algebra.json"
+    path.write_text(NON_FINITE_FILES["algebra"][1].replace("LIT", literal))
+    code, out, err = run(capsys, "check-algebra", "--algebra", str(path), "--mode", mode)
+    if message[mode] is None:  # 1.5 is a float-mode scalar: the file is read
+        assert code == 1 and err == "" and out.startswith("FAIL: Jacobi identity")
+    else:
+        assert code == 2 and out == ""
+        assert err == "input error: %s: %s\n" % (path, message[mode])
+
+
 @pytest.mark.parametrize("argv", [
     ["check-rmatrix", "--builtin", "sl2-borel", "--rmatrix", "FILE"],
     ["magnus", "--builtin", "sl2-borel", "--algebra", "FILE", "--x", "1,0,1"],

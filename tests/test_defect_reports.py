@@ -203,7 +203,7 @@ def test_postlie_and_prelie_reports_match_the_dense_loops(name, sign, mode):
             derivation, bracket = dense_postlie_reports(
                 T, C, handedness == products.LEFT, _is_zero(mode)
             )
-            got = products.check_postlie(product, L, handedness)
+            got = products.check_postlie(product, handedness)
             _assert_report(got["derivation_axiom"], derivation, keys, mode)
             _assert_report(got["bracket_axiom"], bracket, keys, mode)
             assert got["ok"] == (derivation[0] and bracket[0])

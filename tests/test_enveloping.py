@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 
@@ -295,6 +296,24 @@ def test_triangle_lift_two_letter_recursion(borel_ctx, borel_product):
                 xyg_z = borel_product.apply(xy_g, L.basis(k))
                 want = env.from_g_vector(L, ORDER, liealg.vsub(x_yz, xyg_z))
                 assert lhs == want
+
+
+@pytest.mark.parametrize("name", ["sl2-borel", "split2"])
+def test_letter_lift_is_a_derivation_of_words(name):
+    # i |> y.w' = (i |> y).w' + y.(i |> w') for every letter i and normal
+    # word y.w' of length <= 3: the unshuffle rule of tri_word with A = (i,)
+    ctx = rmatrix.builtin_rmatrix(name)
+    L = ctx.algebra
+    product = products.from_rmatrix(ctx, "-")
+    lift = env.lifted(L, product, ORDER)
+    for i in range(L.dim):
+        for n in range(1, 4):
+            for w in itertools.combinations_with_replacement(range(L.dim), n):
+                y, rest = env.letter(L, ORDER, w[0]), env.env_element(L, ORDER, {w[1:]: 1})
+                i_y = env.from_g_vector(L, ORDER, product.apply(L.basis(i), L.basis(w[0])))
+                i_rest = env.EnvElement(L, ORDER, lift.tri_word((i,), w[1:]))
+                want = env.env_mul(i_y, rest) + env.env_mul(y, i_rest)
+                assert env.EnvElement(L, ORDER, lift.tri_word((i,), w)) == want, (i, w)
 
 
 def test_star_mul_associative_with_unit(borel_ctx, borel_product):

@@ -242,7 +242,7 @@ def test_collapse_alone_does_not_certify_a_postlie_tensor(sl2):
     T = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     T[0][2][1] = 1  # e o f = h, everything else zero: not post-Lie
     bad = products.BilinearProduct(sl2, T)
-    assert not products.check_postlie(bad, sl2, products.RIGHT)["ok"]
+    assert not products.check_postlie(bad, products.RIGHT)["ok"]
     chi = magnus.postlie_magnus(sl2, (1, 0, 1), bad, 4)  # no CollapseFailure
     assert chi.coeff(2) == (0, F(-1, 2), 0)  # -(1/2) x|>x is tensor-generic
     report = magnus.verify_grouplike_identity(sl2, (1, 0, 1), bad, 5)

@@ -29,47 +29,48 @@ def test_from_rmatrix_matches_pointwise(borel_ctx):
 def test_minus_product_is_right_post_lie(borel_ctx, split2_ctx):
     for ctx in (borel_ctx, split2_ctx):
         prod = products.from_rmatrix(ctx, "-")
-        report = products.check_postlie(prod, ctx.algebra, products.RIGHT)
+        report = products.check_postlie(prod, products.RIGHT)
         assert report["ok"], report
 
 
 def test_plus_product_is_left_post_lie(borel_ctx, split2_ctx):
     for ctx in (borel_ctx, split2_ctx):
         prod = products.from_rmatrix(ctx, "+")
-        report = products.check_postlie(prod, ctx.algebra, products.LEFT)
+        report = products.check_postlie(prod, products.LEFT)
         assert report["ok"], report
 
 
 def test_handedness_is_not_interchangeable(split2_ctx):
     # the same tensor fails the opposite axiom set (the bracket axiom flips)
     prod = products.from_rmatrix(split2_ctx, "-")
-    report = products.check_postlie(prod, split2_ctx.algebra, products.LEFT)
+    report = products.check_postlie(prod, products.LEFT)
     assert not report["ok"]
     assert not report["bracket_axiom"]["ok"]
     assert report["derivation_axiom"]["ok"]  # shared between both sets
 
 
 def test_zero_product_is_left_post_lie(sl2):
-    report = products.check_postlie(_zero_product(sl2), sl2, products.LEFT)
+    report = products.check_postlie(_zero_product(sl2), products.LEFT)
     assert report["ok"]
 
 
 def test_check_postlie_rejects_bad_handedness(sl2):
     with pytest.raises(InvalidInput):
-        products.check_postlie(_zero_product(sl2), sl2, "sideways")
+        products.check_postlie(_zero_product(sl2), "sideways")
 
 
-def test_structure_constructor_validates(borel_ctx):
+def test_left_only_maps_reject_a_right_product(borel_ctx):
+    # [R- x, y] on sl2-borel is right post-Lie, not left: the maps defined
+    # for left products check the left axioms and refuse it
     prod = products.from_rmatrix(borel_ctx, "-")
-    pl = products.PostLieStructure(prod, borel_ctx.algebra, products.RIGHT)
-    assert pl.handedness == products.RIGHT
-    with pytest.raises(InvalidInput):
-        products.PostLieStructure(prod, borel_ctx.algebra, products.LEFT)
+    assert products.check_postlie(prod, products.RIGHT)["ok"]
+    for convert in (products.derived_bracket, products.to_right):
+        with pytest.raises(InvalidInput, match="left post-Lie"):
+            convert(prod)
 
 
 def test_derived_bracket_of_zero_product_is_negated_bracket(sl2):
-    pl = products.PostLieStructure(_zero_product(sl2), sl2, products.LEFT)
-    derived = products.derived_bracket(pl)
+    derived = products.derived_bracket(_zero_product(sl2))
     rng = seeded(37)
     for _ in range(10):
         x, y = random_vector(sl2, rng), random_vector(sl2, rng)
@@ -79,13 +80,11 @@ def test_derived_bracket_of_zero_product_is_negated_bracket(sl2):
 
 
 def test_to_right_preserves_derived_data(sl2):
-    pl = products.PostLieStructure(_zero_product(sl2), sl2, products.LEFT)
-    pr = products.to_right(pl)
-    assert pr.handedness == products.RIGHT
+    pr = products.to_right(_zero_product(sl2))
     # right conversion of the zero product is x o' y = -[x,y]
     x, y = (1, 0, 2), (0, 1, -1)
-    assert pr.product.apply(x, y) == tuple(-c for c in liealg.bracket(sl2, x, y))
-    report = products.check_postlie(pr.product, sl2, products.RIGHT)
+    assert pr.apply(x, y) == tuple(-c for c in liealg.bracket(sl2, x, y))
+    report = products.check_postlie(pr, products.RIGHT)
     assert report["ok"]
 
 
@@ -94,8 +93,7 @@ def test_lie_admissible_antisymmetrization_recovers_r_bracket(borel_ctx):
     # x|>y - y|>x + [x,y] equals the halved R-bracket on the nose
     L = borel_ctx.algebra
     prod = products.from_rmatrix(borel_ctx, "-")
-    pl = products.PostLieStructure(prod, L, products.RIGHT)
-    comp = products.lie_admissible(pl)
+    comp = products.lie_admissible(prod)
     rng = seeded(41)
     for _ in range(10):
         x, y = random_vector(L, rng), random_vector(L, rng)
@@ -109,8 +107,7 @@ def test_lie_admissible_quarter_associator_identity(split2_ctx):
     # the companion is +[[x,y],z]/4 (pinned numerically on all basis triples)
     L = split2_ctx.algebra
     prod = products.from_rmatrix(split2_ctx, "-")
-    pl = products.PostLieStructure(prod, L, products.RIGHT)
-    comp = products.lie_admissible(pl)
+    comp = products.lie_admissible(prod)
     quarter = F(1, 4)
     for i in range(L.dim):
         for j in range(L.dim):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import flows, liealg, magnus, products, rmatrix, scalars
+from postlie import enveloping, flows, liealg, magnus, products, rmatrix, scalars
 from postlie.errors import JacobiViolation
 from oracles.dense_reference import (
     chi_by_ode_untruncated,
@@ -145,6 +145,27 @@ def test_chi_ode_product_count_is_pinned(monkeypatch):
     x = tuple((i + 1) / 16 for i in range(L.dim))
     magnus.postlie_magnus(L, x, P, 10, method="ode")
     assert calls[0] == 383
+
+
+@pytest.mark.parametrize("name, order, count", [("split2", 6, 35), ("sl2-borel", 8, 84)])
+def test_chi_star_product_count_is_pinned(monkeypatch, name, order, count):
+    """Each order n adds only degree n to the star powers of chi: order n
+    makes n(n-1)/2 star products, whatever the terms.  Rebuilding every
+    lower degree of every power at each order made 70 (split2, order 6) and
+    210 (sl2-borel, order 8)."""
+    ctx = rmatrix.builtin_rmatrix(name)
+    L = ctx.algebra
+    calls = [0]
+    star_mul = enveloping.star_mul
+
+    def counted(A, B, product):
+        calls[0] += 1
+        return star_mul(A, B, product)
+
+    _patch_everywhere(monkeypatch, star_mul, counted)
+    x = tuple(range(1, L.dim + 1))
+    magnus.postlie_magnus(L, x, products.from_rmatrix(ctx, "-"), order)
+    assert calls[0] == count
 
 
 def test_toda_coerce_count_is_pinned(monkeypatch):
