@@ -177,8 +177,14 @@ class EnvElement(_TermMap):
         return "EnvElement(%s)" % (render(self),)
 
 
+def _same_algebra(L, M):
+    """L and M are one algebra: the same object, or equal structure
+    constants in the same mode."""
+    return L is M or (L.mode == M.mode and L.C_rows == M.C_rows)
+
+
 def _check_pair(A, B):
-    if A.algebra is not B.algebra and A.algebra.C_rows != B.algebra.C_rows:
+    if not _same_algebra(A.algebra, B.algebra):
         raise AlgebraMismatch("elements live over different algebras")
     if A.order != B.order:
         raise OrderMismatch("truncation grades differ: %d vs %d" % (A.order, B.order))
@@ -353,8 +359,8 @@ class LiftedProduct:
 
     def __init__(self, algebra, product, order):
         _require_exact(algebra)
-        if product.algebra.dim != algebra.dim:
-            raise DimensionMismatch("product tensor does not match the algebra")
+        if not _same_algebra(product.algebra, algebra):
+            raise AlgebraMismatch("the product lives over another algebra")
         self.algebra = algebra
         # the rows, not the product: the product keys this context in
         # _lift_contexts, and a strong reference would keep the entry alive

@@ -27,7 +27,7 @@ from .errors import (
     NoRealization,
     StepTooLarge,
 )
-from .liealg import bracket, builtin, vscale
+from .liealg import bracket, builtin, contract, vscale
 from .magnus import postlie_magnus
 from .products import from_rmatrix
 from .rmatrix import splitting_r
@@ -37,24 +37,17 @@ from .rmatrix import splitting_r
 # once instead raised the peak memory of Toda n = 3, 3, 4 passes by 2.5 MB
 BLOCK = 256
 
-# cached float tensors per algebra: structure constants and realization stack
+# cached float realization stack and its pullback per algebra
 _np_cache = WeakKeyDictionary()
 
 
 def _np_data(L):
     data = _np_cache.get(L)
     if data is None:
-        C = np.zeros((L.dim,) * 3)
-        for i, row in enumerate(L.C_rows):
-            for j, k, c in row:
-                C[i, j, k] = float(c)
-        data = {"C": C}
-        if L.realization is not None:
-            stack = np.array(L.realization, dtype=float)
-            data["rho"] = stack
-            # pseudo-inverse of vec(rho): pulls a matrix back to coordinates
-            data["pullback"] = np.linalg.pinv(stack.reshape(L.dim, -1).T)
-        _np_cache[L] = data
+        stack = np.array(L.realization, dtype=float)
+        # pseudo-inverse of vec(rho): pulls a matrix back to coordinates
+        pullback = np.linalg.pinv(stack.reshape(L.dim, -1).T)
+        data = _np_cache[L] = {"rho": stack, "pullback": pullback}
     return data
 
 
@@ -102,11 +95,6 @@ def _expm(A):
         X = np.full(T.shape, np.nan)
         X[ok] = Y
     return np.where((d8 == 0)[..., None, None], T, X)
-
-
-def _bracket_np(L, x, y):
-    C = _np_data(L)["C"]
-    return np.einsum("i,j,ijk->k", x, y, C)
 
 
 def _rho_np(L, x):
@@ -302,7 +290,7 @@ def factorization_residuals(problem):
 
 def _rk4_step(L, Rm_mat, x, h):
     def f(v):
-        return _bracket_np(L, v, Rm_mat @ v)
+        return np.array(contract(L.C_rows, v.tolist(), (Rm_mat @ v).tolist()), float)
 
     k1 = f(x)
     k2 = f(x + 0.5 * h * k1)

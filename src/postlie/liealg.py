@@ -2,11 +2,13 @@
 
 An algebra is validated at construction (antisymmetry is filled in from the
 sparse upper-triangular input, the Jacobi identity and the optional matrix
-realization are checked) and is immutable afterwards.  The structure
-constants are stored only as rows of their nonzero entries, and every
-contraction and check runs over those.  Vectors are plain tuples of scalars
-in the fixed basis; linear maps g -> g are LinearEndo objects storing a
-dense square matrix in column convention.
+realization are checked) and is immutable afterwards.  A rank-3 tensor, the
+structure constants here and a product in the products module, is given as
+sparse entries (i, j, k, value) and stored only as the rows tensor_rows
+builds from them; no dense tensor is built, and every contraction and check
+runs over the rows.  Vectors are plain tuples of scalars in the fixed basis;
+linear maps g -> g are LinearEndo objects storing a dense square matrix in
+column convention.
 """
 
 from __future__ import annotations
@@ -140,21 +142,31 @@ def max_norm(v):
 # ---------------------------------------------------------------------------
 
 
-def nonzero_rows(T):
-    """rows[i] = ((j, k, c), ...) listing the nonzero T[i][j][k] = c in (j, k)
-    order, so a contraction over the rows adds its terms in dense-scan order.
-    The entries are scalars, so a row with no true entry is all zero.  An
-    integral Fraction is stored as an int, so exact contractions of integral
-    tensors do integer arithmetic."""
+def tensor_rows(dim, entries, mode):
+    """rows[i] = ((j, k, c), ...) for the tensor whose T[i][j][k] = c is the
+    sum of the entries (i, j, k, value), added in entry order.  A value of
+    the mode's own type is kept as it is and any other coerced (the
+    scalars.coerce_row rule).  Each row lists its nonzero sums in (j, k)
+    order, so a contraction over the rows adds its terms in dense-scan
+    order.  An integral Fraction is stored as an int, so exact contractions
+    of integral tensors do integer arithmetic."""
+    native = scalars.NATIVE[mode]
+    sums = [{} for _ in range(dim)]
+    for entry in entries:
+        i, j, k, v = entry
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise DimensionMismatch("entry %r out of range for dimension %d" % (entry, dim))
+        if type(v) not in native:
+            v = scalars.coerce(v, mode)
+        row = sums[i]
+        row[j, k] = row.get((j, k), 0) + v
     return tuple(
         tuple(
             (j, k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-            for j, row in enumerate(plane)
-            if any(row)
-            for k, c in enumerate(row)
+            for (j, k), c in sorted(row.items())
             if c != 0
         )
-        for plane in T
+        for row in sums
     )
 
 
@@ -182,7 +194,7 @@ def contract(rows, x, y):
 
 class LieAlgebra:
     """Structure constants C[i][j][k] with [x_i,x_j] = sum_k C[i][j][k] x_k,
-    stored as C_rows = nonzero_rows(C).
+    stored as C_rows = tensor_rows(dim, entries, mode).
 
     Do not call directly; use new_lie_algebra / builtin / algebra_from_json,
     which validate the data.
@@ -313,39 +325,41 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None, mode=scala
     labels = [str(s) for s in labels]
     if len(labels) != dim:
         raise DimensionMismatch("need exactly %d basis labels" % dim)
-    zero = scalars.coerce(0, mode)
-    C = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    entries = []
     for entry in structure_entries:
         i, j, k, value = entry
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise DimensionMismatch("structure entry %r out of range" % (entry,))
         if i >= j:
             raise InvalidInput(
                 "structure entries must have i < j (got %r); "
                 "the antisymmetric completion is automatic" % (entry,)
             )
         v = scalars.coerce(value, mode)
-        C[i][j][k] += v
-        C[j][i][k] -= v
+        entries += [(i, j, k, v), (j, i, k, -v)]
     if realization is not None:
         realization = tuple(
             tuple(tuple(scalars.coerce(x, mode) for x in row) for row in M)
             for M in realization
         )
-    return _validate(LieAlgebra(dim, labels, nonzero_rows(C), realization, mode))
+    C_rows = tensor_rows(dim, entries, mode)
+    return _validate(LieAlgebra(dim, labels, C_rows, realization, mode))
+
+
+def tabulate(L, f, pairs):
+    """The entries (i, j, k, c) of f(x_i, x_j) = sum_k c x_k over the index
+    pairs (i, j), zero values left out."""
+    return [
+        (i, j, k, c)
+        for i, j in pairs
+        for k, c in enumerate(f(L.basis(i), L.basis(j)))
+        if c != 0
+    ]
 
 
 def algebra_from_bracket(L, f):
     """The validated algebra on L's basis, labels and mode whose bracket of
     basis vectors is f, tabulated over the basis pairs i < j."""
-    entries = [
-        (i, j, k, c)
-        for i in range(L.dim)
-        for j in range(i + 1, L.dim)
-        for k, c in enumerate(f(L.basis(i), L.basis(j)))
-        if c != 0
-    ]
-    return new_lie_algebra(L.dim, list(L.labels), entries, None, L.mode)
+    pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
+    return new_lie_algebra(L.dim, list(L.labels), tabulate(L, f, pairs), None, L.mode)
 
 
 def defect_scan(L, defect, index_tuples):
@@ -395,15 +409,12 @@ def _gl_structure(pairs, n):
         for j, (c, d) in enumerate(pairs):
             if i >= j:
                 continue
-            # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
-            out = {}
+            # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb; E_ad = E_cb only
+            # where i = j
             if b == c:
-                out[index[(a, d)]] = out.get(index[(a, d)], 0) + 1
+                entries.append((i, j, index[(a, d)], 1))
             if d == a:
-                out[index[(c, b)]] = out.get(index[(c, b)], 0) - 1
-            for k, v in out.items():
-                if v != 0:
-                    entries.append((i, j, k, v))
+                entries.append((i, j, index[(c, b)], -1))
     return entries
 
 

@@ -16,6 +16,7 @@ from math import factorial
 from . import enveloping as ev
 from . import scalars
 from .errors import (
+    AlgebraMismatch,
     CollapseFailure,
     DimensionMismatch,
     InvalidInput,
@@ -290,6 +291,8 @@ def postlie_magnus(L, x, product, order, method="star"):
         raise ModeMismatch(
             "product in %s mode, algebra in %s mode" % (product.algebra.mode, L.mode)
         )
+    if not ev._same_algebra(product.algebra, L):
+        raise AlgebraMismatch("the product lives over another algebra")
     if method == "ode":
         return _chi_by_ode(L, x, product, order)
     if method != "star":

@@ -1,11 +1,13 @@
 """Post-Lie and pre-Lie structures given by explicit bilinear product tensors.
 
-A BilinearProduct stores x_i o x_j = sum_k T[i][j][k] x_k over a fixed
-algebra as the rows of the nonzero entries of T; it is post-Lie over the
-bracket of that same algebra.  Axiom checks run over basis triples
-(bilinearity extends them) for an explicit handedness.  The derived
-bracket and the right-conversion follow the left-handed conventions and
-check the left axioms first; right-handed products have their own axiom set.
+A BilinearProduct is given x_i o x_j = sum_k T[i][j][k] x_k over a fixed
+algebra as sparse entries (i, j, k, T[i][j][k]), as the structure constants
+of an algebra are, and stores only the rows liealg.tensor_rows builds from
+them; it is post-Lie over the bracket of that same algebra.  Axiom checks
+run over basis triples (bilinearity extends them) for an explicit
+handedness.  The derived bracket and the right-conversion follow the
+left-handed conventions and check the left axioms first; right-handed
+products have their own axiom set.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .liealg import (
     bracket,
     contract,
     defect_scan,
-    nonzero_rows,
+    tabulate,
+    tensor_rows,
     vadd,
     vscale,
     vsub,
@@ -31,32 +34,18 @@ RIGHT = "right"
 
 class BilinearProduct:
     """A bilinear product as a rank-3 tensor T over an algebra's basis, given
-    densely and stored as T_rows = nonzero_rows(T)."""
+    as entries (i, j, k, value), repeated (i, j, k) summed, and stored as
+    T_rows = tensor_rows(algebra.dim, entries, algebra.mode)."""
 
-    def __init__(self, algebra, T):
-        n = algebra.dim
-        # a product built from coerced values makes no call per entry
-        T = tuple(
-            tuple(scalars.coerce_row(row, algebra.mode) for row in plane) for plane in T
-        )
-        if len(T) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in T
-        ):
-            raise DimensionMismatch("product tensor must be %d^3" % (n,))
+    def __init__(self, algebra, entries):
         self.algebra = algebra
-        self.T_rows = nonzero_rows(T)
+        self.T_rows = tensor_rows(algebra.dim, entries, algebra.mode)
 
     @classmethod
     def from_function(cls, algebra, f):
-        """Tabulate f(x_i, x_j) over the basis into a tensor."""
-        n = algebra.dim
-        return cls(
-            algebra,
-            tuple(
-                tuple(tuple(f(algebra.basis(i), algebra.basis(j))) for j in range(n))
-                for i in range(n)
-            ),
-        )
+        """Tabulate f(x_i, x_j) over all basis pairs into a tensor."""
+        pairs = index_product(range(algebra.dim), repeat=2)
+        return cls(algebra, tabulate(algebra, f, pairs))
 
     def apply(self, x, y):
         L = self.algebra
@@ -70,20 +59,20 @@ class BilinearProduct:
 
 def from_rmatrix(ctx, sign):
     """The product x |>_sign y = [R_sign x, y] as the tensor
-    T[i] = sum_a R_sign[a][i] C[a], composed from the rows of C.  Each entry
-    adds its terms in increasing a, as the contraction of R_sign e_i with
-    e_j does, so T[i][j] equals that bracket to the last bit."""
+    T[i] = sum_a R_sign[a][i] C[a], composed from the rows of C.  Its entries
+    come in increasing a, so each T[i][j][k] adds its terms in the order the
+    contraction of R_sign e_i with e_j does and equals that bracket to the
+    last bit."""
     L = ctx.algebra
     Rs = ctx.r_sign(sign).matrix
-    zero = scalars.coerce(0, L.mode)
-    T = [[[zero] * L.dim for _ in range(L.dim)] for _ in range(L.dim)]
-    for i, plane in enumerate(T):
-        for a, row in enumerate(L.C_rows):
-            r = Rs[a][i]
-            if r != 0:
-                for j, k, c in row:
-                    plane[j][k] += r * c
-    return BilinearProduct(L, T)
+    entries = (
+        (i, j, k, Rs[a][i] * c)
+        for i in range(L.dim)
+        for a, row in enumerate(L.C_rows)
+        if Rs[a][i] != 0
+        for j, k, c in row
+    )
+    return BilinearProduct(L, entries)
 
 
 def star_commutator(L, product, x, y):
@@ -223,12 +212,10 @@ def product_from_json(L, data):
         raise InvalidInput("malformed product JSON: %s" % (exc,))
     if n != L.dim:
         raise DimensionMismatch("product file has dim %d, algebra has %d" % (n, L.dim))
-    T = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, v in entries:
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise DimensionMismatch("product entry out of range")
-        T[i][j][k] = scalars.coerce(v, L.mode)
-    return BilinearProduct(L, T)
+    # every value is coerced, as new_lie_algebra does: tensor_rows keeps a
+    # native float as it is, NaN included
+    entries = [(i, j, k, scalars.coerce(v, L.mode)) for i, j, k, v in entries]
+    return BilinearProduct(L, entries)
 
 
 def load_product(L, path):

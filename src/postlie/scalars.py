@@ -20,8 +20,8 @@ FLOAT = "float"
 # a float is zero when its absolute value is at most this
 TOLERANCE = 1e-10
 
-# per mode, the types whose values coerce_row keeps as they are (a bool is
-# not among them: type(True) is bool)
+# per mode, the types whose values coerce_row and liealg.tensor_rows keep as
+# they are (a bool is not among them: type(True) is bool)
 NATIVE = {EXACT: frozenset((int, Fraction)), FLOAT: frozenset((float,))}
 
 

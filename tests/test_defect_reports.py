@@ -104,7 +104,13 @@ def _perturbed_product(product, rng):
         T[i][j][k] += delta
 
     _perturb(shift, (n, n, n), rng, product.algebra.mode)
-    return T, products.BilinearProduct(product.algebra, T)
+    entries = [
+        (i, j, k, c)
+        for i, plane in enumerate(T)
+        for j, row in enumerate(plane)
+        for k, c in enumerate(row)
+    ]
+    return T, products.BilinearProduct(product.algebra, entries)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -120,6 +120,32 @@ def test_mismatched_operands_rejected(sl2, so3):
         env.env_mul(A, env.unit(so3, ORDER))
 
 
+def test_a_product_over_another_algebra_is_rejected(sl2, so3, borel_ctx):
+    """The lift and both chi recursions contract the product's rows against
+    the algebra of the elements; a product tabulated over so(3) has the
+    dimension of sl(2) but another bracket, and is refused.  A product over
+    an equal copy of sl(2) is accepted."""
+    other = products.BilinearProduct.from_function(
+        so3, lambda x, y: liealg.bracket(so3, x, y)
+    )
+    copy = rmatrix.rmatrix_context(liealg.builtin("sl(2)"), borel_ctx.R)
+    accepted = products.from_rmatrix(copy, "-")
+    A = env.from_g_vector(sl2, ORDER, (1, 0, 1))
+    B = env.from_g_vector(sl2, ORDER, (0, 1, 0))
+    calls = (
+        lambda prod: env.star_mul(A, B, prod),
+        lambda prod: env.triangle_lift(A, B, prod),
+        lambda prod: env.star_antipode(A, prod),
+        lambda prod: env.hopf_identity_failures(A, B, prod),
+        lambda prod: magnus.postlie_magnus(sl2, (1, 0, 1), prod, 3),
+        lambda prod: magnus.postlie_magnus(sl2, (1, 0, 1), prod, 3, method="ode"),
+    )
+    for call in calls:
+        with pytest.raises(AlgebraMismatch):
+            call(other)
+        call(accepted)
+
+
 # ---------------------------------------------------------------------------
 # Hopf structure of the plain product
 # ---------------------------------------------------------------------------
@@ -467,9 +493,7 @@ def test_phi_inverse_two_letter_closed_form(borel_ctx, borel_product):
 
 
 def test_star_antipode_degenerates_without_product(sl2):
-    zero = products.BilinearProduct(
-        sl2, [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    )
+    zero = products.BilinearProduct(sl2, [])
     rng = seeded(137)
     for _ in range(6):
         A = _random_element(sl2, ORDER, rng)

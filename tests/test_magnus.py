@@ -239,9 +239,8 @@ def test_collapse_alone_does_not_certify_a_postlie_tensor(sl2):
     # junk input (CollapseFailure guards the invariant rather than being a
     # reachable rejection path); what a junk tensor does break is the
     # defining group-like identity, and the checker must catch that
-    T = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    T[0][2][1] = 1  # e o f = h, everything else zero: not post-Lie
-    bad = products.BilinearProduct(sl2, T)
+    # e o f = h, everything else zero: not post-Lie
+    bad = products.BilinearProduct(sl2, [(0, 2, 1, 1)])
     assert not products.check_postlie(bad, products.RIGHT)["ok"]
     chi = magnus.postlie_magnus(sl2, (1, 0, 1), bad, 4)  # no CollapseFailure
     assert chi.coeff(2) == (0, F(-1, 2), 0)  # -(1/2) x|>x is tensor-generic
@@ -352,10 +351,8 @@ def test_prelie_magnus_rejects_nonabelian(sl2, borel_product):
 
 def test_prelie_magnus_rejects_non_prelie_product():
     flat = liealg.new_lie_algebra(3, ["a", "b", "c"], [])
-    T = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    T[0][1][2] = 1  # a o b = c, associator asymmetric
-    T[1][0][0] = 1
-    bad = products.BilinearProduct(flat, T)
+    # a o b = c and b o a = a, associator asymmetric
+    bad = products.BilinearProduct(flat, [(0, 1, 2, 1), (1, 0, 0, 1)])
     if not products.check_prelie(bad)["ok"]:
         with pytest.raises(NotPreLie):
             magnus.prelie_magnus(flat, (1, 1, 1), bad, 3)

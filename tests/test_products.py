@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,7 @@ F = Fraction
 
 
 def _zero_product(L):
-    n = L.dim
-    return products.BilinearProduct(
-        L, [[[0] * n for _ in range(n)] for _ in range(n)]
-    )
+    return products.BilinearProduct(L, [])
 
 
 def test_from_rmatrix_matches_pointwise(borel_ctx):
@@ -155,6 +153,25 @@ def test_product_json_dimension_check(sl2):
         products.product_from_json(sl2, data)
 
 
-def test_tensor_shape_validated(sl2):
-    with pytest.raises(DimensionMismatch):
-        products.BilinearProduct(sl2, [[[0] * 2] * 3] * 3)
+def test_out_of_range_entry_rejected(sl2):
+    with pytest.raises(DimensionMismatch, match=r"\(0, 3, 1, 1\)"):
+        products.BilinearProduct(sl2, [(0, 1, 2, 1), (0, 3, 1, 1)])
+
+
+def test_product_file_sums_a_repeated_entry(borel_ctx, tmp_path):
+    """A product file, like an algebra file, sums the values of an index
+    triple it lists twice."""
+    L = borel_ctx.algebra
+    entries = products.product_to_json(products.from_rmatrix(borel_ctx, "-"))["product"]
+    i, j, k, v = entries[0]
+    files = {
+        "repeated": entries + [[i, j, k, "1/3"], [0, 0, 2, "1/2"], [0, 0, 2, "-1/4"]],
+        "summed": [[i, j, k, str(F(v) + F(1, 3))]] + entries[1:] + [[0, 0, 2, "1/4"]],
+    }
+    loaded = {}
+    for name, product in files.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"dim": L.dim, "product": product}))
+        loaded[name] = products.load_product(L, str(path))
+    assert loaded["repeated"].T_rows == loaded["summed"].T_rows
+    assert loaded["repeated"].apply(L.basis(0), L.basis(0))[2] == F(1, 4)

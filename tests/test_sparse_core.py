@@ -3,13 +3,15 @@ bracket/product contraction and the truncated chi recursion, plus
 deterministic counts of the products the chi recursion evaluates and of
 the scalars a Toda problem coerces."""
 
+import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from postlie import enveloping, flows, liealg, magnus, products, rmatrix, scalars
-from postlie.errors import JacobiViolation
+from postlie.errors import DimensionMismatch, JacobiViolation
 from oracles.dense_reference import (
     chi_by_ode_untruncated,
     dense_contract,
@@ -171,10 +173,12 @@ def test_chi_star_product_count_is_pinned(monkeypatch, name, order, count):
 def test_toda_coerce_count_is_pinned(monkeypatch):
     """Vectors are checked where they enter the library, not in its inner
     loops: building a float Toda n = 6 problem (algebra, splitting r-matrix
-    context, product) and its order-10 chi coerces 2,913 scalars.  A second
-    Yang-Baxter scan of the splitting, which coerced R and the basis again,
-    made 5,506; coercing the float chi coefficients as well made 5,866, and
-    checking every vector at every internal bracket and product 523,454."""
+    context, product) and its order-10 chi coerces 2,911 scalars.  The zero
+    of a dense structure tensor and of a dense product tensor, built before
+    the rows, made 2,913; a second Yang-Baxter scan of the splitting, which
+    coerced R and the basis again, made 5,506; coercing the float chi
+    coefficients as well made 5,866, and checking every vector at every
+    internal bracket and product 523,454."""
     calls = [0]
     coerce = scalars.coerce
 
@@ -188,7 +192,7 @@ def test_toda_coerce_count_is_pinned(monkeypatch):
         [0.0, 1.0], 10,
     )
     problem.chi_coefficients()
-    assert calls[0] == 2913
+    assert calls[0] == 2911
 
 
 def _exact_context(name):
@@ -221,3 +225,78 @@ def test_verify_chi_ode_on_split_gl3_at_order_8():
     P = products.from_rmatrix(rmatrix.splitting_r(L, *L.splitting), "-")
     report = magnus.verify_chi_ode(L, (1, -1, 2, 0, 1, -2, 1, 0, 1), P, 8)
     assert report["ok"] and report["first_failure"] is None
+
+
+def test_tensor_rows_add_float_entries_in_entry_order():
+    """Entries at one index add in entry order, as the dense += they
+    replace did: (0.1 + 0.2) + 0.3 is not 0.1 + (0.2 + 0.3)."""
+    values = (0.1, 0.2, 0.3)
+    entries = [(1, 2, 0, v) for v in values] + [(0, 1, 1, 0.7), (1, 0, 2, 0.4)]
+    T = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k, v in entries:
+        T[i][j][k] += v
+    rows = liealg.tensor_rows(3, entries, scalars.FLOAT)
+    assert rows == tuple(
+        tuple((j, k, c) for j, row in enumerate(plane) for k, c in enumerate(row) if c != 0)
+        for plane in T
+    )
+    assert rows[1][1][2] == T[1][2][0] != sum(reversed(values))
+
+
+def test_tensor_rows_drop_a_zero_sum():
+    for mode, a in ((scalars.EXACT, Fraction(1, 3)), (scalars.FLOAT, 0.5)):
+        rows = liealg.tensor_rows(2, [(0, 1, 1, a), (1, 0, 0, a), (0, 1, 1, -a)], mode)
+        assert rows == ((), ((0, 0, a),))
+
+
+def test_tensor_rows_store_an_integral_fraction_as_int():
+    half = Fraction(1, 2)
+    rows = liealg.tensor_rows(
+        2, [(0, 0, 0, half), (0, 0, 0, half), (1, 1, 1, Fraction(-3)), (1, 1, 0, half)],
+        scalars.EXACT,
+    )
+    assert rows == (((0, 0, 1),), ((1, 0, half), (1, 1, -3)))
+    assert type(rows[0][0][2]) is int and type(rows[1][1][2]) is int
+    assert type(rows[1][0][2]) is Fraction
+
+
+def test_tensor_rows_coerce_only_foreign_values(monkeypatch):
+    seen = []
+    coerce = scalars.coerce
+
+    def counted(value, mode):
+        seen.append(value)
+        return coerce(value, mode)
+
+    monkeypatch.setattr(scalars, "coerce", counted)
+    exact = liealg.tensor_rows(2, [(0, 0, 0, Fraction(1, 3)), (0, 0, 1, 2), (1, 0, 0, "1/2")],
+                               scalars.EXACT)
+    assert exact == (((0, 0, Fraction(1, 3)), (0, 1, 2)), ((0, 0, Fraction(1, 2)),))
+    assert seen == ["1/2"]
+    seen.clear()
+    floats = liealg.tensor_rows(2, [(0, 0, 0, 0.25), (1, 1, 1, "1/2"), (1, 1, 0, 2)],
+                                scalars.FLOAT)
+    assert floats == (((0, 0, 0.25),), ((1, 0, 2.0), (1, 1, 0.5)))
+    assert type(floats[1][0][2]) is float
+    assert seen == ["1/2", 2]
+
+
+def test_tensor_rows_name_an_out_of_range_entry():
+    for entry in ((2, 0, 0, 1), (0, -1, 1, 1), (1, 0, 5, "1/2")):
+        with pytest.raises(DimensionMismatch, match=re.escape(repr(entry))):
+            liealg.tensor_rows(2, [(0, 1, 0, 1), entry], scalars.EXACT)
+
+
+def test_from_rmatrix_builds_no_dense_tensor():
+    """The product of the gl(8) splitting (dim 64) is built from entries
+    into sparse rows (a peak of 0.34 MB, R_minus included); a dense 64^3
+    tensor alone takes over 2 MB, and building one first peaked at 5.0 MB."""
+    L = liealg.builtin("upper_lower_split(8)", mode=scalars.FLOAT)
+    ctx = rmatrix.splitting_r(L, *L.splitting)
+    tracemalloc.start()
+    try:
+        products.from_rmatrix(ctx, "-")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
