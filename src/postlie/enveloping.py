@@ -19,8 +19,8 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import groupby
+from math import comb, factorial
 
 from . import scalars
 from .errors import (
@@ -101,21 +101,21 @@ def _bilinear(word_product, t1, t2):
 
 
 @lru_cache(maxsize=None)
-def _position_splits(n):
-    """(subset, complement) of the positions 0..n-1 for every subset,
-    ordered by subset size."""
-    return tuple(
-        (S, tuple(i for i in range(n) if i not in S))
-        for k in range(n + 1)
-        for S in combinations(range(n), k)
-    )
-
-
-def _unshuffles(word):
-    """The (left, right) legs of every unshuffle of word: the letters at a
-    position subset and at its complement, each in word order."""
-    for S, T in _position_splits(len(word)):
-        yield tuple(word[i] for i in S), tuple(word[i] for i in T)
+def _weighted_unshuffles(word):
+    """The unshuffles of a word as (left, right, weight); the word must be
+    normal (sorted).  A letter with m copies puts k of them in the left leg
+    and m - k in the right, in C(m, k) position subsets, so the Prod (m + 1)
+    pairs carry Prod C(m, k) and the weights add up to 2^len(word).  On a
+    normal word the pairs are distinct and both legs are normal."""
+    splits = [((), (), 1)]
+    for a, run in groupby(word):
+        m = len(tuple(run))
+        splits = [
+            (left + (a,) * k, right + (a,) * (m - k), weight * comb(m, k))
+            for left, right, weight in splits
+            for k in range(m + 1)
+        ]
+    return tuple(splits)
 
 
 class _TermMap:
@@ -257,27 +257,32 @@ class TensorSquareElement(_TermMap):
         return "TensorSquareElement(%d terms)" % (len(self.terms),)
 
 
-def _tensor_terms(t1, t2, order):
-    """t1 (x) t2 as a map over word pairs, truncating total length."""
-    return {
-        (w1, w2): c1 * c2
-        for w1, c1 in t1.items()
-        for w2, c2 in t2.items()
-        if len(w1) + len(w2) <= order
-    }
+def _tensor_terms(out, t1, t2, order):
+    """out += t1 (x) t2 over word pairs, truncating total length; returns out."""
+    for w1, c1 in t1.items():
+        room = order - len(w1)
+        for w2, c2 in t2.items():
+            if len(w2) <= room:
+                out[w1, w2] = out.get((w1, w2), 0) + c1 * c2
+    return out
 
 
 def _tensor_square_mul(T1, T2, word_product):
     """(a x b)(c x d) = ac x bd for a product of words, truncated at total
-    length > order."""
+    length > order: both operands grouped by left leg, one product ac per
+    pair of left legs, times the product of the right legs beside them."""
     order = T1.order
-
-    def pair_product(p, q):
-        return _tensor_terms(word_product(p[0], q[0]), word_product(p[1], q[1]), order)
-
-    return TensorSquareElement(
-        T1.algebra, order, _bilinear(pair_product, T1.terms, T2.terms)
-    )
+    groups1, groups2 = {}, {}
+    for terms, groups in ((T1.terms, groups1), (T2.terms, groups2)):
+        for (w1, w2), v in terms.items():
+            groups.setdefault(w1, {})[w2] = v
+    out = {}
+    for a, rights1 in groups1.items():
+        for c, rights2 in groups2.items():
+            left = word_product(a, c)
+            if left:
+                _tensor_terms(out, left, _bilinear(word_product, rights1, rights2), order)
+    return TensorSquareElement(T1.algebra, order, out)
 
 
 def tensor_mul(T1, T2):
@@ -295,16 +300,14 @@ def tensor_star_mul(T1, T2, product):
 
 def tensor_of(A, B):
     """A (x) B as a TensorSquareElement, truncating total length."""
-    terms = _tensor_terms(A.terms, B.terms, A.order)
+    terms = _tensor_terms({}, A.terms, B.terms, A.order)
     return TensorSquareElement(A.algebra, A.order, terms)
 
 
 def _coproduct_word(word):
-    """Unshuffle a sorted word over position subsets; legs stay sorted."""
-    out = {}
-    for pair in _unshuffles(word):
-        out[pair] = out.get(pair, 0) + 1
-    return out
+    """The unshuffle coproduct of a normal word as {(left, right): count}:
+    each distinct split weighted by the position subsets that give it."""
+    return {(left, right): k for left, right, k in _weighted_unshuffles(word)}
 
 
 def coproduct(A):
@@ -381,7 +384,8 @@ class LiftedProduct:
     # -- the triangle lift --------------------------------------------------
 
     def tri_word(self, A, w):
-        """A |> w for normal words A, w."""
+        """A |> w for normal words A, w; the unshuffle branch splits A with
+        _weighted_unshuffles, which needs a normal word."""
         if not A:
             return {w: 1} if len(w) <= self.order else {}
         if not w:
@@ -402,14 +406,14 @@ class LiftedProduct:
                     _add_into(out, self.tri_word(ww, w), -c)
         else:
             B, C = w[:1], w[1:]
-            for left, right in _unshuffles(A):
+            for left, right, k in _weighted_unshuffles(A):
                 lval = self.tri_word(left, B)
                 if not lval:
                     continue
                 rval = self.tri_word(right, C)
                 if not rval:
                     continue
-                _add_into(out, _bilinear(self._mul_words, lval, rval))
+                _add_into(out, _bilinear(self._mul_words, lval, rval), k)
         out = _truncate(_nonzero(out), self.order)
         self._memo[key] = out
         return out
@@ -421,15 +425,17 @@ class LiftedProduct:
     # -- star product ---------------------------------------------------------
 
     def star_word(self, A, B):
-        """A * B = sum A1 . (A2 |> B) over the coproduct of A."""
+        """A * B = sum A1 . (A2 |> B) over the coproduct of A, for normal
+        words A, B; A is split with _weighted_unshuffles, which needs a
+        normal word."""
         key = ("s", A, B)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         out = {}
-        for left, right in _unshuffles(A):
+        for left, right, k in _weighted_unshuffles(A):
             for w, c in self.tri_word(right, B).items():
-                _add_into(out, self._mul_words(left, w), c)
+                _add_into(out, self._mul_words(left, w), k * c)
         out = _truncate(_nonzero(out), self.order)
         self._memo[key] = out
         return out
@@ -450,10 +456,10 @@ class LiftedProduct:
         if hit is not None:
             return hit
         out = {w: -1} if len(w) <= self.order else {}
-        for left, right in _unshuffles(w):
+        for left, right, k in _weighted_unshuffles(w):
             if left and right:
                 inner = self.star_antipode_word(right)
-                _add_into(out, self.star_elem({left: 1}, inner), -1)
+                _add_into(out, self.star_elem({left: 1}, inner), -k)
         out = _truncate(_nonzero(out), self.order)
         self._memo[key] = out
         return out
@@ -661,10 +667,10 @@ def _sts_sum(a, B, ctx):
     order = B.order
     total = EnvElement(L, order, {})
     for w, c in a.terms.items():
-        for left, right in _unshuffles(w):
+        for left, right, k in _weighted_unshuffles(w):
             plus = word_of_vectors(L, order, [Rp.apply(L.basis(i)) for i in left])
             minus = word_of_vectors(L, order, [Rm.apply(L.basis(i)) for i in right])
-            total = total + env_mul(env_mul(plus, B), antipode(minus)).scale(c)
+            total = total + env_mul(env_mul(plus, B), antipode(minus)).scale(k * c)
     return total
 
 

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     InvalidInput,
     JacobiViolation,
+    NonFiniteNumber,
     NoRealization,
     RealizationMismatch,
     UnsupportedName,
@@ -146,10 +147,11 @@ def tensor_rows(dim, entries, mode):
     """rows[i] = ((j, k, c), ...) for the tensor whose T[i][j][k] = c is the
     sum of the entries (i, j, k, value), added in entry order.  A value of
     the mode's own type is kept as it is and any other coerced (the
-    scalars.coerce_row rule).  Each row lists its nonzero sums in (j, k)
-    order, so a contraction over the rows adds its terms in dense-scan
-    order.  An integral Fraction is stored as an int, so exact contractions
-    of integral tensors do integer arithmetic."""
+    scalars.coerce_row rule); a NaN or infinite float is NonFiniteNumber.
+    Each row lists its nonzero sums in (j, k) order, so a contraction over
+    the rows adds its terms in dense-scan order.  An integral Fraction is
+    stored as an int, so exact contractions of integral tensors do integer
+    arithmetic."""
     native = scalars.NATIVE[mode]
     sums = [{} for _ in range(dim)]
     for entry in entries:
@@ -158,6 +160,8 @@ def tensor_rows(dim, entries, mode):
             raise DimensionMismatch("entry %r out of range for dimension %d" % (entry, dim))
         if type(v) not in native:
             v = scalars.coerce(v, mode)
+        elif type(v) is float and not math.isfinite(v):
+            raise NonFiniteNumber("entry %r: %s is not a finite number" % (entry, v))
         row = sums[i]
         row[j, k] = row.get((j, k), 0) + v
     return tuple(

@@ -212,9 +212,6 @@ def product_from_json(L, data):
         raise InvalidInput("malformed product JSON: %s" % (exc,))
     if n != L.dim:
         raise DimensionMismatch("product file has dim %d, algebra has %d" % (n, L.dim))
-    # every value is coerced, as new_lie_algebra does: tensor_rows keeps a
-    # native float as it is, NaN included
-    entries = [(i, j, k, scalars.coerce(v, L.mode)) for i, j, k, v in entries]
     return BilinearProduct(L, entries)
 
 

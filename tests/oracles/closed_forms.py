@@ -1,4 +1,4 @@
-"""Closed-form second evaluations of three maps the package computes
+"""Closed-form second evaluations of four maps the package computes
 another way, kept only to cross-check them:
 
 - ``phi_partition``: the letter map phi by its set-partition formula
@@ -7,20 +7,38 @@ another way, kept only to cross-check them:
   (the package composes coproduct, R+ x R-, antipode and product);
 - ``r_bracket_unhalved``: the R-bracket in its un-halved R+ form, equal to
   the package's ([Rx,y] + [x,Ry]) / 2 when (R, theta = 1) solves the
-  modified Yang-Baxter equation.
+  modified Yang-Baxter equation;
+- ``unshuffles``: the unshuffles of a word over all 2^n position subsets,
+  one pair per subset (the package yields each distinct pair of a normal
+  word once, with the number of subsets that give it as its weight).
 
-They reuse the package's set-partition and unshuffle enumerations; what
-they evaluate independently is the closed formula itself.
+``phi_partition`` reuses the package's set-partition enumeration and
+``F_map_explicit`` splits words with ``unshuffles``; what each evaluates
+independently is the closed formula itself.
 """
+
+from itertools import combinations
 
 from postlie.enveloping import (
     EnvElement,
     _block_vector,
     _set_partitions,
-    _unshuffles,
     word_of_vectors,
 )
 from postlie.liealg import LinearEndo, bracket, vsub
+
+
+def unshuffles(word):
+    """The (left, right) legs of every unshuffle of word: the letters at a
+    position subset and at its complement, each in word order, subsets taken
+    by size."""
+    n = len(word)
+    for k in range(n + 1):
+        for S in combinations(range(n), k):
+            yield (
+                tuple(word[i] for i in S),
+                tuple(word[i] for i in range(n) if i not in S),
+            )
 
 
 def phi_partition(L, word, product, order):
@@ -46,7 +64,7 @@ def F_map_explicit(A, ctx):
     Rp, Rm = ctx.r_plus_minus()
     total = EnvElement(L, A.order, {})
     for w, c in A.terms.items():
-        for left, right in _unshuffles(w):
+        for left, right in unshuffles(w):
             letters = [Rp.apply(L.basis(i)) for i in left]
             letters += [Rm.apply(L.basis(i)) for i in reversed(right)]
             sign = -1 if len(right) % 2 else 1

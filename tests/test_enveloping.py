@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from postlie.errors import (
     OrderMismatch,
 )
 from conftest import random_word, random_vector, seeded
-from oracles.closed_forms import F_map_explicit, phi_partition
+from oracles.closed_forms import F_map_explicit, phi_partition, unshuffles
 
 F = Fraction
 ORDER = 4
@@ -245,6 +246,16 @@ def test_antipode_on_letters_and_primitivity(sl2):
                                             env.letter(sl2, ORDER, 0)))
 
 
+def test_weighted_coproduct_counts_the_position_splits():
+    # every normal word of length <= 6 over 3 letters: each distinct split
+    # carries the number of position subsets that give it, and the weights
+    # add up to 2^n
+    for n in range(7):
+        for w in itertools.combinations_with_replacement(range(3), n):
+            assert env._coproduct_word(w) == Counter(unshuffles(w)), w
+            assert sum(k for _, _, k in env._weighted_unshuffles(w)) == 2**n, w
+
+
 def test_exponential_of_letter_is_grouplike(sl2):
     # single letters have no normalization feedback, so the truncated
     # series is the exact degree-<=N part (generic vectors need the
@@ -327,13 +338,14 @@ def test_triangle_lift_two_letter_recursion(borel_ctx, borel_product):
 @pytest.mark.parametrize("name", ["sl2-borel", "split2"])
 def test_letter_lift_is_a_derivation_of_words(name):
     # i |> y.w' = (i |> y).w' + y.(i |> w') for every letter i and normal
-    # word y.w' of length <= 3: the unshuffle rule of tri_word with A = (i,)
+    # word y.w' of length <= 4, repeated letters included: the unshuffle
+    # rule of tri_word with A = (i,)
     ctx = rmatrix.builtin_rmatrix(name)
     L = ctx.algebra
     product = products.from_rmatrix(ctx, "-")
     lift = env.lifted(L, product, ORDER)
     for i in range(L.dim):
-        for n in range(1, 4):
+        for n in range(1, 5):
             for w in itertools.combinations_with_replacement(range(L.dim), n):
                 y, rest = env.letter(L, ORDER, w[0]), env.env_element(L, ORDER, {w[1:]: 1})
                 i_y = env.from_g_vector(L, ORDER, product.apply(L.basis(i), L.basis(w[0])))
@@ -380,6 +392,24 @@ def _star_antipode_convolution(A, product):
         )
         total = total + piece.scale(c)
     return total
+
+
+@pytest.mark.parametrize("w", [(0, 0, 1), (2, 2, 2), (0, 1, 1, 2), (1, 2, 2), (0, 1, 2, 2)])
+def test_words_with_repeated_letters(borel_ctx, borel_product, w):
+    # random_word repeats a letter only by chance, and a repeat is where the
+    # weighted splits of a normal word differ from its position subsets; only
+    # f acts in this product, so a repeated f in front of e or h is where the
+    # weights of the star product and of the lift show
+    L = borel_ctx.algebra
+    for raw in (w, w[::-1]):
+        want = phi_partition(L, raw, borel_product, ORDER)
+        assert env.phi(L, raw, borel_product, ORDER) == want
+        # phi is a morphism to the star product: split the word everywhere
+        for k in range(1, len(raw)):
+            head, tail = (phi_partition(L, v, borel_product, ORDER) for v in (raw[:k], raw[k:]))
+            assert env.star_mul(head, tail, borel_product) == want, (raw, k)
+    A = env.EnvElement(L, ORDER, {w: 3, (): 2})
+    assert _star_antipode_convolution(A, borel_product) == env.unit(L, ORDER).scale(2)
 
 
 def test_star_antipode_axiom(borel_ctx, borel_product):
@@ -523,6 +553,19 @@ def test_F_map_equals_phi_and_explicit_form(borel_ctx, borel_product):
         explicit = F_map_explicit(A, borel_ctx)
         assert via_hopf == explicit
         assert via_hopf == env.phi(L, w, borel_product, ORDER)
+
+
+def test_F_map_on_repeated_letters_of_a_tilted_splitting():
+    # sl(2) = span(e, h) + span(e + f): R+ f = -e and R- f = -e - f, so a
+    # repeated f split between R+ and R- gives a nonzero term, which it never
+    # does when each basis letter lies in one half
+    L = liealg.builtin("sl(2)")
+    ctx = rmatrix.rmatrix_context(L, [[1, 0, -2], [0, 1, 0], [0, 0, -1]])
+    product = products.from_rmatrix(ctx, "-")
+    for w in [(2, 2), (0, 2, 2), (1, 2, 2), (2, 2, 2)]:
+        A = env.EnvElement(L, ORDER, {w: F(1)})
+        assert env.F_map(A, ctx) == F_map_explicit(A, ctx) == env.phi(L, w, product, ORDER)
+        assert env.sts_product_check(A, env.letter(L, ORDER, 0), ctx, product)["ok"]
 
 
 def test_F_map_closed_forms_on_short_words(borel_ctx):

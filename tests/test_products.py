@@ -1,10 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from postlie import liealg, products, rmatrix
-from postlie.errors import DimensionMismatch, InvalidInput
+from postlie.errors import DimensionMismatch, InvalidInput, NonFiniteNumber
 from conftest import random_vector, seeded
 
 F = Fraction
@@ -156,6 +157,17 @@ def test_product_json_dimension_check(sl2):
 def test_out_of_range_entry_rejected(sl2):
     with pytest.raises(DimensionMismatch, match=r"\(0, 3, 1, 1\)"):
         products.BilinearProduct(sl2, [(0, 1, 2, 1), (0, 3, 1, 1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_entry_rejected(bad):
+    """A float-mode product refuses a NaN or infinite entry when it is built,
+    from entries and from a product dict alike."""
+    L = liealg.builtin("sl(2)", mode="float")
+    with pytest.raises(NonFiniteNumber, match=r"\(0, 0, 0, -?(nan|inf)\)"):
+        products.BilinearProduct(L, [(0, 1, 2, 1.0), (0, 0, 0, bad)])
+    with pytest.raises(NonFiniteNumber):
+        products.product_from_json(L, {"dim": 3, "product": [[0, 1, 2, 1.0], [0, 0, 0, bad]]})
 
 
 def test_product_file_sums_a_repeated_entry(borel_ctx, tmp_path):
