@@ -220,9 +220,6 @@ class LieAlgebra:
     def ratio(self, p, q=1):
         return scalars.ratio(p, q, self.mode)
 
-    def zero(self):
-        return vzero(self.dim)
-
     def basis(self, i):
         return basis_vector(self.dim, i)
 

@@ -1,6 +1,6 @@
 """Series expansions: BCH, the post-Lie Magnus expansion and its pre-Lie
-specialization, the R_pm splitting of the expansion, and the graded
-dexp-star operators with the defining ODE verification.
+specialization, the R_pm splitting of the expansion, and the check of
+the expansion's defining ODE.
 
 A GradedLieElement holds the t^m coefficients (each a genuine g-vector) of
 a Lie-algebra-valued formal series.  All series manipulations are exact:
@@ -25,7 +25,7 @@ from .errors import (
     NotPreLie,
     PrimitivityFailure,
 )
-from .liealg import bracket, contract, vadd, vscale, vsub, vzero
+from .liealg import contract, vadd, vscale, vsub, vzero
 from .products import check_prelie, star_commutator
 
 # ---------------------------------------------------------------------------
@@ -106,9 +106,6 @@ class GradedLieElement:
             self.order,
             [vsub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
         )
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c):
         return GradedLieElement(
@@ -213,13 +210,13 @@ class _GradedEnv:
         one = _GradedEnv.unit(self.algebra, self.order)
         return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star))
 
-    def log(self, star=None):
+    def log(self):
         """Logarithm of a series with degree-0 part 1."""
         one = _GradedEnv.unit(self.algebra, self.order)
         B = self - one
         if not B.parts[0].is_zero():
             raise InvalidInput("graded log needs degree-0 part equal to 1")
-        return ev._log_series(B, one, lambda a, b: a.mul(b, star=star))
+        return ev._log_series(B, one, _GradedEnv.mul)
 
     def __eq__(self, other):
         return self.parts == other.parts
@@ -343,28 +340,33 @@ def _grow(table, f, beta, base, coeffs):
     return out
 
 
-def _chi_by_ode(L, x, product, order):
-    """Order-by-order integration of
-    d/dt chi = dexp*^{-1}_{-chi}( exp*(-chi) |> x ):
-    the right side at degree m-1 only involves chi_1..chi_{m-1}, and every
-    intermediate is a g-vector.  Two tables keep, per degree, the powers
-    (-chi |>)^n x and bar(-chi, .)^n u of u = exp*(-chi) |> x; their
-    lower-degree entries never change, so order m adds only degree m-1 to
-    each.  x is checked; the recursion contracts the rows of L and of the
-    product directly."""
+def _ode_steps(L, x, product, chi, order):
+    """For m = 2..order, yield the degree m-1 coefficient of the right side
+    of d/dt chi = dexp*^{-1}_{-chi}( exp*(-chi) |> x ); step m reads only
+    chi[1..m-1], so chi may grow while the steps run.  Two tables keep, per
+    degree, the powers (-chi |>)^n x and bar(-chi, .)^n u of
+    u = exp*(-chi) |> x; their lower-degree entries never change, so step m
+    adds only degree m-1 to each.  Every intermediate is a g-vector: the
+    recursion contracts the rows of L and of the product directly."""
     bern = bernoulli(order)
     exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
     inv_c = [L.ratio(bern[n], factorial(n)) for n in range(order)]
     tri = lambda a, b: contract(product.T_rows, a, b)
     bar = lambda a, b: star_commutator(L, product, a, b)
-    chi = [vzero(L.dim)] * (order + 1)
-    chi[1] = x
-    neg_chi = [chi[0]]
+    neg_chi = [vzero(L.dim)]
     powers, bars = [[x]], [[x]]
     for m in range(2, order + 1):
         neg_chi.append(vscale(-1, chi[m - 1]))
         u = _grow(powers, tri, neg_chi, vzero(L.dim), exp_c)
-        chi[m] = vscale(L.ratio(1, m), _grow(bars, bar, neg_chi, u, inv_c))
+        yield _grow(bars, bar, neg_chi, u, inv_c)
+
+
+def _chi_by_ode(L, x, product, order):
+    """Order-by-order integration of the defining ODE: chi_m is 1/m times
+    the degree m-1 right side.  x is checked by the caller."""
+    chi = [vzero(L.dim), x]
+    for m, rhs in enumerate(_ode_steps(L, x, product, chi, order), start=2):
+        chi.append(vscale(L.ratio(1, m), rhs))
     return GradedLieElement(L, order, chi)
 
 
@@ -427,59 +429,21 @@ def chi_pm(chi, ctx):
 
 
 # ---------------------------------------------------------------------------
-# dexp-star operators and the defining ODE of the expansion
+# the defining ODE of the expansion
 # ---------------------------------------------------------------------------
 
 
-def dexp_star(beta, v, derived_algebra, order):
-    """sum_n 1/(n+1)! ad^n_beta(v) with the derived-algebra bracket
-    (the star commutator reduces to it on g-valued series); beta must have
-    no degree-0 part, v must be a series of the given order."""
-    coeffs = [beta.algebra.ratio(1, factorial(n + 1)) for n in range(order + 1)]
-    return _dexp_series(beta, v, derived_algebra, coeffs, order)
-
-
-def dexp_star_inv(beta, v, derived_algebra, order):
-    """sum_n b_n/n! ad^n_beta(v); inverse of dexp_star up to t^order."""
-    bern = bernoulli(order)
-    coeffs = [beta.algebra.ratio(bern[n], factorial(n)) for n in range(order + 1)]
-    return _dexp_series(beta, v, derived_algebra, coeffs, order)
-
-
-def _dexp_series(beta, v, derived_algebra, coeffs, order):
-    """sum_n coeffs[n] ad^n_beta(v) through degree order, one degree per
-    _grow call; beta has no degree-0 part, so ad_beta raises the degree."""
-    L = beta.algebra
-    if derived_algebra.dim != L.dim:
-        raise DimensionMismatch("derived algebra does not match")
-    if v.order != order:
-        raise DimensionMismatch("need %d graded coefficients" % (order + 1,))
-    if any(beta.coeffs[0]):
-        raise InvalidInput("dexp needs a series beta without degree-0 part")
-    f = lambda a, b: bracket(derived_algebra, a, b)
-    table, out = [[v.coeffs[0]]], [v.coeffs[0]]
-    for d in range(1, order + 1):
-        out.append(_grow(table, f, beta.coeffs, v.coeffs[d], coeffs))
-    return GradedLieElement(L, order, out)
-
-
 def verify_chi_ode(L, x, product, order):
-    """Check d/dt chi(xt) = dexp*^{-1}_{-chi}( exp*(-chi) |> x ) as graded
-    t-polynomials through degree order-1."""
+    """Check d/dt chi(xt) = dexp*^{-1}_{-chi}( exp*(-chi) |> x ) for the
+    star chi as graded t-polynomials through degree order-1, reading the
+    right side from the steps the ode method integrates; first_failure is
+    the lowest degree of the right side that m*chi_m misses.  A product
+    that is not right post-Lie gets this report, not an exception."""
     chi = postlie_magnus(L, x, product, order)
-    bar = ev.derived_bracket_algebra(L, product)
-    neg = chi.scale(-1)
-    # u = exp*(-chi) |> x, one degree per _grow call
-    tri = lambda a, b: contract(product.T_rows, a, b)
-    x = L.check_vector(x)
-    powers = [[x]]
-    exp_c = [L.ratio(1, factorial(n)) for n in range(order + 1)]
-    u = [x] + [_grow(powers, tri, neg.coeffs, vzero(L.dim), exp_c) for _ in range(order)]
-    rhs = dexp_star_inv(neg, GradedLieElement(L, order, u), bar, order)
     first_failure = None
-    for m in range(order):
-        lhs_m = vscale(m + 1, chi.coeff(m + 1))  # d/dt shifts degree down
-        if lhs_m != rhs.coeff(m):
-            first_failure = m
+    steps = _ode_steps(L, chi.coeff(1), product, chi.coeffs, order)
+    for m, rhs in enumerate(steps, start=2):
+        if vscale(m, chi.coeff(m)) != rhs:  # d/dt shifts degree m down to m-1
+            first_failure = m - 1
             break
     return {"ok": first_failure is None, "first_failure": first_failure, "chi": chi}

@@ -112,20 +112,13 @@ def _half_shift(L, R, sign, half):
 
 
 class RMatrixContext:
-    """A validated (algebra, R, theta) triple with lazy derived structure."""
+    """A validated (algebra, R, theta) triple; R_pm are built on first use."""
 
     def __init__(self, algebra, R, theta):
         self.algebra = algebra
         self.R = R
         self.theta = theta
-        self._derived = None
         self._pm = None
-
-    @property
-    def derived(self):
-        if self._derived is None:
-            self._derived = derived_algebra(self)
-        return self._derived
 
     def r_plus_minus(self):
         if self._pm is None:

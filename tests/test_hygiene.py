@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never reads,
-no module defines a private function or class that nothing reads, no two
-module-level functions share a body, no parameter has a default that no
+no module defines a private function or class that nothing reads, no
+class has a method that nothing reads, no two module-level functions share
+a body, no parameter has a default that no
 call overrides, the benchmark's tracer still finds what it wraps and reads,
 the package runs without SciPy, and every demo runs."""
 
@@ -224,6 +225,70 @@ def test_no_never_passed_defaults():
         for p in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert never_passed_defaults(definitions, callers) == []
+
+
+def _attribute_reads(node, inside=()):
+    """(name, names of the enclosing functions) for every attribute access
+    .name and every string constant under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute):
+            yield child.attr, inside
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.value, inside
+        if isinstance(child, ast.FunctionDef):
+            yield from _attribute_reads(child, inside + (child.name,))
+        else:
+            yield from _attribute_reads(child, inside)
+
+
+def unread_methods(definitions, readers):
+    """Methods and properties, named Class.method, of the classes of the
+    definitions whose name no reader source reads as an
+    attribute (x.name) or a string constant (getattr(x, "name")); dunders
+    are left out, and a read inside a function of the same name does not
+    count, so a method that only calls itself is reported.  The scan goes by
+    name only: a method escapes it when any attribute of its name is read,
+    as a LieAlgebra.zero would through the reads of GradedLieElement.zero."""
+    defined = [
+        (owner, node.name)
+        for source in definitions
+        for owner, node in _functions(ast.parse(source))
+        if owner and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    read = {
+        name
+        for source in readers
+        for name, inside in _attribute_reads(ast.parse(source))
+        if name not in inside
+    }
+    return sorted("%s.%s" % pair for pair in defined if pair[1] not in read)
+
+
+def test_scan_finds_an_unread_method():
+    definitions = [
+        "class K:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        pass\n"
+        "    def by_name(self):\n        pass\n"
+        "    def self_only(self):\n        return self.self_only()\n"
+        "    @property\n"
+        "    def dead(self):\n        pass\n"
+        "    def shared(self):\n        pass\n"
+        "class J:\n"
+        "    def shared(self):\n        pass\n",
+    ]
+    readers = definitions + ["getattr(k, 'by_name')()\nj.shared()\n"]
+    assert unread_methods(definitions, readers) == ["K.dead", "K.self_only"]
+
+
+def test_no_unread_methods():
+    definitions = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readers = [
+        p.read_text()
+        for folder in ("src", "tests", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert unread_methods(definitions, readers) == []
 
 
 def perfbench_spans():

@@ -238,7 +238,7 @@ def test_collapse_alone_does_not_certify_a_postlie_tensor(sl2):
     # recursion's outputs stay primitive and extraction succeeds even for
     # junk input (CollapseFailure guards the invariant rather than being a
     # reachable rejection path); what a junk tensor does break is the
-    # defining group-like identity, and the checker must catch that
+    # defining group-like identity, and the checkers must catch that
     # e o f = h, everything else zero: not post-Lie
     bad = products.BilinearProduct(sl2, [(0, 2, 1, 1)])
     assert not products.check_postlie(bad, products.RIGHT)["ok"]
@@ -246,6 +246,9 @@ def test_collapse_alone_does_not_certify_a_postlie_tensor(sl2):
     assert chi.coeff(2) == (0, F(-1, 2), 0)  # -(1/2) x|>x is tensor-generic
     report = magnus.verify_grouplike_identity(sl2, (1, 0, 1), bad, 5)
     assert not report["ok"] and report["first_failure"] == 3
+    # the ode check catches it too, one degree lower on the right side
+    report = magnus.verify_chi_ode(sl2, (1, 0, 1), bad, 5)
+    assert not report["ok"] and report["first_failure"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,7 @@ def test_chi_pm_parts_live_in_their_ranges(borel_ctx, borel_product):
 
 
 # ---------------------------------------------------------------------------
-# the derivation-equation form and dexp
+# the defining ODE
 # ---------------------------------------------------------------------------
 
 
@@ -285,27 +288,14 @@ def test_verify_chi_ode_passes_exactly(borel_ctx, borel_product):
     assert report2["ok"], report2
 
 
-def test_dexp_star_inverse_round_trip(borel_ctx, borel_product):
+def test_verify_chi_ode_reports_a_left_handed_product(borel_ctx):
+    # [R_+ x, y] is left post-Lie: the ode check meets the first wrong
+    # degree where the group-like identity does, and raises nothing
     L = borel_ctx.algebra
-    bar = rmatrix.derived_algebra(borel_ctx)
-    order = 5
-    beta = magnus.GradedLieElement.from_vector(L, order, (1, 0, 1))
-    v = magnus.GradedLieElement.from_vector(L, order, (0, 1, 2))
-    fwd = magnus.dexp_star(beta, v, bar, order)
-    back = magnus.dexp_star_inv(beta, fwd, bar, order)
-    for m in range(1, order + 1):
-        assert back.coeff(m) == v.coeff(m)
-
-
-@pytest.mark.parametrize("dexp", ["dexp_star", "dexp_star_inv"])
-def test_dexp_needs_beta_without_degree_zero_part(borel_ctx, dexp):
-    # ad_beta must raise the degree for the series to stop at the order
-    L = borel_ctx.algebra
-    bar = rmatrix.derived_algebra(borel_ctx)
-    beta = magnus.GradedLieElement(L, 3, [(1, 0, 0)] + [(0, 0, 0)] * 3)
-    v = magnus.GradedLieElement.from_vector(L, 3, (0, 1, 2))
-    with pytest.raises(InvalidInput, match="degree-0"):
-        getattr(magnus, dexp)(beta, v, bar, 3)
+    left = products.from_rmatrix(borel_ctx, "+")
+    report = magnus.verify_chi_ode(L, (1, 0, 1), left, 5)
+    assert not report["ok"] and report["first_failure"] == 3
+    assert magnus.verify_grouplike_identity(L, (1, 0, 1), left, 5)["first_failure"] == 3
 
 
 # ---------------------------------------------------------------------------
