@@ -130,37 +130,67 @@ class FlowState:
         return "FlowState(t=%g)" % (self.t,)
 
 
+class FlowResult:
+    """A flow on a grid as array columns: t (points,), x (points, dim), the
+    sorted spectra as one complex stack (points, n) with real (points,)
+    marking the rows whose spectrum is real (their imaginary parts are 0),
+    and trace_powers (points, n).  len(), indexing and iteration give
+    FlowState rows, built when read."""
+
+    def __init__(self, t, x, eigenvalues, real, trace_powers):
+        self.t = t
+        self.x = x
+        self.eigenvalues = eigenvalues
+        self.real = real
+        self.trace_powers = trace_powers
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, i):
+        e = self.eigenvalues[i]
+        return FlowState(
+            float(self.t[i]),
+            self.x[i].tolist(),
+            (e.real if self.real[i] else e).tolist(),
+            self.trace_powers[i].tolist(),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def _sorted_eigs(M):
-    """Spectrum of each matrix of a stack (..., n, n), one list per matrix;
-    a single matrix gives a single list.  Real spectra are floats in
-    ascending order, others complex values ordered by (real, imag)."""
+    """(spectra, real) of a stack of matrices (k, n, n): spectra is a
+    complex (k, n) stack, ascending on real rows and ordered by (real, imag)
+    on the others, and real marks the rows whose spectrum is real."""
     M = np.asarray(M, dtype=float)
-    stack = M.reshape((-1,) + M.shape[-2:])
     # eigvalsh reads one triangle only, so the symmetry test must be absolute:
     # a relative test would pass an asymmetry of 1e-6 on entries near 0.1
     # and shift the spectrum by the same order
-    atol = scalars.TOLERANCE * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-    sym = asym <= atol
-    out = [None] * len(stack)
+    atol = scalars.TOLERANCE * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+    sym = np.abs(M - M.transpose(0, 2, 1)).max(axis=(1, 2)) <= atol
+    vals = np.empty(M.shape[:2], dtype=complex)
     if sym.any():
-        for i, vals in zip(np.flatnonzero(sym), np.linalg.eigvalsh(stack[sym])):
-            out[i] = vals.tolist()
+        vals[sym] = np.linalg.eigvalsh(M[sym])
     if not sym.all():
-        vals = np.linalg.eigvals(stack[~sym]).astype(complex)
-        order = np.lexsort((vals.imag, vals.real), axis=-1)
-        vals = np.take_along_axis(vals, order, axis=-1)
-        for i, row in zip(np.flatnonzero(~sym), vals):
-            real = np.abs(row.imag).max() < 1e-12
-            out[i] = row.real.tolist() if real else row.tolist()
-    return out[0] if M.ndim == 2 else out
+        general = np.linalg.eigvals(M[~sym]).astype(complex)
+        order = np.lexsort((general.imag, general.real), axis=-1)
+        vals[~sym] = np.take_along_axis(general, order, axis=-1)
+    # a row is real when its imaginary parts, which are dropped, are below
+    # 1e-12 and not scalars.TOLERANCE: dropping them moves the spectrum by
+    # that much, and spectra are held to their oracles at 1e-12
+    real = (np.abs(vals.imag) < 1e-12).all(axis=-1)
+    vals.imag[real] = 0.0
+    return vals, real
 
 
 def _states(L, ts, xs, finite=True):
-    """FlowStates at the times ts for the coordinate rows of xs, with the
-    spectra and trace powers of the whole stack computed together.  With
-    finite set, raises InvalidInput naming the first t at which the point or
-    its trace powers are not finite."""
+    """The columns (t, x, eigenvalues, real, trace_powers) of FlowResult at
+    the times ts for the coordinate rows of xs, with the spectra and trace
+    powers of the whole stack computed together.  With finite set, raises
+    InvalidInput naming the first t at which the point or its trace powers
+    are not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rho_np(L, xs)
         powers = []
@@ -174,12 +204,7 @@ def _states(L, ts, xs, finite=True):
         raise InvalidInput(
             "the flowed point or its trace powers are not finite at t=%g" % ts[bad.argmax()]
         )
-    eigs = _sorted_eigs(M)
-    powers = powers.tolist()
-    return [
-        FlowState(float(t), x, e, f)
-        for t, x, e, f in zip(ts, xs.tolist(), eigs, powers)
-    ]
+    return (np.array(ts, dtype=float), xs) + _sorted_eigs(M) + (powers,)
 
 
 class FlowProblem:
@@ -226,10 +251,10 @@ class FlowProblem:
 
 
 def factorized_solution(problem):
-    """x(t) = Ad_{exp(-u(t))} x0 with u(t) = R_minus(chi(x0 t)), one state per
-    grid point, conjugating in the realization.  Emits a NonConvergentSeries
-    warning when dropping the top expansion order moves any point by more
-    than the flow tolerance.
+    """x(t) = Ad_{exp(-u(t))} x0 with u(t) = R_minus(chi(x0 t)), as a
+    FlowResult with one row per grid point, conjugating in the realization.
+    Emits a NonConvergentSeries warning when dropping the top expansion
+    order moves any point by more than the flow tolerance.
     """
     L = problem.algebra
     chi = np.array(problem.chi_coefficients())
@@ -249,7 +274,7 @@ def factorized_solution(problem):
         raise InvalidInput("the expansion u(t) is not finite at t=%g" % grid[bad.argmax()])
     X0 = _rho_np(L, np.array(problem.x0))
     pullback = _np_data(L)["pullback"]
-    states = []
+    blocks = []
     gaps = np.empty(len(grid))
     for lo in range(0, len(grid), BLOCK):
         E = _expm(_rho_np(L, u[:, lo:lo + BLOCK]))
@@ -262,13 +287,13 @@ def factorized_solution(problem):
             M = np.linalg.inv(E) @ X0 @ E
             xs = M.reshape(E.shape[:2] + (-1,)) @ pullback.T
         gaps[lo:lo + BLOCK] = np.abs(xs[1:] - xs[0]).max(axis=(0, 2))
-        states += _states(L, grid[lo:lo + BLOCK], xs[0])
+        blocks.append(_states(L, grid[lo:lo + BLOCK], xs[0]))
     worst = int(np.argmax(gaps))
     if gaps[worst] > problem.flow_tolerance:
         warnings.warn(
             NonConvergentSeries(grid[worst], float(gaps[worst]), problem.flow_tolerance)
         )
-    return states
+    return FlowResult(*map(np.concatenate, zip(*blocks)))
 
 
 def factorization_residuals(problem):
@@ -301,7 +326,8 @@ def _rk4_step(L, Rm_mat, x, h):
 
 def rk4_reference(problem, step):
     """Classical fourth-order integration of the Lax field, stepping from
-    t = 0 to each grid point with uniform sub-steps of size <= step."""
+    t = 0 to each grid point with uniform sub-steps of size <= step; a
+    FlowResult with one row per grid point."""
     if step <= 0:
         raise InvalidInput("step must be positive")
     L = problem.algebra
@@ -320,41 +346,39 @@ def rk4_reference(problem, step):
             break
         xs.append(x)
     reached = problem.t_grid[: len(xs) - 1]
-    # states past the first drifting one are discarded, and their trace
-    # powers may overflow
+    # row 0 is x0; rows past the first drifting one are discarded, and
+    # their trace powers may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        ref, *states = _states(L, (0.0,) + reached, np.array(xs), finite=False)
-    scale = max(1.0, max(abs(f) for f in ref.trace_powers))
-    for state, (_, drift) in zip(states, _drifts([ref] + states)[1:]):
-        if drift > 0.25 * scale:
-            raise StepTooLarge(
-                "trace-power drift %.3e at t=%g; decrease the step" % (drift, state.t)
-            )
-    if len(states) < len(problem.t_grid):
-        raise StepTooLarge("state diverged by t=%g" % (problem.t_grid[len(states)],))
-    return states
-
-
-def _drifts(states):
-    """(eigenvalue drift, trace-power drift) of each state: the largest
-    entry change of its sorted spectrum and of its trace powers against the
-    first state."""
-    e0, f0 = states[0].eigenvalues, states[0].trace_powers
-    return [
-        (
-            max(abs(a - b) for a, b in zip(s.eigenvalues, e0)),
-            max(abs(a - b) for a, b in zip(s.trace_powers, f0)),
+        columns = _states(L, (0.0,) + reached, np.array(xs), finite=False)
+    full = FlowResult(*columns)
+    _, fk_drift = _drifts(full)
+    scale = max(1.0, np.abs(full.trace_powers[0]).max())
+    # a drift that is NaN counts as too large
+    bad = np.flatnonzero(~(fk_drift[1:] <= 0.25 * scale))
+    if bad.size:
+        raise StepTooLarge(
+            "trace-power drift %.3e at t=%g; decrease the step"
+            % (fk_drift[1 + bad[0]], reached[bad[0]])
         )
-        for s in states
-    ]
+    if len(reached) < len(problem.t_grid):
+        raise StepTooLarge("state diverged by t=%g" % (problem.t_grid[len(reached)],))
+    return FlowResult(*(column[1:] for column in columns))
 
 
-def conservation_report(states):
-    """Worst-case drift of the sorted spectrum and of the trace powers
-    relative to the first state."""
-    if len(states) < 2:
+def _drifts(result):
+    """(eigenvalue drifts, trace-power drifts) of each row of a FlowResult:
+    the largest entry change of its sorted spectrum and of its trace powers
+    against the first row."""
+    e, f = result.eigenvalues, result.trace_powers
+    return np.abs(e - e[0]).max(axis=-1), np.abs(f - f[0]).max(axis=-1)
+
+
+def conservation_report(result):
+    """Worst-case drift of the sorted spectrum and of the trace powers of a
+    FlowResult relative to its first row."""
+    if len(result) < 2:
         raise InvalidInput("need at least two states")
-    eig_drift, fk_drift = (max(0.0, *col) for col in zip(*_drifts(states)[1:]))
+    eig_drift, fk_drift = (max(0.0, d[1:].max()) for d in _drifts(result))
     return {"max_eig_drift": float(eig_drift), "max_trace_power_drift": float(fk_drift)}
 
 
@@ -382,14 +406,12 @@ def toda_problem(n, diag, offdiag, t_grid, order, flow_tolerance=1e-9):
     return FlowProblem(ctx, x0, t_grid, order, flow_tolerance)
 
 
-def flow_csv(states):
-    """CSV text: t, coordinates, eigenvalues, trace powers, and per-row
-    worst drifts against the first state."""
-    if not states:
+def flow_csv(result):
+    """CSV text of a FlowResult: t, coordinates, eigenvalues (complex ones
+    as repr), trace powers, and per-row worst drifts against the first row."""
+    if not result:
         raise InvalidInput("no states")
-    d = len(states[0].x)
-    ne = len(states[0].eigenvalues)
-    nf = len(states[0].trace_powers)
+    d, ne, nf = (c.shape[1] for c in (result.x, result.eigenvalues, result.trace_powers))
     cols = (
         ["t"]
         + ["x%d" % i for i in range(d)]
@@ -397,17 +419,18 @@ def flow_csv(states):
         + ["F%d" % (k + 1) for k in range(nf)]
         + ["eig_drift", "trace_power_drift"]
     )
-    lines = [",".join(cols)]
-    fmt = lambda v: "%.12g" % v
-    for s, (ed, fd) in zip(states, _drifts(states)):
-        row = (
-            [fmt(s.t)]
-            + [fmt(c) for c in s.x]
-            + [fmt(v) if not isinstance(v, complex) else repr(v) for v in s.eigenvalues]
-            + [fmt(v) for v in s.trace_powers]
-            + [fmt(ed), fmt(fd)]
-        )
-        lines.append(",".join(row))
+    real_row = ",".join(["%.12g"] * len(cols))
+    complex_row = ",".join(["%.12g"] * (1 + d) + ["%r"] * ne + ["%.12g"] * (nf + 2))
+    table = np.column_stack(
+        (result.t, result.x, result.eigenvalues.real, result.trace_powers)
+        + _drifts(result)
+    ).tolist()
+    for i in np.flatnonzero(~result.real):
+        table[i][1 + d:1 + d + ne] = result.eigenvalues[i].tolist()
+    lines = [",".join(cols)] + [
+        (real_row if real else complex_row) % tuple(row)
+        for row, real in zip(table, result.real.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

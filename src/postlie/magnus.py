@@ -281,6 +281,8 @@ def postlie_magnus(L, x, product, order, method="star"):
     [R_+ x, y] the two methods disagree and neither series satisfies
     exp(x) = exp*(chi).
     """
+    if order < 1:
+        raise InvalidInput("order must be at least 1 (got %s)" % (order,))
     x = L.check_vector(x)
     if product.algebra.dim != L.dim:
         raise DimensionMismatch("product tensor and bracket algebra disagree")

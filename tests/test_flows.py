@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded
+from oracles import rowwise_flow_csv
 from oracles.pointwise_flow import pointwise_solution
 
 from postlie import scalars
@@ -22,7 +23,10 @@ from postlie.errors import (
 )
 from postlie.flows import (
     FlowProblem,
+    FlowResult,
+    FlowState,
     _sorted_eigs,
+    _states,
     conservation_report,
     factorization_residuals,
     factorized_solution,
@@ -326,8 +330,21 @@ def test_sorted_eigs_of_nearly_symmetric_matrix():
     M[0, 1] += 2e-6
     M[1, 2] += 2e-6
     want = sorted(v.real for v in np.linalg.eigvals(M))
-    got = _sorted_eigs(M)
-    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+    vals, real = _sorted_eigs(M[None])
+    assert real.tolist() == [True]
+    assert max(abs(a - b) for a, b in zip(vals[0], want)) <= 1e-12
+
+
+def test_real_spectrum_cut_is_1e_12():
+    # oracle: [[a, 1], [-c, a]] has eigenvalues a -/+ i*sqrt(c); imaginary
+    # parts of 5e-13 are dropped, those of 5e-12 kept
+    a = 0.25
+    M = np.array([[[a, 1.0], [-((5e-13) ** 2), a]], [[a, 1.0], [-((5e-12) ** 2), a]]])
+    vals, real = _sorted_eigs(M)
+    assert real.tolist() == [True, False]
+    assert vals[0].tolist() == [a, a]
+    assert vals[1].real.tolist() == [a, a]
+    assert np.allclose(vals[1].imag, [-5e-12, 5e-12], rtol=1e-6, atol=0.0)
 
 
 def test_eigenvalues_sorted_ascending():
@@ -370,6 +387,14 @@ def test_rk4_step_too_large():
         rk4_reference(p, 5.0)
 
 
+def test_rk4_returns_a_flow_result():
+    p = toda_problem(2, (0.1, -0.1), (0.3,), (0.2, 0.5), 4)
+    ref = rk4_reference(p, 1e-2)
+    assert type(ref) is FlowResult
+    assert ref.t.tolist() == [0.2, 0.5]
+    assert ref.x.shape == (2, 4) and ref.trace_powers.shape == (2, 2)
+
+
 def test_rk4_rejects_nonpositive_step():
     p = toda_problem(2, (0.1, -0.1), (0.3,), (0.5,), 4)
     with pytest.raises(InvalidInput):
@@ -398,3 +423,94 @@ def test_flow_csv_layout(tmp_path):
 def test_flow_csv_rejects_empty():
     with pytest.raises(InvalidInput):
         flow_csv([])
+
+
+# ---------------------------------------------------------------------------
+# FlowResult: columns, and FlowState rows built when read
+
+
+def _readme_toda4():
+    # postlie flow --toda 4 --diag 0.1,0.2,-0.1,0 --offdiag 0.3,0.2,0.1
+    #              --t1 1 --steps 21 --order 10
+    grid = [0.0 + 1.0 * i / 20 for i in range(21)]
+    p = toda_problem(4, (0.1, 0.2, -0.1, 0.0), (0.3, 0.2, 0.1), grid, 10)
+    return _quiet(factorized_solution, p)
+
+
+def _mixed_spectra():
+    # rho(x) = [[h, e], [f, -h]] on sl2-borel has eigenvalues
+    # +-sqrt(h^2 + e*f): real, complex, real, complex
+    ctx = builtin_rmatrix("sl2-borel", mode=scalars.FLOAT)
+    xs = np.array(
+        [[0.3, 0.0, 0.3], [0.4, 0.3, -0.5], [0.0, 0.5, -0.5], [0.2, 0.1, -0.6]]
+    )
+    result = FlowResult(*_states(ctx.algebra, (0.0, 0.5, 1.0, 1.5), xs))
+    assert result.real.tolist() == [True, False, True, False]
+    return result
+
+
+def _complex_flow():
+    # the same matrix form at x0 = (0.4, 0.3, -0.5): h^2 + e*f < 0 all along
+    ctx = builtin_rmatrix("sl2-borel", mode=scalars.FLOAT)
+    p = FlowProblem(ctx, (0.4, 0.3, -0.5), tuple(np.linspace(0.0, 1.0, 9)), 8)
+    result = _quiet(factorized_solution, p)
+    assert not result.real.any()
+    return result
+
+
+RESULTS = [_readme_toda4, _complex_flow, _mixed_spectra]
+RESULT_IDS = ["toda4", "complex", "mixed"]
+
+
+def test_flow_result_columns():
+    result = _readme_toda4()
+    assert type(result) is FlowResult
+    assert result.t.shape == (21,)
+    assert result.x.shape == (21, 16)
+    assert result.eigenvalues.shape == result.trace_powers.shape == (21, 4)
+    assert result.eigenvalues.dtype == complex
+    assert result.real.tolist() == [True] * 21
+    assert (result.eigenvalues.imag == 0.0).all()
+
+
+def test_flow_result_len_indexing_and_iteration():
+    result = _readme_toda4()
+    assert len(result) == 21
+    rows = list(result)
+    assert len(rows) == 21 and all(type(s) is FlowState for s in rows)
+    for i in (0, 7, 20, -1, -21):
+        assert result[i].t == rows[i].t == result.t[i]
+        assert result[i].x == rows[i].x
+    with pytest.raises(IndexError):
+        result[21]
+    with pytest.raises(IndexError):
+        result[-22]
+
+
+@pytest.mark.parametrize("make", RESULTS, ids=RESULT_IDS)
+def test_flow_result_rows_equal_columns(make):
+    result = make()
+    for i, s in enumerate(result):
+        assert type(s.t) is float and s.t == result.t[i]
+        assert s.x == tuple(result.x[i].tolist())
+        assert s.trace_powers == tuple(result.trace_powers[i].tolist())
+        e = result.eigenvalues[i]
+        if result.real[i]:
+            assert all(type(v) is float for v in s.eigenvalues)
+            assert s.eigenvalues == tuple(e.real.tolist())
+        else:
+            assert all(type(v) is complex for v in s.eigenvalues)
+            assert s.eigenvalues == tuple(e.tolist())
+
+
+@pytest.mark.parametrize("make", RESULTS, ids=RESULT_IDS)
+def test_flow_csv_equals_rowwise_oracle(make):
+    result = make()
+    assert flow_csv(result) == rowwise_flow_csv.flow_csv(list(result))
+
+
+@pytest.mark.parametrize("make", RESULTS, ids=RESULT_IDS)
+def test_conservation_report_equals_rowwise_oracle(make):
+    result = make()
+    want = rowwise_flow_csv.conservation_report(list(result))
+    assert conservation_report(result) == want

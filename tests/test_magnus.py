@@ -171,6 +171,16 @@ def test_chi_two_paths_agree(borel_ctx, borel_product, split2_ctx, split2_produc
                 assert star.coeff(m) == ode.coeff(m), (m, x)
 
 
+@pytest.mark.parametrize("method", ["star", "ode"])
+@pytest.mark.parametrize("order", [0, -1])
+def test_chi_rejects_an_order_below_one(borel_ctx, borel_product, method, order):
+    with pytest.raises(InvalidInput) as exc:
+        magnus.postlie_magnus(
+            borel_ctx.algebra, (1, 0, 1), borel_product, order, method=method
+        )
+    assert str(exc.value) == "order must be at least 1 (got %d)" % order
+
+
 def test_chi_identity_r_matrix_is_trivial():
     ctx = rmatrix.builtin_rmatrix("sl2-id")
     prod = products.from_rmatrix(ctx, "-")
