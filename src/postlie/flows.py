@@ -68,14 +68,13 @@ def _expm(A):
         A2 = A @ A
         A4 = A2 @ A2
         A6 = A4 @ A2
-        d6, d8, d10 = (
-            norm(M) ** (1 / p) for M, p in ((A6, 6), (A4 @ A4, 8), (A4 @ A6, 10))
-        )
+        d8 = norm(A4 @ A4) ** (1 / 8)
         # where A^8 = 0, as for rho(u) of Toda flows up to n = 8, exp(A) is this
         # Taylor sum; on such slices of large norm the pivoted solve loses digits
         T = I + A2 / 2 + A4 / 24 + A6 / 720 + A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
         if (d8 == 0).all():
             return T
+        d6, d10 = norm(A6) ** (1 / 6), norm(A4 @ A6) ** (1 / 10)
         eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
         # a slice whose powers leave the float range has no finite exponential
         # here; it stays NaN and is kept out of the solve

@@ -11,7 +11,7 @@ length <= m, so truncating words at the grading order loses nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import enveloping as ev
 from . import scalars
@@ -222,18 +222,30 @@ class _GradedEnv:
         return self.parts == other.parts
 
 
-def _extract_g_vector(L, element, failure, context):
-    """Read a g-vector off an element that must have only length-1 words."""
+def _extract_g_vector(L, element, failure, context, den=1):
+    """Read a g-vector off element / den, which must have only length-1
+    words; for den > 1 each nonzero entry is divided once, to a Fraction."""
     residual = ev.EnvElement(
         L, element.order, {w: c for w, c in element.terms.items() if len(w) >= 2}
     )
     if not residual.is_zero() or element.counit() != 0:
-        raise failure(context, residual if not residual.is_zero() else element)
+        bad = residual if not residual.is_zero() else element
+        raise failure(context, bad.scale(Fraction(1, den)))
     out = [0] * L.dim
     for w, c in element.terms.items():
         if len(w) == 1:
-            out[w[0]] = c
+            out[w[0]] = c if den == 1 else Fraction(c, den)
     return tuple(out)
+
+
+def _combine(L, order, terms):
+    """sum s * A / d over (s, A, d) in terms as one (element, denominator)
+    pair: each numerator is scaled by lcm // d into one term map."""
+    den = lcm(*(d for _, _, d in terms))
+    out = {}
+    for s, A, d in terms:
+        ev._add_into(out, A.terms, s * (den // d))
+    return ev.EnvElement(L, order, out), den
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +281,10 @@ def postlie_magnus(L, x, product, order, method="star"):
 
     computed in the truncated enveloping algebra.  Every chi_n must
     collapse to words of length 1 (the computational witness that it is a
-    g-vector); a nonzero longer residual raises CollapseFailure.
+    g-vector); a nonzero longer residual raises CollapseFailure.  Each term
+    is a pair (numerators, denominator), integers over integral structure
+    constants: products multiply both parts, sums scale to the lcm of the
+    denominators, and chi_n is divided once per entry (Fraction, or int 0).
 
     method="ode" evaluates the same series through the defining
     differential equation instead (a g-level recursion that never builds
@@ -297,24 +312,29 @@ def postlie_magnus(L, x, product, order, method="star"):
     if method != "star":
         raise InvalidInput("method must be 'star' or 'ode'")
     ev._require_exact(L)
-    X = ev.from_g_vector(L, order, x)
+    cleared = lambda v: _combine(
+        L, order, [(c.numerator, ev.letter(L, order, k), c.denominator) for k, c in enumerate(v)]
+    )
+    X, dx = cleared(x)
     chi_vec = [vzero(L.dim), x]
-    # P[k][m] is the degree-m part of chi^{*k}; order n adds only degree n
-    P = [None, {1: X}]
+    # P[k][m] = (numerator, den): the degree-m part of chi^{*k} is the integer
+    # element numerator divided by the int den; order n adds only degree n
+    P = [None, {1: (X, dx)}]
     x_power = X
     for n in range(2, order + 1):
         x_power = ev.env_mul(x_power, X)
-        rhs = x_power.scale(Fraction(1, factorial(n)))
+        rhs = [(1, x_power, dx**n * factorial(n))]
         P.append({})
         for k in range(2, n + 1):
-            parts = [
-                ev.star_mul(P[1][p], P[k - 1][n - p], product) for p in range(1, n - k + 2)
-            ]
-            P[k][n] = sum(parts[1:], parts[0])
-            rhs = rhs - P[k][n].scale(Fraction(1, factorial(k)))
-        vec = _extract_g_vector(L, rhs, CollapseFailure, n)
+            pairs = (P[1][p] + P[k - 1][n - p] for p in range(1, n - k + 2))
+            P[k][n] = _combine(
+                L, order, [(1, ev.star_mul(A, B, product), da * db) for A, da, B, db in pairs]
+            )
+            rhs.append((-1, P[k][n][0], P[k][n][1] * factorial(k)))
+        num, den = _combine(L, order, rhs)
+        vec = _extract_g_vector(L, num, CollapseFailure, n, den)
         chi_vec.append(vec)
-        P[1][n] = ev.from_g_vector(L, order, vec)
+        P[1][n] = cleared(vec)
     return GradedLieElement(L, order, chi_vec)
 
 

@@ -109,3 +109,16 @@ def test_single_matrix():
     X = _expm(A)
     assert X.shape == (4, 4)
     assert rel_err(X, mp_expm(A)) <= 10 * rel_err(expm(A), mp_expm(A)) + 1e-15
+
+
+def test_nilpotent_block_is_the_taylor_sum_bit_for_bit():
+    # a Toda n = 4 block: rho(u) is strictly lower triangular, so A^8 = 0 on
+    # every slice and _expm returns the degree-7 Taylor sum without the
+    # norms of A^6 and A^10; the sum is the one the general path falls back to
+    rng = np.random.default_rng(19)
+    A = np.tril(rng.standard_normal((3, 256, 4, 4)) * rng.uniform(0, 40, (3, 256, 1, 1)), -1)
+    I, A2 = np.eye(4), A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    T = I + A2 / 2 + A4 / 24 + A6 / 720 + A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
+    assert np.array_equal(_expm(A), T)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from postlie import enveloping as ev
 from postlie import liealg, magnus, products, rmatrix, scalars
 from postlie.errors import (
     CollapseFailure,
@@ -10,6 +11,7 @@ from postlie.errors import (
     NotPreLie,
 )
 from conftest import BUILTIN_RMATRICES, random_vector, seeded
+from oracles.star_chi_fractions import star_chi_fractions
 
 F = Fraction
 
@@ -202,6 +204,61 @@ def test_chi_scaling_homogeneity(borel_ctx, borel_product):
     )
     for m in range(1, 6):
         assert chi2.coeff(m) == tuple(c**m * v for v in chi1.coeff(m))
+
+
+def _entries(chi):
+    """chi's coefficients as (value, type) pairs: == compares both."""
+    return [[(c, type(c)) for c in v] for v in chi.coeffs]
+
+
+def _star_context(name):
+    if name.startswith("upper_lower_split"):
+        L = liealg.builtin(name)
+        return rmatrix.splitting_r(L, *L.splitting)
+    return rmatrix.builtin_rmatrix(name)
+
+
+@pytest.mark.parametrize("name", ["sl2-borel", "split2", "upper_lower_split(3)"])
+def test_star_chi_on_integer_numerators_matches_fraction_oracle(name):
+    # the star recursion divides once per chi entry; the oracle scales every
+    # term by its Fraction factor: same values, same entry types
+    ctx = _star_context(name)
+    L, prod = ctx.algebra, products.from_rmatrix(ctx, "-")
+    rng = seeded(1901)
+    directions = [
+        [rng.choice((-2, -1, 1, 2)) for _ in range(L.dim)],
+        [F(rng.choice((-3, -1, 1, 3)), 2) for _ in range(L.dim)],
+        [F(rng.choice((-2, -1, 0, 1, 2)), rng.choice((1, 3))) for _ in range(L.dim)],
+        [F(k % 3 - 1, 2 + k % 2) for k in range(L.dim)],
+    ]
+    for x in directions:
+        chi = magnus.postlie_magnus(L, x, prod, 5)
+        want = star_chi_fractions(L, L.check_vector(x), prod, 5)
+        assert _entries(chi) == _entries(want), x
+
+
+def test_star_chi_with_fraction_product_entries_matches_fraction_oracle(borel_ctx, borel_product):
+    L = borel_ctx.algebra
+    half = products.BilinearProduct(
+        L, [(i, j, k, F(c, 2)) for i, row in enumerate(borel_product.T_rows) for j, k, c in row]
+    )
+    assert any(type(c) is F for row in half.T_rows for _, _, c in row)
+    for x in [(1, 0, 1), (F(1, 2), 1, F(-2, 3))]:
+        chi = magnus.postlie_magnus(L, x, half, 5)
+        assert _entries(chi) == _entries(star_chi_fractions(L, L.check_vector(x), half, 5))
+
+
+def test_collapse_failure_carries_the_rational_residual(borel_ctx, borel_product, monkeypatch):
+    # twice the plain product in place of the star product leaves -x^2/2 at
+    # order 2; the residual is reported divided by the common denominator
+    monkeypatch.setattr(ev, "star_mul", lambda A, B, product: ev.env_mul(A, B).scale(2))
+    L, x = borel_ctx.algebra, (F(1, 2), 1, F(2, 3))
+    with pytest.raises(CollapseFailure) as got:
+        magnus.postlie_magnus(L, x, borel_product, 3)
+    with pytest.raises(CollapseFailure) as want:
+        star_chi_fractions(L, L.check_vector(x), borel_product, 3)
+    assert str(got.value) == str(want.value)
+    assert got.value.residual == want.value.residual and got.value.order == 2
 
 
 # ---------------------------------------------------------------------------
