@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from math import comb, factorial
 
@@ -81,7 +81,15 @@ def _normalize_terms(L, word):
     return cache[word]
 
 
-def _truncate(terms, order):
+def _word_mul(L, order, w1, w2):
+    """The product of two words in the truncated algebra: the normal form of
+    w1 w2 without its words longer than order.  Normalization never
+    lengthens a word, so for len(w1) + len(w2) <= order this is the PBW
+    cache entry itself, to be read and not changed."""
+    word = w1 + w2
+    terms = _normalize_terms(L, word)
+    if len(word) <= order:
+        return terms
     return {w: c for w, c in terms.items() if len(w) <= order}
 
 
@@ -195,17 +203,20 @@ def unit(L, order):
     return EnvElement(L, order, {(): 1})
 
 
+def _letter_index(L, i):
+    """i, if it is an int (not a bool) in 0..dim-1."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < L.dim:
+        raise DimensionMismatch("letter index %r is not an int in 0..%d" % (i, L.dim - 1))
+    return i
+
+
 def letter(L, order, i):
-    _require_exact(L)
-    if not 0 <= i < L.dim:
-        raise DimensionMismatch("letter index %d out of range" % (i,))
-    return EnvElement(L, order, {(i,): 1})
+    return env_element(L, order, {(i,): 1})
 
 
 def from_g_vector(L, order, x):
     _require_exact(L)
-    x = L.check_vector(x)
-    return EnvElement(L, order, {(k,): c for k, c in enumerate(x) if c != 0})
+    return env_element(L, order, {(k,): c for k, c in enumerate(L.check_vector(x))})
 
 
 def env_element(L, order, raw_terms):
@@ -213,12 +224,9 @@ def env_element(L, order, raw_terms):
     _require_exact(L)
     out = {}
     for word, c in raw_terms.items():
-        word = tuple(int(i) for i in word)
-        for i in word:
-            if not 0 <= i < L.dim:
-                raise DimensionMismatch("letter index %d out of range" % (i,))
-        _add_into(out, _normalize_terms(L, word), scalars.coerce(c, scalars.EXACT))
-    return EnvElement(L, order, _truncate(out, order))
+        word = tuple(_letter_index(L, i) for i in word)
+        _add_into(out, _word_mul(L, order, word, ()), scalars.coerce(c, scalars.EXACT))
+    return EnvElement(L, order, out)
 
 
 def pbw_normalize(L, raw_word, order):
@@ -230,9 +238,8 @@ def env_mul(A, B):
     """Concatenate-then-normalize product; words longer than N are dropped
     only after full normalization."""
     _check_pair(A, B)
-    L = A.algebra
-    out = _bilinear(lambda w1, w2: _normalize_terms(L, w1 + w2), A.terms, B.terms)
-    return EnvElement(L, A.order, _truncate(out, A.order))
+    out = _bilinear(partial(_word_mul, A.algebra, A.order), A.terms, B.terms)
+    return EnvElement(A.algebra, A.order, out)
 
 
 def word_of_vectors(L, order, vectors):
@@ -319,7 +326,8 @@ def coproduct(A):
 
 
 def _antipode_word(L, w):
-    """S(w) = (-1)^n w reversed, re-normalized, for a word w of length n."""
+    """S(w) = (-1)^n w reversed, re-normalized, for a word w of length n;
+    normalization never lengthens a word, so S(w) needs no truncation."""
     sign = -1 if len(w) % 2 else 1
     return {v: sign * c for v, c in _normalize_terms(L, w[::-1]).items()}
 
@@ -330,7 +338,7 @@ def antipode(A):
     out = {}
     for w, c in A.terms.items():
         _add_into(out, _antipode_word(L, w), c)
-    return EnvElement(L, A.order, _truncate(out, A.order))
+    return EnvElement(L, A.order, out)
 
 
 def is_primitive(A):
@@ -357,7 +365,10 @@ class LiftedProduct:
     The extension rules are: 1 |> A = A;  x.A |> y = x |> (A |> y)
     - (x |> A) |> y;  A |> B.C = sum (A1 |> B)(A2 |> C) over the coproduct
     of A; A |> 1 = counit(A).  All internal maps are {normal word: coeff}
-    dictionaries truncated at the context's grade.
+    dictionaries of words of length <= the context's grade: every product
+    of words goes through _word_mul, which drops the longer ones.  The memo
+    keys are ("t", A, w) for A |> w, ("s", A, B) for A * B and ("a", w) for
+    the star antipode.
     """
 
     def __init__(self, algebra, product, order):
@@ -369,17 +380,8 @@ class LiftedProduct:
         # _lift_contexts, and a strong reference would keep the entry alive
         self.rows = product.T_rows
         self.order = order
+        self.mul = partial(_word_mul, algebra, order)
         self._memo = {}
-
-    # -- dictionary plumbing ------------------------------------------------
-
-    def _mul_words(self, w1, w2):
-        key = ("m", w1, w2)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = _truncate(_normalize_terms(self.algebra, w1 + w2), self.order)
-            self._memo[key] = hit
-        return hit
 
     # -- the triangle lift --------------------------------------------------
 
@@ -413,14 +415,10 @@ class LiftedProduct:
                 rval = self.tri_word(right, C)
                 if not rval:
                     continue
-                _add_into(out, _bilinear(self._mul_words, lval, rval), k)
-        out = _truncate(_nonzero(out), self.order)
+                _add_into(out, _bilinear(self.mul, lval, rval), k)
+        out = _nonzero(out)
         self._memo[key] = out
         return out
-
-    def tri_elem(self, tA, tB):
-        out = _bilinear(self.tri_word, tA, tB)
-        return _nonzero(out)
 
     # -- star product ---------------------------------------------------------
 
@@ -435,8 +433,8 @@ class LiftedProduct:
         out = {}
         for left, right, k in _weighted_unshuffles(A):
             for w, c in self.tri_word(right, B).items():
-                _add_into(out, self._mul_words(left, w), k * c)
-        out = _truncate(_nonzero(out), self.order)
+                _add_into(out, self.mul(left, w), k * c)
+        out = _nonzero(out)
         self._memo[key] = out
         return out
 
@@ -460,7 +458,7 @@ class LiftedProduct:
             if left and right:
                 inner = self.star_antipode_word(right)
                 _add_into(out, self.star_elem({left: 1}, inner), -k)
-        out = _truncate(_nonzero(out), self.order)
+        out = _nonzero(out)
         self._memo[key] = out
         return out
 
@@ -483,7 +481,7 @@ def triangle_lift(A, B, product):
     """The lifted product A |> B of two elements."""
     _check_pair(A, B)
     ctx = lifted(A.algebra, product, A.order)
-    return EnvElement(A.algebra, A.order, ctx.tri_elem(A.terms, B.terms))
+    return EnvElement(A.algebra, A.order, _bilinear(ctx.tri_word, A.terms, B.terms))
 
 
 def star_mul(A, B, product):
@@ -536,7 +534,7 @@ def hopf_identity_failures(A, B, product):
         if not a:
             rights[b] = rights.get(b, 0) + c
         for w, s in _antipode_word(L, a).items():
-            _add_into(plain, _normalize_terms(L, w + b), c * s)
+            _add_into(plain, ctx.mul(w, b), c * s)
         for w, s in ctx.star_antipode_word(a).items():
             _add_into(star, ctx.star_word(w, b), c * s)
     counit = _nonzero({(): A.counit()})
@@ -544,7 +542,7 @@ def hopf_identity_failures(A, B, product):
     failed = {
         "coassociativity": _nonzero(left) != _nonzero(right),
         "counit": _nonzero(lefts) != A.terms or _nonzero(rights) != A.terms,
-        "antipode": _nonzero(_truncate(plain, order)) != counit,
+        "antipode": _nonzero(plain) != counit,
         "coproduct_multiplicative": coproduct(env_mul(A, B)) != tensor_mul(D, DB),
         "star_antipode": _nonzero(star) != counit,
         "star_coproduct_multiplicative":
@@ -559,13 +557,12 @@ def hopf_identity_failures(A, B, product):
 
 
 def _as_vector_letters(L, word):
-    out = []
-    for x in word:
-        if isinstance(x, (int,)):
-            out.append(L.basis(x))
-        else:
-            out.append(L.check_vector(x))
-    return out
+    """The letters of a raw word as g-vectors: a sequence is a vector, any
+    other letter a basis index."""
+    return [
+        L.check_vector(x) if hasattr(x, "__len__") else L.basis(_letter_index(L, x))
+        for x in word
+    ]
 
 
 def phi(L, word, product, order):
@@ -606,22 +603,17 @@ def _block_vector(product, letters, block):
 
 
 def _set_partitions(n):
+    """The set partitions of 0..n-1, blocks ascending: each partition of
+    1..n-1 (those of 0..n-2 shifted) with 0 as a new first block, then with
+    0 put in front of each block in turn."""
     if n == 0:
         yield []
         return
-    first, rest = 0, list(range(1, n))
-
-    def rec(remaining):
-        if not remaining:
-            yield []
-            return
-        head, tail = remaining[0], remaining[1:]
-        for sub in rec(tail):
-            yield [[head]] + sub
-            for i in range(len(sub)):
-                yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
-
-    yield from rec([first] + rest)
+    for sub in _set_partitions(n - 1):
+        sub = [[i + 1 for i in block] for block in sub]
+        yield [[0]] + sub
+        for i in range(len(sub)):
+            yield sub[:i] + [[0] + sub[i]] + sub[i + 1 :]
 
 
 def derived_bracket_algebra(L, product):

@@ -11,6 +11,7 @@ length <= m, so truncating words at the grading order loses nothing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm
 
 from . import enveloping as ev
@@ -145,67 +146,47 @@ def graded_from_json(L, data):
 # ---------------------------------------------------------------------------
 
 
-class _GradedEnv:
-    """List of EnvElements per t-degree 0..N; exact under the grading."""
+class _GradedEnv(ev._TermMap):
+    """A t-graded series of enveloping-algebra elements: the terms are keyed
+    by (degree, normal word), degrees 0..N; exact under the grading, since
+    a word of degree m has length <= m."""
 
-    def __init__(self, algebra, order, parts=None):
-        self.algebra = algebra
-        self.order = order
-        if parts is None:
-            parts = [ev.EnvElement(algebra, order, {}) for _ in range(order + 1)]
-        self.parts = list(parts)
+    __slots__ = ()
 
     @classmethod
     def unit(cls, algebra, order):
-        s = cls(algebra, order)
-        s.parts[0] = ev.unit(algebra, order)
-        return s
+        return cls(algebra, order, {(0, ()): 1})
 
     @classmethod
     def from_graded_vector(cls, x):
-        s = cls(x.algebra, x.order)
-        for m in range(x.order + 1):
-            s.parts[m] = ev.from_g_vector(x.algebra, x.order, x.coeffs[m])
-        return s
+        return cls(x.algebra, x.order, {
+            (m, (k,)): c for m, v in enumerate(x.coeffs) for k, c in enumerate(v)
+        })
 
-    def __add__(self, other):
-        return _GradedEnv(
-            self.algebra,
-            self.order,
-            [a + b for a, b in zip(self.parts, other.parts)],
+    def part(self, m):
+        """The degree-m coefficient as an EnvElement."""
+        return ev.EnvElement(
+            self.algebra, self.order, {w: c for (d, w), c in self.terms.items() if d == m}
         )
-
-    def __sub__(self, other):
-        return _GradedEnv(
-            self.algebra,
-            self.order,
-            [a - b for a, b in zip(self.parts, other.parts)],
-        )
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.parts)
-
-    def scale(self, c):
-        return _GradedEnv(self.algebra, self.order, [p.scale(c) for p in self.parts])
 
     def mul(self, other, star=None):
-        out = _GradedEnv(self.algebra, self.order)
-        for i, a in enumerate(self.parts):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.parts):
-                if i + j > self.order or b.is_zero():
-                    continue
-                piece = (
-                    ev.star_mul(a, b, star) if star is not None else ev.env_mul(a, b)
-                )
-                out.parts[i + j] = out.parts[i + j] + piece
-        return out
+        L, order = self.algebra, self.order
+        if star is None:
+            word_mul = partial(ev._word_mul, L, order)
+        else:
+            word_mul = ev.lifted(L, star, order).star_word
+
+        def graded(a, b):
+            if a[0] + b[0] > order:
+                return {}
+            return {(a[0] + b[0], w): c for w, c in word_mul(a[1], b[1]).items()}
+
+        return _GradedEnv(L, order, ev._bilinear(graded, self.terms, other.terms))
 
     def exp(self, star=None):
         """Exponential of a series with zero degree-0 part (exact: the n-th
         power only reaches degrees >= n)."""
-        if not self.parts[0].is_zero():
+        if not self.part(0).is_zero():
             raise InvalidInput("graded exp needs a series without degree-0 part")
         one = _GradedEnv.unit(self.algebra, self.order)
         return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star))
@@ -214,12 +195,9 @@ class _GradedEnv:
         """Logarithm of a series with degree-0 part 1."""
         one = _GradedEnv.unit(self.algebra, self.order)
         B = self - one
-        if not B.parts[0].is_zero():
+        if not B.part(0).is_zero():
             raise InvalidInput("graded log needs degree-0 part equal to 1")
         return ev._log_series(B, one, _GradedEnv.mul)
-
-    def __eq__(self, other):
-        return self.parts == other.parts
 
 
 def _extract_g_vector(L, element, failure, context, den=1):
@@ -262,7 +240,7 @@ def bch(L, x, y, order):
     Z = X.exp().mul(Y.exp()).log()
     coeffs = [vzero(L.dim)]
     for m in range(1, order + 1):
-        part = Z.parts[m]
+        part = Z.part(m)
         if not ev.is_primitive(part) and not part.is_zero():
             raise PrimitivityFailure("BCH degree %d is not primitive" % (m,))
         coeffs.append(_extract_g_vector(L, part, PrimitivityFailure, m))
@@ -399,11 +377,7 @@ def verify_grouplike_identity(L, x, product, order):
         GradedLieElement.from_vector(L, order, x)
     ).exp()
     rhs = _GradedEnv.from_graded_vector(chi).exp(star=product)
-    first_failure = None
-    for m in range(order + 1):
-        if lhs.parts[m] != rhs.parts[m]:
-            first_failure = m
-            break
+    first_failure = min((d for d, _ in (lhs - rhs).terms), default=None)
     return {
         "ok": first_failure is None,
         "degrees_checked": order,

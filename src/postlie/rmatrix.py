@@ -105,12 +105,6 @@ def r_bracket(L, R, x, y):
     return vscale(half, vadd(bracket(L, R.apply(x), y), bracket(L, x, R.apply(y))))
 
 
-def _half_shift(L, R, sign, half):
-    ident = LinearEndo.identity(L.dim)
-    shifted = R + ident if sign > 0 else R - ident
-    return shifted.scale(half)
-
-
 class RMatrixContext:
     """A validated (algebra, R, theta) triple; R_pm are built on first use."""
 
@@ -123,10 +117,8 @@ class RMatrixContext:
     def r_plus_minus(self):
         if self._pm is None:
             half = self.algebra.ratio(1, 2)
-            self._pm = (
-                _half_shift(self.algebra, self.R, +1, half),
-                _half_shift(self.algebra, self.R, -1, half),
-            )
+            ident = LinearEndo.identity(self.algebra.dim)
+            self._pm = ((self.R + ident).scale(half), (self.R - ident).scale(half))
         return self._pm
 
     def r_sign(self, sign):

@@ -10,6 +10,7 @@ from postlie import enveloping as env
 from postlie import liealg, magnus, products, rmatrix, scalars
 from postlie.errors import (
     AlgebraMismatch,
+    DimensionMismatch,
     ModeMismatch,
     NotInAugmentationIdeal,
     NotUnitNormalized,
@@ -459,6 +460,34 @@ def test_phi_on_single_letters_is_identity(borel_ctx, borel_product):
         assert env.phi(L, (i,), borel_product, ORDER) == env.letter(L, ORDER, i)
 
 
+@pytest.mark.parametrize("index", [3, 5, -1, True, False, 2.7, 1.0, F(1)])
+def test_a_letter_index_must_be_an_int_in_range(borel_ctx, borel_product, index):
+    """letter, env_element, phi and phi_inverse share one check: an index is
+    an int, not a bool, in 0..dim-1; anything else is DimensionMismatch, not
+    a zero letter, a truncated float or True read as 1."""
+    L = borel_ctx.algebra
+    bar = env.derived_bracket_algebra(L, borel_product)
+    calls = [
+        lambda: env.letter(L, ORDER, index),
+        lambda: env.env_element(L, ORDER, {(0, index): 1}),
+        lambda: env.phi(L, (index,), borel_product, ORDER),
+        lambda: env.phi(L, (0, index), borel_product, ORDER),
+        lambda: env.phi_inverse(L, (index, 0), borel_product, ORDER, bar=bar),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="letter index"):
+            call()
+
+
+def test_letter_indices_and_vectors_mix_in_phi(borel_ctx, borel_product):
+    """A letter of phi is a basis index or a g-vector."""
+    L = borel_ctx.algebra
+    for i in range(L.dim):
+        assert env.phi(L, (L.basis(i), 2), borel_product, ORDER) == env.phi(
+            L, (i, 2), borel_product, ORDER
+        )
+
+
 def test_phi_matches_partition_formula(borel_ctx, borel_product):
     L = borel_ctx.algebra
     rng = seeded(103)
@@ -605,6 +634,36 @@ def test_sts_product_identity(borel_ctx, borel_product):
         B = _random_element(L, ORDER, rng, max_terms=2, max_len=2)
         report = env.sts_product_check(a, B, borel_ctx, borel_product)
         assert report["ok"], env.render(report["difference"])
+
+
+@pytest.mark.parametrize("name", ["split2", "sl2-borel"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_products_keep_every_word_within_the_grade(name, order):
+    """Operands with words of length up to the grade multiply into words up
+    to twice as long; every result holds only words of length <= order."""
+    ctx = rmatrix.builtin_rmatrix(name)
+    L, product = ctx.algebra, products.from_rmatrix(ctx, "-")
+    rng = seeded(order * 31 + len(name))
+    overflowed = 0
+    for _ in range(20):
+        A, B = (_random_element(L, order, rng, max_len=order) for _ in range(2))
+        overflowed += any(len(u) + len(v) > order for u in A.terms for v in B.terms)
+        results = [
+            env.env_mul(A, B),
+            env.star_mul(A, B, product),
+            env.triangle_lift(A, B, product),
+            env.antipode(A),
+            env.star_antipode(A, product),
+        ]
+        for R in results:
+            assert all(len(w) <= order for w in R.terms), R
+    assert overflowed >= 5
+
+
+def test_letters_and_vectors_at_grade_zero_are_zero(sl2):
+    """At grade 0 only scalars survive: a letter and a g-vector are zero."""
+    assert env.letter(sl2, 0, 1).is_zero()
+    assert env.from_g_vector(sl2, 0, (1, 2, 3)).is_zero()
 
 
 def test_render_is_deterministic(sl2):

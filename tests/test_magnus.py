@@ -103,6 +103,43 @@ def test_bch_degree_one_and_two_generic(sl2):
         assert out.coeff(2) == half
 
 
+@pytest.mark.parametrize("name", ["sl(2)", "gl(2)", "so(3)"])
+def test_bch_degrees_four_and_five_match_the_closed_forms(name):
+    """Degree 4 is -1/24 [y,[x,[x,y]]]; degree 5 is the quintic
+    -1/720 ([y,[y,[y,[y,x]]]] + [x,[x,[x,[x,y]]]])
+    + 1/360 ([x,[y,[y,[y,x]]]] + [y,[x,[x,[x,y]]]])
+    + 1/120 ([y,[x,[y,[x,y]]]] + [x,[y,[x,[y,x]]]]),
+    each bracket evaluated with the structure constants."""
+    L = liealg.builtin(name)
+    rng = seeded(409)
+
+    def nest(*letters):  # [a1,[a2,[...,[a_{k-1}, a_k]]]]
+        out = letters[-1]
+        for a in reversed(letters[:-1]):
+            out = liealg.bracket(L, a, out)
+        return out
+
+    def combo(*pairs):
+        out = liealg.vzero(L.dim)
+        for c, v in pairs:
+            out = liealg.vadd(out, liealg.vscale(c, v))
+        return out
+
+    for _ in range(3):
+        x = random_vector(L, rng)
+        y = tuple(c / rng.choice([1, 2, 3]) for c in random_vector(L, rng))
+        out = magnus.bch(L, x, y, 5)
+        assert out.coeff(4) == combo((F(-1, 24), nest(y, x, x, y)))
+        assert out.coeff(5) == combo(
+            (F(-1, 720), nest(y, y, y, y, x)),
+            (F(-1, 720), nest(x, x, x, x, y)),
+            (F(1, 360), nest(x, y, y, y, x)),
+            (F(1, 360), nest(y, x, x, x, y)),
+            (F(1, 120), nest(y, x, y, x, y)),
+            (F(1, 120), nest(x, y, x, y, x)),
+        )
+
+
 def test_graded_exp_log_reject_bad_degree_zero_part(sl2):
     one = magnus._GradedEnv.unit(sl2, 3)
     with pytest.raises(InvalidInput, match="without degree-0 part"):
