@@ -557,10 +557,11 @@ def hopf_identity_failures(A, B, product):
 
 
 def _as_vector_letters(L, word):
-    """The letters of a raw word as g-vectors: a sequence is a vector, any
-    other letter a basis index."""
+    """The letters of a raw word as g-vectors: a sequence other than a str
+    is a vector, any other letter a basis index."""
     return [
-        L.check_vector(x) if hasattr(x, "__len__") else L.basis(_letter_index(L, x))
+        L.check_vector(x) if hasattr(x, "__len__") and not isinstance(x, str)
+        else L.basis(_letter_index(L, x))
         for x in word
     ]
 
@@ -619,7 +620,7 @@ def _set_partitions(n):
 def derived_bracket_algebra(L, product):
     """The Lie algebra with bracket the star commutator
     [x,y] + x |> y - y |> x (validated)."""
-    return algebra_from_bracket(L, lambda x, y: star_commutator(L, product, x, y))
+    return algebra_from_bracket(L, partial(star_commutator, L.C_rows, product.T_rows))
 
 
 def phi_inverse(L, word, product, order, bar=None):

@@ -28,7 +28,7 @@ from .errors import (
     StepTooLarge,
 )
 from .liealg import bracket, builtin, contract, vscale
-from .magnus import postlie_magnus
+from .magnus import _check_order, postlie_magnus
 from .products import from_rmatrix
 from .rmatrix import splitting_r
 
@@ -218,15 +218,14 @@ class FlowProblem:
             raise NoRealization("flow problems need a matrix realization")
         if not t_grid:
             raise InvalidInput("t_grid must be nonempty")
-        if int(order) < 1:
-            raise InvalidInput("order must be >= 1")
+        _check_order(order)
         self.ctx = ctx
         self.algebra = L
         self.x0 = L.check_vector(x0)
         self.t_grid = tuple(float(t) for t in t_grid)
         if not all(map(math.isfinite, self.x0 + self.t_grid)):
             raise InvalidInput("the initial point and the time grid must be finite")
-        self.order = int(order)
+        self.order = order
         self.flow_tolerance = float(flow_tolerance)
         self._product = None
         self._chi = None

@@ -11,8 +11,8 @@ length <= m, so truncating words at the grading order loses nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import factorial, lcm
+from functools import partial, reduce
+from math import factorial, gcd, lcm
 
 from . import enveloping as ev
 from . import scalars
@@ -26,7 +26,7 @@ from .errors import (
     NotPreLie,
     PrimitivityFailure,
 )
-from .liealg import contract, vadd, vscale, vsub, vzero
+from .liealg import contract, tensor_rows, vadd, vscale, vsub, vzero
 from .products import check_prelie, star_commutator
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,14 @@ def _combine(L, order, terms):
     return ev.EnvElement(L, order, out), den
 
 
+def _check_order(order):
+    """The truncation order of a series: an int, not a bool, of at least 1."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise InvalidInput("order must be an int (got %r)" % (order,))
+    if order < 1:
+        raise InvalidInput("order must be at least 1 (got %d)" % (order,))
+
+
 # ---------------------------------------------------------------------------
 # BCH
 # ---------------------------------------------------------------------------
@@ -234,6 +242,7 @@ def _combine(L, order, terms):
 def bch(L, x, y, order):
     """Graded coefficients of log(exp(xt) exp(yt)), each certified
     primitive before being read off as a g-vector."""
+    _check_order(order)
     ev._require_exact(L)
     X = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, x))
     Y = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, y))
@@ -274,8 +283,7 @@ def postlie_magnus(L, x, product, order, method="star"):
     [R_+ x, y] the two methods disagree and neither series satisfies
     exp(x) = exp*(chi).
     """
-    if order < 1:
-        raise InvalidInput("order must be at least 1 (got %s)" % (order,))
+    _check_order(order)
     x = L.check_vector(x)
     if product.algebra.dim != L.dim:
         raise DimensionMismatch("product tensor and bracket algebra disagree")
@@ -285,8 +293,11 @@ def postlie_magnus(L, x, product, order, method="star"):
         )
     if not ev._same_algebra(product.algebra, L):
         raise AlgebraMismatch("the product lives over another algebra")
-    if method == "ode":
-        return _chi_by_ode(L, x, product, order)
+    if method == "ode":  # order-by-order integration of the defining ODE
+        chi = [vzero(L.dim), x]
+        for step in _ode_steps(L, x, product, chi, order):
+            chi.append(step)
+        return GradedLieElement(L, order, chi)
     if method != "star":
         raise InvalidInput("method must be 'star' or 'ode'")
     ev._require_exact(L)
@@ -316,58 +327,87 @@ def postlie_magnus(L, x, product, order, method="star"):
     return GradedLieElement(L, order, chi_vec)
 
 
-def _graded_at(f, A, B, d):
+class _Tuples:
+    """The vector operations of _grow on plain tuples (float mode, exact
+    pre-Lie): a sum folds vadd left to right, chi_m is rhs scaled by 1/m."""
+
+    def __init__(self, L, product):
+        self.zero, self.rows = vzero(L.dim), (L.C_rows, product.T_rows)
+        self.nonzero, self.scale, self.bilinear = any, vscale, lambda f: f
+        self.total = lambda terms: reduce(vadd, terms)
+        self.lift, self.chi = tuple, lambda rhs, m: vscale(L.ratio(1, m), rhs)
+
+
+class _Pairs:
+    """The same operations on exact (integer numerators, int denominator)
+    pairs: the rows are cleared to one denominator D once (kept when every
+    entry is an int), a contraction multiplies the denominators and D, a sum
+    is scaled to one lcm and reduced by its gcd, and chi_m is divided out
+    once per entry, a Fraction each."""
+
+    def __init__(self, L, product):
+        rows = L.C_rows, product.T_rows
+        D = lcm(*(c.denominator for T in rows for r in T for *_, c in r))
+        self.rows = rows if D == 1 else tuple(tensor_rows(
+            L.dim, [(i, j, k, c * D) for i, r in enumerate(T) for j, k, c in r], L.mode
+        ) for T in rows)
+        self.zero = vzero(L.dim), 1
+        self.bilinear = lambda f: lambda a, b: (f(a[0], b[0]), D * a[1] * b[1])
+
+    nonzero = staticmethod(lambda v: any(v[0]))
+    scale = staticmethod(lambda c, v: (vscale(c.numerator, v[0]), c.denominator * v[1]))
+    chi = staticmethod(lambda rhs, m: tuple(Fraction(n, rhs[1] * m) for n in rhs[0]))
+
+    @staticmethod
+    def total(terms):
+        den = lcm(*(d for _, d in terms))
+        out = [sum(col) for col in zip(*(vscale(den // d, v) for v, d in terms))]
+        g = gcd(den, *out)
+        return tuple(n // g for n in out), den // g
+
+    @staticmethod
+    def lift(v):
+        den = lcm(*(c.denominator for c in v))
+        return tuple(c.numerator * (den // c.denominator) for c in v), den
+
+
+def _graded_at(f, A, B, d, ops):
     """Degree d of f(sum A_i t^i, sum B_j t^j) for a bilinear f, adding the
     products in increasing i and skipping zero coefficients."""
-    out = vzero(len(B[0]))
-    for i in range(max(0, d + 1 - len(B)), min(d + 1, len(A))):
-        if any(A[i]) and any(B[d - i]):
-            out = vadd(out, f(A[i], B[d - i]))
-    return out
+    return ops.total([ops.zero] + [
+        f(A[i], B[d - i]) for i in range(max(0, d + 1 - len(B)), min(d + 1, len(A)))
+        if ops.nonzero(A[i]) and ops.nonzero(B[d - i])
+    ])
 
 
-def _grow(table, f, beta, base, coeffs):
+def _grow(table, f, beta, base, coeffs, ops):
     """Append degree d = len(table[0]) to table[n], the degree-by-degree
     coefficients of f(beta, .)^n applied to table[0], given base, the
     degree-d coefficient of table[0]; return sum_n coeffs[n] table[n][d]."""
     d = len(table[0])
     table[0].append(base)
-    table.append([vzero(len(base))] * d)
-    out = base
+    table.append([ops.zero] * d)
     for n in range(1, d + 1):
-        table[n].append(_graded_at(f, beta, table[n - 1], d))
-        out = vadd(out, vscale(coeffs[n], table[n][d]))
-    return out
+        table[n].append(_graded_at(f, beta, table[n - 1], d, ops))
+    return ops.total([base] + [ops.scale(coeffs[n], table[n][d]) for n in range(1, d + 1)])
 
 
 def _ode_steps(L, x, product, chi, order):
-    """For m = 2..order, yield the degree m-1 coefficient of the right side
-    of d/dt chi = dexp*^{-1}_{-chi}( exp*(-chi) |> x ); step m reads only
-    chi[1..m-1], so chi may grow while the steps run.  Two tables keep, per
-    degree, the powers (-chi |>)^n x and bar(-chi, .)^n u of
-    u = exp*(-chi) |> x; their lower-degree entries never change, so step m
-    adds only degree m-1 to each.  Every intermediate is a g-vector: the
-    recursion contracts the rows of L and of the product directly."""
-    bern = bernoulli(order)
+    """For m = 2..order, yield chi_m as the defining ODE gives it: 1/m times
+    degree m-1 of the right side of d/dt chi = dexp*^{-1}_{-chi}(exp*(-chi)
+    |> x); step m reads only chi[1..m-1], so chi may grow meanwhile.  Two
+    tables keep, per degree, the powers (-chi |>)^n x and bar(-chi, .)^n u
+    of u = exp*(-chi) |> x; step m adds degree m-1 to each."""
+    ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)(L, product)
     exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
-    inv_c = [L.ratio(bern[n], factorial(n)) for n in range(order)]
-    tri = lambda a, b: contract(product.T_rows, a, b)
-    bar = lambda a, b: star_commutator(L, product, a, b)
-    neg_chi = [vzero(L.dim)]
-    powers, bars = [[x]], [[x]]
+    inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
+    tri = ops.bilinear(partial(contract, ops.rows[1]))
+    bar = ops.bilinear(partial(star_commutator, *ops.rows))
+    neg_chi, powers, bars = [ops.zero], [[ops.lift(x)]], [[ops.lift(x)]]
     for m in range(2, order + 1):
-        neg_chi.append(vscale(-1, chi[m - 1]))
-        u = _grow(powers, tri, neg_chi, vzero(L.dim), exp_c)
-        yield _grow(bars, bar, neg_chi, u, inv_c)
-
-
-def _chi_by_ode(L, x, product, order):
-    """Order-by-order integration of the defining ODE: chi_m is 1/m times
-    the degree m-1 right side.  x is checked by the caller."""
-    chi = [vzero(L.dim), x]
-    for m, rhs in enumerate(_ode_steps(L, x, product, chi, order), start=2):
-        chi.append(vscale(L.ratio(1, m), rhs))
-    return GradedLieElement(L, order, chi)
+        neg_chi.append(ops.lift(vscale(-1, chi[m - 1])))
+        u = _grow(powers, tri, neg_chi, ops.zero, exp_c, ops)
+        yield ops.chi(_grow(bars, bar, neg_chi, u, inv_c, ops), m)
 
 
 def verify_grouplike_identity(L, x, product, order):
@@ -394,6 +434,7 @@ def verify_grouplike_identity(L, x, product, order):
 def prelie_magnus(L, x, product, order):
     """chi solving chi = sum_k (b_k/k!) l_chi^k (xt) order by order, for a
     pre-Lie product over an abelian bracket; agrees with postlie_magnus."""
+    _check_order(order)
     if any(L.C_rows):
         raise NotAbelian("prelie_magnus needs an abelian bracket")
     if not check_prelie(product)["ok"]:
@@ -404,10 +445,11 @@ def prelie_magnus(L, x, product, order):
     coeffs = [L.ratio(bern[k], factorial(k)) for k in range(order + 1)]
     # degree m of sum_k b_k/k! l_chi^k(xt); x sits at degree 1 and each
     # l_chi factor adds at least one degree, so only known chi's enter
+    ops = _Tuples(L, product)
     chi, powers = [vzero(L.dim), x], [[vzero(L.dim)]]
-    _grow(powers, product.apply, chi, x, coeffs)  # degree 1 is x itself
+    _grow(powers, product.apply, chi, x, coeffs, ops)  # degree 1 is x itself
     for _ in range(2, order + 1):
-        chi.append(_grow(powers, product.apply, chi, vzero(L.dim), coeffs))
+        chi.append(_grow(powers, product.apply, chi, vzero(L.dim), coeffs, ops))
     return GradedLieElement(L, order, chi)
 
 
@@ -436,10 +478,8 @@ def verify_chi_ode(L, x, product, order):
     the lowest degree of the right side that m*chi_m misses.  A product
     that is not right post-Lie gets this report, not an exception."""
     chi = postlie_magnus(L, x, product, order)
-    first_failure = None
     steps = _ode_steps(L, chi.coeff(1), product, chi.coeffs, order)
-    for m, rhs in enumerate(steps, start=2):
-        if vscale(m, chi.coeff(m)) != rhs:  # d/dt shifts degree m down to m-1
-            first_failure = m - 1
-            break
+    first_failure = next(  # d/dt shifts degree m down to m-1
+        (m - 1 for m, step in enumerate(steps, start=2) if chi.coeff(m) != step), None
+    )
     return {"ok": first_failure is None, "first_failure": first_failure, "chi": chi}

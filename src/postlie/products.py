@@ -75,12 +75,11 @@ def from_rmatrix(ctx, sign):
     return BilinearProduct(L, entries)
 
 
-def star_commutator(L, product, x, y):
+def star_commutator(C_rows, T_rows, x, y):
     """[x,y] + x o y - y o x: the bracket of the Lie algebra a post-Lie
-    product derives from the bracket of L, contracted on the rows of both.
-    Unchecked, like contract: x and y must be vectors of L in its mode."""
-    T = product.T_rows
-    return vadd(contract(L.C_rows, x, y), vsub(contract(T, x, y), contract(T, y, x)))
+    product derives from the bracket, contracted on the rows of both (the
+    structure constants and the product).  Unchecked, like contract."""
+    return vadd(contract(C_rows, x, y), vsub(contract(T_rows, x, y), contract(T_rows, y, x)))
 
 
 def _associator(prod, x, y, z):

@@ -5,8 +5,8 @@ vectors that were checked once, so these are the checks."""
 
 import pytest
 
-from postlie import liealg, magnus, products, rmatrix
-from postlie.errors import DimensionMismatch, ModeMismatch
+from postlie import flows, liealg, magnus, products, rmatrix, scalars
+from postlie.errors import DimensionMismatch, InvalidInput, ModeMismatch
 
 GOOD = (1, 0, 1)
 BAD = {
@@ -64,3 +64,41 @@ def test_postlie_magnus_rejects_a_product_over_another_algebra(method):
     ):
         with pytest.raises(error):
             magnus.postlie_magnus(L, GOOD, products.from_rmatrix(other, "-"), 3, method=method)
+
+
+def _order_entry_points():
+    """name -> function of the truncation order, for the chi, BCH, pre-Lie
+    and flow entry points that share one order check."""
+    ctx = rmatrix.builtin_rmatrix("sl2-borel")
+    L, P = ctx.algebra, products.from_rmatrix(ctx, "-")
+    flat = liealg.new_lie_algebra(2, ["a", "b"], [])
+    flat_product = products.BilinearProduct(flat, [])
+    float_ctx = rmatrix.builtin_rmatrix("split2", mode=scalars.FLOAT)
+    return {
+        "magnus-star": lambda n: magnus.postlie_magnus(L, GOOD, P, n),
+        "magnus-ode": lambda n: magnus.postlie_magnus(L, GOOD, P, n, method="ode"),
+        "bch": lambda n: magnus.bch(L, GOOD, (0, 1, 0), n),
+        "prelie": lambda n: magnus.prelie_magnus(flat, (1, 1), flat_product, n),
+        "flow-problem": lambda n: flows.FlowProblem(float_ctx, [0, 1, 0, 1], (0.5,), n),
+    }
+
+
+ORDER_CASES = [
+    (name, order)
+    for name in _order_entry_points()
+    for order in (2.5, 1.0, True, False, "3", None, 0, -2)
+]
+
+
+@pytest.mark.parametrize(
+    "name,order", ORDER_CASES, ids=["%s-%r" % case for case in ORDER_CASES]
+)
+def test_an_order_must_be_an_int_of_at_least_one(name, order):
+    """An order is an int, not a bool, of at least 1; anything else is
+    InvalidInput naming the value, not a TypeError, True read as order 1,
+    a truncation-range message or a float cut by int()."""
+    f = _order_entry_points()[name]
+    f(2)
+    with pytest.raises(InvalidInput) as exc:
+        f(order)
+    assert "order must be" in str(exc.value) and "(got %r)" % (order,) in str(exc.value)

@@ -460,11 +460,12 @@ def test_phi_on_single_letters_is_identity(borel_ctx, borel_product):
         assert env.phi(L, (i,), borel_product, ORDER) == env.letter(L, ORDER, i)
 
 
-@pytest.mark.parametrize("index", [3, 5, -1, True, False, 2.7, 1.0, F(1)])
+@pytest.mark.parametrize("index", [3, 5, -1, True, False, 2.7, 1.0, F(1), "1"])
 def test_a_letter_index_must_be_an_int_in_range(borel_ctx, borel_product, index):
     """letter, env_element, phi and phi_inverse share one check: an index is
     an int, not a bool, in 0..dim-1; anything else is DimensionMismatch, not
-    a zero letter, a truncated float or True read as 1."""
+    a zero letter, a truncated float, True read as 1 or a str read as a
+    vector of length 1."""
     L = borel_ctx.algebra
     bar = env.derived_bracket_algebra(L, borel_product)
     calls = [

@@ -11,6 +11,8 @@ from postlie.errors import (
     NotPreLie,
 )
 from conftest import BUILTIN_RMATRICES, random_vector, seeded
+from oracles.ode_chi_fractions import _ode_steps as fraction_ode_steps
+from oracles.ode_chi_fractions import ode_chi_fractions
 from oracles.star_chi_fractions import star_chi_fractions
 
 F = Fraction
@@ -390,6 +392,77 @@ def test_verify_chi_ode_passes_exactly(borel_ctx, borel_product):
     assert report["ok"], report
     report2 = magnus.verify_chi_ode(L, (2, 1, -1), borel_product, 4)
     assert report2["ok"], report2
+
+
+def _directions(L, seed):
+    """Integer directions and directions with denominators 2 and 3."""
+    rng = seeded(seed)
+    return [
+        [rng.choice((-2, -1, 1, 2)) for _ in range(L.dim)],
+        [F(rng.choice((-3, -1, 1, 3)), 2) for _ in range(L.dim)],
+        [F(rng.choice((-2, -1, 0, 1, 2)), rng.choice((1, 3))) for _ in range(L.dim)],
+        [F(k % 3 - 1, 2 + k % 2) for k in range(L.dim)],
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("sl2-borel", 10), ("split2", 10), ("upper_lower_split(3)", 9), ("upper_lower_split(4)", 8)],
+)
+def test_ode_chi_on_integer_numerators_matches_fraction_oracle(name, order):
+    # the ode recursion runs on integer numerators over one denominator and
+    # divides once per chi entry; the oracle runs on Fraction vectors: same
+    # values, same entry types (chi_1 as checked, a Fraction for every entry
+    # of chi_m with m >= 2, zeros included)
+    ctx = _star_context(name)
+    L, prod = ctx.algebra, products.from_rmatrix(ctx, "-")
+    for x in _directions(L, 2101):
+        chi = magnus.postlie_magnus(L, x, prod, order, method="ode")
+        want = ode_chi_fractions(L, L.check_vector(x), prod, order)
+        assert _entries(chi) == _entries(want), x
+        assert all(type(c) is F for v in chi.coeffs[2:] for c in v)
+
+
+def test_ode_chi_with_fraction_product_entries_matches_fraction_oracle(borel_ctx, borel_product):
+    L = borel_ctx.algebra
+    half = products.BilinearProduct(
+        L, [(i, j, k, F(c, 2)) for i, row in enumerate(borel_product.T_rows) for j, k, c in row]
+    )
+    for x in [(1, 0, 1), (F(1, 2), 1, F(-2, 3))] + _directions(L, 2102):
+        chi = magnus.postlie_magnus(L, x, half, 9, method="ode")
+        assert _entries(chi) == _entries(ode_chi_fractions(L, L.check_vector(x), half, 9))
+
+
+def _fraction_ode_report(L, x, product, order):
+    """verify_chi_ode's report as the Fraction-vector recursion gives it."""
+    chi = magnus.postlie_magnus(L, x, product, order)
+    steps = fraction_ode_steps(L, chi.coeff(1), product, chi.coeffs, order)
+    for m, rhs in enumerate(steps, start=2):
+        if liealg.vscale(m, chi.coeff(m)) != rhs:
+            return {"ok": False, "first_failure": m - 1}
+    return {"ok": True, "first_failure": None}
+
+
+@pytest.mark.parametrize("name", ["sl2-borel", "split2", "upper_lower_split(3)"])
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_verify_chi_ode_report_matches_the_fraction_recursion(name, sign):
+    ctx = _star_context(name)
+    L, prod = ctx.algebra, products.from_rmatrix(ctx, sign)
+    for x in _directions(L, 7)[:2] + [[1] * L.dim]:
+        report = magnus.verify_chi_ode(L, x, prod, 6)
+        want = _fraction_ode_report(L, L.check_vector(x), prod, 6)
+        assert {k: report[k] for k in want} == want, x
+        if sign == "-":
+            assert report["ok"], x
+
+
+@pytest.mark.parametrize("order", [5, 8])
+def test_verify_chi_ode_left_handed_first_failure_matches_the_fraction_recursion(borel_ctx, order):
+    L = borel_ctx.algebra
+    left = products.from_rmatrix(borel_ctx, "+")
+    report = magnus.verify_chi_ode(L, (1, 0, 1), left, order)
+    assert _fraction_ode_report(L, (1, 0, 1), left, order) == {"ok": False, "first_failure": 3}
+    assert not report["ok"] and report["first_failure"] == 3
 
 
 def test_verify_chi_ode_reports_a_left_handed_product(borel_ctx):

@@ -149,6 +149,27 @@ def test_chi_ode_product_count_is_pinned(monkeypatch):
     assert calls[0] == 383
 
 
+def test_exact_chi_ode_contracts_int_vectors_as_often_as_float(monkeypatch):
+    """The exact ode chi runs the float recursion on integer numerators over
+    one denominator: every vector liealg.contract receives holds only ints,
+    and the count of product contractions is the float run's 383."""
+    L = liealg.builtin("upper_lower_split(4)")
+    P = products.from_rmatrix(rmatrix.splitting_r(L, *L.splitting), "-")
+    calls, entry_types = [0], set()
+    contract = liealg.contract
+
+    def counted(rows, x, y):
+        calls[0] += rows is P.T_rows
+        entry_types.update(map(type, x + y))
+        return contract(rows, x, y)
+
+    _patch_everywhere(monkeypatch, contract, counted)
+    x = tuple(Fraction(i + 1, 16) for i in range(L.dim))
+    magnus.postlie_magnus(L, x, P, 10, method="ode")
+    assert entry_types == {int}
+    assert calls[0] == 383
+
+
 @pytest.mark.parametrize("name, order, count", [("split2", 6, 35), ("sl2-borel", 8, 84)])
 def test_chi_star_product_count_is_pinned(monkeypatch, name, order, count):
     """Each order n adds only degree n to the star powers of chi: order n
