@@ -26,6 +26,7 @@ from . import scalars
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    InvalidInput,
     ModeMismatch,
     NotInAugmentationIdeal,
     NotUnitNormalized,
@@ -52,11 +53,27 @@ def _nonzero(terms):
     return {w: c for w, c in terms.items() if c != 0}
 
 
+def _bracket_index(L):
+    """{(b, a): [(k, c), ...]} for b > a with [x_b, x_a] = sum c x_k != 0,
+    read off C_rows on the algebra's first normalization and kept beside
+    its PBW cache."""
+    if L._bracket_index is None:
+        index = {}
+        for b, row in enumerate(L.C_rows):
+            for a, k, c in row:
+                if a < b:
+                    index.setdefault((b, a), []).append((k, c))
+        L._bracket_index = index
+    return L._bracket_index
+
+
 def _normalize_terms(L, word):
     """Normal form of a raw index word as {normal word: coefficient}.
 
     Rewrites the first adjacent inversion x_b x_a (b > a) into
-    x_a x_b + [x_b, x_a] and recurses; memoized on the algebra.
+    x_a x_b + [x_b, x_a] and recurses; memoized on the algebra.  When x_a
+    and x_b commute the word shares the swapped word's entry: entries are
+    read and never changed.
     """
     cache = L._pbw_cache
     hit = cache.get(word)
@@ -65,16 +82,14 @@ def _normalize_terms(L, word):
     for i in range(len(word) - 1):
         b, a = word[i], word[i + 1]
         if b > a:
-            out = {}
-            swapped = word[:i] + (a, b) + word[i + 2 :]
-            for w, c in _normalize_terms(L, swapped).items():
-                out[w] = out.get(w, 0) + c
-            for j, k, ck in L.C_rows[b]:
-                if j == a:
-                    shorter = word[:i] + (k,) + word[i + 2 :]
-                    for w, c in _normalize_terms(L, shorter).items():
+            out = _normalize_terms(L, word[:i] + (a, b) + word[i + 2 :])
+            bracket = _bracket_index(L).get((b, a))
+            if bracket is not None:
+                out = dict(out)
+                for k, ck in bracket:
+                    for w, c in _normalize_terms(L, word[:i] + (k,) + word[i + 2 :]).items():
                         out[w] = out.get(w, 0) + ck * c
-            out = _nonzero(out)
+                out = _nonzero(out)
             cache[word] = out
             return out
     cache[word] = {word: 1}
@@ -114,7 +129,8 @@ def _weighted_unshuffles(word):
     normal (sorted).  A letter with m copies puts k of them in the left leg
     and m - k in the right, in C(m, k) position subsets, so the Prod (m + 1)
     pairs carry Prod C(m, k) and the weights add up to 2^len(word).  On a
-    normal word the pairs are distinct and both legs are normal."""
+    normal word the pairs are distinct and both legs are normal; the first
+    split is ((), word, 1)."""
     splits = [((), (), 1)]
     for a, run in groupby(word):
         m = len(tuple(run))
@@ -198,8 +214,17 @@ def _check_pair(A, B):
         raise OrderMismatch("truncation grades differ: %d vs %d" % (A.order, B.order))
 
 
+def _check_order(order, least):
+    """A truncation order: an int, not a bool, of at least `least`."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise InvalidInput("order must be an int (got %r)" % (order,))
+    if order < least:
+        raise InvalidInput("order must be at least %d (got %d)" % (least, order))
+
+
 def unit(L, order):
     _require_exact(L)
+    _check_order(order, 0)
     return EnvElement(L, order, {(): 1})
 
 
@@ -222,6 +247,7 @@ def from_g_vector(L, order, x):
 def env_element(L, order, raw_terms):
     """Build an element from {raw index word: coefficient}, normalizing."""
     _require_exact(L)
+    _check_order(order, 0)
     out = {}
     for word, c in raw_terms.items():
         word = tuple(_letter_index(L, i) for i in word)
@@ -277,7 +303,10 @@ def _tensor_terms(out, t1, t2, order):
 def _tensor_square_mul(T1, T2, word_product):
     """(a x b)(c x d) = ac x bd for a product of words, truncated at total
     length > order: both operands grouped by left leg, one product ac per
-    pair of left legs, times the product of the right legs beside them."""
+    pair of left legs, times the product of the right legs beside them, of
+    which only the words that fit beside the shortest word of ac are
+    added."""
+    _check_pair(T1, T2)
     order = T1.order
     groups1, groups2 = {}, {}
     for terms, groups in ((T1.terms, groups1), (T2.terms, groups2)):
@@ -287,8 +316,18 @@ def _tensor_square_mul(T1, T2, word_product):
     for a, rights1 in groups1.items():
         for c, rights2 in groups2.items():
             left = word_product(a, c)
-            if left:
-                _tensor_terms(out, left, _bilinear(word_product, rights1, rights2), order)
+            if not left:
+                continue
+            room = order - min(map(len, left))
+            right = {}
+            for b, v1 in rights1.items():
+                for d, v2 in rights2.items():
+                    v12 = v1 * v2
+                    for w, v in word_product(b, d).items():
+                        if len(w) <= room:
+                            right[w] = right.get(w, 0) + v12 * v
+            if right:
+                _tensor_terms(out, left, right, order)
     return TensorSquareElement(T1.algebra, order, out)
 
 
@@ -307,6 +346,7 @@ def tensor_star_mul(T1, T2, product):
 
 def tensor_of(A, B):
     """A (x) B as a TensorSquareElement, truncating total length."""
+    _check_pair(A, B)
     terms = _tensor_terms({}, A.terms, B.terms, A.order)
     return TensorSquareElement(A.algebra, A.order, terms)
 
@@ -387,10 +427,13 @@ class LiftedProduct:
 
     def tri_word(self, A, w):
         """A |> w for normal words A, w; the unshuffle branch splits A with
-        _weighted_unshuffles, which needs a normal word."""
+        _weighted_unshuffles, which needs a normal word.  A letter x with an
+        empty product row acts by zero on g, so by the derivation rule on
+        every nonempty word, and then x.A' |> w = x |> (A' |> w) - (x |> A')
+        |> w = 0 too: a word that starts with x gives 0 at once."""
         if not A:
             return {w: 1} if len(w) <= self.order else {}
-        if not w:
+        if not w or not self.rows[A[0]]:
             return {}
         key = ("t", A, w)
         hit = self._memo.get(key)
@@ -430,8 +473,10 @@ class LiftedProduct:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out = {}
-        for left, right, k in _weighted_unshuffles(A):
+        # the split with an empty left leg adds A |> B, already normal words
+        # within the grade
+        out = dict(self.tri_word(A, B))
+        for left, right, k in _weighted_unshuffles(A)[1:]:
             for w, c in self.tri_word(right, B).items():
                 _add_into(out, self.mul(left, w), k * c)
         out = _nonzero(out)
@@ -439,8 +484,8 @@ class LiftedProduct:
         return out
 
     def star_elem(self, tA, tB):
-        out = _bilinear(self.star_word, tA, tB)
-        return _nonzero(out)
+        """The star product of two term maps, unfiltered."""
+        return _bilinear(self.star_word, tA, tB)
 
     # -- star antipode ----------------------------------------------------------
 
@@ -574,6 +619,7 @@ def phi(L, word, product, order):
     Letters may be basis indices or g-vectors; the input is a raw word (it
     is *not* normalized first).
     """
+    _check_order(order, 0)
     ctx = lifted(L, product, order)
     acc = {(): 1}
     for v in reversed(_as_vector_letters(L, word)):
@@ -628,6 +674,7 @@ def phi_inverse(L, word, product, order, bar=None):
     the star-commutator Lie algebra (available as the result's .algebra;
     pass `bar` to reuse one): subtract recursively the images of every
     coarser set partition from the plain product of the letters."""
+    _check_order(order, 0)
     if bar is None:
         bar = derived_bracket_algebra(L, product)
     letters = _as_vector_letters(L, word)

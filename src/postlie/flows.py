@@ -27,8 +27,9 @@ from .errors import (
     NoRealization,
     StepTooLarge,
 )
+from .enveloping import _check_order
 from .liealg import bracket, builtin, contract, vscale
-from .magnus import _check_order, postlie_magnus
+from .magnus import postlie_magnus
 from .products import from_rmatrix
 from .rmatrix import splitting_r
 
@@ -218,7 +219,7 @@ class FlowProblem:
             raise NoRealization("flow problems need a matrix realization")
         if not t_grid:
             raise InvalidInput("t_grid must be nonempty")
-        _check_order(order)
+        _check_order(order, 1)
         self.ctx = ctx
         self.algebra = L
         self.x0 = L.check_vector(x0)

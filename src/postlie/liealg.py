@@ -211,6 +211,7 @@ class LieAlgebra:
         self.realization = realization
         self.mode = mode
         self._pbw_cache = {}
+        self._bracket_index = None  # built by enveloping on first use
         self.splitting = None  # (plus_indices, minus_indices) for split builtins
 
     def vanishes(self, values):

@@ -226,14 +226,6 @@ def _combine(L, order, terms):
     return ev.EnvElement(L, order, out), den
 
 
-def _check_order(order):
-    """The truncation order of a series: an int, not a bool, of at least 1."""
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise InvalidInput("order must be an int (got %r)" % (order,))
-    if order < 1:
-        raise InvalidInput("order must be at least 1 (got %d)" % (order,))
-
-
 # ---------------------------------------------------------------------------
 # BCH
 # ---------------------------------------------------------------------------
@@ -242,7 +234,7 @@ def _check_order(order):
 def bch(L, x, y, order):
     """Graded coefficients of log(exp(xt) exp(yt)), each certified
     primitive before being read off as a g-vector."""
-    _check_order(order)
+    ev._check_order(order, 1)
     ev._require_exact(L)
     X = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, x))
     Y = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, y))
@@ -283,7 +275,7 @@ def postlie_magnus(L, x, product, order, method="star"):
     [R_+ x, y] the two methods disagree and neither series satisfies
     exp(x) = exp*(chi).
     """
-    _check_order(order)
+    ev._check_order(order, 1)
     x = L.check_vector(x)
     if product.algebra.dim != L.dim:
         raise DimensionMismatch("product tensor and bracket algebra disagree")
@@ -434,7 +426,7 @@ def verify_grouplike_identity(L, x, product, order):
 def prelie_magnus(L, x, product, order):
     """chi solving chi = sum_k (b_k/k!) l_chi^k (xt) order by order, for a
     pre-Lie product over an abelian bracket; agrees with postlie_magnus."""
-    _check_order(order)
+    ev._check_order(order, 1)
     if any(L.C_rows):
         raise NotAbelian("prelie_magnus needs an abelian bracket")
     if not check_prelie(product)["ok"]:

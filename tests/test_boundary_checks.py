@@ -5,8 +5,15 @@ vectors that were checked once, so these are the checks."""
 
 import pytest
 
+from postlie import enveloping as ev
 from postlie import flows, liealg, magnus, products, rmatrix, scalars
-from postlie.errors import DimensionMismatch, InvalidInput, ModeMismatch
+from postlie.errors import (
+    AlgebraMismatch,
+    DimensionMismatch,
+    InvalidInput,
+    ModeMismatch,
+    OrderMismatch,
+)
 
 GOOD = (1, 0, 1)
 BAD = {
@@ -102,3 +109,87 @@ def test_an_order_must_be_an_int_of_at_least_one(name, order):
     with pytest.raises(InvalidInput) as exc:
         f(order)
     assert "order must be" in str(exc.value) and "(got %r)" % (order,) in str(exc.value)
+
+
+def _grade_entry_points():
+    """name -> function of the truncation grade, for the enveloping-algebra
+    constructors and the word-to-star maps that share one grade check."""
+    ctx = rmatrix.builtin_rmatrix("sl2-borel")
+    L, P = ctx.algebra, products.from_rmatrix(ctx, "-")
+    return {
+        "unit": lambda n: ev.unit(L, n),
+        "env-element": lambda n: ev.env_element(L, n, {(0, 1, 2): 1}),
+        "letter": lambda n: ev.letter(L, n, 1),
+        "from-g-vector": lambda n: ev.from_g_vector(L, n, GOOD),
+        "pbw-normalize": lambda n: ev.pbw_normalize(L, (2, 0), n),
+        "word-of-vectors": lambda n: ev.word_of_vectors(L, n, [GOOD, GOOD]),
+        "phi": lambda n: ev.phi(L, (2, 0), P, n),
+        "phi-inverse": lambda n: ev.phi_inverse(L, (2, 0), P, n),
+    }
+
+
+GRADE_CASES = [
+    (name, order)
+    for name in _grade_entry_points()
+    for order in (2.5, 1.0, True, False, "3", None, -1, -2)
+]
+
+
+@pytest.mark.parametrize(
+    "name,order", GRADE_CASES, ids=["%s-%r" % case for case in GRADE_CASES]
+)
+def test_a_grade_must_be_an_int_of_at_least_zero(name, order):
+    """A truncation grade is an int, not a bool, of at least 0 (grade 0
+    keeps the scalars); anything else is InvalidInput naming the value, not
+    an element at a negative or bool grade or a zero element at grade 2.5."""
+    f = _grade_entry_points()[name]
+    f(0)
+    f(2)
+    with pytest.raises(InvalidInput) as exc:
+        f(order)
+    assert "order must be" in str(exc.value) and "(got %r)" % (order,) in str(exc.value)
+
+
+def _sl2_borel_tensors():
+    """Delta(e.h) at grade 4 and Delta(h.f) at grade 2 on sl2-borel, and
+    Delta(E12.E21) at grade 4 on split2."""
+    L = rmatrix.builtin_rmatrix("sl2-borel").algebra
+    M = rmatrix.builtin_rmatrix("split2").algebra
+    e, h, f = range(3)
+    return (
+        ev.coproduct(ev.env_element(L, 4, {(e, h): 1})),
+        ev.coproduct(ev.env_element(L, 2, {(h, f): 1})),
+        ev.coproduct(ev.env_element(M, 4, {(1, 3): 1})),
+    )
+
+
+def test_tensor_square_products_check_their_operands():
+    """tensor_mul and tensor_star_mul raise OrderMismatch on two grades and
+    AlgebraMismatch on two algebras, in either operand order, as + and -
+    do; they used to return a tensor at the first operand's grade, or one
+    holding a letter out of range for its algebra."""
+    ctx = rmatrix.builtin_rmatrix("sl2-borel")
+    P = products.from_rmatrix(ctx, "-")
+    at4, at2, split = _sl2_borel_tensors()
+    products_of = (ev.tensor_mul, lambda S, T: ev.tensor_star_mul(S, T, P))
+    for mul in products_of:
+        mul(at4, at4)
+        for S, T in ((at4, at2), (at2, at4)):
+            with pytest.raises(OrderMismatch):
+                mul(S, T)
+        for S, T in ((at4, split), (split, at4)):
+            with pytest.raises(AlgebraMismatch):
+                mul(S, T)
+
+
+def test_tensor_of_checks_its_operands():
+    L = rmatrix.builtin_rmatrix("sl2-borel").algebra
+    M = rmatrix.builtin_rmatrix("split2").algebra
+    A, B = ev.letter(L, 4, 0), ev.letter(L, 2, 1)
+    ev.tensor_of(A, A)
+    for S, T in ((A, B), (B, A)):
+        with pytest.raises(OrderMismatch):
+            ev.tensor_of(S, T)
+    for S, T in ((A, ev.letter(M, 4, 3)), (ev.letter(M, 4, 3), A)):
+        with pytest.raises(AlgebraMismatch):
+            ev.tensor_of(S, T)
