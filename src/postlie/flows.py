@@ -8,6 +8,8 @@ Float mode throughout: the expansion coefficients are computed once per
 (x0, order) through the g-level recursion and rescaled along the time grid
 by t-degree homogeneity.  The grid is evaluated BLOCK points at a time,
 each block with stacked NumPy calls, the matrix exponential included.
+NumPy is imported inside each function that uses it, so importing this
+module, and with it the package, leaves NumPy unloaded until a float call.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from . import scalars
 from .errors import (
@@ -43,6 +43,7 @@ _np_cache = WeakKeyDictionary()
 
 
 def _np_data(L):
+    import numpy as np
     data = _np_cache.get(L)
     if data is None:
         stack = np.array(L.realization, dtype=float)
@@ -60,6 +61,7 @@ def _expm(A):
     """exp of each matrix of a stack (..., n, n): Pade-13 scaling and squaring, with
     s per slice from the exact ||A^p||^(1/p), p = 6, 8, 10 (Al-Mohy and Higham 2009).
     A slice whose exponential overflows comes back not finite, without a warning."""
+    import numpy as np
     A = np.asarray(A, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         if A.shape[-1] == 1:
@@ -99,11 +101,13 @@ def _expm(A):
 
 def _rho_np(L, x):
     """rho of each coordinate row of x (..., dim), as a (..., size, size) stack."""
+    import numpy as np
     return np.tensordot(x, _np_data(L)["rho"], axes=1)
 
 
 def _rminus_np(ctx):
     """R_minus of the context as a float matrix (column j = image of x_j)."""
+    import numpy as np
     _, Rm = ctx.r_plus_minus()
     return np.array(Rm.matrix, dtype=float)
 
@@ -164,6 +168,7 @@ def _sorted_eigs(M):
     """(spectra, real) of a stack of matrices (k, n, n): spectra is a
     complex (k, n) stack, ascending on real rows and ordered by (real, imag)
     on the others, and real marks the rows whose spectrum is real."""
+    import numpy as np
     M = np.asarray(M, dtype=float)
     # eigvalsh reads one triangle only, so the symmetry test must be absolute:
     # a relative test would pass an asymmetry of 1e-6 on entries near 0.1
@@ -191,6 +196,7 @@ def _states(L, ts, xs, finite=True):
     powers of the whole stack computed together.  With finite set, raises
     InvalidInput naming the first t at which the point or its trace powers
     are not finite."""
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rho_np(L, xs)
         powers = []
@@ -240,6 +246,7 @@ class FlowProblem:
         """chi_m(x0) for m = 1..order, computed once; chi(x0 t) follows by
         degree-m homogeneity."""
         if self._chi is None:
+            import numpy as np
             chi = postlie_magnus(
                 self.algebra, self.x0, self.product(), self.order, method="ode"
             )
@@ -255,6 +262,7 @@ def factorized_solution(problem):
     Emits a NonConvergentSeries warning when dropping the top expansion
     order moves any point by more than the flow tolerance.
     """
+    import numpy as np
     L = problem.algebra
     chi = np.array(problem.chi_coefficients())
     order = len(chi)
@@ -300,6 +308,7 @@ def factorization_residuals(problem):
     in the realization, where chi_<=m sums the expansion of x0 through order
     m: how far the truncated two-factor form of the factorization theorem is
     from exp(x0).  Raises InvalidInput if a matrix exponential overflows."""
+    import numpy as np
     L = problem.algebra
     Rp, Rm = problem.ctx.r_plus_minus()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,6 +322,8 @@ def factorization_residuals(problem):
 
 
 def _rk4_step(L, Rm_mat, x, h):
+    import numpy as np
+
     def f(v):
         return np.array(contract(L.C_rows, v.tolist(), (Rm_mat @ v).tolist()), float)
 
@@ -327,6 +338,7 @@ def rk4_reference(problem, step):
     """Classical fourth-order integration of the Lax field, stepping from
     t = 0 to each grid point with uniform sub-steps of size <= step; a
     FlowResult with one row per grid point."""
+    import numpy as np
     if step <= 0:
         raise InvalidInput("step must be positive")
     L = problem.algebra
@@ -368,6 +380,7 @@ def _drifts(result):
     """(eigenvalue drifts, trace-power drifts) of each row of a FlowResult:
     the largest entry change of its sorted spectrum and of its trace powers
     against the first row."""
+    import numpy as np
     e, f = result.eigenvalues, result.trace_powers
     return np.abs(e - e[0]).max(axis=-1), np.abs(f - f[0]).max(axis=-1)
 
@@ -408,6 +421,7 @@ def toda_problem(n, diag, offdiag, t_grid, order, flow_tolerance=1e-9):
 def flow_csv(result):
     """CSV text of a FlowResult: t, coordinates, eigenvalues (complex ones
     as repr), trace powers, and per-row worst drifts against the first row."""
+    import numpy as np
     if not result:
         raise InvalidInput("no states")
     d, ne, nf = (c.shape[1] for c in (result.x, result.eigenvalues, result.trace_powers))

@@ -303,7 +303,8 @@ def postlie_magnus(L, x, product, order, method="star"):
     P = [None, {1: (X, dx)}]
     x_power = X
     for n in range(2, order + 1):
-        x_power = ev.env_mul(x_power, X)
+        # x x^(n-1): the letter-word entries the plain half of each star product reads
+        x_power = ev.env_mul(X, x_power)
         rhs = [(1, x_power, dx**n * factorial(n))]
         P.append({})
         for k in range(2, n + 1):

@@ -3,7 +3,8 @@ no module defines a private function or class that nothing reads, no
 class has a method that nothing reads, no two module-level functions share
 a body, no parameter has a default that no
 call overrides, the benchmark's tracer still finds what it wraps and reads,
-the package runs without SciPy, and every demo runs."""
+the package runs without SciPy, no module imports NumPy or SciPy at its top
+level and the exact subcommands run without NumPy, and every demo runs."""
 
 import ast
 import importlib.util
@@ -359,6 +360,76 @@ def test_float_paths_do_not_import_scipy():
     assert result.returncode == 0, result.stderr
     assert "subalgebras ok: True; ideals ok: True" in result.stdout
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_exact_paths_do_not_import_numpy():
+    # NumPy is imported inside the float functions of flows and rmatrix, so
+    # the exact subcommands start without it and the first float call loads it
+    script = "\n".join([
+        "import sys",
+        "import postlie",
+        "from postlie.cli import main",
+        "for argv in [",
+        "    ['check-algebra', '--builtin', 'sl(2)'],",
+        "    ['check-rmatrix', '--builtin', 'split2'],",
+        "    ['check-postlie', '--builtin', 'split2'],",
+        "    ['magnus', '--builtin', 'sl2-borel', '--x', '1,0,1', '--order', '4'],",
+        "    ['magnus', '--builtin', 'sl2-borel', '--x', '1,0,1', '--order', '4',",
+        "     '--method', 'ode'],",
+        "    ['hopf-suite', '--builtin', 'sl2-borel', '--cases', '3'],",
+        "    ['bell', '--n', '4'],",
+        "]:",
+        "    assert main(argv) == 0, argv",
+        "exact = 'numpy' in sys.modules",
+        "assert main(['flow', '--toda', '3', '--offdiag', '0.3,0.2', '--steps', '3']) == 0",
+        "print(exact, 'numpy' in sys.modules)",
+    ])
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False True"
+
+
+def top_level_imports(source):
+    """Top-level module names that importing the module imports: those of
+    every import statement outside a function body."""
+    names = set()
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # if/try/with blocks and class bodies run on import too
+            pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_scan_finds_a_top_level_import():
+    source = (
+        "import os.path\n"
+        "from numpy import linalg\n"
+        "from . import flows\n"
+        "try:\n"
+        "    import scipy.linalg\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    import json\n"
+        "class C:\n"
+        "    import csv\n"
+        "    def g(self):\n"
+        "        import gzip\n"
+    )
+    assert top_level_imports(source) == {"os", "numpy", "scipy", "csv"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_top_level_numpy_or_scipy(path):
+    # importing the package stays free of NumPy and SciPy: a float function
+    # imports NumPy itself, as flows and rmatrix do
+    assert not top_level_imports(path.read_text()) & {"numpy", "scipy"}
 
 
 def test_demos_found():
