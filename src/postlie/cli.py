@@ -25,7 +25,6 @@ from .errors import (
     NotADirectSum,
     NotASubalgebra,
     PostLieError,
-    PrimitivityFailure,
     RealizationMismatch,
     YangBaxterFailure,
 )
@@ -212,7 +211,7 @@ def cmd_magnus(args):
     order = _order(args, 5)
     try:
         chi = magnus.postlie_magnus(L, x, prod, order, method=args.method)
-    except (CollapseFailure, PrimitivityFailure) as exc:
+    except CollapseFailure as exc:
         _emit(args, {"ok": False, "error": str(exc)}, ["FAIL: %s" % exc])
         return EXIT_CHECK_FAILED
     if args.json:
@@ -406,12 +405,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (
-        JacobiViolation,
-        RealizationMismatch,
-        CollapseFailure,
-        PrimitivityFailure,
-    ) as exc:
+    except (JacobiViolation, RealizationMismatch) as exc:
         print("FAIL: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (OSError, ValueError, PostLieError) as exc:

@@ -101,10 +101,6 @@ class NotUnitNormalized(PostLieError):
     """log needs an argument with constant term 1."""
 
 
-class PrimitivityFailure(PostLieError):
-    """A series coefficient that must be primitive is not (internal bug)."""
-
-
 class CollapseFailure(PostLieError):
     """A Magnus coefficient kept words of length >= 2 (invalid input or bug)."""
 

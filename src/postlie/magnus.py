@@ -3,9 +3,11 @@ specialization, the R_pm splitting of the expansion, and the check of
 the expansion's defining ODE.
 
 A GradedLieElement holds the t^m coefficients (each a genuine g-vector) of
-a Lie-algebra-valued formal series.  All series manipulations are exact:
-a degree-m coefficient only ever involves enveloping-algebra words of
-length <= m, so truncating words at the grading order loses nothing.
+a Lie-algebra-valued formal series.  BCH, the ode chi and the pre-Lie chi
+are solved degree by degree in g, in either mode.  The star chi and the
+group-like check work in the truncated enveloping algebra, exactly: a
+degree-m coefficient only involves words of length <= m, so truncating
+words at the grading order loses nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     ModeMismatch,
     NotAbelian,
     NotPreLie,
-    PrimitivityFailure,
 )
 from .liealg import contract, tensor_rows, vadd, vscale, vsub, vzero
 from .products import check_prelie, star_commutator
@@ -163,12 +164,6 @@ class _GradedEnv(ev._TermMap):
             (m, (k,)): c for m, v in enumerate(x.coeffs) for k, c in enumerate(v)
         })
 
-    def part(self, m):
-        """The degree-m coefficient as an EnvElement."""
-        return ev.EnvElement(
-            self.algebra, self.order, {w: c for (d, w), c in self.terms.items() if d == m}
-        )
-
     def mul(self, other, star=None):
         L, order = self.algebra, self.order
         if star is None:
@@ -186,29 +181,22 @@ class _GradedEnv(ev._TermMap):
     def exp(self, star=None):
         """Exponential of a series with zero degree-0 part (exact: the n-th
         power only reaches degrees >= n)."""
-        if not self.part(0).is_zero():
+        if any(d == 0 for d, _ in self.terms):
             raise InvalidInput("graded exp needs a series without degree-0 part")
         one = _GradedEnv.unit(self.algebra, self.order)
         return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star))
 
-    def log(self):
-        """Logarithm of a series with degree-0 part 1."""
-        one = _GradedEnv.unit(self.algebra, self.order)
-        B = self - one
-        if not B.part(0).is_zero():
-            raise InvalidInput("graded log needs degree-0 part equal to 1")
-        return ev._log_series(B, one, _GradedEnv.mul)
 
-
-def _extract_g_vector(L, element, failure, context, den=1):
-    """Read a g-vector off element / den, which must have only length-1
-    words; for den > 1 each nonzero entry is divided once, to a Fraction."""
+def _extract_g_vector(L, element, n, den=1):
+    """Read the order-n Magnus coefficient off element / den, which must
+    have only length-1 words (else CollapseFailure); for den > 1 each
+    nonzero entry is divided once, to a Fraction."""
     residual = ev.EnvElement(
         L, element.order, {w: c for w, c in element.terms.items() if len(w) >= 2}
     )
     if not residual.is_zero() or element.counit() != 0:
         bad = residual if not residual.is_zero() else element
-        raise failure(context, bad.scale(Fraction(1, den)))
+        raise CollapseFailure(n, bad.scale(Fraction(1, den)))
     out = [0] * L.dim
     for w, c in element.terms.items():
         if len(w) == 1:
@@ -232,20 +220,26 @@ def _combine(L, order, terms):
 
 
 def bch(L, x, y, order):
-    """Graded coefficients of log(exp(xt) exp(yt)), each certified
-    primitive before being read off as a g-vector."""
+    """Graded coefficients Z_m of Z = log(exp(xt) exp(yt)), solved in g
+    degree by degree from Z' = dexp_Z^{-1}(x + e^{t ad_x} y), Z_1 = x + y
+    (Varadarajan, Lie Groups, Lie Algebras, and Their Representations,
+    section 2.15).  Two tables keep, per degree, the powers (ad_{xt})^n y and
+    (ad_Z)^n u of u = x + e^{t ad_x} y; Z_m is degree m-1 of the right side
+    over m.  Exact entries are Fractions, and int 0 where they vanish."""
     ev._check_order(order, 1)
-    ev._require_exact(L)
-    X = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, x))
-    Y = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, y))
-    Z = X.exp().mul(Y.exp()).log()
-    coeffs = [vzero(L.dim)]
-    for m in range(1, order + 1):
-        part = Z.part(m)
-        if not ev.is_primitive(part) and not part.is_zero():
-            raise PrimitivityFailure("BCH degree %d is not primitive" % (m,))
-        coeffs.append(_extract_g_vector(L, part, PrimitivityFailure, m))
-    return GradedLieElement(L, order, coeffs)
+    x, y = L.check_vector(x), L.check_vector(y)
+    ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows,))
+    exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
+    inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
+    ad = ops.bilinear(partial(contract, *ops.rows))
+    xt, Z = [ops.zero, ops.lift(x)], [ops.zero]
+    powers, ads = [[ops.lift(y)]], [[ops.lift(vadd(x, y))]]
+    coeffs = [vzero(L.dim), ops.chi(ads[0][0], 1)]
+    for m in range(2, order + 1):
+        Z.append(ops.lift(coeffs[m - 1]))
+        u = _grow(powers, ad, xt, ops.zero, exp_c, ops)
+        coeffs.append(ops.chi(_grow(ads, ad, Z, u, inv_c, ops), m))
+    return GradedLieElement(L, order, [tuple(c or 0 for c in v) for v in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +308,7 @@ def postlie_magnus(L, x, product, order, method="star"):
             )
             rhs.append((-1, P[k][n][0], P[k][n][1] * factorial(k)))
         num, den = _combine(L, order, rhs)
-        vec = _extract_g_vector(L, num, CollapseFailure, n, den)
+        vec = _extract_g_vector(L, num, n, den)
         chi_vec.append(vec)
         P[1][n] = cleared(vec)
     return GradedLieElement(L, order, chi_vec)
@@ -322,13 +316,14 @@ def postlie_magnus(L, x, product, order, method="star"):
 
 class _Tuples:
     """The vector operations of _grow on plain tuples (float mode, exact
-    pre-Lie): a sum folds vadd left to right, chi_m is rhs scaled by 1/m."""
+    pre-Lie), over the tensor rows they contract: a sum folds vadd left to
+    right, chi_m is rhs scaled by the float 1/m."""
 
-    def __init__(self, L, product):
-        self.zero, self.rows = vzero(L.dim), (L.C_rows, product.T_rows)
+    def __init__(self, rows):
+        self.zero, self.rows = vzero(len(rows[0])), rows
         self.nonzero, self.scale, self.bilinear = any, vscale, lambda f: f
         self.total = lambda terms: reduce(vadd, terms)
-        self.lift, self.chi = tuple, lambda rhs, m: vscale(L.ratio(1, m), rhs)
+        self.lift, self.chi = tuple, lambda rhs, m: vscale(1 / m, rhs)
 
 
 class _Pairs:
@@ -338,13 +333,12 @@ class _Pairs:
     is scaled to one lcm and reduced by its gcd, and chi_m is divided out
     once per entry, a Fraction each."""
 
-    def __init__(self, L, product):
-        rows = L.C_rows, product.T_rows
+    def __init__(self, rows):
         D = lcm(*(c.denominator for T in rows for r in T for *_, c in r))
         self.rows = rows if D == 1 else tuple(tensor_rows(
-            L.dim, [(i, j, k, c * D) for i, r in enumerate(T) for j, k, c in r], L.mode
+            len(T), [(i, j, k, c * D) for i, r in enumerate(T) for j, k, c in r], scalars.EXACT
         ) for T in rows)
-        self.zero = vzero(L.dim), 1
+        self.zero = vzero(len(rows[0])), 1
         self.bilinear = lambda f: lambda a, b: (f(a[0], b[0]), D * a[1] * b[1])
 
     nonzero = staticmethod(lambda v: any(v[0]))
@@ -391,7 +385,7 @@ def _ode_steps(L, x, product, chi, order):
     |> x); step m reads only chi[1..m-1], so chi may grow meanwhile.  Two
     tables keep, per degree, the powers (-chi |>)^n x and bar(-chi, .)^n u
     of u = exp*(-chi) |> x; step m adds degree m-1 to each."""
-    ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)(L, product)
+    ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows, product.T_rows))
     exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
     inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
     tri = ops.bilinear(partial(contract, ops.rows[1]))
@@ -438,7 +432,7 @@ def prelie_magnus(L, x, product, order):
     coeffs = [L.ratio(bern[k], factorial(k)) for k in range(order + 1)]
     # degree m of sum_k b_k/k! l_chi^k(xt); x sits at degree 1 and each
     # l_chi factor adds at least one degree, so only known chi's enter
-    ops = _Tuples(L, product)
+    ops = _Tuples((product.T_rows,))
     chi, powers = [vzero(L.dim), x], [[vzero(L.dim)]]
     _grow(powers, product.apply, chi, x, coeffs, ops)  # degree 1 is x itself
     for _ in range(2, order + 1):

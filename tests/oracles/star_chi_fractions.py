@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import factorial
 
 from postlie import enveloping as ev
-from postlie.errors import CollapseFailure
 from postlie.liealg import vzero
 from postlie.magnus import GradedLieElement, _extract_g_vector
 
@@ -36,7 +35,7 @@ def star_chi_fractions(L, x, product, order):
             ]
             P[k][n] = sum(parts[1:], parts[0])
             rhs = rhs - P[k][n].scale(Fraction(1, factorial(k)))
-        vec = _extract_g_vector(L, rhs, CollapseFailure, n)
+        vec = _extract_g_vector(L, rhs, n)
         chi_vec.append(vec)
         P[1][n] = ev.from_g_vector(L, order, vec)
     return GradedLieElement(L, order, chi_vec)

@@ -1,10 +1,11 @@
 """Source hygiene: no module of the package imports a name it never reads,
 no module defines a private function or class that nothing reads, no
 class has a method that nothing reads, no two module-level functions share
-a body, no parameter has a default that no
-call overrides, the benchmark's tracer still finds what it wraps and reads,
-the package runs without SciPy, no module imports NumPy or SciPy at its top
-level and the exact subcommands run without NumPy, and every demo runs."""
+a body, no parameter has a default that no call overrides, every class of
+errors.py is raised, warned or subclassed, the benchmark's tracer still
+finds what it wraps and reads, the package runs without SciPy, no module
+imports NumPy or SciPy at its top level and the exact subcommands run
+without NumPy, and every demo runs."""
 
 import ast
 import importlib.util
@@ -290,6 +291,54 @@ def test_no_unread_methods():
         for p in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert unread_methods(definitions, readers) == []
+
+
+def _name(node):
+    """The name a Name or an Attribute node reads, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def unused_error_classes(errors_source, sources):
+    """Classes of the errors module that no source raises by name (raise E
+    or raise E(...)), passes to a warn call or names as a base class."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                found = [node.exc]
+            elif isinstance(node, ast.Call) and _name(node.func) == "warn":
+                found = node.args
+            elif isinstance(node, ast.ClassDef):
+                found = node.bases
+            else:
+                continue
+            used.update(_name(getattr(n, "func", n)) for n in found)
+    return sorted(
+        node.name for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef) and node.name not in used
+    )
+
+
+def test_scan_finds_an_unused_error_class():
+    errors = "".join(
+        "class %s(Exception):\n    pass\n" % name
+        for name in ("Raised", "Bare", "Warned", "Base", "Passed", "Caught")
+    )
+    sources = [
+        errors,
+        "raise Raised('x')\n"
+        "raise errors.Bare\n"
+        "warnings.warn(Warned(1), stacklevel=2)\n"
+        "class Mine(errors.Base):\n    pass\n"
+        "def f(failure=Passed):\n    raise failure('y')\n"
+        "try:\n    pass\nexcept Caught:\n    raise\n",
+    ]
+    assert unused_error_classes(errors, sources) == ["Caught", "Passed"]
+
+
+def test_every_error_class_is_raised_warned_or_subclassed():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unused_error_classes((SRC / "errors.py").read_text(), sources) == []
 
 
 def perfbench_spans():
