@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -402,6 +403,8 @@ def build_parser():
 
 
 def main(argv=None):
+    # before NumPy loads: on flow matrices (at most 9 x 9) a second BLAS thread only spins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)

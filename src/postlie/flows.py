@@ -34,7 +34,7 @@ from .products import from_rmatrix
 from .rmatrix import splitting_r
 
 # grid points per stacked evaluation: enough to amortize the per-call cost
-# of expm, inv and the eigensolvers; stacking a whole 2001-point grid at
+# of expm and the eigensolvers; stacking a whole 2001-point grid at
 # once instead raised the peak memory of Toda n = 3, 3, 4 passes by 2.5 MB
 BLOCK = 256
 
@@ -58,25 +58,26 @@ _PADE13 = [math.perm(26 - k, 13) // math.factorial(k) for k in range(14)]
 
 
 def _expm(A):
-    """exp of each matrix of a stack (..., n, n): Pade-13 scaling and squaring, with
-    s per slice from the exact ||A^p||^(1/p), p = 6, 8, 10 (Al-Mohy and Higham 2009).
-    A slice whose exponential overflows comes back not finite, without a warning."""
+    """exp(A), exp(-A) of each matrix of a stack (..., n, n): Pade-13 scaling and squaring,
+    s per slice from the exact ||A^p||^(1/p), p = 6, 8, 10 (Al-Mohy and Higham 2009).  A
+    slice whose exponential overflows comes back not finite, without a warning."""
     import numpy as np
     A = np.asarray(A, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         if A.shape[-1] == 1:
-            return np.exp(A)
+            return np.exp(A), np.exp(-A)
         norm = lambda M: np.abs(M).sum(axis=-2).max(axis=-1)
         I = np.eye(A.shape[-1])
         A2 = A @ A
         A4 = A2 @ A2
         A6 = A4 @ A2
         d8 = norm(A4 @ A4) ** (1 / 8)
-        # where A^8 = 0, as for rho(u) of Toda flows up to n = 8, exp(A) is this
-        # Taylor sum; on such slices of large norm the pivoted solve loses digits
-        T = I + A2 / 2 + A4 / 24 + A6 / 720 + A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
+        # where A^8 = 0 (rho(u) of Toda flows up to n = 8) exp(+-A) is the even +- odd
+        # half of this Taylor sum: at large norm the pivoted solve loses digits there
+        even = I + A2 / 2 + A4 / 24 + A6 / 720
+        odd = A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
         if (d8 == 0).all():
-            return T
+            return even + odd, even - odd
         d6, d10 = norm(A6) ** (1 / 6), norm(A4 @ A6) ** (1 / 10)
         eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
         # a slice whose powers leave the float range has no finite exponential
@@ -89,14 +90,16 @@ def _expm(A):
         P = lambda k: _PADE13[k + 6] * A6 + _PADE13[k + 4] * A4 + _PADE13[k + 2] * A2
         U = A @ (A6 @ P(7) + P(1) + _PADE13[1] * I)
         V = A6 @ P(6) + P(0) + _PADE13[0] * I
-        Y = np.linalg.solve(V - U, V + U)
+        # r(-A) = r(A)^-1 for the diagonal Pade approximant r, from the same U and V
+        Y = np.linalg.solve(np.stack([V - U, V + U]), np.stack([V + U, V - U]))
         # square each slice s times; a block can mix small and large t
         for k in range(int(s.max(initial=0))):
             m = s > k
-            Y[m] = Y[m] @ Y[m]
-        X = np.full(T.shape, np.nan)
-        X[ok] = Y
-    return np.where((d8 == 0)[..., None, None], T, X)
+            Y[:, m] = Y[:, m] @ Y[:, m]
+        X = np.full((2,) + even.shape, np.nan)
+        X[:, ok] = Y
+        nilpotent = (d8 == 0)[..., None, None]
+        return np.where(nilpotent, even + odd, X[0]), np.where(nilpotent, even - odd, X[1])
 
 
 def _rho_np(L, x):
@@ -284,14 +287,14 @@ def factorized_solution(problem):
     blocks = []
     gaps = np.empty(len(grid))
     for lo in range(0, len(grid), BLOCK):
-        E = _expm(_rho_np(L, u[:, lo:lo + BLOCK]))
-        bad = ~np.isfinite(E).all(axis=(0, 2, 3))
+        E, E_inv = _expm(_rho_np(L, u[:, lo:lo + BLOCK]))
+        bad = ~(np.isfinite(E).all(axis=(0, 2, 3)) & np.isfinite(E_inv).all(axis=(0, 2, 3)))
         if bad.any():
             raise InvalidInput(
                 "the matrix exponential of u(t) overflows at t=%g" % grid[lo + bad.argmax()]
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            M = np.linalg.inv(E) @ X0 @ E
+            M = E_inv @ X0 @ E
             xs = M.reshape(E.shape[:2] + (-1,)) @ pullback.T
         gaps[lo:lo + BLOCK] = np.abs(xs[1:] - xs[0]).max(axis=(0, 2))
         blocks.append(_states(L, grid[lo:lo + BLOCK], xs[0]))
@@ -314,7 +317,7 @@ def factorization_residuals(problem):
     with np.errstate(over="ignore", invalid="ignore"):
         partial = np.cumsum(problem.chi_coefficients(), axis=0).tolist()
     halves = [Rp.apply(v) for v in partial] + [vscale(-1, Rm.apply(v)) for v in partial]
-    exps = _expm(_rho_np(L, np.array([problem.x0] + halves, dtype=float)))
+    exps, _ = _expm(_rho_np(L, np.array([problem.x0] + halves, dtype=float)))
     if not np.isfinite(exps).all():
         raise InvalidInput("the matrix exponential overflows")
     E, plus, minus = exps[0], exps[1:len(partial) + 1], exps[len(partial) + 1:]

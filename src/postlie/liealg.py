@@ -14,7 +14,9 @@ column convention.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 
 from . import scalars
 from .errors import (
@@ -33,15 +35,15 @@ from .errors import (
 
 
 def vadd(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(operator.add, x, y))
 
 
 def vsub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(operator.sub, x, y))
 
 
 def vscale(c, x):
-    return tuple(c * a for a in x)
+    return tuple(map(operator.mul, repeat(c), x))
 
 
 def vzero(n):
@@ -181,13 +183,12 @@ def contract(rows, x, y):
     its mode.  bracket and BilinearProduct.apply are the checked entry
     points; the library's inner loops call this on vectors checked once."""
     out = [0] * len(x)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, k, c in rows[i]:
-            yj = y[j]
-            if yj != 0:
-                out[k] += xi * yj * c
+    for xi, row in zip(x, rows, strict=True):
+        if xi:
+            for j, k, c in row:
+                yj = y[j]
+                if yj:
+                    out[k] += xi * yj * c
     return tuple(out)
 
 
@@ -256,12 +257,11 @@ class LieAlgebra:
 
 
 def _add_product(out, A, B, sign):
-    """out[a, b] += sign * (A.B)[a][b] for matrices given as their rows of
-    nonzero (column, value) pairs."""
-    for a, row in enumerate(A):
-        for t, v in row:
-            for b, w in B[t]:
-                out[a, b] = out.get((a, b), 0) + sign * v * w
+    """out[a, b] += sign * (A.B)[a][b] for A given as its nonzero entries
+    (a, t, value) and B as its rows of nonzero (column, value) pairs."""
+    for a, t, v in A:
+        for b, w in B[t]:
+            out[a, b] = out.get((a, b), 0) + sign * v * w
 
 
 def _validate(L):
@@ -272,21 +272,27 @@ def _validate(L):
     """
     n = L.dim
     rows = L.C_rows
-    # D[i,j,k,l] = sum_m C[i][j][m] C[m][k][l]
+    # D[i,j,k,l] = sum_m C[i][j][m] C[m][k][l] for i < j, k not in {i, j}:
+    # the rows are antisymmetric entry by entry, so D[j,i,k,l] = -D[i,j,k,l]
     D = {}
     for i, row in enumerate(rows):
         for j, m, c in row:
-            for k, l, c2 in rows[m]:
-                key = (i, j, k, l)
-                D[key] = D.get(key, 0) + c * c2
-    # the cyclic sum over (i, j, k) can be nonzero only where a term exists
-    candidates = sorted(
-        {tuple(sorted((i, j, k))) + (l,) for i, j, k, l in D if len({i, j, k}) == 3}
-    )
-    for i, j, k, l in candidates:
-        defect = D.get((i, j, k, l), 0) + D.get((k, i, j, l), 0) + D.get((j, k, i, l), 0)
-        if not scalars.is_zero(defect, L.mode):
-            raise JacobiViolation(i, j, k, l, defect)
+            if j > i:
+                for k, l, c2 in rows[m]:
+                    if k != i and k != j:
+                        key = (i, j, k, l)
+                        D[key] = D.get(key, 0) + c * c2
+    # the cyclic sum over a sorted triple a < b < c can be nonzero only where
+    # a term exists; each triple is evaluated once, the smallest failure raised
+    defects = {}
+    for i, j, k, l in D:
+        t = (i, j, k, l) if k > j else (i, k, j, l) if k > i else (k, i, j, l)
+        if t not in defects:
+            a, b, c, _ = t
+            defects[t] = D.get(t, 0) - D.get((a, c, b, l), 0) + D.get((b, c, a, l), 0)
+    bad = min((t for t, d in defects.items() if not scalars.is_zero(d, L.mode)), default=None)
+    if bad:
+        raise JacobiViolation(*bad, defects[bad])
     if L.realization is not None:
         mats = L.realization
         if len(mats) != n:
@@ -298,17 +304,19 @@ def _validate(L):
         sparse = [
             [[(b, v) for b, v in enumerate(row) if v != 0] for row in M] for M in mats
         ]
+        entries = [[(a, b, v) for a, row in enumerate(S) for b, v in row] for S in sparse]
         for i in range(n):
+            brackets = {}
+            for j, k, c in rows[i]:
+                brackets.setdefault(j, []).append((k, c))
             for j in range(i + 1, n):
                 # [rho(x_i), rho(x_j)] - sum_k C[i][j][k] rho(x_k)
                 defect = {}
-                _add_product(defect, sparse[i], sparse[j], 1)
-                _add_product(defect, sparse[j], sparse[i], -1)
-                for jj, k, c in rows[i]:
-                    if jj == j:
-                        for a, row in enumerate(sparse[k]):
-                            for b, v in row:
-                                defect[a, b] = defect.get((a, b), 0) - c * v
+                _add_product(defect, entries[i], sparse[j], 1)
+                _add_product(defect, entries[j], sparse[i], -1)
+                for k, c in brackets.get(j, ()):
+                    for a, b, v in entries[k]:
+                        defect[a, b] = defect.get((a, b), 0) - c * v
                 if not L.vanishes(defect.values()):
                     raise RealizationMismatch(i, j)
     return L

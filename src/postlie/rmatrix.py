@@ -203,8 +203,9 @@ def splitting_r(L, plus_indices, minus_indices):
     closed under the bracket.  Closure is the modified Yang-Baxter equation
     with theta = 1 for this R: on a pair from one side the defect is
     -4 pi_other [x,y], on a mixed pair it is 0.  So the scan tests 4 times
-    each outside component with L.vanishes, which accepts exactly the
-    splittings is_rmatrix accepts, and no second scan is made.
+    each outside component, read off the rows of C, with scalars.is_zero,
+    which accepts exactly the splittings is_rmatrix accepts; no second scan
+    is made, and the first failing pair in the order of the lists is reported.
     """
     plus = tuple(int(i) for i in plus_indices)
     minus = tuple(int(i) for i in minus_indices)
@@ -217,16 +218,14 @@ def splitting_r(L, plus_indices, minus_indices):
         raise NotADirectSum(
             "plus/minus index sets must partition 0..%d" % (L.dim - 1,)
         )
-    basis = [L.check_vector(L.basis(i)) for i in range(L.dim)]
     for side, idx in (("plus", plus), ("minus", minus)):
-        inside = set(idx)
+        position = {b: p for p, b in enumerate(idx)}
         for a in idx:
-            for b in idx:
-                if a >= b:
-                    continue
-                v = contract(L.C_rows, basis[a], basis[b])
-                if not L.vanishes(4 * c for k, c in enumerate(v) if k not in inside):
-                    raise NotASubalgebra(side, (a, b))
+            # [x_a, x_b] for b > a on this side, by its outside components
+            bad = [b for b, k, c in L.C_rows[a] if b > a and b in position
+                   and k not in position and not scalars.is_zero(4 * c, L.mode)]
+            if bad:
+                raise NotASubalgebra(side, (a, min(bad, key=position.get)))
     diag = [0] * L.dim
     for i in plus:
         diag[i] = 1

@@ -1,7 +1,12 @@
 """Shared helpers: seeded random vectors and common algebra fixtures."""
 
+import os
 import random
 from fractions import Fraction
+
+# before NumPy loads, as postlie.cli.main does: the test matrices are small,
+# and a second OpenBLAS thread only spins when another process holds a core
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
 

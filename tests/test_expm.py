@@ -1,5 +1,6 @@
 """The stacked matrix exponential flows._expm against a 50-digit mpmath
-reference and, for nilpotent slices, the exact finite Taylor sum.
+reference and, for nilpotent slices, the exact finite Taylor sum; and the
+exp(-A) it returns beside exp(A).
 
 Each slice may be off by at most 10x SciPy's own error on that slice, plus
 1e-15, in the max-entry relative error.  The flow layer hands _expm rho(u)
@@ -49,7 +50,7 @@ def scaled_stack(A, norms):
 
 
 def assert_within_scipy(A, oracles):
-    X = _expm(A)
+    X = _expm(A)[0]
     assert X.shape == A.shape
     Y = expm(A)
     flat = A.reshape((-1,) + A.shape[-2:])
@@ -80,7 +81,7 @@ def test_strictly_triangular_stack_up_to_norm_1e20(n, k):
 
 
 def test_zero_stack_is_identity():
-    assert np.array_equal(_expm(np.zeros((3, 2, 4, 4))), np.broadcast_to(np.eye(4), (3, 2, 4, 4)))
+    assert np.array_equal(_expm(np.zeros((3, 2, 4, 4)))[0], np.broadcast_to(np.eye(4), (3, 2, 4, 4)))
 
 
 def test_one_by_one_slices():
@@ -98,7 +99,7 @@ def test_overflowing_slices_are_not_finite_and_silent():
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        X = _expm(A)
+        X = _expm(A)[0]
     assert np.isfinite(X[0]).all()
     assert rel_err(X[0], mp_expm(A[0])) <= 10 * rel_err(expm(A[0]), mp_expm(A[0])) + 1e-15
     assert not np.isfinite(X[1]).all() and not np.isfinite(X[2]).all()
@@ -106,7 +107,7 @@ def test_overflowing_slices_are_not_finite_and_silent():
 
 def test_single_matrix():
     A = scaled_stack(np.random.default_rng(5).standard_normal((4, 4)), 20.0)
-    X = _expm(A)
+    X = _expm(A)[0]
     assert X.shape == (4, 4)
     assert rel_err(X, mp_expm(A)) <= 10 * rel_err(expm(A), mp_expm(A)) + 1e-15
 
@@ -121,4 +122,53 @@ def test_nilpotent_block_is_the_taylor_sum_bit_for_bit():
     A4 = A2 @ A2
     A6 = A4 @ A2
     T = I + A2 / 2 + A4 / 24 + A6 / 720 + A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
-    assert np.array_equal(_expm(A), T)
+    assert np.array_equal(_expm(A)[0], T)
+
+
+# exp(-A), the second element of the pair
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_inverse_is_the_exponential_of_minus_a_bit_for_bit(n):
+    # the even powers of -A are those of A and its odd Pade and Taylor halves
+    # change sign, so exp(-A) from the powers of A is _expm(-A) to the bit,
+    # on nilpotent slices (n <= 8), Pade slices (n = 9, overflowing ones
+    # not finite in both) and mixed stacks
+    rng = np.random.default_rng(800 + n)
+    dense = scaled_stack(rng.standard_normal((8, n, n)), np.logspace(-8, 2, 8))
+    lower = scaled_stack(np.tril(rng.standard_normal((8, n, n)), -1), np.logspace(-8, 20, 8))
+    for A in (dense, lower, np.concatenate([dense, lower])):
+        assert np.array_equal(_expm(A)[1], _expm(-A)[0], equal_nan=True)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_inverse_on_nilpotent_stacks_is_the_taylor_sum_of_minus_a(n):
+    # the even half minus the odd half of the Taylor sum, as accurate against
+    # the exact sum as SciPy; with A^3 = 0 (n <= 3) and integer entries every
+    # float operation of the sum is exact, so it is the exact sum to the bit
+    rng = np.random.default_rng(900 + n)
+    norms = np.array([1e-8, 1e-2, 1.0, 1e2, 1e5, 1e10, 1e15, 1e20])
+    A = scaled_stack(np.tril(rng.standard_normal((len(norms), n, n)), -1), norms)
+    for a, x in zip(A, _expm(A)[1]):
+        R = taylor_expm(-a)
+        assert rel_err(x, R) <= 10 * rel_err(expm(-a), R) + 1e-15, a
+    if n <= 3:
+        A = np.tril(rng.integers(-9, 10, (40, n, n)), -1).astype(float)
+        for a, x in zip(A, _expm(A)[1]):
+            assert np.array_equal(x, taylor_expm(-a)), a
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+def test_exponential_times_its_inverse_on_pade_slices(n):
+    # |exp(A) exp(-A) - I| <= n eps ||exp(A)||_1 ||exp(-A)||_1 entrywise; on
+    # these stacks (1-norms 1e-8 to 50) the worst measured factor was 0.44 n,
+    # at n = 9, and below 1-norm 1 the worst residual was 8.9e-16
+    rng = np.random.default_rng(1000 + n)
+    norms = np.logspace(-8, np.log10(50), 24)
+    A = scaled_stack(rng.standard_normal((24, n, n)), norms)
+    X, X_inv = _expm(A)
+    residual = np.abs(X @ X_inv - np.eye(n)).max(axis=(-2, -1))
+    one_norm = lambda M: np.abs(M).sum(axis=-2).max(axis=-1)
+    kappa = one_norm(X) * one_norm(X_inv)
+    assert (residual <= n * np.finfo(float).eps * kappa).all()
+    assert residual[norms <= 1].max() <= 1e-15

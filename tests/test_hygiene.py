@@ -438,6 +438,25 @@ def test_exact_paths_do_not_import_numpy():
     assert result.stdout.strip().splitlines()[-1] == "False True"
 
 
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")], ids=["unset", "kept"])
+def test_cli_holds_openblas_to_one_thread(monkeypatch, given, seen):
+    # cli.main sets OPENBLAS_NUM_THREADS to 1 before its first float call
+    # loads NumPy, unless the caller set it
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+    script = "\n".join([
+        "import os",
+        "from postlie.cli import main",
+        "assert main(['flow', '--toda', '3', '--offdiag', '0.3,0.2', '--steps', '3']) == 0",
+        "print(os.environ['OPENBLAS_NUM_THREADS'])",
+    ])
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == seen
+
+
 def top_level_imports(source):
     """Top-level module names that importing the module imports: those of
     every import statement outside a function body."""

@@ -189,6 +189,68 @@ def test_splitting_closure_near_the_float_tolerance(eps, accepted):
         assert accepted
 
 
+def _dense_closure_failure(L, plus, minus):
+    """The (side, pair) a dense scan reports first: each side in turn, the
+    pairs a < b in the order its list gives, each bracket contracted from
+    basis vectors and its outside components tested 4 times; None when both
+    sides close."""
+    for side, idx in (("plus", plus), ("minus", minus)):
+        for a in idx:
+            for b in idx:
+                if a < b:
+                    v = liealg.bracket(L, L.basis(a), L.basis(b))
+                    if not L.vanishes([4 * c for k, c in enumerate(v) if k not in idx]):
+                        return side, (a, b)
+    return None
+
+
+def _closure_failure(L, plus, minus):
+    try:
+        rmatrix.splitting_r(L, plus, minus)
+    except NotASubalgebra as exc:
+        return exc.side, exc.witness
+    return None
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_splitting_closure_reports_the_pair_of_a_dense_scan(mode):
+    # upper_lower_split(3): E11 E12 E13 E22 E23 E33 | E21 E31 E32; each side
+    # is a subalgebra, its complement or a random set, listed out of order
+    L = liealg.builtin("upper_lower_split(3)", mode)
+    subalgebras = [(0, 3, 5), (1, 2, 4), (6, 7, 8), (0, 1, 2, 3, 4, 5), (0, 3, 5, 6, 7, 8)]
+    rng = seeded(31)
+    seen = set()
+    for trial in range(120):
+        side = list(rng.choice(subalgebras)) if trial % 3 else rng.sample(range(9), 4)
+        rest = [i for i in range(9) if i not in side]
+        plus, minus = (side, rest) if trial % 2 else (rest, side)
+        rng.shuffle(plus)
+        rng.shuffle(minus)
+        expected = _dense_closure_failure(L, plus, minus)
+        assert _closure_failure(L, plus, minus) == expected, (plus, minus)
+        seen.add(expected and expected[0])
+    assert seen == {"plus", "minus", None}
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+@pytest.mark.parametrize("eps", [2.4e-11, 2.6e-11])
+@pytest.mark.parametrize("failing", ["plus", "minus"])
+def test_splitting_closure_reports_in_list_order(failing, eps, mode):
+    # [e0, e1] = e4 and [e0, e2] = eps e4 with e4 central; the side (0, 2, 1)
+    # reaches (0, 2) first, which fails unless eps is a float below
+    # TOLERANCE / 4 = 2.5e-11, and (0, 1) next; a scan in index order would
+    # report (0, 1) either way
+    entries = [(0, 1, 4, 1), (0, 2, 4, eps)]
+    if mode == scalars.EXACT:
+        entries[1] = (0, 2, 4, Fraction(eps))
+    L = liealg.new_lie_algebra(5, None, entries, None, mode)
+    plus, minus = ([0, 2, 1], [4, 3]) if failing == "plus" else ([4, 3], [0, 2, 1])
+    pair = (0, 1) if mode == scalars.FLOAT and eps < 2.5e-11 else (0, 2)
+    reported = _closure_failure(L, plus, minus)
+    assert reported == _dense_closure_failure(L, plus, minus)
+    assert reported == (failing, pair)
+
+
 def test_borel_splitting_shape(borel_ctx):
     # sl(2) = span(e,h) + span(f); R acts as +1 on the Borel part, -1 on f
     assert borel_ctx.R.apply((1, 0, 0)) == (1, 0, 0)

@@ -194,12 +194,13 @@ def test_chi_star_product_count_is_pinned(monkeypatch, name, order, count):
 def test_toda_coerce_count_is_pinned(monkeypatch):
     """Vectors are checked where they enter the library, not in its inner
     loops: building a float Toda n = 6 problem (algebra, splitting r-matrix
-    context, product) and its order-10 chi coerces 2,911 scalars.  The zero
-    of a dense structure tensor and of a dense product tensor, built before
-    the rows, made 2,913; a second Yang-Baxter scan of the splitting, which
-    coerced R and the basis again, made 5,506; coercing the float chi
-    coefficients as well made 5,866, and checking every vector at every
-    internal bracket and product 523,454."""
+    context, product) and its order-10 chi coerces 1,615 scalars.  The
+    splitting scan's basis coercions made 2,911; the zero of a dense
+    structure tensor and of a dense product tensor, built before the rows,
+    made 2,913; a second Yang-Baxter scan of the splitting, which coerced R
+    and the basis again, made 5,506; coercing the float chi coefficients as
+    well made 5,866, and checking every vector at every internal bracket
+    and product 523,454."""
     calls = [0]
     coerce = scalars.coerce
 
@@ -213,7 +214,7 @@ def test_toda_coerce_count_is_pinned(monkeypatch):
         [0.0, 1.0], 10,
     )
     problem.chi_coefficients()
-    assert calls[0] == 2911
+    assert calls[0] == 1615
 
 
 def _exact_context(name):
