@@ -7,8 +7,8 @@ identity that stays within total degree N holds exactly.  On top of the
 plain product live the full Hopf structure (unshuffle coproduct, counit,
 antipode), the lift of a bilinear g-product to words, the associated star
 product with its own antipode, a check of the identities of both Hopf
-structures, the word-to-star isomorphism and its inverse, and the r-matrix
-linearization map built from R_pm.
+structures, the word-to-star isomorphism phi and its inverse, and the
+r-matrix linearization map built from R_pm.
 
 Float mode is rejected throughout: the identities checked here are exact
 statements.
@@ -641,28 +641,6 @@ def phi_term_count(n):
     return row[0]
 
 
-def _block_vector(product, letters, block):
-    idx = sorted(block)
-    v = letters[idx[-1]]
-    for i in reversed(idx[:-1]):
-        v = product.apply(letters[i], v)
-    return v
-
-
-def _set_partitions(n):
-    """The set partitions of 0..n-1, blocks ascending: each partition of
-    1..n-1 (those of 0..n-2 shifted) with 0 as a new first block, then with
-    0 put in front of each block in turn."""
-    if n == 0:
-        yield []
-        return
-    for sub in _set_partitions(n - 1):
-        sub = [[i + 1 for i in block] for block in sub]
-        yield [[0]] + sub
-        for i in range(len(sub)):
-            yield sub[:i] + [[0] + sub[i]] + sub[i + 1 :]
-
-
 def derived_bracket_algebra(L, product):
     """The Lie algebra with bracket the star commutator
     [x,y] + x |> y - y |> x (validated)."""
@@ -672,24 +650,23 @@ def derived_bracket_algebra(L, product):
 def phi_inverse(L, word, product, order, bar=None):
     """Inverse of phi on a raw word, valued in the enveloping algebra of
     the star-commutator Lie algebra (available as the result's .algebra;
-    pass `bar` to reuse one): subtract recursively the images of every
-    coarser set partition from the plain product of the letters."""
+    pass `bar` to reuse one).  A letter x has x * W = x.W + x |> W and acts
+    on W = y_1 ... y_m by derivations, so phi^{-1}(1) = 1 and
+    phi^{-1}(x.W) = x phi^{-1}(W) - sum_i phi^{-1}(y_1 ... (x |> y_i) ... y_m)."""
     _check_order(order, 0)
     if bar is None:
         bar = derived_bracket_algebra(L, product)
-    letters = _as_vector_letters(L, word)
-    return _phi_inverse_letters(L, bar, letters, product, order)
+    return _phi_inverse_letters(bar, _as_vector_letters(L, word), product, order)
 
 
-def _phi_inverse_letters(L, bar, letters, product, order):
-    n = len(letters)
-    total = word_of_vectors(bar, order, letters)
-    for part in _set_partitions(n):
-        if len(part) == n:
-            continue  # the all-singletons partition is the left side
-        blocks = sorted(part, key=max)
-        vectors = [_block_vector(product, letters, b) for b in blocks]
-        total = total - _phi_inverse_letters(L, bar, vectors, product, order)
+def _phi_inverse_letters(bar, letters, product, order):
+    if not letters:
+        return unit(bar, order)
+    x, rest = letters[0], letters[1:]
+    total = env_mul(from_g_vector(bar, order, x), _phi_inverse_letters(bar, rest, product, order))
+    for i, y in enumerate(rest):
+        acted = rest[:i] + [product.apply(x, y)] + rest[i + 1 :]
+        total = total - _phi_inverse_letters(bar, acted, product, order)
     return total
 
 

@@ -256,14 +256,6 @@ class LieAlgebra:
         )
 
 
-def _add_product(out, A, B, sign):
-    """out[a, b] += sign * (A.B)[a][b] for A given as its nonzero entries
-    (a, t, value) and B as its rows of nonzero (column, value) pairs."""
-    for a, t, v in A:
-        for b, w in B[t]:
-            out[a, b] = out.get((a, b), 0) + sign * v * w
-
-
 def _validate(L):
     """Jacobi identity and realization, composed over nonzero entries only.
 
@@ -301,24 +293,33 @@ def _validate(L):
         for M in mats:
             if len(M) != m or any(len(row) != m for row in M):
                 raise DimensionMismatch("realization matrices must be square of equal size")
-        sparse = [
-            [[(b, v) for b, v in enumerate(row) if v != 0] for row in M] for M in mats
+        entries = [
+            [(a, b, v) for a, row in enumerate(M) for b, v in enumerate(row) if v != 0]
+            for M in mats
         ]
-        entries = [[(a, b, v) for a, row in enumerate(S) for b, v in row] for S in sparse]
-        for i in range(n):
-            brackets = {}
-            for j, k, c in rows[i]:
-                brackets.setdefault(j, []).append((k, c))
-            for j in range(i + 1, n):
-                # [rho(x_i), rho(x_j)] - sum_k C[i][j][k] rho(x_k)
-                defect = {}
-                _add_product(defect, entries[i], sparse[j], 1)
-                _add_product(defect, entries[j], sparse[i], -1)
-                for k, c in brackets.get(j, ()):
+        # by_row[t]: the nonzero entries (j, b, w) of row t of every rho(x_j)
+        by_row = [[] for _ in range(m)]
+        for j, E in enumerate(entries):
+            for t, b, w in E:
+                by_row[t].append((j, b, w))
+        # defect[i, j, a, b] = ([rho(x_i), rho(x_j)] - sum_k C[i][j][k] rho(x_k))[a][b]
+        # for i < j, from its nonzero terms only: rho(x_i) rho(x_j), then
+        # -rho(x_j) rho(x_i), then the bracket, each added as a dense scan would
+        defect = {}
+        for p, E in enumerate(entries):
+            for a, t, v in E:
+                for q, b, w in by_row[t]:
+                    if q != p:
+                        key = (p, q, a, b) if p < q else (q, p, a, b)
+                        defect[key] = defect.get(key, 0) + (1 if p < q else -1) * v * w
+        for i, row in enumerate(rows):
+            for j, k, c in row:
+                if j > i:
                     for a, b, v in entries[k]:
-                        defect[a, b] = defect.get((a, b), 0) - c * v
-                if not L.vanishes(defect.values()):
-                    raise RealizationMismatch(i, j)
+                        defect[i, j, a, b] = defect.get((i, j, a, b), 0) - c * v
+        bad = [key[:2] for key, d in defect.items() if not scalars.is_zero(d, L.mode)]
+        if bad:
+            raise RealizationMismatch(*min(bad))
     return L
 
 

@@ -1,6 +1,7 @@
 """Series expansions: BCH, the post-Lie Magnus expansion and its pre-Lie
 specialization, the R_pm splitting of the expansion, and the check of
-the expansion's defining ODE.
+the expansion's defining ODE (the star chi against the ode chi, which
+solves it).
 
 A GradedLieElement holds the t^m coefficients (each a genuine g-vector) of
 a Lie-algebra-valued formal series.  BCH, the ode chi and the pre-Lie chi
@@ -279,17 +280,30 @@ def postlie_magnus(L, x, product, order, method="star"):
         )
     if not ev._same_algebra(product.algebra, L):
         raise AlgebraMismatch("the product lives over another algebra")
-    if method == "ode":  # order-by-order integration of the defining ODE
-        chi = [vzero(L.dim), x]
-        for step in _ode_steps(L, x, product, chi, order):
-            chi.append(step)
+    if method == "ode":
+        # chi_m is degree m-1 of dexp*^{-1}_{-chi}(exp*(-chi) |> x) over m; two
+        # tables keep, per degree, the powers (-chi |>)^n x and bar(-chi, .)^n u
+        # of u = exp*(-chi) |> x, and order m adds degree m-1 to each
+        ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows, product.T_rows))
+        exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
+        inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
+        tri = ops.bilinear(partial(contract, ops.rows[1]))
+        bar = ops.bilinear(partial(star_commutator, *ops.rows))
+        chi, neg_chi = [vzero(L.dim), x], [ops.zero]
+        powers, bars = [[ops.lift(x)]], [[ops.lift(x)]]
+        for m in range(2, order + 1):
+            neg_chi.append(ops.lift(vscale(-1, chi[m - 1])))
+            u = _grow(powers, tri, neg_chi, ops.zero, exp_c, ops)
+            chi.append(ops.chi(_grow(bars, bar, neg_chi, u, inv_c, ops), m))
         return GradedLieElement(L, order, chi)
     if method != "star":
         raise InvalidInput("method must be 'star' or 'ode'")
     ev._require_exact(L)
-    cleared = lambda v: _combine(
-        L, order, [(c.numerator, ev.letter(L, order, k), c.denominator) for k, c in enumerate(v)]
-    )
+
+    def cleared(v):
+        num, den = scalars.clear_denominators(v)
+        return ev.EnvElement(L, order, {(k,): c for k, c in enumerate(num)}), den
+
     X, dx = cleared(x)
     chi_vec = [vzero(L.dim), x]
     # P[k][m] = (numerator, den): the degree-m part of chi^{*k} is the integer
@@ -352,10 +366,7 @@ class _Pairs:
         g = gcd(den, *out)
         return tuple(n // g for n in out), den // g
 
-    @staticmethod
-    def lift(v):
-        den = lcm(*(c.denominator for c in v))
-        return tuple(c.numerator * (den // c.denominator) for c in v), den
+    lift = staticmethod(scalars.clear_denominators)
 
 
 def _graded_at(f, A, B, d, ops):
@@ -377,24 +388,6 @@ def _grow(table, f, beta, base, coeffs, ops):
     for n in range(1, d + 1):
         table[n].append(_graded_at(f, beta, table[n - 1], d, ops))
     return ops.total([base] + [ops.scale(coeffs[n], table[n][d]) for n in range(1, d + 1)])
-
-
-def _ode_steps(L, x, product, chi, order):
-    """For m = 2..order, yield chi_m as the defining ODE gives it: 1/m times
-    degree m-1 of the right side of d/dt chi = dexp*^{-1}_{-chi}(exp*(-chi)
-    |> x); step m reads only chi[1..m-1], so chi may grow meanwhile.  Two
-    tables keep, per degree, the powers (-chi |>)^n x and bar(-chi, .)^n u
-    of u = exp*(-chi) |> x; step m adds degree m-1 to each."""
-    ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows, product.T_rows))
-    exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
-    inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
-    tri = ops.bilinear(partial(contract, ops.rows[1]))
-    bar = ops.bilinear(partial(star_commutator, *ops.rows))
-    neg_chi, powers, bars = [ops.zero], [[ops.lift(x)]], [[ops.lift(x)]]
-    for m in range(2, order + 1):
-        neg_chi.append(ops.lift(vscale(-1, chi[m - 1])))
-        u = _grow(powers, tri, neg_chi, ops.zero, exp_c, ops)
-        yield ops.chi(_grow(bars, bar, neg_chi, u, inv_c, ops), m)
 
 
 def verify_grouplike_identity(L, x, product, order):
@@ -460,13 +453,13 @@ def chi_pm(chi, ctx):
 
 def verify_chi_ode(L, x, product, order):
     """Check d/dt chi(xt) = dexp*^{-1}_{-chi}( exp*(-chi) |> x ) for the
-    star chi as graded t-polynomials through degree order-1, reading the
-    right side from the steps the ode method integrates; first_failure is
-    the lowest degree of the right side that m*chi_m misses.  A product
-    that is not right post-Lie gets this report, not an exception."""
+    star chi as graded t-polynomials through degree order-1.  The equation
+    fixes chi_m from chi_1..chi_{m-1}, so first_failure is m-1 (d/dt shifts
+    degree m down) at the lowest m where the star and ode chi differ.  A
+    product that is not right post-Lie gets this report, not an exception."""
     chi = postlie_magnus(L, x, product, order)
-    steps = _ode_steps(L, chi.coeff(1), product, chi.coeffs, order)
-    first_failure = next(  # d/dt shifts degree m down to m-1
-        (m - 1 for m, step in enumerate(steps, start=2) if chi.coeff(m) != step), None
+    ode = postlie_magnus(L, x, product, order, method="ode")
+    first_failure = next(
+        (m - 1 for m in range(2, order + 1) if chi.coeff(m) != ode.coeff(m)), None
     )
     return {"ok": first_failure is None, "first_failure": first_failure, "chi": chi}

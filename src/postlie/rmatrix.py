@@ -240,16 +240,9 @@ def splitting_r(L, plus_indices, minus_indices):
 
 
 def _clear_denominators(v):
-    denom = 1
-    for c in v:
-        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
-    out = [int(Fraction(c) * denom) for c in v]
-    g = 0
-    for c in out:
-        g = gcd(g, abs(c))
-    if g > 1:
-        out = [c // g for c in out]
-    return out
+    out = scalars.clear_denominators(v)[0]
+    g = gcd(*out)
+    return [c // g for c in out] if g > 1 else out
 
 
 class _ExactSpan:

@@ -5,7 +5,8 @@ Exact mode works with int/Fraction (arithmetic is exact by construction);
 float mode works with int/float.  Mixing a float into an exact context
 raises ModeMismatch.  Every scalar rule lives here: coercion with its
 finite-number rule for float mode and the JSON readers, the zero test
-(exactly zero, or within TOLERANCE in float mode) and the JSON text form.
+(exactly zero, or within TOLERANCE in float mode), the JSON text form and
+cleared denominators.
 """
 
 import json
@@ -109,6 +110,13 @@ def is_zero(value, mode):
     if mode == EXACT:
         return value == 0
     return abs(value) <= TOLERANCE
+
+
+def clear_denominators(v):
+    """(integer numerators, int denominator) of the exact scalars of v: each
+    entry times the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (den // c.denominator) for c in v), den
 
 
 def ratio(p, q, mode):

@@ -35,6 +35,15 @@ def random_word(L, rng, max_len=3):
     return tuple(rng.randrange(L.dim) for _ in range(n))
 
 
+def exact_context(name):
+    """The exact r-matrix context of a builtin name, or the splitting
+    context of an upper_lower_split(n) algebra."""
+    if name.startswith("upper_lower_split"):
+        L = liealg.builtin(name)
+        return rmatrix.splitting_r(L, *L.splitting)
+    return rmatrix.builtin_rmatrix(name)
+
+
 @pytest.fixture
 def sl2():
     return liealg.builtin("sl(2)")

@@ -12,19 +12,14 @@ another way, kept only to cross-check them:
   one pair per subset (the package yields each distinct pair of a normal
   word once, with the number of subsets that give it as its weight).
 
-``phi_partition`` reuses the package's set-partition enumeration and
-``F_map_explicit`` splits words with ``unshuffles``; what each evaluates
-independently is the closed formula itself.
+``phi_partition`` sums over ``set_partitions`` and ``F_map_explicit``
+splits words with ``unshuffles``; what each evaluates independently is the
+closed formula itself.
 """
 
 from itertools import combinations
 
-from postlie.enveloping import (
-    EnvElement,
-    _block_vector,
-    _set_partitions,
-    word_of_vectors,
-)
+from postlie.enveloping import EnvElement, word_of_vectors
 from postlie.liealg import LinearEndo, bracket, vsub
 
 
@@ -41,6 +36,30 @@ def unshuffles(word):
             )
 
 
+def set_partitions(n):
+    """The set partitions of 0..n-1, blocks ascending: each partition of
+    1..n-1 (those of 0..n-2 shifted) with 0 as a new first block, then with
+    0 put in front of each block in turn."""
+    if n == 0:
+        yield []
+        return
+    for sub in set_partitions(n - 1):
+        sub = [[i + 1 for i in block] for block in sub]
+        yield [[0]] + sub
+        for i in range(len(sub)):
+            yield sub[:i] + [[0] + sub[i]] + sub[i + 1 :]
+
+
+def _block_vector(product, letters, block):
+    """The left-nested product of the letters at the block's positions,
+    taken in increasing order (block maximum last)."""
+    idx = sorted(block)
+    v = letters[idx[-1]]
+    for i in reversed(idx[:-1]):
+        v = product.apply(letters[i], v)
+    return v
+
+
 def phi_partition(L, word, product, order):
     """phi(x_1 ... x_n) as one summand per set partition of the letters:
     each block contributes the left-nested product on its increasingly
@@ -49,7 +68,7 @@ def phi_partition(L, word, product, order):
     g-vectors."""
     letters = [L.basis(x) if isinstance(x, int) else L.check_vector(x) for x in word]
     total = EnvElement(L, order, {})
-    for part in _set_partitions(len(letters)):
+    for part in set_partitions(len(letters)):
         blocks = sorted(part, key=max)
         vectors = [_block_vector(product, letters, b) for b in blocks]
         total = total + word_of_vectors(L, order, vectors)

@@ -17,7 +17,7 @@ from postlie.errors import (
     OrderMismatch,
 )
 from conftest import random_word, random_vector, seeded
-from oracles.closed_forms import F_map_explicit, phi_partition, unshuffles
+from oracles.closed_forms import F_map_explicit, phi_partition, set_partitions, unshuffles
 
 F = Fraction
 ORDER = 4
@@ -511,7 +511,7 @@ def test_phi_term_counts_are_bell_numbers():
 def test_phi_term_count_equals_the_partition_count():
     # the Bell triangle against enumeration, B_0 = 1 included
     for n in range(9):
-        assert env.phi_term_count(n) == sum(1 for _ in env._set_partitions(n))
+        assert env.phi_term_count(n) == sum(1 for _ in set_partitions(n))
 
 
 def test_phi_is_morphism_to_star(borel_ctx, borel_product):
@@ -529,17 +529,25 @@ def test_phi_is_morphism_to_star(borel_ctx, borel_product):
         assert lhs == rhs
 
 
-def test_phi_inverse_round_trip(borel_ctx, borel_product):
-    L = borel_ctx.algebra
-    bar = env.derived_bracket_algebra(L, borel_product)
+def test_phi_inverse_round_trip(borel_ctx, split2_ctx):
+    # words of every length up to the grade, of basis letters and of
+    # g-vector letters; phi maps the inverse back to the plain product
     rng = seeded(109)
-    for _ in range(8):
-        w = random_word(L, rng, max_len=3)
-        B = env.phi_inverse(L, w, borel_product, ORDER, bar=bar)
-        total = env.EnvElement(L, ORDER, {})
-        for word, c in B.terms.items():
-            total = total + env.phi(L, word, borel_product, ORDER).scale(c)
-        assert total == env.pbw_normalize(L, w, ORDER)
+    for ctx in (borel_ctx, split2_ctx):
+        L, product = ctx.algebra, products.from_rmatrix(ctx, "-")
+        bar = env.derived_bracket_algebra(L, product)
+        for _ in range(8):
+            w = random_word(L, rng, max_len=ORDER)
+            vectors = [random_vector(L, rng) for _ in range(rng.randint(1, ORDER))]
+            for raw, plain in (
+                (w, env.pbw_normalize(L, w, ORDER)),
+                (vectors, env.word_of_vectors(L, ORDER, vectors)),
+            ):
+                B = env.phi_inverse(L, raw, product, ORDER, bar=bar)
+                total = env.EnvElement(L, ORDER, {})
+                for word, c in B.terms.items():
+                    total = total + env.phi(L, word, product, ORDER).scale(c)
+                assert total == plain
 
 
 def test_phi_inverse_two_letter_closed_form(borel_ctx, borel_product):

@@ -4,12 +4,14 @@ and CSV output."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import seeded
+from conftest import exact_context, seeded
 from oracles import rowwise_flow_csv
+from oracles.lax_series import conjugated_series
 from oracles.pointwise_flow import pointwise_solution
 
 from postlie import scalars
@@ -36,7 +38,9 @@ from postlie.flows import (
     toda_problem,
     write_flow_csv,
 )
-from postlie.liealg import new_lie_algebra
+from postlie.liealg import bracket, new_lie_algebra, vadd, vscale, vzero
+from postlie.magnus import postlie_magnus
+from postlie.products import from_rmatrix
 from postlie.rmatrix import builtin_rmatrix, rmatrix_context
 
 
@@ -514,3 +518,40 @@ def test_conservation_report_equals_rowwise_oracle(make):
     result = make()
     want = rowwise_flow_csv.conservation_report(list(result))
     assert conservation_report(result) == want
+
+
+def _lax_series_failures(ctx, x0, sign, order):
+    """The degrees d where d x_d differs from degree d-1 of [x, R_- x], for
+    x = e^{ad_{-u}} x0 and u = R_- chi(x0 t), chi the exact ode expansion of
+    the product from_rmatrix(ctx, sign)."""
+    L = ctx.algebra
+    _, Rm = ctx.r_plus_minus()
+    chi = postlie_magnus(L, x0, from_rmatrix(ctx, sign), order, method="ode")
+    xs = conjugated_series(L, L.check_vector(x0), [Rm.apply(c) for c in chi.coeffs], order)
+    failures = []
+    for d in range(1, order + 1):
+        field = vzero(L.dim)
+        for i in range(d):
+            field = vadd(field, bracket(L, xs[i], Rm.apply(xs[d - 1 - i])))
+        if vscale(d, xs[d]) != field:
+            failures.append(d)
+    return failures
+
+
+@pytest.mark.parametrize(
+    "name, order", [("sl2-borel", 10), ("split2", 10), ("upper_lower_split(3)", 8)]
+)
+def test_explicit_solution_solves_the_lax_flow_exactly(name, order):
+    # the paper's x(t) = Ad_{exp(-u(t))} x0, u = R_- chi(x0 t), is checked in
+    # float against RK4 above; here term by term in Fractions.  With the
+    # left-handed product [R_+ x, y] in place of [R_- x, y] it fails, first
+    # at x_3, for these x0 with no zero coordinate
+    ctx = exact_context(name)
+    rng = seeded(2602)
+    for _ in range(3):
+        x0 = tuple(
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+            for _ in range(ctx.algebra.dim)
+        )
+        assert _lax_series_failures(ctx, x0, "-", order) == []
+        assert _lax_series_failures(ctx, x0, "+", order)[0] == 3

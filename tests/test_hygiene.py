@@ -2,8 +2,9 @@
 no module defines a private function or class that nothing reads, no
 class has a method that nothing reads, no two module-level functions share
 a body, no parameter has a default that no call overrides, every class of
-errors.py is raised, warned or subclassed, the benchmark's tracer still
-finds what it wraps and reads, the package runs without SciPy, no module
+errors.py is raised, warned or subclassed, every name a test or an oracle
+imports from the package still exists, the benchmark's tracer still finds
+what it wraps and reads, the package runs without SciPy, no module
 imports NumPy or SciPy at its top level and the exact subcommands run
 without NumPy, and every demo runs."""
 
@@ -339,6 +340,76 @@ def test_scan_finds_an_unused_error_class():
 def test_every_error_class_is_raised_warned_or_subclassed():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unused_error_classes((SRC / "errors.py").read_text(), sources) == []
+
+
+def _top_level_names(source):
+    """The names a module binds at its top level: definitions, assignment
+    targets and imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def stale_package_imports(sources, package):
+    """'file: module.name' for each `from postlie[.module] import name` of
+    the sources (a dict of file name to text) that the package does not
+    bind; package maps each module name, 'postlie' and 'postlie.<stem>', to
+    its text, and a submodule counts as bound by 'postlie'."""
+    bound = {module: _top_level_names(text) for module, text in package.items()}
+    bound["postlie"] |= {m.split(".")[1] for m in package if m != "postlie"}
+    stale = []
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module in bound:
+                stale += [
+                    "%s: %s.%s" % (name, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name not in bound[node.module]
+                ]
+    return stale
+
+
+def package_sources():
+    return {
+        "postlie" + ("" if p.stem == "__init__" else "." + p.stem): p.read_text()
+        for p in SRC.glob("*.py")
+    }
+
+
+def test_scan_finds_a_stale_package_import():
+    package = {
+        "postlie": "from .a import kept\n",
+        "postlie.a": "import math\nX, (Y, Z) = 1, (2, 3)\ndef kept():\n    pass\n"
+                     "class K:\n    def method(self):\n        pass\n",
+    }
+    sources = {
+        "fresh.py": "from postlie import a, kept\nfrom postlie.a import X, Z, K, math\n",
+        "stale.py": "from postlie.a import (kept, _moved, method)\n"
+                    "from postlie import b\nfrom other import gone\n",
+    }
+    assert stale_package_imports(sources, package) == [
+        "stale.py: postlie.a._moved", "stale.py: postlie.a.method", "stale.py: postlie.b",
+    ]
+
+
+def test_tests_import_only_names_the_package_binds():
+    # a helper moved out of src/ while a test or an oracle still imports it
+    # is a collection error, which a run that continues past collection
+    # errors would not count as a failure; here it is one
+    tests = ROOT / "tests"
+    sources = {
+        str(p.relative_to(tests)): p.read_text()
+        for p in sorted(tests.glob("*.py")) + sorted((tests / "oracles").glob("*.py"))
+    }
+    assert "oracles/closed_forms.py" in sources
+    assert stale_package_imports(sources, package_sources()) == []
 
 
 def perfbench_spans():

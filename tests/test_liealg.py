@@ -78,6 +78,67 @@ def test_realization_mismatch_rejected():
         liealg.new_lie_algebra(3, ["e", "h", "f"], entries, wrong)
 
 
+def _failing_pairs(L, mats):
+    """The pairs i < j, in dense-scan order, where [rho(x_i), rho(x_j)]
+    differs from rho([x_i, x_j]) in L's mode, from dense matrices."""
+    m = len(mats[0])
+
+    def prod(A, B):
+        return [[sum(A[a][t] * B[t][b] for t in range(m)) for b in range(m)] for a in range(m)]
+
+    out = []
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            ij, ji = prod(mats[i], mats[j]), prod(mats[j], mats[i])
+            bracket = liealg.bracket(L, L.basis(i), L.basis(j))
+            defect = [
+                ij[a][b] - ji[a][b] - sum(c * mats[k][a][b] for k, c in enumerate(bracket))
+                for a in range(m) for b in range(m)
+            ]
+            if not L.vanishes(defect):
+                out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+@pytest.mark.parametrize("doubled, pairs", [(1, [(0, 1), (0, 2), (1, 2)]), (2, [(0, 2)])])
+def test_realization_mismatch_names_the_smallest_failing_pair(mode, doubled, pairs):
+    # sl(2) with one matrix doubled fails on every pair the dense scan lists;
+    # the error names the first of them
+    sl2 = liealg.builtin("sl(2)", mode)
+    entries = [(i, j, k, c) for i, row in enumerate(sl2.C_rows) for j, k, c in row if i < j]
+    mats = list(sl2.realization)
+    mats[doubled] = [[2 * v for v in row] for row in mats[doubled]]
+    assert _failing_pairs(sl2, mats) == pairs
+    with pytest.raises(RealizationMismatch) as info:
+        liealg.new_lie_algebra(3, sl2.labels, entries, mats, mode)
+    assert info.value.pair == pairs[0]
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_realization_mismatch_names_the_pair_of_a_dense_scan(mode):
+    # seeded perturbations of gl(3)'s elementary matrices, one to three
+    # entries each, against the dense scan above
+    L = liealg.builtin("gl(3)", mode)
+    entries = [(i, j, k, c) for i, row in enumerate(L.C_rows) for j, k, c in row if i < j]
+    rng = seeded(2601)
+    failed = 0
+    for _ in range(40):
+        mats = [[list(row) for row in M] for M in L.realization]
+        for _ in range(rng.randint(1, 3)):
+            M = mats[rng.randrange(L.dim)]
+            M[rng.randrange(3)][rng.randrange(3)] += L.ratio(rng.choice([-2, -1, 1, 2]), 2)
+        pairs = _failing_pairs(L, mats)
+        if not pairs:
+            liealg.new_lie_algebra(L.dim, L.labels, entries, mats, mode)
+            continue
+        with pytest.raises(RealizationMismatch) as info:
+            liealg.new_lie_algebra(L.dim, L.labels, entries, mats, mode)
+        assert info.value.pair == pairs[0]
+        failed += len(pairs) > 1
+    assert failed > 20
+
+
 def test_realization_commutators_match_brackets(sl2):
     rng = seeded(13)
     for _ in range(10):

@@ -11,7 +11,7 @@ from postlie.errors import (
     NotAbelian,
     NotPreLie,
 )
-from conftest import BUILTIN_RMATRICES, random_vector, seeded
+from conftest import BUILTIN_RMATRICES, exact_context, random_vector, seeded
 from oracles.bch_enveloping import bch_enveloping
 from oracles.ode_chi_fractions import _ode_steps as fraction_ode_steps
 from oracles.ode_chi_fractions import ode_chi_fractions
@@ -313,18 +313,11 @@ def _entries(chi):
     return [[(c, type(c)) for c in v] for v in chi.coeffs]
 
 
-def _star_context(name):
-    if name.startswith("upper_lower_split"):
-        L = liealg.builtin(name)
-        return rmatrix.splitting_r(L, *L.splitting)
-    return rmatrix.builtin_rmatrix(name)
-
-
 @pytest.mark.parametrize("name", ["sl2-borel", "split2", "upper_lower_split(3)"])
 def test_star_chi_on_integer_numerators_matches_fraction_oracle(name):
     # the star recursion divides once per chi entry; the oracle scales every
     # term by its Fraction factor: same values, same entry types
-    ctx = _star_context(name)
+    ctx = exact_context(name)
     L, prod = ctx.algebra, products.from_rmatrix(ctx, "-")
     rng = seeded(1901)
     directions = [
@@ -477,7 +470,7 @@ def test_ode_chi_on_integer_numerators_matches_fraction_oracle(name, order):
     # divides once per chi entry; the oracle runs on Fraction vectors: same
     # values, same entry types (chi_1 as checked, a Fraction for every entry
     # of chi_m with m >= 2, zeros included)
-    ctx = _star_context(name)
+    ctx = exact_context(name)
     L, prod = ctx.algebra, products.from_rmatrix(ctx, "-")
     for x in _directions(L, 2101):
         chi = magnus.postlie_magnus(L, x, prod, order, method="ode")
@@ -509,7 +502,7 @@ def _fraction_ode_report(L, x, product, order):
 @pytest.mark.parametrize("name", ["sl2-borel", "split2", "upper_lower_split(3)"])
 @pytest.mark.parametrize("sign", ["-", "+"])
 def test_verify_chi_ode_report_matches_the_fraction_recursion(name, sign):
-    ctx = _star_context(name)
+    ctx = exact_context(name)
     L, prod = ctx.algebra, products.from_rmatrix(ctx, sign)
     for x in _directions(L, 7)[:2] + [[1] * L.dim]:
         report = magnus.verify_chi_ode(L, x, prod, 6)
