@@ -237,13 +237,7 @@ class FlowProblem:
             raise InvalidInput("the initial point and the time grid must be finite")
         self.order = order
         self.flow_tolerance = float(flow_tolerance)
-        self._product = None
         self._chi = None
-
-    def product(self):
-        if self._product is None:
-            self._product = from_rmatrix(self.ctx, "-")
-        return self._product
 
     def chi_coefficients(self):
         """chi_m(x0) for m = 1..order, computed once; chi(x0 t) follows by
@@ -251,7 +245,7 @@ class FlowProblem:
         if self._chi is None:
             import numpy as np
             chi = postlie_magnus(
-                self.algebra, self.x0, self.product(), self.order, method="ode"
+                self.algebra, self.x0, from_rmatrix(self.ctx, "-"), self.order, method="ode"
             )
             self._chi = tuple(
                 np.array(chi.coeff(m), dtype=float) for m in range(1, self.order + 1)

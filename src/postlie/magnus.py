@@ -4,11 +4,11 @@ the expansion's defining ODE (the star chi against the ode chi, which
 solves it).
 
 A GradedLieElement holds the t^m coefficients (each a genuine g-vector) of
-a Lie-algebra-valued formal series.  BCH, the ode chi and the pre-Lie chi
-are solved degree by degree in g, in either mode.  The star chi and the
-group-like check work in the truncated enveloping algebra, exactly: a
-degree-m coefficient only involves words of length <= m, so truncating
-words at the grading order loses nothing.
+a Lie-algebra-valued formal series.  BCH and the ode chi (the pre-Lie chi
+is its abelian case) share one degree-by-degree solver in g, either mode.
+The star chi and the group-like check work in the truncated enveloping
+algebra, exactly: a degree-m coefficient only involves words of length
+<= m, so truncating words at the grading order loses nothing.
 """
 
 from __future__ import annotations
@@ -224,23 +224,33 @@ def bch(L, x, y, order):
     """Graded coefficients Z_m of Z = log(exp(xt) exp(yt)), solved in g
     degree by degree from Z' = dexp_Z^{-1}(x + e^{t ad_x} y), Z_1 = x + y
     (Varadarajan, Lie Groups, Lie Algebras, and Their Representations,
-    section 2.15).  Two tables keep, per degree, the powers (ad_{xt})^n y and
-    (ad_Z)^n u of u = x + e^{t ad_x} y; Z_m is degree m-1 of the right side
-    over m.  Exact entries are Fractions, and int 0 where they vanish."""
+    section 2.15).  Exact entries are Fractions, and int 0 where they
+    vanish."""
     ev._check_order(order, 1)
     x, y = L.check_vector(x), L.check_vector(y)
     ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows,))
+    ad, xy = ops.bilinear(partial(contract, *ops.rows)), ops.lift(vadd(x, y))
+    xt = [ops.zero, ops.lift(x)]
+    Z = _dexp_inv_series(L, ops, order, ops.chi(xy, 1), ops.lift(y), xy, ad, ad, 1, xt)
+    return GradedLieElement(L, order, [tuple(c or 0 for c in v) for v in Z])
+
+
+def _dexp_inv_series(L, ops, order, Y1, seed, base, act, bracket, sign, alpha=None):
+    """Y_1..Y_order of Y = sum_m Y_m t^m from Y_1: m Y_m is degree m-1 of
+    dexp^{-1}_beta(u) for beta = sign Y and u = u_0 + e^{act(alpha, .)} seed,
+    alpha a fixed graded series or, when None, beta itself; base = u_0 + seed
+    is the degree-0 part of u (both lifted by ops).  Two tables keep, per
+    degree, the powers act(alpha, .)^n seed and bracket(beta, .)^n u, and
+    order m adds degree m-1 to each."""
     exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
     inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
-    ad = ops.bilinear(partial(contract, *ops.rows))
-    xt, Z = [ops.zero, ops.lift(x)], [ops.zero]
-    powers, ads = [[ops.lift(y)]], [[ops.lift(vadd(x, y))]]
-    coeffs = [vzero(L.dim), ops.chi(ads[0][0], 1)]
+    Y, beta = [vzero(L.dim), Y1], [ops.zero]
+    powers, brackets = [[seed]], [[base]]
     for m in range(2, order + 1):
-        Z.append(ops.lift(coeffs[m - 1]))
-        u = _grow(powers, ad, xt, ops.zero, exp_c, ops)
-        coeffs.append(ops.chi(_grow(ads, ad, Z, u, inv_c, ops), m))
-    return GradedLieElement(L, order, [tuple(c or 0 for c in v) for v in coeffs])
+        beta.append(ops.scale(sign, ops.lift(Y[m - 1])))
+        u = _grow(powers, act, alpha or beta, ops.zero, exp_c, ops)
+        Y.append(ops.chi(_grow(brackets, bracket, beta, u, inv_c, ops), m))
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +291,11 @@ def postlie_magnus(L, x, product, order, method="star"):
     if not ev._same_algebra(product.algebra, L):
         raise AlgebraMismatch("the product lives over another algebra")
     if method == "ode":
-        # chi_m is degree m-1 of dexp*^{-1}_{-chi}(exp*(-chi) |> x) over m; two
-        # tables keep, per degree, the powers (-chi |>)^n x and bar(-chi, .)^n u
-        # of u = exp*(-chi) |> x, and order m adds degree m-1 to each
+        # chi_m is degree m-1 of dexp*^{-1}_{-chi}(exp*(-chi) |> x) over m
         ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows, product.T_rows))
-        exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
-        inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
         tri = ops.bilinear(partial(contract, ops.rows[1]))
         bar = ops.bilinear(partial(star_commutator, *ops.rows))
-        chi, neg_chi = [vzero(L.dim), x], [ops.zero]
-        powers, bars = [[ops.lift(x)]], [[ops.lift(x)]]
-        for m in range(2, order + 1):
-            neg_chi.append(ops.lift(vscale(-1, chi[m - 1])))
-            u = _grow(powers, tri, neg_chi, ops.zero, exp_c, ops)
-            chi.append(ops.chi(_grow(bars, bar, neg_chi, u, inv_c, ops), m))
+        chi = _dexp_inv_series(L, ops, order, x, ops.lift(x), ops.lift(x), tri, bar, -1)
         return GradedLieElement(L, order, chi)
     if method != "star":
         raise InvalidInput("method must be 'star' or 'ode'")
@@ -329,9 +330,9 @@ def postlie_magnus(L, x, product, order, method="star"):
 
 
 class _Tuples:
-    """The vector operations of _grow on plain tuples (float mode, exact
-    pre-Lie), over the tensor rows they contract: a sum folds vadd left to
-    right, chi_m is rhs scaled by the float 1/m."""
+    """The vector operations of _grow on float tuples, over the tensor rows
+    they contract: a sum folds vadd left to right, chi_m is rhs scaled by
+    the float 1/m."""
 
     def __init__(self, rows):
         self.zero, self.rows = vzero(len(rows[0])), rows
@@ -412,25 +413,17 @@ def verify_grouplike_identity(L, x, product, order):
 
 
 def prelie_magnus(L, x, product, order):
-    """chi solving chi = sum_k (b_k/k!) l_chi^k (xt) order by order, for a
-    pre-Lie product over an abelian bracket; agrees with postlie_magnus."""
+    """The pre-Lie Magnus expansion of a pre-Lie product over an abelian
+    bracket: there a post-Lie product is pre-Lie, and chi is the ode chi of
+    postlie_magnus (Ebrahimi-Fard, Lundervold and Munthe-Kaas, J. Lie
+    Theory 25, 2015), which solves chi = sum_k (b_k/k!) l_chi^k (xt)."""
     ev._check_order(order, 1)
     if any(L.C_rows):
         raise NotAbelian("prelie_magnus needs an abelian bracket")
     if not check_prelie(product)["ok"]:
         raise NotPreLie("the supplied product fails the pre-Lie identity")
     ev._require_exact(L)
-    x = L.check_vector(x)
-    bern = bernoulli(order)
-    coeffs = [L.ratio(bern[k], factorial(k)) for k in range(order + 1)]
-    # degree m of sum_k b_k/k! l_chi^k(xt); x sits at degree 1 and each
-    # l_chi factor adds at least one degree, so only known chi's enter
-    ops = _Tuples((product.T_rows,))
-    chi, powers = [vzero(L.dim), x], [[vzero(L.dim)]]
-    _grow(powers, product.apply, chi, x, coeffs, ops)  # degree 1 is x itself
-    for _ in range(2, order + 1):
-        chi.append(_grow(powers, product.apply, chi, vzero(L.dim), coeffs, ops))
-    return GradedLieElement(L, order, chi)
+    return postlie_magnus(L, x, product, order, method="ode")
 
 
 # ---------------------------------------------------------------------------

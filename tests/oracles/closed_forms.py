@@ -1,4 +1,4 @@
-"""Closed-form second evaluations of four maps the package computes
+"""Closed-form second evaluations of five maps the package computes
 another way, kept only to cross-check them:
 
 - ``phi_partition``: the letter map phi by its set-partition formula
@@ -10,17 +10,23 @@ another way, kept only to cross-check them:
   modified Yang-Baxter equation;
 - ``unshuffles``: the unshuffles of a word over all 2^n position subsets,
   one pair per subset (the package yields each distinct pair of a normal
-  word once, with the number of subsets that give it as its weight).
+  word once, with the number of subsets that give it as its weight);
+- ``prelie_magnus_fixed_point``: the pre-Lie Magnus expansion by its
+  fixed-point equation chi = sum_k (b_k/k!) l_chi^k (xt) (the package
+  solves the post-Lie Magnus ODE, whose abelian-bracket case it is).
 
 ``phi_partition`` sums over ``set_partitions`` and ``F_map_explicit``
 splits words with ``unshuffles``; what each evaluates independently is the
 closed formula itself.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from postlie.enveloping import EnvElement, word_of_vectors
 from postlie.liealg import LinearEndo, bracket, vsub
+from postlie.magnus import bernoulli
 
 
 def unshuffles(word):
@@ -96,3 +102,22 @@ def r_bracket_unhalved(L, R, x, y):
     Rp = (R + LinearEndo.identity(L.dim)).scale(L.ratio(1, 2))
     out = vsub(bracket(L, Rp.apply(x), y), bracket(L, Rp.apply(y), x))
     return vsub(out, bracket(L, x, y))
+
+
+def prelie_magnus_fixed_point(L, x, product, order):
+    """chi_0..chi_order, Fraction vectors, of the chi solving
+    chi = sum_k (b_k/k!) l_chi^k (xt) with l_a(b) = product.apply(a, b), order
+    by order: l_chi^k (xt) starts at degree k + 1, so its degree m reads
+    only chi_1..chi_{m-1}.  powers[k][d] is degree d of l_chi^k (xt)."""
+    zero = (Fraction(0),) * L.dim
+    chi = [zero, tuple(Fraction(c) for c in x)]
+    powers = [[zero, chi[1]]] + [[zero, zero] for _ in range(1, order)]
+    coeffs = [b / factorial(k) for k, b in enumerate(bernoulli(order))]
+    for m in range(2, order + 1):
+        powers[0].append(zero)
+        for k in range(1, order):
+            terms = [product.apply(chi[i], powers[k - 1][m - i]) for i in range(1, m)]
+            powers[k].append(tuple(map(sum, zip(zero, *terms))))
+        terms = [[coeffs[k] * c for c in powers[k][m]] for k in range(order)]
+        chi.append(tuple(map(sum, zip(zero, *terms))))
+    return chi

@@ -73,6 +73,20 @@ def test_postlie_magnus_rejects_a_product_over_another_algebra(method):
             magnus.postlie_magnus(L, GOOD, products.from_rmatrix(other, "-"), 3, method=method)
 
 
+def test_prelie_magnus_rejects_a_product_over_another_algebra():
+    # the pre-Lie chi is the ode chi, and gets its typed errors
+    flat = liealg.new_lie_algebra(2, ["a", "b"], [])
+    for other, error, message in (
+        (liealg.new_lie_algebra(2, ["a", "b"], [], mode=scalars.FLOAT), ModeMismatch,
+         "product in float mode, algebra in exact mode"),
+        (liealg.new_lie_algebra(3, ["a", "b", "c"], []), DimensionMismatch,
+         "product tensor and bracket algebra disagree"),
+    ):
+        product = products.BilinearProduct(other, [(0, 0, 0, 2), (0, 1, 1, 1)])
+        with pytest.raises(error, match=message):
+            magnus.prelie_magnus(flat, (1, 1), product, 3)
+
+
 def _order_entry_points():
     """name -> function of the truncation order, for the chi, BCH, pre-Lie
     and flow entry points that share one order check."""

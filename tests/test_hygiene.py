@@ -3,7 +3,8 @@ no module defines a private function or class that nothing reads, no
 class has a method that nothing reads, no two module-level functions share
 a body, no parameter has a default that no call overrides, every class of
 errors.py is raised, warned or subclassed, every name a test or an oracle
-imports from the package still exists, the benchmark's tracer still finds
+imports from the package still exists, every module-level definition of
+an oracle is read by a test or an oracle, the benchmark's tracer still finds
 what it wraps and reads, the package runs without SciPy, no module
 imports NumPy or SciPy at its top level and the exact subcommands run
 without NumPy, and every demo runs."""
@@ -69,13 +70,23 @@ def unreferenced_private_definitions(sources):
     source reads; a read inside the definition's own body does not count,
     so a function that only calls itself is reported."""
     trees = [ast.parse(source) for source in sources]
-    defined = {
+    defined = {name for name in _definitions(trees) if name.startswith("_")}
+    return sorted(defined - _names_read(trees))
+
+
+def _definitions(trees):
+    """The names of the module-level functions and classes of the trees."""
+    return {
         node.name
         for tree in trees
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
     }
+
+
+def _names_read(trees):
+    """The names the trees read, by name, attribute or import, leaving out
+    a module-level definition's reads of its own name."""
     read = set()
     for tree in trees:
         for top in tree.body:
@@ -91,7 +102,7 @@ def unreferenced_private_definitions(sources):
                     continue
                 if name != own:
                     read.add(name)
-    return sorted(defined - read)
+    return read
 
 
 def test_scan_finds_an_unreferenced_private_definition():
@@ -111,6 +122,37 @@ def test_scan_finds_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_definitions(sources) == []
+
+
+def orphaned_oracle_definitions(oracles, tests):
+    """Module-level functions and classes of the oracle sources that no
+    oracle or test source reads outside their own definition: an oracle
+    that nothing cross-checks against."""
+    trees = [ast.parse(source) for source in oracles + tests]
+    return sorted(_definitions(trees[:len(oracles)]) - _names_read(trees))
+
+
+def test_scan_finds_an_orphaned_oracle_definition():
+    oracles = [
+        "def reference(x):\n    return _helper(x)\n"
+        "def _helper(x):\n    return x\n"
+        "def orphan(n):\n    return orphan(n - 1)\n",
+        "class Table:\n    pass\n"
+        "def other(x):\n    return x\n",
+    ]
+    tests = [
+        "from oracles.a import reference\nfrom oracles import b\n"
+        "def test_it():\n    assert reference(1) == b.Table\n",
+    ]
+    assert orphaned_oracle_definitions(oracles, tests) == ["orphan", "other"]
+
+
+def test_every_oracle_definition_is_read():
+    tests = ROOT / "tests"
+    oracles = [p.read_text() for p in sorted((tests / "oracles").glob("*.py"))]
+    others = [p.read_text() for p in sorted(tests.glob("*.py"))]
+    assert len(oracles) > 1
+    assert orphaned_oracle_definitions(oracles, others) == []
 
 
 def duplicate_functions(sources):

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from postlie.errors import (
 )
 from conftest import BUILTIN_RMATRICES, exact_context, random_vector, seeded
 from oracles.bch_enveloping import bch_enveloping
+from oracles.closed_forms import prelie_magnus_fixed_point
 from oracles.ode_chi_fractions import _ode_steps as fraction_ode_steps
 from oracles.ode_chi_fractions import ode_chi_fractions
 from oracles.star_chi_fractions import star_chi_fractions
@@ -206,6 +208,31 @@ def test_float_bch_matches_the_exact_series_at_order_eight():
             abs(a - b) / max(1, abs(b)) for u, v in zip(got, want) for a, b in zip(u, v)
         ))
     assert worst <= BCH_FLOAT_TOLERANCE
+
+
+# the first 16 hex digits of the sha256 of float bch at order 8, every
+# coefficient as float.hex and joined by spaces, recorded from the library
+# while bch still ran its own copy of the ode chi's recursion
+BCH_FLOAT_BITS = {
+    "gl(3)": "a231a00c3b93072c", "so(3)": "95ec5b3e74a25048", "sl(2)": "b252e4da2b89412a",
+}
+
+
+def test_float_bch_bits_are_pinned():
+    """BCH_FLOAT_TOLERANCE bounds float bch against the exact series; this
+    pins its bits, so that a rewrite of the recursion cannot move them
+    unseen.  gl(3) and so(3) take the first pair of the oracle cases,
+    sl(2) the demo pair."""
+    pairs = {
+        "gl(3)": _bch_pair(liealg.builtin("gl(3)"), 2402),
+        "so(3)": _bch_pair(liealg.builtin("so(3)"), 2403),
+        "sl(2)": DEMO_PAIR,
+    }
+    for name, (x, y) in pairs.items():
+        Lf = liealg.builtin(name, mode=scalars.FLOAT)
+        got = magnus.bch(Lf, [float(c) for c in x], [float(c) for c in y], 8).coeffs
+        text = " ".join(c.hex() for v in got for c in v)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == BCH_FLOAT_BITS[name]
 
 
 def test_graded_exp_log_reject_bad_degree_zero_part(sl2):
@@ -555,16 +582,26 @@ def _theta_zero_product(s=None):
 
 
 def test_prelie_magnus_matches_postlie_with_abelian_bracket():
+    """The pre-Lie chi, the star chi and the ode chi all equal the fixed
+    point of chi = sum_k (b_k/k!) l_chi^k (xt) through order 8, on the
+    theta = 0 product of sl(2) over a flat bracket and on a 2-dim pre-Lie
+    product whose l_a is not nilpotent (a o a = 2a, a o b = b)."""
     sl2, prod = _theta_zero_product()
     flat = liealg.new_lie_algebra(3, ["e", "h", "f"], [])
     flat_prod = products.BilinearProduct.from_function(flat, prod.apply)
     rng = seeded(233)
-    for _ in range(5):
-        x = random_vector(sl2, rng, span=2)
-        via_pre = magnus.prelie_magnus(flat, x, flat_prod, 4)
-        via_post = magnus.postlie_magnus(flat, x, flat_prod, 4)
-        for m in range(1, 5):
-            assert via_pre.coeff(m) == via_post.coeff(m)
+    cases = [(flat, flat_prod, random_vector(sl2, rng, span=2)) for _ in range(5)]
+    flat2 = liealg.new_lie_algebra(2, ["a", "b"], [])
+    grow = products.BilinearProduct(flat2, [(0, 0, 0, 2), (0, 1, 1, 1)])
+    cases.append((flat2, grow, (F(1), F(-1, 2))))
+    for L, P, x in cases:
+        want = prelie_magnus_fixed_point(L, x, P, 8)
+        for chi in (
+            magnus.prelie_magnus(L, x, P, 8),
+            magnus.postlie_magnus(L, x, P, 8),
+            magnus.postlie_magnus(L, x, P, 8, method="ode"),
+        ):
+            assert list(chi.coeffs) == want
 
 
 def test_prelie_magnus_rejects_nonabelian(sl2, borel_product):
