@@ -237,6 +237,8 @@ class FlowProblem:
             raise InvalidInput("the initial point and the time grid must be finite")
         self.order = order
         self.flow_tolerance = float(flow_tolerance)
+        if not 0 <= self.flow_tolerance < math.inf:
+            raise InvalidInput("flow tolerance %r: it must be finite and >= 0" % (flow_tolerance,))
         self._chi = None
 
     def chi_coefficients(self):

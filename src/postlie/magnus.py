@@ -6,6 +6,10 @@ solves it).
 A GradedLieElement holds the t^m coefficients (each a genuine g-vector) of
 a Lie-algebra-valued formal series.  BCH and the ode chi (the pre-Lie chi
 is its abelian case) share one degree-by-degree solver in g, either mode.
+In float mode it contracts each new degree of a table as one NumPy batch
+that rounds as liealg.contract would, bit for bit: per output coordinate,
+products (a_i b_j) c added to 0 in contract's entry order, the pairs of a
+degree in increasing i, a total in increasing n; zero factors add nothing.
 The star chi and the group-like check work in the truncated enveloping
 algebra, exactly: a degree-m coefficient only involves words of length
 <= m, so truncating words at the grading order loses nothing.
@@ -228,8 +232,8 @@ def bch(L, x, y, order):
     vanish."""
     ev._check_order(order, 1)
     x, y = L.check_vector(x), L.check_vector(y)
-    ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows,))
-    ad, xy = ops.bilinear(partial(contract, *ops.rows)), ops.lift(vadd(x, y))
+    ops = (_Pairs if L.mode == scalars.EXACT else _Arrays)((L.C_rows,))
+    ad, xy = ops.bilinear(contract, *ops.rows), ops.lift(vadd(x, y))
     xt = [ops.zero, ops.lift(x)]
     Z = _dexp_inv_series(L, ops, order, ops.chi(xy, 1), ops.lift(y), xy, ad, ad, 1, xt)
     return GradedLieElement(L, order, [tuple(c or 0 for c in v) for v in Z])
@@ -239,17 +243,18 @@ def _dexp_inv_series(L, ops, order, Y1, seed, base, act, bracket, sign, alpha=No
     """Y_1..Y_order of Y = sum_m Y_m t^m from Y_1: m Y_m is degree m-1 of
     dexp^{-1}_beta(u) for beta = sign Y and u = u_0 + e^{act(alpha, .)} seed,
     alpha a fixed graded series or, when None, beta itself; base = u_0 + seed
-    is the degree-0 part of u (both lifted by ops).  Two tables keep, per
-    degree, the powers act(alpha, .)^n seed and bracket(beta, .)^n u, and
-    order m adds degree m-1 to each."""
+    is the degree-0 part of u (both lifted by ops).  Two tables keep the
+    powers act(alpha, .)^n seed and bracket(beta, .)^n u by degree: order m
+    has ops.grow add column m-1, entry n the power n, and sum the entries
+    with coeffs[n].  As beta_0 = 0, a column reads only lower ones."""
     exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
     inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
     Y, beta = [vzero(L.dim), Y1], [ops.zero]
     powers, brackets = [[seed]], [[base]]
     for m in range(2, order + 1):
         beta.append(ops.scale(sign, ops.lift(Y[m - 1])))
-        u = _grow(powers, act, alpha or beta, ops.zero, exp_c, ops)
-        Y.append(ops.chi(_grow(brackets, bracket, beta, u, inv_c, ops), m))
+        u = ops.grow(powers, act, alpha or beta, ops.zero, exp_c)
+        Y.append(ops.chi(ops.grow(brackets, bracket, beta, u, inv_c), m))
     return Y
 
 
@@ -292,9 +297,9 @@ def postlie_magnus(L, x, product, order, method="star"):
         raise AlgebraMismatch("the product lives over another algebra")
     if method == "ode":
         # chi_m is degree m-1 of dexp*^{-1}_{-chi}(exp*(-chi) |> x) over m
-        ops = (_Pairs if L.mode == scalars.EXACT else _Tuples)((L.C_rows, product.T_rows))
-        tri = ops.bilinear(partial(contract, ops.rows[1]))
-        bar = ops.bilinear(partial(star_commutator, *ops.rows))
+        ops = (_Pairs if L.mode == scalars.EXACT else _Arrays)((L.C_rows, product.T_rows))
+        tri = ops.bilinear(contract, ops.rows[1])
+        bar = ops.bilinear(star_commutator, *ops.rows)
         chi = _dexp_inv_series(L, ops, order, x, ops.lift(x), ops.lift(x), tri, bar, -1)
         return GradedLieElement(L, order, chi)
     if method != "star":
@@ -329,24 +334,12 @@ def postlie_magnus(L, x, product, order, method="star"):
     return GradedLieElement(L, order, chi_vec)
 
 
-class _Tuples:
-    """The vector operations of _grow on float tuples, over the tensor rows
-    they contract: a sum folds vadd left to right, chi_m is rhs scaled by
-    the float 1/m."""
-
-    def __init__(self, rows):
-        self.zero, self.rows = vzero(len(rows[0])), rows
-        self.nonzero, self.scale, self.bilinear = any, vscale, lambda f: f
-        self.total = lambda terms: reduce(vadd, terms)
-        self.lift, self.chi = tuple, lambda rhs, m: vscale(1 / m, rhs)
-
-
 class _Pairs:
-    """The same operations on exact (integer numerators, int denominator)
-    pairs: the rows are cleared to one denominator D once (kept when every
-    entry is an int), a contraction multiplies the denominators and D, a sum
-    is scaled to one lcm and reduced by its gcd, and chi_m is divided out
-    once per entry, a Fraction each."""
+    """The vector operations of the series on exact (integer numerators, int
+    denominator) pairs: the rows are cleared to one denominator D once (kept
+    when every entry is an int), a contraction multiplies the denominators
+    and D, a sum is scaled to one lcm and reduced by its gcd, and chi_m is
+    divided out once per entry, a Fraction each."""
 
     def __init__(self, rows):
         D = lcm(*(c.denominator for T in rows for r in T for *_, c in r))
@@ -354,9 +347,8 @@ class _Pairs:
             len(T), [(i, j, k, c * D) for i, r in enumerate(T) for j, k, c in r], scalars.EXACT
         ) for T in rows)
         self.zero = vzero(len(rows[0])), 1
-        self.bilinear = lambda f: lambda a, b: (f(a[0], b[0]), D * a[1] * b[1])
+        self.bilinear = lambda f, *rows: lambda a, b: (f(*rows, a[0], b[0]), D * a[1] * b[1])
 
-    nonzero = staticmethod(lambda v: any(v[0]))
     scale = staticmethod(lambda c, v: (vscale(c.numerator, v[0]), c.denominator * v[1]))
     chi = staticmethod(lambda rhs, m: tuple(Fraction(n, rhs[1] * m) for n in rhs[0]))
 
@@ -369,26 +361,72 @@ class _Pairs:
 
     lift = staticmethod(scalars.clear_denominators)
 
+    def grow(self, table, f, beta, base, coeffs):
+        """Add column d = len(table) and return its sum, one contract call per pair."""
+        d, nonzero = len(table), lambda v: any(v[0])
+        table.append([base] + [self.total([self.zero] + [
+            f(beta[i], table[d - i][n - 1]) for i in range(1, min(d + 2 - n, len(beta)))
+            if nonzero(beta[i]) and nonzero(table[d - i][n - 1])]) for n in range(1, d + 1)])
+        return self.total([base] + [self.scale(coeffs[n], table[d][n]) for n in range(1, d + 1)])
 
-def _graded_at(f, A, B, d, ops):
-    """Degree d of f(sum A_i t^i, sum B_j t^j) for a bilinear f, adding the
-    products in increasing i and skipping zero coefficients."""
-    return ops.total([ops.zero] + [
-        f(A[i], B[d - i]) for i in range(max(0, d + 1 - len(B)), min(d + 1, len(A)))
-        if ops.nonzero(A[i]) and ops.nonzero(B[d - i])
-    ])
 
+class _Arrays:
+    """The same on float64 arrays, a table column one 2D array, batched as the module says."""
 
-def _grow(table, f, beta, base, coeffs, ops):
-    """Append degree d = len(table[0]) to table[n], the degree-by-degree
-    coefficients of f(beta, .)^n applied to table[0], given base, the
-    degree-d coefficient of table[0]; return sum_n coeffs[n] table[n][d]."""
-    d = len(table[0])
-    table[0].append(base)
-    table.append([ops.zero] * d)
-    for n in range(1, d + 1):
-        table[n].append(_graded_at(f, beta, table[n - 1], d, ops))
-    return ops.total([base] + [ops.scale(coeffs[n], table[n][d]) for n in range(1, d + 1)])
+    def __init__(self, rows):
+        import numpy as np
+        self.np, self.zero = np, np.zeros(len(rows[0]))
+        self.rows = tuple(map(self.layout, rows))
+        self.scale, self.lift = (lambda c, v: c * v), partial(np.array, dtype=float)
+        self.chi = lambda rhs, m: (1 / m * rhs).tolist()
+        self.fold = lambda terms: reduce(np.add, terms, np.zeros(terms.shape[1:]))
+
+    def layout(self, rows):
+        """(i, j, c) of output k's entry e at [:, e, k], in contract's order, c = 0 as padding."""
+        entries = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for j, k, c in row:
+                entries[k] += i, j, c
+        width = max(map(len, entries))
+        padded = [e + [0] * (width - len(e)) for e in entries]
+        return self.np.array(padded, dtype=float).reshape(len(rows), width // 3, 3).T
+
+    def bilinear(self, f, *layouts):
+        """f(*rows, a, b) on row pairs of A and B, f contract or star_commutator: one contraction
+        of [A B] with [B A] on the layouts side by side, the one read on (b, a) shifted."""
+        np, dim = self.np, len(self.zero)
+        layouts += (layouts[-1] + np.array([dim, dim, 0])[:, None, None],) * (f is star_commutator)
+        stacked = np.zeros((3, max(x.shape[1] for x in layouts), len(layouts) * dim))
+        for b, x in enumerate(layouts):
+            stacked[:, :x.shape[1], b * dim:(b + 1) * dim] = x
+        I, J, V = stacked[0].astype(int), stacked[1].astype(int), stacked[2]
+        def batch(A, B):
+            X, Y = np.hstack((A, B)).T, np.hstack((B, A)).T
+            terms = X[I]
+            terms *= Y[J]
+            terms *= V[:, :, None]
+            out = self.fold(terms)
+            # a zero factor makes +-0, or nan beside inf or nan: refold nan outputs without them
+            k, p = np.nonzero(np.isnan(out))
+            zero = (X[I[:, k], p] == 0) | (Y[J[:, k], p] == 0) | (V[:, k] == 0)
+            out[k, p] = self.fold(np.where(zero, 0.0, terms[:, k, p]))
+            c, *ts = out.reshape(len(layouts), dim, -1).transpose(0, 2, 1)
+            return c + (ts[0] - ts[1]) if ts else c
+        return batch
+
+    def grow(self, table, f, beta, base, coeffs):
+        """Pair (beta_{r+1}, table[d-1-r][c]), r + c < d, row-major, adds to entry c + 1."""
+        np, d = self.np, len(table)
+        r, c = np.nonzero(np.tri(d, dtype=bool)[::-1])
+        A = np.array(beta + [self.zero] * (d + 1 - len(beta)))[r + 1]
+        B = np.vstack(table[::-1])
+        keep = A.any(1) & B.any(1)
+        blocks = np.zeros((d, d + 1, len(base)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks[r[keep], c[keep] + 1] = f(A[keep], B[keep])
+            table.append(self.fold(blocks))
+            table[d][0] = base
+            return reduce(np.add, np.array(coeffs[1:d + 1])[:, None] * table[d][1:], base)
 
 
 def verify_grouplike_identity(L, x, product, order):

@@ -1,15 +1,18 @@
-"""The ODE recursion of the post-Lie Magnus expansion on Fraction vectors,
+"""The ODE recursion of the post-Lie Magnus expansion on tuples of scalars,
 kept only to cross-check ``magnus.postlie_magnus(..., method="ode")``:
 
 - ``ode_chi_fractions``: chi_m is 1/m times the degree m-1 coefficient of
   the right side of d/dt chi = dexp*^{-1}_{-chi}( exp*(-chi) |> x ), every
-  intermediate a tuple of Fractions scaled by its rational factor as it is
-  formed (the package keeps integer numerators over one denominator per
-  vector and divides once per chi entry).
+  intermediate a tuple of the algebra's scalars scaled by its factor as it
+  is formed, one ``liealg.contract`` call per pair of nonzero vectors.
 
-Both divide the same right side by m, so the entries must agree in value
-and in type: chi_1 as given, and a Fraction for every entry of chi_m with
-m >= 2, zeros included.
+On an exact algebra it runs on Fraction vectors, where the package keeps
+integer numerators over one denominator per vector and divides once per
+chi entry: both divide the same right side by m, so the entries must agree
+in value and in type (chi_1 as given, and a Fraction for every entry of
+chi_m with m >= 2, zeros included).  On a float algebra it makes the float
+operations of the package's batched kernel in the same order, so the two
+must agree bit for bit, inf and nan included.
 """
 
 from math import factorial
@@ -61,8 +64,8 @@ def _ode_steps(L, x, product, chi, order):
 
 
 def ode_chi_fractions(L, x, product, order):
-    """chi(xt) through order by the ODE recursion on Fraction vectors; x
-    must be a checked exact vector."""
+    """chi(xt) through order by the ODE recursion on tuples of the
+    algebra's scalars; x must be a vector checked in the algebra's mode."""
     chi = [vzero(L.dim), x]
     for m, rhs in enumerate(_ode_steps(L, x, product, chi, order), start=2):
         chi.append(vscale(L.ratio(1, m), rhs))

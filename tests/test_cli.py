@@ -586,6 +586,18 @@ def test_flow_toda_csv_stdout(capsys):
     assert all(float(row.split(",")[-2]) < 1e-9 for row in lines[1:])
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_flow_rejects_a_bad_tolerance(capsys, tolerance):
+    # with --tolerance nan this flow used to exit 0 and warn of nothing,
+    # though its truncation tail is about 6e3
+    code, out, err = run(
+        capsys, "flow", "--toda", "3", "--offdiag", "2,2", "--t1", "2", "--steps", "2",
+        "--tolerance", tolerance,
+    )
+    assert code == 2 and out == ""
+    assert "flow tolerance %r: it must be finite and >= 0" % float(tolerance) in err
+
+
 def test_flow_toda_default_diag_is_zero(capsys):
     code, out, _ = run(
         capsys, "flow", "--toda", "2", "--offdiag", "1", "--t1", "0.5",

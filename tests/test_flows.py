@@ -3,6 +3,7 @@ RK4 reference integrator, conservation diagnostics, the Toda-type builtin,
 and CSV output."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -126,6 +127,19 @@ def test_flow_problem_rejects_bad_grid_and_order():
         FlowProblem(ctx, [0, 1, 0, 1], (), 4)
     with pytest.raises(InvalidInput):
         FlowProblem(ctx, [0, 1, 0, 1], (0.5,), 0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_flow_problem_rejects_a_bad_flow_tolerance(tolerance):
+    # a nan tolerance silenced every tail warning (no gap exceeds it), and a
+    # negative or infinite one is no tolerance either
+    ctx = builtin_rmatrix("split2", mode=scalars.FLOAT)
+    message = "flow tolerance %r: it must be finite and >= 0" % (tolerance,)
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        FlowProblem(ctx, [0, 1, 0, 1], (0.5,), 4, flow_tolerance=tolerance)
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        toda_problem(3, [0.0] * 3, [2.0, 2.0], [0.0, 2.0], 4, flow_tolerance=tolerance)
+    assert FlowProblem(ctx, [0, 1, 0, 1], (0.5,), 4, flow_tolerance=0).flow_tolerance == 0.0
 
 
 # ---------------------------------------------------------------------------

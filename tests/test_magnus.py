@@ -1,11 +1,13 @@
 import hashlib
+import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from postlie import enveloping as ev
-from postlie import liealg, magnus, products, rmatrix, scalars
+from postlie import flows, liealg, magnus, products, rmatrix, scalars
 from postlie.errors import (
     CollapseFailure,
     InvalidInput,
@@ -514,6 +516,54 @@ def test_ode_chi_with_fraction_product_entries_matches_fraction_oracle(borel_ctx
     for x in [(1, 0, 1), (F(1, 2), 1, F(-2, 3))] + _directions(L, 2102):
         chi = magnus.postlie_magnus(L, x, half, 9, method="ode")
         assert _entries(chi) == _entries(ode_chi_fractions(L, L.check_vector(x), half, 9))
+
+
+def _float_ode_case(case):
+    """(algebra, x, product, order) of a float ode-chi case."""
+    kind, arg = case
+    if kind == "toda":
+        n, scale = arg
+        problem = flows.toda_problem(
+            n, [scale * (i % 3 - 0.6) for i in range(n)],
+            [scale * (0.4 + 0.1 * i) for i in range(n - 1)], [0.0, 1.0], 10,
+        )
+        return problem.algebra, problem.x0, products.from_rmatrix(problem.ctx, "-"), 10
+    if kind == "split":
+        L = liealg.builtin("upper_lower_split(%d)" % arg, mode=scalars.FLOAT)
+        ctx, order = rmatrix.splitting_r(L, *L.splitting), 9
+    else:
+        ctx, order = rmatrix.builtin_rmatrix(arg, mode=scalars.FLOAT), 12
+    rng = seeded(2103)
+    x = tuple(rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in range(ctx.algebra.dim))
+    if kind == "sparse":
+        x = (3e35, 0.0, -4e35)
+    return ctx.algebra, x, products.from_rmatrix(ctx, "-"), order
+
+
+# the last three overflow; in the last two an inf or a nan meets a zero factor
+OVERFLOWING = [("toda", (4, 1e35)), ("toda", (4, 1e100)), ("sparse", "sl2-borel")]
+FLOAT_ODE_CASES = (
+    [("toda", (n, 1.0)) for n in range(2, 9)]
+    + [("split", 3), ("split", 4), ("builtin", "sl2-borel"), ("builtin", "split2")]
+    + OVERFLOWING
+)
+
+
+@pytest.mark.parametrize("case", FLOAT_ODE_CASES, ids=str)
+def test_float_ode_chi_is_bit_identical_to_the_tuple_recursion(case):
+    # the batched float kernel makes every float operation of the recursion
+    # on tuples, in its order: the same bits (pickled), inf and nan in the
+    # same places, Python floats, and no NumPy warning, also where it overflows
+    L, x, prod, order = _float_ode_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi = magnus.postlie_magnus(L, x, prod, order, method="ode")
+    want = ode_chi_fractions(L, x, prod, order)
+    flags = lambda g: [(math.isinf(c), math.isnan(c)) for v in g.coeffs for c in v]
+    assert flags(chi) == flags(want)
+    assert any(map(any, flags(chi))) == (case in OVERFLOWING)
+    assert all(type(c) is float for v in chi.coeffs for c in v)
+    assert pickle.dumps(chi.coeffs) == pickle.dumps(want.coeffs)
 
 
 def _fraction_ode_report(L, x, product, order):

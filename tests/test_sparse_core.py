@@ -132,18 +132,35 @@ def _patch_everywhere(monkeypatch, original, replacement):
 def test_chi_ode_product_count_is_pinned(monkeypatch):
     """Each order m adds only degree m-1 to its two graded series.  With a
     full-support x no term vanishes, so the count of product contractions
-    (liealg.contract on P.T_rows) is set by the recursion alone; rebuilding
-    each series up to degree m-1 at every order makes 1,120, and building
-    every series up to the full order makes 2,777."""
+    is set by the recursion alone.  The float kernel contracts the pairs
+    (a, b) of a degree in one batch; counted is each pair it contracts on
+    the product's rows, once for |> and twice for the star commutator,
+    which reads them on (a, b) and (b, a).  Rebuilding each series up to
+    degree m-1 at every order makes 1,120, and building every series up to
+    the full order makes 2,777."""
     L, P = _float_split(4)
-    calls = [0]
-    contract = liealg.contract
+    calls, product_layouts = [0], []
+    layout, bilinear = magnus._Arrays.layout, magnus._Arrays.bilinear
 
-    def counted(rows, x, y):
-        calls[0] += rows is P.T_rows
-        return contract(rows, x, y)
+    def recorded(ops, rows):
+        out = layout(ops, rows)
+        if rows is P.T_rows:
+            product_layouts.append(out)
+        return out
 
-    _patch_everywhere(monkeypatch, contract, counted)
+    def counted(ops, f, *layouts):
+        batch = bilinear(ops, f, *layouts)
+        uses = sum(x is y for x in layouts for y in product_layouts)
+        uses *= 1 + (f is products.star_commutator)
+
+        def run(A, B):
+            calls[0] += uses * len(A)
+            return batch(A, B)
+
+        return run
+
+    monkeypatch.setattr(magnus._Arrays, "layout", recorded)
+    monkeypatch.setattr(magnus._Arrays, "bilinear", counted)
     x = tuple((i + 1) / 16 for i in range(L.dim))
     magnus.postlie_magnus(L, x, P, 10, method="ode")
     assert calls[0] == 383
