@@ -114,6 +114,14 @@ def _add_into(dst, src, c=1):
         dst[w] = dst.get(w, 0) + c * v
 
 
+def _linear(word_map, terms):
+    """The linear extension of a map of words to term maps."""
+    out = {}
+    for w, c in terms.items():
+        _add_into(out, word_map(w), c)
+    return out
+
+
 def _bilinear(word_product, t1, t2):
     """The bilinear extension of a product of words to term maps."""
     out = {}
@@ -170,10 +178,7 @@ class _TermMap:
         return type(self)(self.algebra, self.order, out)
 
     def __sub__(self, other):
-        _check_pair(self, other)
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return type(self)(self.algebra, self.order, out)
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = scalars.coerce(c, scalars.EXACT)
@@ -359,10 +364,7 @@ def _coproduct_word(word):
 
 def coproduct(A):
     """The unshuffle coproduct; coassociative and an algebra morphism."""
-    out = {}
-    for w, c in A.terms.items():
-        _add_into(out, _coproduct_word(w), c)
-    return TensorSquareElement(A.algebra, A.order, out)
+    return TensorSquareElement(A.algebra, A.order, _linear(_coproduct_word, A.terms))
 
 
 def _antipode_word(L, w):
@@ -375,10 +377,7 @@ def _antipode_word(L, w):
 def antipode(A):
     """S(x_{i1}...x_{in}) = (-1)^n x_{in}...x_{i1}, re-normalized."""
     L = A.algebra
-    out = {}
-    for w, c in A.terms.items():
-        _add_into(out, _antipode_word(L, w), c)
-    return EnvElement(L, A.order, out)
+    return EnvElement(L, A.order, _linear(partial(_antipode_word, L), A.terms))
 
 
 def is_primitive(A):
@@ -539,10 +538,7 @@ def star_mul(A, B, product):
 def star_antipode(A, product):
     """The antipode of the star Hopf structure (recursively from its axiom)."""
     ctx = lifted(A.algebra, product, A.order)
-    out = {}
-    for w, c in A.terms.items():
-        _add_into(out, ctx.star_antipode_word(w), c)
-    return EnvElement(A.algebra, A.order, out)
+    return EnvElement(A.algebra, A.order, _linear(ctx.star_antipode_word, A.terms))
 
 
 HOPF_IDENTITIES = (
@@ -617,14 +613,17 @@ def phi(L, word, product, order):
     phi(x_1 ... x_n) = x_1 * (x_2 * (... * x_n)).
 
     Letters may be basis indices or g-vectors; the input is a raw word (it
-    is *not* normalized first).
+    is *not* normalized first).  A word longer than the grade is evaluated
+    at its own length, where nothing is truncated, and only then cut to
+    the grade: normalizing a long word can give shorter words.
     """
     _check_order(order, 0)
-    ctx = lifted(L, product, order)
+    letters = _as_vector_letters(L, word)
+    ctx = lifted(L, product, max(order, len(letters)))
     acc = {(): 1}
-    for v in reversed(_as_vector_letters(L, word)):
+    for v in reversed(letters):
         acc = ctx.star_elem({(k,): c for k, c in enumerate(v) if c != 0}, acc)
-    return EnvElement(L, order, acc)
+    return EnvElement(L, order, {w: c for w, c in acc.items() if len(w) <= order})
 
 
 def phi_term_count(n):
@@ -647,16 +646,18 @@ def derived_bracket_algebra(L, product):
     return algebra_from_bracket(L, partial(star_commutator, L.C_rows, product.T_rows))
 
 
-def phi_inverse(L, word, product, order, bar=None):
+def phi_inverse(L, word, product, order):
     """Inverse of phi on a raw word, valued in the enveloping algebra of
-    the star-commutator Lie algebra (available as the result's .algebra;
-    pass `bar` to reuse one).  A letter x has x * W = x.W + x |> W and acts
-    on W = y_1 ... y_m by derivations, so phi^{-1}(1) = 1 and
-    phi^{-1}(x.W) = x phi^{-1}(W) - sum_i phi^{-1}(y_1 ... (x |> y_i) ... y_m)."""
+    the star-commutator Lie algebra (available as the result's .algebra).
+    A letter x has x * W = x.W + x |> W and acts on W = y_1 ... y_m by
+    derivations, so phi^{-1}(1) = 1 and
+    phi^{-1}(x.W) = x phi^{-1}(W) - sum_i phi^{-1}(y_1 ... (x |> y_i) ... y_m).
+    A word longer than the grade is evaluated and cut as phi does it."""
     _check_order(order, 0)
-    if bar is None:
-        bar = derived_bracket_algebra(L, product)
-    return _phi_inverse_letters(bar, _as_vector_letters(L, word), product, order)
+    bar = derived_bracket_algebra(L, product)
+    letters = _as_vector_letters(L, word)
+    full = _phi_inverse_letters(bar, letters, product, max(order, len(letters)))
+    return EnvElement(bar, order, {w: c for w, c in full.terms.items() if len(w) <= order})
 
 
 def _phi_inverse_letters(bar, letters, product, order):
@@ -716,29 +717,26 @@ def sts_product_check(a, B, ctx, product):
 # ---------------------------------------------------------------------------
 
 
-def _exp_series(A, one, mul):
-    """sum_{n <= A.order} A^n / n! with the powers taken by mul, stopping at
-    the first power that vanishes."""
-    acc = power = one
-    for n in range(1, A.order + 1):
-        power = mul(power, A)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, factorial(n)))
-    return acc
-
-
-def _log_series(B, one, mul):
-    """sum_{1 <= n <= B.order} (-1)^(n-1) B^n / n, the logarithm of one + B,
-    with the powers taken by mul."""
-    acc = one.scale(0)
+def _power_series(B, one, mul, acc, coefficient):
+    """acc + sum_{1 <= n <= B.order} coefficient(n) B^n with the powers taken
+    by mul, stopping at the first power that vanishes."""
     power = one
     for n in range(1, B.order + 1):
         power = mul(power, B)
         if power.is_zero():
             break
-        acc = acc + power.scale(Fraction((-1) ** (n - 1), n))
+        acc = acc + power.scale(coefficient(n))
     return acc
+
+
+def _exp_series(A, one, mul):
+    """sum_{n <= A.order} A^n / n!."""
+    return _power_series(A, one, mul, one, lambda n: Fraction(1, factorial(n)))
+
+
+def _log_series(B, one, mul):
+    """sum_{1 <= n <= B.order} (-1)^(n-1) B^n / n, the logarithm of one + B."""
+    return _power_series(B, one, mul, one.scale(0), lambda n: Fraction((-1) ** (n - 1), n))
 
 
 def exp(A):

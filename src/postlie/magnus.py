@@ -18,7 +18,7 @@ algebra, exactly: a degree-m coefficient only involves words of length
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from math import factorial, gcd, lcm
 
 from . import enveloping as ev
@@ -192,7 +192,7 @@ class _GradedEnv(ev._TermMap):
         return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star))
 
 
-def _extract_g_vector(L, element, n, den=1):
+def _extract_g_vector(L, element, n, den):
     """Read the order-n Magnus coefficient off element / den, which must
     have only length-1 words (else CollapseFailure); for den > 1 each
     nonzero entry is divided once, to a Fraction."""
@@ -247,8 +247,7 @@ def _dexp_inv_series(L, ops, order, Y1, seed, base, act, bracket, sign, alpha=No
     powers act(alpha, .)^n seed and bracket(beta, .)^n u by degree: order m
     has ops.grow add column m-1, entry n the power n, and sum the entries
     with coeffs[n].  As beta_0 = 0, a column reads only lower ones."""
-    exp_c = [L.ratio(1, factorial(n)) for n in range(order)]
-    inv_c = [L.ratio(b, factorial(n)) for n, b in enumerate(bernoulli(order - 1))]
+    exp_c, inv_c = _series_coefficients(order, L.mode)
     Y, beta = [vzero(L.dim), Y1], [ops.zero]
     powers, brackets = [[seed]], [[base]]
     for m in range(2, order + 1):
@@ -256,6 +255,16 @@ def _dexp_inv_series(L, ops, order, Y1, seed, base, act, bracket, sign, alpha=No
         u = ops.grow(powers, act, alpha or beta, ops.zero, exp_c)
         Y.append(ops.chi(ops.grow(brackets, bracket, beta, u, inv_c), m))
     return Y
+
+
+@lru_cache(maxsize=None)
+def _series_coefficients(order, mode):
+    """The 1/n! and b_n/n! for n < order as scalars of the mode, the
+    coefficients of dexp and dexp^{-1}; built once per (order, mode)."""
+    return (
+        tuple(scalars.ratio(1, factorial(n), mode) for n in range(order)),
+        tuple(scalars.ratio(b, factorial(n), mode) for n, b in enumerate(bernoulli(order - 1))),
+    )
 
 
 # ---------------------------------------------------------------------------

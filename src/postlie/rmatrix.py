@@ -10,7 +10,6 @@ im R_pm and ker R_mp.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -240,6 +239,7 @@ def splitting_r(L, plus_indices, minus_indices):
 
 
 def _clear_denominators(v):
+    """The primitive integer vector on the line of the exact vector v."""
     out = scalars.clear_denominators(v)[0]
     g = gcd(*out)
     return [c // g for c in out] if g > 1 else out
@@ -252,16 +252,10 @@ class _ExactSpan:
         self.rows = []  # (pivot_index, integer row), kept sorted by pivot
 
     def _reduce(self, v):
-        v = list(v)
         for pivot, row in self.rows:
             if v[pivot] != 0:
                 a, b = row[pivot], v[pivot]
-                v = [a * vc - b * rc for vc, rc in zip(v, row)]
-                g = 0
-                for c in v:
-                    g = gcd(g, abs(c))
-                if g > 1:
-                    v = [c // g for c in v]
+                v = _clear_denominators([a * vc - b * rc for vc, rc in zip(v, row)])
         return v
 
     def add(self, vec):
@@ -279,23 +273,19 @@ class _ExactSpan:
     def contains(self, vec):
         return all(c == 0 for c in self._reduce(_clear_denominators(vec)))
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
 
 def _span(L, vectors):
     """Independent subset of the vectors (exact) or an orthonormal basis of
-    their span (float); returns (dim, list of vectors, membership test)."""
+    their span (float); returns (list of vectors, membership test)."""
     if L.mode == scalars.EXACT:
         span = _ExactSpan()
         basis = [v for v in vectors if span.add(v)]
-        return span.rank, basis, span.contains
+        return basis, span.contains
     import numpy as np
 
     A = np.array([list(map(float, c)) for c in vectors], dtype=float).T
     if not A.any():
-        return 0, [], L.vanishes
+        return [], L.vanishes
     q, r = np.linalg.qr(A)
     keep = [j for j in range(min(A.shape)) if abs(r[j, j]) > scalars.TOLERANCE]
     Q = q[:, keep]
@@ -308,11 +298,13 @@ def _span(L, vectors):
         )
 
     basis = [tuple(float(x) for x in Q[:, k]) for k in range(Q.shape[1])]
-    return len(basis), basis, member
+    return basis, member
 
 
 def _kernel_basis(L, endo):
-    """Basis of ker(endo); exact back-substitution over the integer echelon."""
+    """Basis of ker(endo).  Exact: echelon the rows (endo e_j | e_j); a row
+    with its pivot in the second half is (0 | v), so endo v = 0, and these
+    rows span the kernel."""
     n = endo.dim
     if L.mode == scalars.FLOAT:
         import numpy as np
@@ -322,19 +314,9 @@ def _kernel_basis(L, endo):
         rank = int((sv > sv.max() * scalars.TOLERANCE).sum())
         return [tuple(float(x) for x in v) for v in vh[rank:]]
     span = _ExactSpan()
-    for row in endo.matrix:
-        span.add(row)
-    pivots = [p for p, _ in span.rows]
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for pivot, row in reversed(span.rows):
-            s = sum((Fraction(row[j]) * x[j] for j in range(pivot + 1, n)), Fraction(0))
-            x[pivot] = -s / Fraction(row[pivot])
-        out.append(tuple(x))
-    return out
+    for j in range(n):
+        span.add(endo.column(j) + L.basis(j))
+    return [tuple(row[n:]) for pivot, row in span.rows if pivot >= n]
 
 
 def subalgebra_analysis(ctx):
@@ -346,8 +328,8 @@ def subalgebra_analysis(ctx):
     """
     L = ctx.algebra
     Rp, Rm = ctx.r_plus_minus()
-    dim_p, basis_p, in_p = _span(L, [Rp.column(j) for j in range(L.dim)])
-    dim_m, basis_m, in_m = _span(L, [Rm.column(j) for j in range(L.dim)])
+    basis_p, in_p = _span(L, [Rp.column(j) for j in range(L.dim)])
+    basis_m, in_m = _span(L, [Rm.column(j) for j in range(L.dim)])
     ker_for_p = _kernel_basis(L, Rm)  # the ideal inside im R_plus
     ker_for_m = _kernel_basis(L, Rp)
     subalgebras_ok = all(
@@ -360,13 +342,13 @@ def subalgebra_analysis(ctx):
         (ker_for_p, basis_p, in_p),
         (ker_for_m, basis_m, in_m),
     ):
-        in_ker = _span(L, ker)[2]
+        in_ker = _span(L, ker)[1]
         ideals_ok = ideals_ok and all(
             im_member(u) and all(in_ker(bracket(L, u, v)) for v in basis) for u in ker
         )
     return {
-        "dim_im_plus": dim_p,
-        "dim_im_minus": dim_m,
+        "dim_im_plus": len(basis_p),
+        "dim_im_minus": len(basis_m),
         "dim_ker_mp": {"plus": len(ker_for_p), "minus": len(ker_for_m)},
         "subalgebras_ok": subalgebras_ok,
         "ideals_ok": ideals_ok,

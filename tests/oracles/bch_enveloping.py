@@ -40,5 +40,5 @@ def bch_enveloping(L, x, y, order):
     for m in range(1, order + 1):
         part = _part(Z, m)
         assert ev.is_primitive(part) or part.is_zero(), "BCH degree %d is not primitive" % (m,)
-        coeffs.append(_extract_g_vector(L, part, m))
+        coeffs.append(_extract_g_vector(L, part, m, 1))
     return GradedLieElement(L, order, coeffs)

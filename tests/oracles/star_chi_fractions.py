@@ -35,7 +35,7 @@ def star_chi_fractions(L, x, product, order):
             ]
             P[k][n] = sum(parts[1:], parts[0])
             rhs = rhs - P[k][n].scale(Fraction(1, factorial(k)))
-        vec = _extract_g_vector(L, rhs, n)
+        vec = _extract_g_vector(L, rhs, n, 1)
         chi_vec.append(vec)
         P[1][n] = ev.from_g_vector(L, order, vec)
     return GradedLieElement(L, order, chi_vec)

@@ -259,7 +259,6 @@ def test_criterion_7_isomorphism_identities():
     prod = products.from_rmatrix(ctx, "-")
     order = 4
     rng = random.Random(7)
-    bar = ev.derived_bracket_algebra(L, prod)
     cases = 0
     for _ in range(30):
         n = rng.randint(1, 4)
@@ -273,7 +272,7 @@ def test_criterion_7_isomorphism_identities():
         )
         assert lhs == rhs
         # round trip through its partition-recursion inverse
-        inv = ev.phi_inverse(L, w1 + w2, prod, order, bar=bar)
+        inv = ev.phi_inverse(L, w1 + w2, prod, order)
         back = ev.EnvElement(L, order, {})
         for w, c in inv.terms.items():
             back = back + ev.phi(L, w, prod, order).scale(c)

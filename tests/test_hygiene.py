@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never reads,
 no module defines a private function or class that nothing reads, no
 class has a method that nothing reads, no two module-level functions share
-a body, no parameter has a default that no call overrides, every class of
+a body, no parameter has a default that no call overrides, no private
+function has a default that every call overrides, every class of
 errors.py is raised, warned or subclassed, every name a test or an oracle
 imports from the package still exists, every module-level definition of
 an oracle is read by a test or an oracle, the benchmark's tracer still finds
@@ -201,13 +202,15 @@ def _functions(node, owner=None):
             yield from _functions(child, owner)
 
 
-def never_passed_defaults(definitions, callers):
-    """Parameters with a default that no call passes, named
-    module.[Class.]function(parameter); definitions maps a module name to
-    its source, callers lists the sources read for calls.  A call f(...) or
-    x.f(...) counts for every function named f, and a call of a class for
-    its __init__; it passes a parameter by position (after self, for a
-    method that is not static), by keyword, or through *args or **kwargs."""
+def _default_passes(definitions, callers):
+    """(function name, module.[Class.]function(parameter), passes) for each
+    parameter with a default of the definitions, where passes tells for
+    each call of the function in the callers whether it passes the
+    parameter; definitions maps a module name to its source, callers lists
+    the sources read for calls.  A call f(...) or x.f(...) counts for every
+    function named f, and a call of a class for its __init__; it passes a
+    parameter by position (after self, for a method that is not static), by
+    keyword, or through *args or **kwargs."""
     calls = defaultdict(list)
     for source in callers:
         for node in ast.walk(ast.parse(source)):
@@ -218,7 +221,6 @@ def never_passed_defaults(definitions, callers):
                     math.inf if starred else len(node.args),
                     {k.arg for k in node.keywords},  # None for **kwargs
                 ))
-    found = []
     for module, source in sorted(definitions.items()):
         for owner, node in _functions(ast.parse(source)):
             static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
@@ -233,13 +235,32 @@ def never_passed_defaults(definitions, callers):
             ]
             callee = owner if node.name == "__init__" else node.name
             for slot, name in defaulted:
-                if not any(
+                label = "%s.%s%s(%s)" % (module, owner + "." if owner else "", node.name, name)
+                passes = [
                     count > slot or name in keywords or None in keywords
                     for count, keywords in calls[callee]
-                ):
-                    found.append("%s.%s%s(%s)" % (
-                        module, owner + "." if owner else "", node.name, name))
-    return sorted(found)
+                ]
+                yield node.name, label, passes
+
+
+def never_passed_defaults(definitions, callers):
+    """Parameters with a default that no call passes, named
+    module.[Class.]function(parameter), calls counted as _default_passes
+    counts them."""
+    return sorted(
+        label for _, label, passes in _default_passes(definitions, callers) if not any(passes)
+    )
+
+
+def always_passed_defaults(definitions, callers):
+    """Parameters of private functions and methods (one leading underscore)
+    with a default that every call passes, there being at least one; calls
+    counted as _default_passes counts them.  Such a default is dead code."""
+    return sorted(
+        label
+        for function, label, passes in _default_passes(definitions, callers)
+        if function.startswith("_") and not function.startswith("__") and passes and all(passes)
+    )
 
 
 def test_scan_finds_a_never_passed_default():
@@ -270,6 +291,34 @@ def test_no_never_passed_defaults():
         for p in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert never_passed_defaults(definitions, callers) == []
+
+
+def test_scan_finds_an_always_passed_default():
+    definitions = {"m": (
+        "def _f(a, b=1, c=2, d=3):\n    pass\n"
+        "def public(a=1):\n    pass\n"
+        "def _sometimes(a=1):\n    pass\n"
+        "def _uncalled(a=1):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, q=1):\n        pass\n"
+        "    def _m(self, p=1):\n        pass\n"
+    )}
+    callers = [
+        "_f(0, 1, d=4)\n_f(0, *rest)\n_f(0, 2, **kw)\npublic(2)\n"
+        "_sometimes()\n_sometimes(a=2)\nK(1)\nk._m(3)\n",
+    ]
+    assert always_passed_defaults(definitions, callers) == ["m.K._m(p)", "m._f(b)", "m._f(d)"]
+
+
+def test_no_always_passed_private_defaults():
+    # the callers are the program's own; a test is no caller
+    definitions = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    callers = [
+        p.read_text()
+        for folder in ("src", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert always_passed_defaults(definitions, callers) == []
 
 
 def _attribute_reads(node, inside=()):

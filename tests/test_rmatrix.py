@@ -288,6 +288,32 @@ def test_float_subalgebra_analysis_matches_exact(name):
             assert max(abs(c) for c in endo.apply(v)) <= scalars.TOLERANCE
 
 
+@pytest.mark.parametrize("n, dim_im, dim_ker", [(2, 3, 1), (3, 6, 3)])
+def test_subalgebra_analysis_of_the_standard_rmatrix(n, dim_im, dim_ker):
+    # R = +1 on E_ab with a < b, -1 with a > b and 0 on the diagonal is no
+    # splitting: im R_+ and im R_- share the diagonal, and ker R_-+ is a
+    # proper subspace of im R_+-, so the kernel elimination meets overlap
+    reports, contexts = {}, {}
+    for mode in ("exact", "float"):
+        L = liealg.builtin("upper_lower_split(%d)" % n, mode=mode)
+        d = [(b > a) - (b < a) for a, b in (map(int, label[1:]) for label in L.labels)]
+        contexts[mode] = rmatrix.rmatrix_context(L, LinearEndo.diagonal(d), 1)
+        reports[mode] = rmatrix.subalgebra_analysis(contexts[mode])
+    assert reports["exact"] == reports["float"] == {
+        "dim_im_plus": dim_im,
+        "dim_im_minus": dim_im,
+        "dim_ker_mp": {"plus": dim_ker, "minus": dim_ker},
+        "subalgebras_ok": True,
+        "ideals_ok": True,
+    }
+    ctx = contexts["exact"]
+    for endo in ctx.r_plus_minus():
+        kernel = rmatrix._kernel_basis(ctx.algebra, endo)
+        assert len(kernel) == dim_ker
+        for v in kernel:
+            assert all(c == 0 for c in endo.apply(v)), v
+
+
 def test_builtin_rmatrix_unknown_name():
     with pytest.raises(UnsupportedName):
         rmatrix.builtin_rmatrix("frobnicate")
