@@ -268,7 +268,8 @@ def cmd_flow(args):
     if not args.output:
         sys.stdout.write(flows.flow_csv(states))
         return EXIT_OK
-    flows.write_flow_csv(states, args.output)
+    with open(args.output, "w") as fh:
+        fh.write(flows.flow_csv(states))
     print("wrote %d states to %s" % (len(states), args.output))
     if len(states) > 1:
         rep = flows.conservation_report(states)

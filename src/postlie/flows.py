@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from weakref import WeakKeyDictionary
 
 from . import scalars
 from .errors import (
@@ -37,20 +36,6 @@ from .rmatrix import splitting_r
 # of expm and the eigensolvers; stacking a whole 2001-point grid at
 # once instead raised the peak memory of Toda n = 3, 3, 4 passes by 2.5 MB
 BLOCK = 256
-
-# cached float realization stack and its pullback per algebra
-_np_cache = WeakKeyDictionary()
-
-
-def _np_data(L):
-    import numpy as np
-    data = _np_cache.get(L)
-    if data is None:
-        stack = np.array(L.realization, dtype=float)
-        # pseudo-inverse of vec(rho): pulls a matrix back to coordinates
-        pullback = np.linalg.pinv(stack.reshape(L.dim, -1).T)
-        data = _np_cache[L] = {"rho": stack, "pullback": pullback}
-    return data
 
 
 # Pade-13 coefficients b_k = (26-k)!/(k!(13-k)!) (Higham, SIAM J. Matrix Anal. 2005)
@@ -100,19 +85,6 @@ def _expm(A):
         X[:, ok] = Y
         nilpotent = (d8 == 0)[..., None, None]
         return np.where(nilpotent, even + odd, X[0]), np.where(nilpotent, even - odd, X[1])
-
-
-def _rho_np(L, x):
-    """rho of each coordinate row of x (..., dim), as a (..., size, size) stack."""
-    import numpy as np
-    return np.tensordot(x, _np_data(L)["rho"], axes=1)
-
-
-def _rminus_np(ctx):
-    """R_minus of the context as a float matrix (column j = image of x_j)."""
-    import numpy as np
-    _, Rm = ctx.r_plus_minus()
-    return np.array(Rm.matrix, dtype=float)
 
 
 def lax_vector_field(ctx, x):
@@ -193,15 +165,15 @@ def _sorted_eigs(M):
     return vals, real
 
 
-def _states(L, ts, xs, finite=True):
+def _states(problem, ts, xs, finite=True):
     """The columns (t, x, eigenvalues, real, trace_powers) of FlowResult at
-    the times ts for the coordinate rows of xs, with the spectra and trace
-    powers of the whole stack computed together.  With finite set, raises
-    InvalidInput naming the first t at which the point or its trace powers
-    are not finite."""
+    the times ts for the coordinate rows of xs of the problem's algebra,
+    with the spectra and trace powers of the whole stack computed together.
+    With finite set, raises InvalidInput naming the first t at which the
+    point or its trace powers are not finite."""
     import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _rho_np(L, xs)
+        M = np.tensordot(xs, problem.rho, axes=1)
         powers = []
         P = np.eye(M.shape[-1])
         for k in range(1, M.shape[-1] + 1):
@@ -218,7 +190,11 @@ def _states(L, ts, xs, finite=True):
 
 class FlowProblem:
     """A Lax flow instance: r-matrix context (float mode), initial point,
-    evaluation grid, and the truncation order of the expansion."""
+    evaluation grid, and the truncation order of the expansion, with the
+    float data every evaluation reads: rho, the realization as a stack
+    (dim, size, size); pullback, the pseudo-inverse of vec(rho), which pulls
+    a matrix back to coordinates; and r_minus, R_minus as a float matrix
+    (column j = image of x_j)."""
 
     def __init__(self, ctx, x0, t_grid, order, flow_tolerance=1e-9):
         L = ctx.algebra
@@ -239,20 +215,19 @@ class FlowProblem:
         self.flow_tolerance = float(flow_tolerance)
         if not 0 <= self.flow_tolerance < math.inf:
             raise InvalidInput("flow tolerance %r: it must be finite and >= 0" % (flow_tolerance,))
-        self._chi = None
+        import numpy as np
+        self.rho = np.array(L.realization, dtype=float)
+        self.pullback = np.linalg.pinv(self.rho.reshape(L.dim, -1).T)
+        self.r_minus = np.array(ctx.r_plus_minus()[1].matrix, dtype=float)
 
     def chi_coefficients(self):
-        """chi_m(x0) for m = 1..order, computed once; chi(x0 t) follows by
-        degree-m homogeneity."""
-        if self._chi is None:
-            import numpy as np
-            chi = postlie_magnus(
-                self.algebra, self.x0, from_rmatrix(self.ctx, "-"), self.order, method="ode"
-            )
-            self._chi = tuple(
-                np.array(chi.coeff(m), dtype=float) for m in range(1, self.order + 1)
-            )
-        return self._chi
+        """chi_m(x0) for m = 1..order; chi(x0 t) follows by degree-m
+        homogeneity."""
+        import numpy as np
+        chi = postlie_magnus(
+            self.algebra, self.x0, from_rmatrix(self.ctx, "-"), self.order, method="ode"
+        )
+        return tuple(np.array(chi.coeff(m), dtype=float) for m in range(1, self.order + 1))
 
 
 def factorized_solution(problem):
@@ -262,7 +237,6 @@ def factorized_solution(problem):
     order moves any point by more than the flow tolerance.
     """
     import numpy as np
-    L = problem.algebra
     chi = np.array(problem.chi_coefficients())
     order = len(chi)
     grid = problem.t_grid
@@ -273,17 +247,16 @@ def factorized_solution(problem):
     kept = [order - back for back in range(min(2, order) + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.array(grid)[:, None] ** np.arange(1, order + 1)
-        chi_minus = chi @ _rminus_np(problem.ctx).T
+        chi_minus = chi @ problem.r_minus.T
         u = np.stack([powers[:, :m] @ chi_minus[:m] for m in kept])
     bad = ~np.isfinite(u).all(axis=(0, 2))
     if bad.any():
         raise InvalidInput("the expansion u(t) is not finite at t=%g" % grid[bad.argmax()])
-    X0 = _rho_np(L, np.array(problem.x0))
-    pullback = _np_data(L)["pullback"]
+    X0 = np.tensordot(np.array(problem.x0), problem.rho, axes=1)
     blocks = []
     gaps = np.empty(len(grid))
     for lo in range(0, len(grid), BLOCK):
-        E, E_inv = _expm(_rho_np(L, u[:, lo:lo + BLOCK]))
+        E, E_inv = _expm(np.tensordot(u[:, lo:lo + BLOCK], problem.rho, axes=1))
         bad = ~(np.isfinite(E).all(axis=(0, 2, 3)) & np.isfinite(E_inv).all(axis=(0, 2, 3)))
         if bad.any():
             raise InvalidInput(
@@ -291,9 +264,9 @@ def factorized_solution(problem):
             )
         with np.errstate(over="ignore", invalid="ignore"):
             M = E_inv @ X0 @ E
-            xs = M.reshape(E.shape[:2] + (-1,)) @ pullback.T
+            xs = M.reshape(E.shape[:2] + (-1,)) @ problem.pullback.T
         gaps[lo:lo + BLOCK] = np.abs(xs[1:] - xs[0]).max(axis=(0, 2))
-        blocks.append(_states(L, grid[lo:lo + BLOCK], xs[0]))
+        blocks.append(_states(problem, grid[lo:lo + BLOCK], xs[0]))
     worst = int(np.argmax(gaps))
     if gaps[worst] > problem.flow_tolerance:
         warnings.warn(
@@ -308,40 +281,30 @@ def factorization_residuals(problem):
     m: how far the truncated two-factor form of the factorization theorem is
     from exp(x0).  Raises InvalidInput if a matrix exponential overflows."""
     import numpy as np
-    L = problem.algebra
     Rp, Rm = problem.ctx.r_plus_minus()
     with np.errstate(over="ignore", invalid="ignore"):
         partial = np.cumsum(problem.chi_coefficients(), axis=0).tolist()
     halves = [Rp.apply(v) for v in partial] + [vscale(-1, Rm.apply(v)) for v in partial]
-    exps, _ = _expm(_rho_np(L, np.array([problem.x0] + halves, dtype=float)))
+    points = np.array([problem.x0] + halves, dtype=float)
+    exps, _ = _expm(np.tensordot(points, problem.rho, axes=1))
     if not np.isfinite(exps).all():
         raise InvalidInput("the matrix exponential overflows")
     E, plus, minus = exps[0], exps[1:len(partial) + 1], exps[len(partial) + 1:]
     return [float(np.linalg.norm(E - p @ m, 2)) for p, m in zip(plus, minus)]
 
 
-def _rk4_step(L, Rm_mat, x, h):
-    import numpy as np
-
-    def f(v):
-        return np.array(contract(L.C_rows, v.tolist(), (Rm_mat @ v).tolist()), float)
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def rk4_reference(problem, step):
     """Classical fourth-order integration of the Lax field, stepping from
-    t = 0 to each grid point with uniform sub-steps of size <= step; a
-    FlowResult with one row per grid point."""
+    t = 0 to each grid point with uniform sub-steps of size <= step, which
+    must be finite and > 0; a FlowResult with one row per grid point."""
     import numpy as np
-    if step <= 0:
-        raise InvalidInput("step must be positive")
-    L = problem.algebra
-    Rm_mat = _rminus_np(problem.ctx)
+    if not 0 < step < math.inf:
+        raise InvalidInput("rk4 step %r: it must be finite and > 0" % (step,))
+    C_rows = problem.algebra.C_rows
+
+    def f(v):
+        return np.array(contract(C_rows, v.tolist(), (problem.r_minus @ v).tolist()), float)
+
     x = np.array(problem.x0, dtype=float)
     t = 0.0
     xs = [x]
@@ -350,7 +313,11 @@ def rk4_reference(problem, step):
         n = max(1, int(np.ceil(abs(span) / step))) if span != 0.0 else 0
         h = span / n if n else 0.0
         for _ in range(n):
-            x = _rk4_step(L, Rm_mat, x, h)
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = target
         if not np.all(np.isfinite(x)):
             break
@@ -359,7 +326,7 @@ def rk4_reference(problem, step):
     # row 0 is x0; rows past the first drifting one are discarded, and
     # their trace powers may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = _states(L, (0.0,) + reached, np.array(xs), finite=False)
+        columns = _states(problem, (0.0,) + reached, np.array(xs), finite=False)
     full = FlowResult(*columns)
     _, fk_drift = _drifts(full)
     scale = max(1.0, np.abs(full.trace_powers[0]).max())
@@ -444,8 +411,3 @@ def flow_csv(result):
         for row, real in zip(table, result.real.tolist())
     ]
     return "\n".join(lines) + "\n"
-
-
-def write_flow_csv(states, path):
-    with open(path, "w") as fh:
-        fh.write(flow_csv(states))

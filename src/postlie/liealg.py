@@ -63,16 +63,6 @@ def _mat_mul(A, B):
     )
 
 
-def _mat_add(A, B, sign=1):
-    return tuple(
-        tuple(a + sign * b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def _mat_trace(A):
-    return sum(A[i][i] for i in range(len(A)))
-
-
 class LinearEndo:
     """A linear map g -> g as a dense square matrix; column j = image of x_j."""
 
@@ -98,10 +88,10 @@ class LinearEndo:
         return LinearEndo(_mat_mul(self.matrix, other.matrix))
 
     def __add__(self, other):
-        return LinearEndo(_mat_add(self.matrix, other.matrix))
+        return LinearEndo(tuple(map(vadd, self.matrix, other.matrix)))
 
     def __sub__(self, other):
-        return LinearEndo(_mat_add(self.matrix, other.matrix, sign=-1))
+        return self + other.scale(-1)
 
     def scale(self, c):
         return LinearEndo(tuple(tuple(c * a for a in row) for row in self.matrix))
@@ -405,7 +395,8 @@ def trace_form(L, x, y):
     """B(x,y) = tr(rho(x) rho(y)) in the attached realization."""
     if L.realization is None:
         raise NoRealization("trace_form needs a matrix realization")
-    return _mat_trace(_mat_mul(L.rho(x), L.rho(y)))
+    product = _mat_mul(L.rho(x), L.rho(y))
+    return sum(product[i][i] for i in range(len(product)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
     NotAbelian,
     NotPreLie,
 )
-from .liealg import contract, tensor_rows, vadd, vscale, vsub, vzero
+from .liealg import contract, tensor_rows, vadd, vscale, vzero
 from .products import check_prelie, star_commutator
 
 # ---------------------------------------------------------------------------
@@ -83,13 +83,10 @@ class GradedLieElement:
         return cls(algebra, order, [vzero(algebra.dim)] * (order + 1))
 
     @classmethod
-    def from_vector(cls, algebra, order, x, degree=1):
-        if not 1 <= degree <= order:
-            raise InvalidInput(
-                "degree %d outside the truncation range 1..%d" % (degree, order)
-            )
+    def from_vector(cls, algebra, order, x):
+        ev._check_order(order, 1)
         coeffs = [vzero(algebra.dim)] * (order + 1)
-        coeffs[degree] = algebra.check_vector(x)
+        coeffs[1] = algebra.check_vector(x)
         return cls(algebra, order, coeffs)
 
     def coeff(self, m):
@@ -108,11 +105,7 @@ class GradedLieElement:
         )
 
     def __sub__(self, other):
-        return GradedLieElement(
-            self.algebra,
-            self.order,
-            [vsub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        return self + other.scale(-1)
 
     def scale(self, c):
         return GradedLieElement(

@@ -105,19 +105,17 @@ def r_bracket(L, R, x, y):
 
 
 class RMatrixContext:
-    """A validated (algebra, R, theta) triple; R_pm are built on first use."""
+    """A validated (algebra, R, theta) triple with its R_pm = (R +/- id)/2."""
 
     def __init__(self, algebra, R, theta):
         self.algebra = algebra
         self.R = R
         self.theta = theta
-        self._pm = None
+        half = algebra.ratio(1, 2)
+        ident = LinearEndo.identity(algebra.dim)
+        self._pm = ((R + ident).scale(half), (R - ident).scale(half))
 
     def r_plus_minus(self):
-        if self._pm is None:
-            half = self.algebra.ratio(1, 2)
-            ident = LinearEndo.identity(self.algebra.dim)
-            self._pm = ((self.R + ident).scale(half), (self.R - ident).scale(half))
         return self._pm
 
     def r_sign(self, sign):

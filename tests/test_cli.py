@@ -632,6 +632,18 @@ def test_flow_rk4_integrator(capsys):
     assert len(out.strip().split("\n")) == 4
 
 
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_flow_rk4_rejects_a_step_that_is_not_finite(capsys, step):
+    # --step nan used to fail with "cannot convert float NaN to integer",
+    # and --step inf exited 0 after one RK4 step per grid interval
+    code, out, err = run(
+        capsys, "flow", "--toda", "3", "--offdiag", "0.3,0.2", "--steps", "3",
+        "--integrator", "rk4", "--step", step,
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: rk4 step %s: it must be finite and > 0\n" % step
+
+
 def test_flow_explicit_initial_point(capsys):
     code, out, _ = run(
         capsys, "flow", "--builtin", "split2", "--x", "0.1,0.3,-0.1,0.3",

@@ -37,9 +37,8 @@ from postlie.flows import (
     lax_vector_field,
     rk4_reference,
     toda_problem,
-    write_flow_csv,
 )
-from postlie.liealg import bracket, new_lie_algebra, vadd, vscale, vzero
+from postlie.liealg import LinearEndo, bracket, builtin, new_lie_algebra, vadd, vscale, vzero
 from postlie.magnus import postlie_magnus
 from postlie.products import from_rmatrix
 from postlie.rmatrix import builtin_rmatrix, rmatrix_context
@@ -254,6 +253,24 @@ def test_tail_warning_carries_t_gap_and_tolerance():
     )
 
 
+def test_flow_with_a_nondiagonal_r_minus():
+    # sl(2) split into span(e, h) and span(e + f): R f = -2e - f, so
+    # R_minus f = -(e + f) and rho(u(t)) is not nilpotent, which takes the
+    # matrix exponential through its Pade branch (measured: gap to RK4
+    # 1.7e-12, drifts at most 2.8e-16)
+    L = builtin("sl(2)", mode=scalars.FLOAT)
+    ctx = rmatrix_context(L, LinearEndo.from_columns([(1, 0, 0), (0, 1, 0), (-2, 0, -1)]), 1)
+    p = FlowProblem(ctx, (0.3, -0.2, 0.25), [i / 10 for i in range(6)], 12)
+    assert p.r_minus.tolist() == [[0, 0, -1], [0, 0, 0], [0, 0, -1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonConvergentSeries)
+        fact = factorized_solution(p)
+    ref = rk4_reference(p, 1e-3)
+    assert _coord_gap(fact, ref) <= 1e-10
+    for result in (fact, ref):
+        assert max(conservation_report(result).values()) <= 1e-12
+
+
 def test_no_tail_warning_within_tolerance():
     p = toda_problem(2, (0.05, -0.05), (0.1,), (0.2,), 10)
     with warnings.catch_warnings():
@@ -419,11 +436,20 @@ def test_rk4_rejects_nonpositive_step():
         rk4_reference(p, 0.0)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_rk4_rejects_a_step_that_is_not_finite(step):
+    # a NaN step used to fail converting the sub-step count to int, and an
+    # infinite one took a single RK4 step per grid interval
+    p = toda_problem(3, (0.0, 0.0, 0.0), (0.3, 0.2), (0.0, 0.5, 1.0), 4)
+    with pytest.raises(InvalidInput, match="rk4 step %r: it must be finite and > 0" % step):
+        rk4_reference(p, step)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 
 
-def test_flow_csv_layout(tmp_path):
+def test_flow_csv_layout():
     p = toda_problem(2, (0.1, -0.1), (0.3,), (0.0, 0.5, 1.0), 8)
     states = _quiet(factorized_solution, p)
     text = flow_csv(states)
@@ -433,9 +459,6 @@ def test_flow_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[-1]) == 0.0 and float(first[-2]) == 0.0
-    out = tmp_path / "flow.csv"
-    write_flow_csv(states, str(out))
-    assert out.read_text() == text
 
 
 def test_flow_csv_rejects_empty():
@@ -462,7 +485,8 @@ def _mixed_spectra():
     xs = np.array(
         [[0.3, 0.0, 0.3], [0.4, 0.3, -0.5], [0.0, 0.5, -0.5], [0.2, 0.1, -0.6]]
     )
-    result = FlowResult(*_states(ctx.algebra, (0.0, 0.5, 1.0, 1.5), xs))
+    problem = FlowProblem(ctx, xs[0], (0.0,), 1)
+    result = FlowResult(*_states(problem, (0.0, 0.5, 1.0, 1.5), xs))
     assert result.real.tolist() == [True, False, True, False]
     return result
 

@@ -293,6 +293,38 @@ def test_no_never_passed_defaults():
     assert never_passed_defaults(definitions, callers) == []
 
 
+def defaults_only_tests_pass(definitions, program, tests):
+    """Parameters with a default that a call among the tests passes and no
+    call in the program does, calls counted as _default_passes counts them:
+    a knob only tests turn."""
+    return sorted(
+        set(never_passed_defaults(definitions, program))
+        - set(never_passed_defaults(definitions, program + tests))
+    )
+
+
+def test_scan_finds_a_default_only_tests_pass():
+    definitions = {"m": (
+        "def f(a, b=1, c=2, d=3):\n    pass\n"
+        "class K:\n"
+        "    def m(self, p=1, q=2):\n        pass\n"
+    )}
+    program = ["f(0, 1)\nk.m(q=3)\n"]
+    tests = ["f(0, c=2)\nk.m(1)\nk.m(q=4)\n"]
+    assert defaults_only_tests_pass(definitions, program, tests) == ["m.K.m(p)", "m.f(c)"]
+
+
+def test_no_defaults_only_tests_pass():
+    definitions = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    program = [
+        p.read_text()
+        for folder in ("src", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    tests = [p.read_text() for p in sorted((ROOT / "tests").rglob("*.py"))]
+    assert defaults_only_tests_pass(definitions, program, tests) == []
+
+
 def test_scan_finds_an_always_passed_default():
     definitions = {"m": (
         "def _f(a, b=1, c=2, d=3):\n    pass\n"

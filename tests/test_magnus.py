@@ -63,19 +63,19 @@ def test_bernoulli_recurrence():
 
 def test_graded_element_arithmetic(sl2):
     x = magnus.GradedLieElement.from_vector(sl2, 4, (1, 0, 2))
-    y = magnus.GradedLieElement.from_vector(sl2, 4, (0, 1, 0), degree=2)
+    y = magnus.GradedLieElement(sl2, 4, [(0, 0, 0)] * 2 + [(0, 1, 0)] + [(0, 0, 0)] * 2)
     z = x + y.scale(F(3))
     assert z.coeff(1) == (1, 0, 2)
     assert z.coeff(2) == (0, 3, 0)
     assert (z - z).is_zero()
     assert magnus.GradedLieElement.zero(sl2, 4).is_zero()
     with pytest.raises(InvalidInput):
-        magnus.GradedLieElement.from_vector(sl2, 4, (1, 0, 0), degree=7)
+        magnus.GradedLieElement.from_vector(sl2, 0, (1, 0, 0))
 
 
 def test_graded_json_round_trip(sl2):
     x = magnus.GradedLieElement.from_vector(sl2, 3, (1, 0, 2))
-    y = x + magnus.GradedLieElement.from_vector(sl2, 3, (0, F(-1, 2), 0), degree=2)
+    y = x + magnus.GradedLieElement(sl2, 3, [(0, 0, 0)] * 2 + [(0, F(-1, 2), 0), (0, 0, 0)])
     data = magnus.graded_to_json(y)
     back = magnus.graded_from_json(sl2, data)
     assert back == y
