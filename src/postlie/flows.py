@@ -44,8 +44,9 @@ _PADE13 = [math.perm(26 - k, 13) // math.factorial(k) for k in range(14)]
 
 def _expm(A):
     """exp(A), exp(-A) of each matrix of a stack (..., n, n): Pade-13 scaling and squaring,
-    s per slice from the exact ||A^p||^(1/p), p = 6, 8, 10 (Al-Mohy and Higham 2009).  A
-    slice whose exponential overflows comes back not finite, without a warning."""
+    s per slice from the exact ||A^p||^(1/p), p = 6, 8, 10 (Al-Mohy and Higham 2009), or the
+    Taylor sum below A^2, A^4 or A^8 where that power is 0 on the whole stack.  A slice
+    whose exponential overflows comes back not finite, without a warning."""
     import numpy as np
     A = np.asarray(A, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -53,17 +54,22 @@ def _expm(A):
             return np.exp(A), np.exp(-A)
         norm = lambda M: np.abs(M).sum(axis=-2).max(axis=-1)
         I = np.eye(A.shape[-1])
-        A2 = A @ A
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        d8 = norm(A4 @ A4) ** (1 / 8)
-        # where A^8 = 0 (rho(u) of Toda flows up to n = 8) exp(+-A) is the even +- odd
-        # half of this Taylor sum: at large norm the pivoted solve loses digits there
-        even = I + A2 / 2 + A4 / 24 + A6 / 720
-        odd = A @ (I + A2 / 6 + A4 / 120 + A6 / 5040)
-        if (d8 == 0).all():
+        # A^2, A^4, then A^6 and A^8 = A^4 A^4 (tested: in floats A^6 = 0 does not give A^8 = 0)
+        powers = [A @ A]
+        if powers[-1].any():
+            powers.append(powers[0] @ powers[0])
+        if powers[-1].any():
+            powers += [powers[1] @ powers[0], powers[1] @ powers[1]]
+        # where the last is 0 (rho(u) of Toda flows up to n = 8) exp(+-A) is the even +- odd
+        # half of the Taylor sum below it: the pivoted solve loses digits at large norm.  Both
+        # start at I, whose zeros are +0, so no -0 arises and the dropped +-0 terms change no bit
+        *below, last = powers
+        half = lambda r: sum((P / math.factorial(2 * k + r) for k, P in enumerate(below, 1)), I)
+        even, odd = half(0), A @ half(1)
+        if not last.any():
             return even + odd, even - odd
-        d6, d10 = norm(A6) ** (1 / 6), norm(A4 @ A6) ** (1 / 10)
+        A2, A4, A6 = below
+        d6, d8, d10 = norm(A6) ** (1 / 6), norm(last) ** (1 / 8), norm(A4 @ A6) ** (1 / 10)
         eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
         # a slice whose powers leave the float range has no finite exponential
         # here; it stays NaN and is kept out of the solve
@@ -141,8 +147,9 @@ class FlowResult:
 
 def _sorted_eigs(M):
     """(spectra, real) of a stack of matrices (k, n, n): spectra is a
-    complex (k, n) stack, ascending on real rows and ordered by (real, imag)
-    on the others, and real marks the rows whose spectrum is real."""
+    complex (k, n) stack, ordered by real part, parts within TOLERANCE times
+    the spectral radius of their neighbours tying, then by imaginary part; and
+    real marks the rows whose spectrum is real (ascending)."""
     import numpy as np
     M = np.asarray(M, dtype=float)
     # eigvalsh reads one triangle only, so the symmetry test must be absolute:
@@ -154,14 +161,18 @@ def _sorted_eigs(M):
     if sym.any():
         vals[sym] = np.linalg.eigvalsh(M[sym])
     if not sym.all():
-        general = np.linalg.eigvals(M[~sym]).astype(complex)
-        order = np.lexsort((general.imag, general.real), axis=-1)
-        vals[~sym] = np.take_along_axis(general, order, axis=-1)
+        vals[~sym] = np.linalg.eigvals(M[~sym])
     # a row is real when its imaginary parts, which are dropped, are below
     # 1e-12 and not scalars.TOLERANCE: dropping them moves the spectrum by
     # that much, and spectra are held to their oracles at 1e-12
     real = (np.abs(vals.imag) < 1e-12).all(axis=-1)
     vals.imag[real] = 0.0
+    # rounding may put tied real parts (0 and that of a pair +-ib) either way round
+    vals = np.sort(vals, axis=-1, kind="stable")
+    apart = np.diff(vals.real) > scalars.TOLERANCE * np.abs(vals).max(axis=-1, keepdims=True)
+    if not apart.all():
+        run = np.insert(np.cumsum(apart, axis=-1), 0, 0, axis=-1)
+        vals = np.take_along_axis(vals, np.lexsort((vals.imag, run)), axis=-1)
     return vals, real
 
 
@@ -295,8 +306,8 @@ def factorization_residuals(problem):
 
 def rk4_reference(problem, step):
     """Classical fourth-order integration of the Lax field, stepping from
-    t = 0 to each grid point with uniform sub-steps of size <= step, which
-    must be finite and > 0; a FlowResult with one row per grid point."""
+    t = 0 to each grid point with uniform sub-steps of size <= step (finite,
+    > 0, at most 10^7 sub-steps in all); one FlowResult row per grid point."""
     import numpy as np
     if not 0 < step < math.inf:
         raise InvalidInput("rk4 step %r: it must be finite and > 0" % (step,))
@@ -306,11 +317,13 @@ def rk4_reference(problem, step):
         return np.array(contract(C_rows, v.tolist(), (problem.r_minus @ v).tolist()), float)
 
     x = np.array(problem.x0, dtype=float)
-    t = 0.0
     xs = [x]
-    for target in problem.t_grid:
-        span = target - t
-        n = max(1, int(np.ceil(abs(span) / step))) if span != 0.0 else 0
+    spans = np.diff((0.0,) + problem.t_grid)
+    with np.errstate(over="ignore"):
+        counts = np.maximum(spans != 0.0, np.ceil(np.abs(spans) / step))
+    if counts.sum() > 1e7:
+        raise InvalidInput("rk4 step %r needs %.0f sub-steps, over 10^7" % (step, counts.sum()))
+    for span, n in zip(spans.tolist(), counts.astype(int).tolist()):
         h = span / n if n else 0.0
         for _ in range(n):
             k1 = f(x)
@@ -318,7 +331,6 @@ def rk4_reference(problem, step):
             k3 = f(x + 0.5 * h * k2)
             k4 = f(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = target
         if not np.all(np.isfinite(x)):
             break
         xs.append(x)

@@ -381,7 +381,9 @@ class _Arrays:
         self.rows = tuple(map(self.layout, rows))
         self.scale, self.lift = (lambda c, v: c * v), partial(np.array, dtype=float)
         self.chi = lambda rhs, m: (1 / m * rhs).tolist()
-        self.fold = lambda terms: reduce(np.add, terms, np.zeros(terms.shape[1:]))
+        # row by row from +0.0, contract's order: NumPy adds one-entry rows pairwise, but
+        # each stack folded here has one row or rows of two or more entries
+        self.fold = lambda terms: np.add.reduce(terms, axis=0, initial=0.0)
 
     def layout(self, rows):
         """(i, j, c) of output k's entry e at [:, e, k], in contract's order, c = 0 as padding."""
@@ -409,9 +411,10 @@ class _Arrays:
             terms *= V[:, :, None]
             out = self.fold(terms)
             # a zero factor makes +-0, or nan beside inf or nan: refold nan outputs without them
-            k, p = np.nonzero(np.isnan(out))
-            zero = (X[I[:, k], p] == 0) | (Y[J[:, k], p] == 0) | (V[:, k] == 0)
-            out[k, p] = self.fold(np.where(zero, 0.0, terms[:, k, p]))
+            nan = np.isnan(out)
+            if nan.any():
+                zero = (X[I] == 0) | (Y[J] == 0) | (V[:, :, None] == 0)
+                out[nan] = self.fold(np.where(zero, 0.0, terms))[nan]
             c, *ts = out.reshape(len(layouts), dim, -1).transpose(0, 2, 1)
             return c + (ts[0] - ts[1]) if ts else c
         return batch

@@ -644,6 +644,16 @@ def test_flow_rk4_rejects_a_step_that_is_not_finite(capsys, step):
     assert err == "input error: rk4 step %s: it must be finite and > 0\n" % step
 
 
+def test_flow_rk4_rejects_a_step_over_the_substep_cap(capsys):
+    # --step 1e-9 asked for 10^9 RK4 sub-steps and ran for hours
+    code, out, err = run(
+        capsys, "flow", "--toda", "3", "--offdiag", "0.3,0.2", "--steps", "3",
+        "--integrator", "rk4", "--step", "1e-9",
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: rk4 step 1e-09 needs 1000000000 sub-steps, over 10^7\n"
+
+
 def test_flow_explicit_initial_point(capsys):
     code, out, _ = run(
         capsys, "flow", "--builtin", "split2", "--x", "0.1,0.3,-0.1,0.3",

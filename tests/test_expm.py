@@ -9,6 +9,7 @@ nilpotent stacks go up to norm 1e20: a scaling taken from ||A|| alone loses
 all accuracy there.
 """
 
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles.expm_reference import eight_term_expm
 from postlie.flows import _expm
 
 
@@ -113,9 +115,9 @@ def test_single_matrix():
 
 
 def test_nilpotent_block_is_the_taylor_sum_bit_for_bit():
-    # a Toda n = 4 block: rho(u) is strictly lower triangular, so A^8 = 0 on
-    # every slice and _expm returns the degree-7 Taylor sum without the
-    # norms of A^6 and A^10; the sum is the one the general path falls back to
+    # a Toda n = 4 block: rho(u) is strictly lower triangular, so A^4 = 0 on
+    # every slice and _expm returns the Taylor sum below A^4 without any
+    # norm; it is the degree-7 sum the general path falls back to
     rng = np.random.default_rng(19)
     A = np.tril(rng.standard_normal((3, 256, 4, 4)) * rng.uniform(0, 40, (3, 256, 1, 1)), -1)
     I, A2 = np.eye(4), A @ A
@@ -172,3 +174,39 @@ def test_exponential_times_its_inverse_on_pade_slices(n):
     kappa = one_norm(X) * one_norm(X_inv)
     assert (residual <= n * np.finfo(float).eps * kappa).all()
     assert residual[norms <= 1].max() <= 1e-15
+
+
+# the Taylor sum ends at the first even power that vanishes on the whole stack
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sum_below_the_first_vanishing_power_is_the_full_sum_bit_for_bit(n):
+    # strictly lower triangular stacks as a flow block hands them over: A^2 = 0
+    # for n = 2, A^4 = 0 for n = 3, 4 and A^8 = 0 for n = 5..8, slice 0 the
+    # zero matrix of t = 0, norms 1e-8 to 1e20; the dropped terms are +-0
+    rng = np.random.default_rng(1100 + n)
+    A = scaled_stack(np.tril(rng.standard_normal((3, 15, n, n)), -1), np.logspace(-8, 20, 15))
+    A[:, 0] = 0.0
+    assert pickle.dumps(_expm(A)) == pickle.dumps(eight_term_expm(A))
+    assert pickle.dumps(_expm(A[:, :1])) == pickle.dumps(eight_term_expm(A[:, :1]))
+
+
+def test_square_zero_blocks_that_are_not_triangular_bit_for_bit():
+    # [[1, 1], [-1, -1]] times c has A^2 = 0 exactly in floats when c^2 is exact
+    N = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    A = np.stack([c * N for c in (0.0, -0.0, 2.0**-30, 3.0, -7.5, 2.0**60)])
+    assert not (A @ A).any()
+    assert pickle.dumps(_expm(A)) == pickle.dumps(eight_term_expm(A))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pade_blocks_are_unchanged_bit_for_bit(n):
+    # a dense block, a dense block beside nilpotent slices (the per-slice
+    # choice of the Pade path) and one with an overflowing slice
+    rng = np.random.default_rng(1200 + n)
+    dense = scaled_stack(rng.standard_normal((8, n, n)), np.logspace(-8, 2, 8))
+    lower = scaled_stack(np.tril(rng.standard_normal((8, n, n)), -1), np.logspace(-8, 20, 8))
+    wild = dense.copy()
+    wild[3] *= 1e200
+    for A in (dense, np.concatenate([lower, dense]), wild):
+        assert pickle.dumps(_expm(A)) == pickle.dumps(eight_term_expm(A))

@@ -382,6 +382,33 @@ def test_real_spectrum_cut_is_1e_12():
     assert np.allclose(vals[1].imag, [-5e-12, 5e-12], rtol=1e-6, atol=0.0)
 
 
+def test_sorted_eigs_orders_tied_real_parts_by_imaginary_part():
+    # 20 rotations Q B Q^T of B = [[0, -a, 0], [a, 0, 0], [0, 0, 0]]: the
+    # eigensolver puts the real parts of 0 and +-ia at rounding level, either
+    # way round, so ordering on the raw (real, imag) swapped 0 and a pair
+    # between rows, a false drift of 2a = 0.5526 against row 0
+    a = 0.2763
+    B = np.array([[0.0, -a, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    Q = np.linalg.qr(np.random.default_rng(31).standard_normal((20, 3, 3)))[0]
+    vals, real = _sorted_eigs(Q @ B @ Q.transpose(0, 2, 1))
+    assert not real.any()
+    assert np.abs(vals - vals[0]).max() <= 1e-15
+    assert np.abs(vals[0] - [-a * 1j, 0.0, a * 1j]).max() <= 1e-15
+
+
+def test_sorted_eigs_keeps_real_parts_apart_beyond_the_tie_tolerance():
+    # a pair 1 +- 2i and the real eigenvalue 1 + 1e-9 (radius sqrt(5), so
+    # real parts tie within 2.2e-10): the pair stays first, by real part
+    M = np.zeros((1, 3, 3))
+    M[0, :2, :2] = [[1.0, -2.0], [2.0, 1.0]]
+    M[0, 2, 2] = 1.0 + 1e-9
+    vals, real = _sorted_eigs(M)
+    assert not real[0]
+    assert np.abs(vals[0] - [1 - 2j, 1 + 2j, 1 + 1e-9]).max() <= 1e-15
+    M[0, 2, 2] = 1.0 + 1e-11
+    assert np.abs(_sorted_eigs(M)[0][0] - [1 - 2j, 1 + 1e-11, 1 + 2j]).max() <= 1e-15
+
+
 def test_eigenvalues_sorted_ascending():
     p = toda_problem(3, (0.6, -0.2, 0.1), (0.25, 0.15), (0.0, 0.7), 8)
     for s in _quiet(factorized_solution, p):
@@ -443,6 +470,24 @@ def test_rk4_rejects_a_step_that_is_not_finite(step):
     p = toda_problem(3, (0.0, 0.0, 0.0), (0.3, 0.2), (0.0, 0.5, 1.0), 4)
     with pytest.raises(InvalidInput, match="rk4 step %r: it must be finite and > 0" % step):
         rk4_reference(p, step)
+
+
+@pytest.mark.parametrize("step,count", [(1e-9, "1000000000"), (1 / (1e7 + 0.5), "10000001"),
+                                        (5e-324, "inf")])
+def test_rk4_rejects_a_step_over_ten_million_substeps(step, count):
+    # the sub-steps of the whole grid, ceil(1 / step) here, are counted before
+    # the first one is taken: 10^7 + 1 is refused, and a count that overflows
+    p = toda_problem(3, (0.0, 0.0, 0.0), (0.3, 0.2), (0.0, 1.0), 4)
+    with pytest.raises(InvalidInput, match=r"rk4 step %r needs %s sub-steps, over 10\^7$"
+                       % (step, count)):
+        rk4_reference(p, step)
+
+
+def test_rk4_counts_no_substeps_on_zero_spans():
+    # a grid that stays at t = 0 takes no sub-step, however small the step
+    p = toda_problem(2, (0.1, -0.1), (0.3,), (0.0, 0.0), 4)
+    ref = rk4_reference(p, 1e-300)
+    assert ref.x.tolist() == [list(p.x0)] * 2
 
 
 # ---------------------------------------------------------------------------

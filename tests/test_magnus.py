@@ -4,6 +4,7 @@ import pickle
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from postlie import enveloping as ev
@@ -564,6 +565,20 @@ def test_float_ode_chi_is_bit_identical_to_the_tuple_recursion(case):
     assert any(map(any, flags(chi))) == (case in OVERFLOWING)
     assert all(type(c) is float for v in chi.coeffs for c in v)
     assert pickle.dumps(chi.coeffs) == pickle.dumps(want.coeffs)
+
+
+def test_batched_contraction_adds_underflowing_products_to_plus_zero():
+    # products that underflow are +-0; contract adds them to 0, so an output
+    # whose products are all -0 is +0.0, and the batched kernel's fold starts
+    # at +0.0 too (one from its first row or from -0.0 gives -0.0 there).
+    # No chi or bch coefficient shows the sign: each later sum starts at +0.0
+    L = liealg.builtin("upper_lower_split(3)", mode=scalars.FLOAT)
+    ops = magnus._Arrays((L.C_rows,))
+    batch = ops.bilinear(liealg.contract, *ops.rows)
+    rng = np.random.default_rng(31)
+    A, B = rng.choice([-1e-200, 1e-200], (2, 64, L.dim)).tolist()
+    want = [[float(c) for c in liealg.contract(L.C_rows, a, b)] for a, b in zip(A, B)]
+    assert pickle.dumps(batch(np.array(A), np.array(B)).tolist()) == pickle.dumps(want)
 
 
 def _fraction_ode_report(L, x, product, order):
