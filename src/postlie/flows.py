@@ -200,7 +200,7 @@ def _states(problem, ts, xs, finite=True):
 
 
 class FlowProblem:
-    """A Lax flow instance: r-matrix context (float mode), initial point,
+    """A Lax flow instance: r-matrix context (float mode, theta = 1), initial point,
     evaluation grid, and the truncation order of the expansion, with the
     float data every evaluation reads: rho, the realization as a stack
     (dim, size, size); pullback, the pseudo-inverse of vec(rho), which pulls
@@ -211,6 +211,8 @@ class FlowProblem:
         L = ctx.algebra
         if L.mode != scalars.FLOAT:
             raise ModeMismatch("flows require a float-mode algebra")
+        if ctx.theta != 1:
+            raise InvalidInput("flows need theta = 1 (got theta = %s)" % (ctx.theta,))
         if L.realization is None:
             raise NoRealization("flow problems need a matrix realization")
         if not t_grid:

@@ -137,23 +137,21 @@ def max_norm(v):
 
 def tensor_rows(dim, entries, mode):
     """rows[i] = ((j, k, c), ...) for the tensor whose T[i][j][k] = c is the
-    sum of the entries (i, j, k, value), added in entry order.  A value of
-    the mode's own type is kept as it is and any other coerced (the
-    scalars.coerce_row rule); a NaN or infinite float is NonFiniteNumber.
+    sum of the entries (i, j, k, value), added in entry order, each value
+    taken by scalars.coerce_entry (a NonFiniteNumber names its entry).
     Each row lists its nonzero sums in (j, k) order, so a contraction over
     the rows adds its terms in dense-scan order.  An integral Fraction is
     stored as an int, so exact contractions of integral tensors do integer
     arithmetic."""
-    native = scalars.NATIVE[mode]
     sums = [{} for _ in range(dim)]
     for entry in entries:
         i, j, k, v = entry
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise DimensionMismatch("entry %r out of range for dimension %d" % (entry, dim))
-        if type(v) not in native:
-            v = scalars.coerce(v, mode)
-        elif type(v) is float and not math.isfinite(v):
-            raise NonFiniteNumber("entry %r: %s is not a finite number" % (entry, v))
+        try:
+            v = scalars.coerce_entry(v, mode)
+        except NonFiniteNumber as exc:
+            raise NonFiniteNumber("entry %r: %s" % (entry, exc)) from None
         row = sums[i]
         row[j, k] = row.get((j, k), 0) + v
     return tuple(
@@ -246,6 +244,26 @@ class LieAlgebra:
         )
 
 
+def _jacobi_defects(rows):
+    """{(a, b, c, l): D[a,b,c,l] - D[a,c,b,l] + D[b,c,a,l]} over a < b < c where a
+    term exists, D[i,j,k,l] = sum_m C[i][j][m] C[m][k][l] for i < j, k not in {i, j}
+    (the rows are antisymmetric, so D[j,i,k,l] = -D[i,j,k,l]).  One pass files each
+    term under its sorted key in one of three partial sums, each D in scan order."""
+    part = {}
+    for i, row in enumerate(rows):
+        for j, m, c in row:
+            if j > i:
+                for k, l, c2 in rows[m]:
+                    if k != i and k != j:
+                        key, s = (((i, j, k, l), 0) if k > j else ((i, k, j, l), 1) if k > i
+                                  else ((k, i, j, l), 2))
+                        p = part.get(key)
+                        if p is None:
+                            p = part[key] = [0, 0, 0]
+                        p[s] += c * c2
+    return {t: p0 - p1 + p2 for t, (p0, p1, p2) in part.items()}
+
+
 def _validate(L):
     """Jacobi identity and realization, composed over nonzero entries only.
 
@@ -254,24 +272,7 @@ def _validate(L):
     """
     n = L.dim
     rows = L.C_rows
-    # D[i,j,k,l] = sum_m C[i][j][m] C[m][k][l] for i < j, k not in {i, j}:
-    # the rows are antisymmetric entry by entry, so D[j,i,k,l] = -D[i,j,k,l]
-    D = {}
-    for i, row in enumerate(rows):
-        for j, m, c in row:
-            if j > i:
-                for k, l, c2 in rows[m]:
-                    if k != i and k != j:
-                        key = (i, j, k, l)
-                        D[key] = D.get(key, 0) + c * c2
-    # the cyclic sum over a sorted triple a < b < c can be nonzero only where
-    # a term exists; each triple is evaluated once, the smallest failure raised
-    defects = {}
-    for i, j, k, l in D:
-        t = (i, j, k, l) if k > j else (i, k, j, l) if k > i else (k, i, j, l)
-        if t not in defects:
-            a, b, c, _ = t
-            defects[t] = D.get(t, 0) - D.get((a, c, b, l), 0) + D.get((b, c, a, l), 0)
+    defects = _jacobi_defects(rows)
     bad = min((t for t, d in defects.items() if not scalars.is_zero(d, L.mode)), default=None)
     if bad:
         raise JacobiViolation(*bad, defects[bad])
@@ -334,11 +335,11 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None, mode=scala
                 "structure entries must have i < j (got %r); "
                 "the antisymmetric completion is automatic" % (entry,)
             )
-        v = scalars.coerce(value, mode)
+        v = scalars.coerce_entry(value, mode)
         entries += [(i, j, k, v), (j, i, k, -v)]
     if realization is not None:
         realization = tuple(
-            tuple(tuple(scalars.coerce(x, mode) for x in row) for row in M)
+            tuple(tuple(scalars.coerce_entry(x, mode) for x in row) for row in M)
             for M in realization
         )
     C_rows = tensor_rows(dim, entries, mode)
@@ -404,7 +405,7 @@ def trace_form(L, x, y):
 # ---------------------------------------------------------------------------
 
 
-def _gl_structure(pairs, n):
+def _gl_structure(pairs, one):
     index = {p: i for i, p in enumerate(pairs)}
     entries = []
     for i, (a, b) in enumerate(pairs):
@@ -414,18 +415,16 @@ def _gl_structure(pairs, n):
             # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb; E_ad = E_cb only
             # where i = j
             if b == c:
-                entries.append((i, j, index[(a, d)], 1))
+                entries.append((i, j, index[(a, d)], one))
             if d == a:
-                entries.append((i, j, index[(c, b)], -1))
+                entries.append((i, j, index[(c, b)], -one))
     return entries
 
 
-def _gl_realization(pairs, n):
-    mats = []
-    for (a, b) in pairs:
-        M = [[0] * n for _ in range(n)]
-        M[a][b] = 1
-        mats.append(M)
+def _gl_realization(pairs, n, zero, one):
+    mats = [[[zero] * n for _ in range(n)] for _ in pairs]
+    for M, (a, b) in zip(mats, pairs):
+        M[a][b] = one
     return mats
 
 
@@ -484,8 +483,9 @@ def builtin(name, mode=scalars.EXACT):
             pairs = [(a, b) for a in range(n) for b in range(n) if a <= b]
             pairs += [(a, b) for a in range(n) for b in range(n) if a > b]
         labels = ["E%d%d" % (a + 1, b + 1) for (a, b) in pairs]
+        zero, one = scalars.coerce(0, mode), scalars.coerce(1, mode)
         L = new_lie_algebra(
-            n * n, labels, _gl_structure(pairs, n), _gl_realization(pairs, n), mode
+            n * n, labels, _gl_structure(pairs, one), _gl_realization(pairs, n, zero, one), mode
         )
         if head == "upper_lower_split":
             n_up = sum(1 for (a, b) in pairs if a <= b)

@@ -377,7 +377,7 @@ class _Arrays:
 
     def __init__(self, rows):
         import numpy as np
-        self.np, self.zero = np, np.zeros(len(rows[0]))
+        self.np, self.zero, self.plans = np, np.zeros(len(rows[0])), {}
         self.rows = tuple(map(self.layout, rows))
         self.scale, self.lift = (lambda c, v: c * v), partial(np.array, dtype=float)
         self.chi = lambda rhs, m: (1 / m * rhs).tolist()
@@ -403,17 +403,18 @@ class _Arrays:
         stacked = np.zeros((3, max(x.shape[1] for x in layouts), len(layouts) * dim))
         for b, x in enumerate(layouts):
             stacked[:, :x.shape[1], b * dim:(b + 1) * dim] = x
-        I, J, V = stacked[0].astype(int), stacked[1].astype(int), stacked[2]
+        # both factors are gathered from [A B]: J of [B A] is J + dim mod 2 dim there
+        I, J, V = stacked[0].astype(int), (stacked[1].astype(int) + dim) % (2 * dim), stacked[2]
         def batch(A, B):
-            X, Y = np.hstack((A, B)).T, np.hstack((B, A)).T
+            X = np.concatenate((A, B), axis=1).T
             terms = X[I]
-            terms *= Y[J]
+            terms *= X[J]
             terms *= V[:, :, None]
             out = self.fold(terms)
             # a zero factor makes +-0, or nan beside inf or nan: refold nan outputs without them
             nan = np.isnan(out)
             if nan.any():
-                zero = (X[I] == 0) | (Y[J] == 0) | (V[:, :, None] == 0)
+                zero = (X[I] == 0) | (X[J] == 0) | (V[:, :, None] == 0)
                 out[nan] = self.fold(np.where(zero, 0.0, terms))[nan]
             c, *ts = out.reshape(len(layouts), dim, -1).transpose(0, 2, 1)
             return c + (ts[0] - ts[1]) if ts else c
@@ -422,16 +423,19 @@ class _Arrays:
     def grow(self, table, f, beta, base, coeffs):
         """Pair (beta_{r+1}, table[d-1-r][c]), r + c < d, row-major, adds to entry c + 1."""
         np, d = self.np, len(table)
-        r, c = np.nonzero(np.tri(d, dtype=bool)[::-1])
-        A = np.array(beta + [self.zero] * (d + 1 - len(beta)))[r + 1]
-        B = np.vstack(table[::-1])
-        keep = A.any(1) & B.any(1)
+        if d not in self.plans:
+            r, c = np.nonzero(np.tri(d, dtype=bool)[::-1])
+            self.plans[d] = r, r + 1, c + 1
+        r, r1, c1 = self.plans[d]
+        A = np.array(beta + [self.zero] * (d + 1 - len(beta)))
+        B = np.concatenate(table[::-1])
+        keep = A.any(1)[r1] & B.any(1)
         blocks = np.zeros((d, d + 1, len(base)))
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks[r[keep], c[keep] + 1] = f(A[keep], B[keep])
+            blocks[r[keep], c1[keep]] = f(A[r1[keep]], B[keep])
             table.append(self.fold(blocks))
             table[d][0] = base
-            return reduce(np.add, np.array(coeffs[1:d + 1])[:, None] * table[d][1:], base)
+            return reduce(lambda total, n: total + coeffs[n] * table[d][n], range(1, d + 1), base)
 
 
 def verify_grouplike_identity(L, x, product, order):

@@ -111,9 +111,9 @@ class RMatrixContext:
         self.algebra = algebra
         self.R = R
         self.theta = theta
-        half = algebra.ratio(1, 2)
-        ident = LinearEndo.identity(algebra.dim)
-        self._pm = ((R + ident).scale(half), (R - ident).scale(half))
+        half = algebra.ratio(1, 2)  # (r +- delta_ij) * 1/2, as LinearEndo sum and scale form it
+        self._pm = tuple(LinearEndo([[half * (r + s * (i == j)) for j, r in enumerate(row)]
+                                     for i, row in enumerate(R.matrix)]) for s in (1, -1))
 
     def r_plus_minus(self):
         return self._pm

@@ -21,8 +21,8 @@ FLOAT = "float"
 # a float is zero when its absolute value is at most this
 TOLERANCE = 1e-10
 
-# per mode, the types whose values coerce_row and liealg.tensor_rows keep as
-# they are (a bool is not among them: type(True) is bool)
+# per mode, the types whose values coerce_row and coerce_entry keep as they
+# are (a bool is not among them: type(True) is bool)
 NATIVE = {EXACT: frozenset((int, Fraction)), FLOAT: frozenset((float,))}
 
 
@@ -59,6 +59,13 @@ def coerce_row(row, mode):
     own types is kept as it is, with no call to coerce."""
     native = NATIVE[mode]
     return tuple(v if type(v) in native else coerce(v, mode) for v in row)
+
+
+def coerce_entry(value, mode):
+    """value if of one of the mode's own types and finite, else coerce(value, mode)."""
+    if type(value) in NATIVE[mode] and (mode == EXACT or math.isfinite(value)):
+        return value
+    return coerce(value, mode)
 
 
 def parse_rational(s):

@@ -544,6 +544,23 @@ def test_factorize_json_report(capsys):
     assert rep["residual"] < rep["residual_previous_order"]
 
 
+@pytest.mark.parametrize("command", [["factorize"], ["flow", "--steps", "3"]])
+def test_theta_zero_context_refused_by_flows(capsys, tmp_path, command):
+    # both used to exit 0; factorize printed residuals 1.633e-04 at orders 8 and 7
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(json.dumps(dict(SL2_JSON, realization={
+        "size": 2, "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]],
+    })))
+    rfile = tmp_path / "r0.json"
+    rfile.write_text(json.dumps({"theta": "0", "matrix": [[-1, 0, -1], [0, 0, 0], [-1, 0, -1]]}))
+    code, out, err = run(
+        capsys, *command, "--algebra", str(algebra), "--rmatrix", str(rfile),
+        "--x", "0.1,0.2,0.3", "--order", "8",
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: flows need theta = 1 (got theta = 0.0)\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["factorize", "--builtin", "sl2-borel", "--x", "1e200,1,1"],
      "the matrix exponential overflows"),

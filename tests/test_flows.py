@@ -108,6 +108,16 @@ def test_nonfinite_initial_data_rejected(bad):
         FlowProblem(ctx, [0.0, 1.0, 0.0, 1.0], (0.5, bad), 4)
 
 
+def test_flow_problem_refuses_theta_zero():
+    """R = -(e + f)(e* + f*) solves the equation with theta = 0 on sl(2), but
+    [R_- x, y] is then not post-Lie: the factorization residual stalled at
+    1.6e-4 from order 7 to 8 and factorize and flow exited 0."""
+    L = builtin("sl(2)", mode=scalars.FLOAT)
+    ctx = rmatrix_context(L, LinearEndo(((-1, 0, -1), (0, 0, 0), (-1, 0, -1))), theta=0)
+    with pytest.raises(InvalidInput, match=r"theta = 1 \(got theta = 0\.0\)"):
+        FlowProblem(ctx, [0.1, 0.2, 0.3], (1.0,), 8)
+
+
 def test_flow_problem_requires_float_mode():
     with pytest.raises(ModeMismatch):
         FlowProblem(builtin_rmatrix("split2"), [0, 1, 0, 1], (0.5,), 4)

@@ -8,6 +8,9 @@ from postlie.errors import (
     DimensionMismatch,
     InvalidInput,
     JacobiViolation,
+    MalformedNumber,
+    ModeMismatch,
+    NonFiniteNumber,
     NoRealization,
     NotASubalgebra,
     RealizationMismatch,
@@ -263,6 +266,37 @@ def test_float_algebra_with_a_non_finite_entry_rejected(dim, value):
     # Jacobi check used to report "defect nan" instead of naming the input
     with pytest.raises(InvalidInput, match="is not a finite number"):
         liealg.new_lie_algebra(dim, None, [(0, 1, 1, value)], None, scalars.FLOAT)
+
+
+SL2_ENTRIES = [(0, 1, 0, -2), (0, 2, 1, 1), (1, 2, 2, -2)]
+
+
+def _sl2_realization(entry):
+    return [[[0.0, entry], [0.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("value,error", [
+    (math.nan, NonFiniteNumber), (math.inf, NonFiniteNumber), (-math.inf, NonFiniteNumber),
+    (10**400, NonFiniteNumber), (True, ModeMismatch), ("x", MalformedNumber),
+], ids=["nan", "inf", "-inf", "10**400", "True", "'x'"])
+def test_float_realization_entry_rule(value, error):
+    """A realization entry already a float is kept without a coerce call, but
+    a NaN or an infinity among them is refused as any other entry is."""
+    with pytest.raises(error) as info:
+        liealg.new_lie_algebra(3, None, SL2_ENTRIES, _sl2_realization(value), scalars.FLOAT)
+    assert type(info.value) is error
+
+
+def test_float_entries_are_kept_and_a_float_in_exact_mode_refused(monkeypatch):
+    calls = []
+    coerce = scalars.coerce
+    monkeypatch.setattr(scalars, "coerce", lambda v, mode: calls.append(v) or coerce(v, mode))
+    entry = 0.0 + 1.0
+    L = liealg.new_lie_algebra(3, None, SL2_ENTRIES, _sl2_realization(entry), scalars.FLOAT)
+    assert L.realization[0][0][1] is entry
+    assert calls == [-2, 1, -2]  # the int structure values
+    with pytest.raises(ModeMismatch):
+        liealg.new_lie_algebra(3, None, SL2_ENTRIES, _sl2_realization(1.0), scalars.EXACT)
 
 
 def test_json_malformed_rejected():

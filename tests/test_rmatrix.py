@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,27 @@ def test_r_plus_minus_difference_is_identity():
         Rp, Rm = ctx.r_plus_minus()
         assert Rp - Rm == LinearEndo.identity(ctx.algebra.dim)
         assert Rp + Rm == ctx.R
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_r_plus_minus_equal_the_endo_sum_and_scale(mode):
+    """R_pm, built entry by entry in one pass, equal (R +/- id) * 1/2 formed
+    by LinearEndo sum and scale as pickles: the same values and types,
+    -0.0 + 0 and int entries of a float R included."""
+    sl2 = liealg.builtin("sl(2)", mode)
+    if mode == scalars.EXACT:
+        cases = [(sl2, ((F(1, 3), F(-2, 7), 0), (5, F(1, 2), -1), (0, F(9, 4), F(-1, 6))))]
+    else:
+        cases = [(sl2, ((-0.0, 0.25, -0.0), (1e-300, -0.0, 3), (0, -1.5, 0.1))),
+                 (sl2, ((-0.0,) * 3,) * 3)]
+    for name in BUILTIN_RMATRICES:
+        ctx = rmatrix.builtin_rmatrix(name, mode)
+        cases.append((ctx.algebra, ctx.R.matrix))
+    for L, matrix in cases:
+        R, half, ident = LinearEndo(matrix), L.ratio(1, 2), LinearEndo.identity(L.dim)
+        expected = ((R + ident).scale(half), (R - ident).scale(half))
+        got = rmatrix.RMatrixContext(L, R, L.ratio(1)).r_plus_minus()
+        assert pickle.dumps([e.matrix for e in got]) == pickle.dumps([e.matrix for e in expected])
 
 
 def test_pm_identities_hold_on_builtin_splittings():

@@ -3,6 +3,7 @@ bracket/product contraction and the truncated chi recursion, plus
 deterministic counts of the products the chi recursion evaluates and of
 the scalars a Toda problem coerces."""
 
+import pickle
 import re
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from postlie import enveloping, flows, liealg, magnus, products, rmatrix, scalars
 from postlie.errors import DimensionMismatch, JacobiViolation
+from oracles.jacobi_two_dict import two_dict_defects
 from oracles.dense_reference import (
     chi_by_ode_untruncated,
     dense_contract,
@@ -85,6 +87,45 @@ def test_perturbed_structure_fails_jacobi_where_the_dense_check_does(name, mode)
         assert info.value.indices == expected[0]
         if mode == scalars.EXACT:
             assert info.value.defect == expected[1]
+    assert violations >= 10
+
+
+@pytest.mark.parametrize("name", ["gl(3)", "so(3)", "upper_lower_split(4)"])
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_one_pass_jacobi_scan_equals_the_two_dict_scan(name, mode):
+    """The one-pass scan gives the two-dictionary scan's defects as pickles
+    (values, types and key order) and the same JacobiViolation, on
+    perturbed structure constants.  The float ones are scaled by a
+    non-integer and shifted by non-integers, so D sums of two terms round,
+    and one accumulator per triple, which adds the three D sums' terms
+    interleaved, fails here."""
+    data = liealg.algebra_to_json(liealg.builtin(name))
+    dim = data["dim"]
+    rng = seeded(32)
+    if mode == scalars.EXACT:
+        convert, draw = Fraction, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    else:
+        convert, draw = float, lambda: rng.uniform(-1.5, 1.5)
+    base = [(i, j, k, convert(scalars.parse_rational(v))) for i, j, k, v in data["structure"]]
+    violations = 0
+    for _ in range(40):
+        scale = draw() or 1
+        entries = [(i, j, k, scale * v) for i, j, k, v in base]
+        for _ in range(rng.randint(1, 3)):
+            entries = _perturbed(entries, dim, rng, (draw(),))
+        completed = [e for i, j, k, v in entries for e in ((i, j, k, v), (j, i, k, -v))]
+        rows = liealg.tensor_rows(dim, completed, mode)
+        expected = two_dict_defects(rows)
+        assert pickle.dumps(liealg._jacobi_defects(rows)) == pickle.dumps(expected)
+        bad = min((t for t, d in expected.items() if not scalars.is_zero(d, mode)), default=None)
+        if bad is None:
+            liealg.new_lie_algebra(dim, None, entries, mode=mode)
+            continue
+        violations += 1
+        with pytest.raises(JacobiViolation) as info:
+            liealg.new_lie_algebra(dim, None, entries, mode=mode)
+        assert pickle.dumps(info.value.args) == pickle.dumps(JacobiViolation(*bad, expected[bad]).args)
+        assert pickle.dumps((info.value.indices, info.value.defect)) == pickle.dumps((bad, expected[bad]))
     assert violations >= 10
 
 
@@ -211,7 +252,9 @@ def test_chi_star_product_count_is_pinned(monkeypatch, name, order, count):
 def test_toda_coerce_count_is_pinned(monkeypatch):
     """Vectors are checked where they enter the library, not in its inner
     loops: building a float Toda n = 6 problem (algebra, splitting r-matrix
-    context, product) and its order-10 chi coerces 1,615 scalars.  The
+    context, product) and its order-10 chi coerces 111 scalars.  Coercing
+    the gl(6) structure values and realization entries, which builtin now
+    forms from the mode's 0 and 1 and new_lie_algebra keeps, made 1,615; the
     splitting scan's basis coercions made 2,911; the zero of a dense
     structure tensor and of a dense product tensor, built before the rows,
     made 2,913; a second Yang-Baxter scan of the splitting, which coerced R
@@ -231,7 +274,7 @@ def test_toda_coerce_count_is_pinned(monkeypatch):
         [0.0, 1.0], 10,
     )
     problem.chi_coefficients()
-    assert calls[0] == 1615
+    assert calls[0] == 111
 
 
 def _exact_context(name):
