@@ -6,12 +6,14 @@ machinery on truncated enveloping algebras, the post-Lie Magnus expansion
 and group-like factorization, and isospectral Lax flows (Toda lattice).
 
 The subpackages can be used directly (``postlie.liealg``, ``postlie.rmatrix``,
-``postlie.products``, ``postlie.enveloping``, ``postlie.magnus``,
-``postlie.flows``); the names below cover the common entry points.
+``postlie.products``, ``postlie.enveloping`` (imported on first access),
+``postlie.magnus``, ``postlie.flows``); the names below cover the common
+entry points.
 """
 
+import importlib
+
 from . import (  # noqa: F401
-    enveloping,
     errors,
     flows,
     liealg,
@@ -42,6 +44,13 @@ from .products import check_postlie, check_prelie, from_rmatrix  # noqa: F401
 from .rmatrix import builtin_rmatrix, is_rmatrix, rmatrix_context, splitting_r  # noqa: F401
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "enveloping":
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "FlowProblem",

@@ -15,7 +15,6 @@ import os
 import random
 import sys
 
-from . import enveloping as ev
 from . import flows, liealg, magnus, products, rmatrix, scalars
 from .errors import (
     CollapseFailure,
@@ -90,14 +89,18 @@ def _load_context(args, mode):
     return rmatrix.load_rmatrix(_load_algebra(args, mode), args.rmatrix)
 
 
-def _product_for(args, sign="-"):
+def _product_for(args, sign="-", theta_one=False):
     """The exact bilinear product under test: the product [R_sign x, y] of
-    an r-matrix context, or the tensor of a --product file."""
+    an r-matrix context (of theta = 1 with theta_one, as the expansion
+    needs), or the tensor of a --product file."""
     if args.product:
         if args.rmatrix:
             raise InvalidInput("give either --product or --rmatrix, not both")
         return products.load_product(_load_algebra(args, scalars.EXACT), args.product)
-    return products.from_rmatrix(_load_context(args, scalars.EXACT), sign)
+    ctx = _load_context(args, scalars.EXACT)
+    if theta_one and ctx.theta != 1:
+        raise InvalidInput("%s needs theta = 1 (got theta = %s)" % (args.command, ctx.theta))
+    return products.from_rmatrix(ctx, sign)
 
 
 def _emit(args, report, human_lines):
@@ -206,7 +209,8 @@ def cmd_check_postlie(args):
 
 
 def cmd_magnus(args):
-    prod = _product_for(args)
+    from . import enveloping as ev
+    prod = _product_for(args, theta_one=True)
     L = prod.algebra
     x = _parse_coords(args, L)
     order = _order(args, 5)
@@ -285,11 +289,13 @@ def cmd_bell(args):
         raise InvalidInput("bell needs --n")
     if args.n < 1:
         raise InvalidInput("--n must be positive")
+    from . import enveloping as ev
     print(ev.phi_term_count(args.n))
     return EXIT_OK
 
 
 def _random_element(L, order, degree, rng):
+    from . import enveloping as ev
     terms = {}
     for _ in range(rng.randint(1, 3)):
         length = rng.randint(0, degree)
@@ -299,6 +305,7 @@ def _random_element(L, order, degree, rng):
 
 
 def cmd_hopf_suite(args):
+    from . import enveloping as ev
     prod = _product_for(args)
     L = prod.algebra
     order = _order(args, 4)

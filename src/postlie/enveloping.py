@@ -32,7 +32,7 @@ from .errors import (
     NotUnitNormalized,
     OrderMismatch,
 )
-from .liealg import algebra_from_bracket
+from .liealg import _check_order, _same_algebra, algebra_from_bracket
 from .products import star_commutator
 
 
@@ -206,25 +206,11 @@ class EnvElement(_TermMap):
         return "EnvElement(%s)" % (render(self),)
 
 
-def _same_algebra(L, M):
-    """L and M are one algebra: the same object, or equal structure
-    constants in the same mode."""
-    return L is M or (L.mode == M.mode and L.C_rows == M.C_rows)
-
-
 def _check_pair(A, B):
     if not _same_algebra(A.algebra, B.algebra):
         raise AlgebraMismatch("elements live over different algebras")
     if A.order != B.order:
         raise OrderMismatch("truncation grades differ: %d vs %d" % (A.order, B.order))
-
-
-def _check_order(order, least):
-    """A truncation order: an int, not a bool, of at least `least`."""
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise InvalidInput("order must be an int (got %r)" % (order,))
-    if order < least:
-        raise InvalidInput("order must be at least %d (got %d)" % (least, order))
 
 
 def unit(L, order):
@@ -293,6 +279,46 @@ class TensorSquareElement(_TermMap):
 
     def __repr__(self):
         return "TensorSquareElement(%d terms)" % (len(self.terms),)
+
+
+class _GradedEnv(_TermMap):
+    """A t-graded series of enveloping-algebra elements: the terms are keyed
+    by (degree, normal word), degrees 0..N; exact under the grading, since
+    a word of degree m has length <= m."""
+
+    __slots__ = ()
+
+    @classmethod
+    def unit(cls, algebra, order):
+        return cls(algebra, order, {(0, ()): 1})
+
+    @classmethod
+    def from_graded_vector(cls, x):
+        return cls(x.algebra, x.order, {
+            (m, (k,)): c for m, v in enumerate(x.coeffs) for k, c in enumerate(v)
+        })
+
+    def mul(self, other, star=None):
+        L, order = self.algebra, self.order
+        if star is None:
+            word_mul = partial(_word_mul, L, order)
+        else:
+            word_mul = lifted(L, star, order).star_word
+
+        def graded(a, b):
+            if a[0] + b[0] > order:
+                return {}
+            return {(a[0] + b[0], w): c for w, c in word_mul(a[1], b[1]).items()}
+
+        return _GradedEnv(L, order, _bilinear(graded, self.terms, other.terms))
+
+    def exp(self, star=None):
+        """Exponential of a series with zero degree-0 part (exact: the n-th
+        power only reaches degrees >= n)."""
+        if any(d == 0 for d, _ in self.terms):
+            raise InvalidInput("graded exp needs a series without degree-0 part")
+        one = _GradedEnv.unit(self.algebra, self.order)
+        return _exp_series(self, one, lambda a, b: a.mul(b, star=star))
 
 
 def _tensor_terms(out, t1, t2, order):

@@ -26,8 +26,7 @@ from .errors import (
     NoRealization,
     StepTooLarge,
 )
-from .enveloping import _check_order
-from .liealg import bracket, builtin, contract, vscale
+from .liealg import _check_order, bracket, builtin, contract, vscale
 from .magnus import postlie_magnus
 from .products import from_rmatrix
 from .rmatrix import splitting_r

@@ -244,6 +244,20 @@ class LieAlgebra:
         )
 
 
+def _same_algebra(L, M):
+    """L and M are one algebra: the same object, or equal structure
+    constants in the same mode."""
+    return L is M or (L.mode == M.mode and L.C_rows == M.C_rows)
+
+
+def _check_order(order, least):
+    """A truncation order: an int, not a bool, of at least `least`."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise InvalidInput("order must be an int (got %r)" % (order,))
+    if order < least:
+        raise InvalidInput("order must be at least %d (got %d)" % (least, order))
+
+
 def _jacobi_defects(rows):
     """{(a, b, c, l): D[a,b,c,l] - D[a,c,b,l] + D[b,c,a,l]} over a < b < c where a
     term exists, D[i,j,k,l] = sum_m C[i][j][m] C[m][k][l] for i < j, k not in {i, j}

@@ -12,7 +12,8 @@ products (a_i b_j) c added to 0 in contract's entry order, the pairs of a
 degree in increasing i, a total in increasing n; zero factors add nothing.
 The star chi and the group-like check work in the truncated enveloping
 algebra, exactly: a degree-m coefficient only involves words of length
-<= m, so truncating words at the grading order loses nothing.
+<= m, so truncating words at the grading order loses nothing.  They load
+the enveloping module on first call (as prelie_magnus's exact check does).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, gcd, lcm
 
-from . import enveloping as ev
 from . import scalars
 from .errors import (
     AlgebraMismatch,
@@ -32,7 +32,7 @@ from .errors import (
     NotAbelian,
     NotPreLie,
 )
-from .liealg import contract, tensor_rows, vadd, vscale, vzero
+from .liealg import _check_order, _same_algebra, contract, tensor_rows, vadd, vscale, vzero
 from .products import check_prelie, star_commutator
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ class GradedLieElement:
 
     @classmethod
     def from_vector(cls, algebra, order, x):
-        ev._check_order(order, 1)
+        _check_order(order, 1)
         coeffs = [vzero(algebra.dim)] * (order + 1)
         coeffs[1] = algebra.check_vector(x)
         return cls(algebra, order, coeffs)
@@ -140,55 +140,11 @@ def graded_from_json(L, data):
     return GradedLieElement(L, len(orders), coeffs)
 
 
-# ---------------------------------------------------------------------------
-# graded series of enveloping-algebra elements (internal)
-# ---------------------------------------------------------------------------
-
-
-class _GradedEnv(ev._TermMap):
-    """A t-graded series of enveloping-algebra elements: the terms are keyed
-    by (degree, normal word), degrees 0..N; exact under the grading, since
-    a word of degree m has length <= m."""
-
-    __slots__ = ()
-
-    @classmethod
-    def unit(cls, algebra, order):
-        return cls(algebra, order, {(0, ()): 1})
-
-    @classmethod
-    def from_graded_vector(cls, x):
-        return cls(x.algebra, x.order, {
-            (m, (k,)): c for m, v in enumerate(x.coeffs) for k, c in enumerate(v)
-        })
-
-    def mul(self, other, star=None):
-        L, order = self.algebra, self.order
-        if star is None:
-            word_mul = partial(ev._word_mul, L, order)
-        else:
-            word_mul = ev.lifted(L, star, order).star_word
-
-        def graded(a, b):
-            if a[0] + b[0] > order:
-                return {}
-            return {(a[0] + b[0], w): c for w, c in word_mul(a[1], b[1]).items()}
-
-        return _GradedEnv(L, order, ev._bilinear(graded, self.terms, other.terms))
-
-    def exp(self, star=None):
-        """Exponential of a series with zero degree-0 part (exact: the n-th
-        power only reaches degrees >= n)."""
-        if any(d == 0 for d, _ in self.terms):
-            raise InvalidInput("graded exp needs a series without degree-0 part")
-        one = _GradedEnv.unit(self.algebra, self.order)
-        return ev._exp_series(self, one, lambda a, b: a.mul(b, star=star))
-
-
 def _extract_g_vector(L, element, n, den):
     """Read the order-n Magnus coefficient off element / den, which must
     have only length-1 words (else CollapseFailure); for den > 1 each
     nonzero entry is divided once, to a Fraction."""
+    from . import enveloping as ev
     residual = ev.EnvElement(
         L, element.order, {w: c for w, c in element.terms.items() if len(w) >= 2}
     )
@@ -205,6 +161,7 @@ def _extract_g_vector(L, element, n, den):
 def _combine(L, order, terms):
     """sum s * A / d over (s, A, d) in terms as one (element, denominator)
     pair: each numerator is scaled by lcm // d into one term map."""
+    from . import enveloping as ev
     den = lcm(*(d for _, _, d in terms))
     out = {}
     for s, A, d in terms:
@@ -223,7 +180,7 @@ def bch(L, x, y, order):
     (Varadarajan, Lie Groups, Lie Algebras, and Their Representations,
     section 2.15).  Exact entries are Fractions, and int 0 where they
     vanish."""
-    ev._check_order(order, 1)
+    _check_order(order, 1)
     x, y = L.check_vector(x), L.check_vector(y)
     ops = (_Pairs if L.mode == scalars.EXACT else _Arrays)((L.C_rows,))
     ad, xy = ops.bilinear(contract, *ops.rows), ops.lift(vadd(x, y))
@@ -287,7 +244,7 @@ def postlie_magnus(L, x, product, order, method="star"):
     [R_+ x, y] the two methods disagree and neither series satisfies
     exp(x) = exp*(chi).
     """
-    ev._check_order(order, 1)
+    _check_order(order, 1)
     x = L.check_vector(x)
     if product.algebra.dim != L.dim:
         raise DimensionMismatch("product tensor and bracket algebra disagree")
@@ -295,7 +252,7 @@ def postlie_magnus(L, x, product, order, method="star"):
         raise ModeMismatch(
             "product in %s mode, algebra in %s mode" % (product.algebra.mode, L.mode)
         )
-    if not ev._same_algebra(product.algebra, L):
+    if not _same_algebra(product.algebra, L):
         raise AlgebraMismatch("the product lives over another algebra")
     if method == "ode":
         # chi_m is degree m-1 of dexp*^{-1}_{-chi}(exp*(-chi) |> x) over m
@@ -306,6 +263,7 @@ def postlie_magnus(L, x, product, order, method="star"):
         return GradedLieElement(L, order, chi)
     if method != "star":
         raise InvalidInput("method must be 'star' or 'ode'")
+    from . import enveloping as ev
     ev._require_exact(L)
 
     def cleared(v):
@@ -440,6 +398,7 @@ class _Arrays:
 
 def verify_grouplike_identity(L, x, product, order):
     """Check exp(xt) = exp_star(chi(xt)) degree by degree, exactly."""
+    from .enveloping import _GradedEnv
     chi = postlie_magnus(L, x, product, order)
     lhs = _GradedEnv.from_graded_vector(
         GradedLieElement.from_vector(L, order, x)
@@ -464,11 +423,12 @@ def prelie_magnus(L, x, product, order):
     bracket: there a post-Lie product is pre-Lie, and chi is the ode chi of
     postlie_magnus (Ebrahimi-Fard, Lundervold and Munthe-Kaas, J. Lie
     Theory 25, 2015), which solves chi = sum_k (b_k/k!) l_chi^k (xt)."""
-    ev._check_order(order, 1)
+    _check_order(order, 1)
     if any(L.C_rows):
         raise NotAbelian("prelie_magnus needs an abelian bracket")
     if not check_prelie(product)["ok"]:
         raise NotPreLie("the supplied product fails the pre-Lie identity")
+    from . import enveloping as ev
     ev._require_exact(L)
     return postlie_magnus(L, x, product, order, method="ode")
 

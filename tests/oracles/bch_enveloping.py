@@ -11,8 +11,9 @@ so the package must agree with it in value and in type.
 """
 
 from postlie import enveloping as ev
-from postlie.liealg import vzero
-from postlie.magnus import GradedLieElement, _extract_g_vector, _GradedEnv
+from postlie.enveloping import _GradedEnv
+from postlie.liealg import _check_order, vzero
+from postlie.magnus import GradedLieElement, _extract_g_vector
 
 
 def _part(Z, m):
@@ -31,7 +32,7 @@ def _log(A):
 def bch_enveloping(L, x, y, order):
     """Graded coefficients of log(exp(xt) exp(yt)), each certified
     primitive before being read off as a g-vector."""
-    ev._check_order(order, 1)
+    _check_order(order, 1)
     ev._require_exact(L)
     X = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, x))
     Y = _GradedEnv.from_graded_vector(GradedLieElement.from_vector(L, order, y))

@@ -544,21 +544,45 @@ def test_factorize_json_report(capsys):
     assert rep["residual"] < rep["residual_previous_order"]
 
 
-@pytest.mark.parametrize("command", [["factorize"], ["flow", "--steps", "3"]])
-def test_theta_zero_context_refused_by_flows(capsys, tmp_path, command):
-    # both used to exit 0; factorize printed residuals 1.633e-04 at orders 8 and 7
+def theta_zero_files(tmp_path):
+    """--algebra and --rmatrix flags of the theta = 0 context of sl(2) with
+    R = [[-1,0,-1],[0,0,0],[-1,0,-1]], whose [R_- x, y] is not post-Lie."""
     algebra = tmp_path / "sl2.json"
     algebra.write_text(json.dumps(dict(SL2_JSON, realization={
         "size": 2, "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]],
     })))
     rfile = tmp_path / "r0.json"
     rfile.write_text(json.dumps({"theta": "0", "matrix": [[-1, 0, -1], [0, 0, 0], [-1, 0, -1]]}))
+    return "--algebra", str(algebra), "--rmatrix", str(rfile)
+
+
+@pytest.mark.parametrize("command", [["factorize"], ["flow", "--steps", "3"]])
+def test_theta_zero_context_refused_by_flows(capsys, tmp_path, command):
+    # both used to exit 0; factorize printed residuals 1.633e-04 at orders 8 and 7
     code, out, err = run(
-        capsys, *command, "--algebra", str(algebra), "--rmatrix", str(rfile),
-        "--x", "0.1,0.2,0.3", "--order", "8",
+        capsys, *command, *theta_zero_files(tmp_path), "--x", "0.1,0.2,0.3", "--order", "8",
     )
     assert code == 2 and out == ""
     assert err == "input error: flows need theta = 1 (got theta = 0.0)\n"
+
+
+@pytest.mark.parametrize("method", ["star", "ode"])
+def test_theta_zero_context_refused_by_magnus(capsys, tmp_path, method):
+    # both used to exit 0, printing order 4 as 7/3*e - 7/6*h - 7/3*f by star
+    # and 7/6*e - 7/12*h - 7/6*f by ode
+    code, out, err = run(
+        capsys, "magnus", *theta_zero_files(tmp_path), "--x", "1,2,3", "--order", "4",
+        "--method", method,
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: magnus needs theta = 1 (got theta = 0)\n"
+
+
+@pytest.mark.parametrize("command", [["check-postlie"], ["hopf-suite", "--cases", "5"]])
+def test_theta_zero_context_fails_the_checks(capsys, tmp_path, command):
+    # the checks still run on the theta = 0 product and report its failure
+    code, out, _ = run(capsys, *command, *theta_zero_files(tmp_path))
+    assert code == 1 and "FAIL" in out
 
 
 @pytest.mark.parametrize("argv,message", [

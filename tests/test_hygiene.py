@@ -8,7 +8,8 @@ imports from the package still exists, every module-level definition of
 an oracle is read by a test or an oracle, the benchmark's tracer still finds
 what it wraps and reads, the package runs without SciPy, no module
 imports NumPy or SciPy at its top level and the exact subcommands run
-without NumPy, and every demo runs."""
+without NumPy, the float paths run without the enveloping module, and
+every demo runs."""
 
 import ast
 import importlib.util
@@ -69,9 +70,13 @@ def test_no_unused_imports(path):
 def unreferenced_private_definitions(sources):
     """Module-level private functions and classes of the sources that no
     source reads; a read inside the definition's own body does not count,
-    so a function that only calls itself is reported."""
+    so a function that only calls itself is reported.  A __dunder__ name is
+    not private: the interpreter reads it (a module's PEP 562 __getattr__)."""
     trees = [ast.parse(source) for source in sources]
-    defined = {name for name in _definitions(trees) if name.startswith("_")}
+    defined = {
+        name for name in _definitions(trees)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
     return sorted(defined - _names_read(trees))
 
 
@@ -114,10 +119,12 @@ def test_scan_finds_an_unreferenced_private_definition():
         "def public():\n    return _used()\n",
         "from .a import _imported\n",
         "def _imported():\n    pass\n"
-        "def _by_attribute():\n    pass\n",
+        "def _by_attribute():\n    pass\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "def __dead():\n    pass\n",
         "import b\nb._by_attribute()\n",
     ]
-    assert unreferenced_private_definitions(sources) == ["_Dead", "_self_only"]
+    assert unreferenced_private_definitions(sources) == ["_Dead", "__dead", "_self_only"]
 
 
 def test_no_unreferenced_private_definitions():
@@ -630,6 +637,62 @@ def test_exact_paths_do_not_import_numpy():
     result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "False True"
+
+
+def test_float_paths_do_not_import_enveloping():
+    # the truncated U(g) is imported inside the functions that build words,
+    # so the flows, factorize, float check-rmatrix and the ode chi start
+    # without it, and postlie.enveloping loads it on first access
+    script = "\n".join([
+        "import sys",
+        "import postlie",
+        "from postlie.cli import main",
+        "assert main(['flow', '--toda', '3', '--offdiag', '0.3,0.2', '--steps', '3']) == 0",
+        "assert main(['factorize', '--builtin', 'sl2-borel', '--x', '0.3,0,0.3']) == 0",
+        "assert main(['check-rmatrix', '--builtin', 'split2', '--mode', 'float']) == 0",
+        "problem = postlie.toda_problem(3, [0.1, 0.0, -0.1], [0.3, 0.2], [0.0, 0.5], 6)",
+        "assert len(postlie.factorized_solution(problem)) == 2",
+        "ctx = postlie.builtin_rmatrix('split2', mode='float')",
+        "product = postlie.from_rmatrix(ctx, '-')",
+        "postlie.postlie_magnus(ctx.algebra, [0.3, 0.1, 0.2, 0.4], product, 6, method='ode')",
+        "print('postlie.enveloping' in sys.modules)",
+        "print(postlie.enveloping.EnvElement.__name__)",
+    ])
+    result = run_python("-W", "ignore", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-2:] == ["False", "EnvElement"]
+
+
+def test_enveloping_binds_on_first_access():
+    # __init__ binds enveloping through its module __getattr__: a star
+    # import still binds it, __all__ is the eager package's, and any other
+    # missing name is an AttributeError
+    script = "\n".join([
+        "import sys",
+        "import postlie",
+        "names = {}",
+        "exec('from postlie import *', names)",
+        "print(names['enveloping'] is sys.modules['postlie.enveloping'])",
+        "print(sorted(postlie.__all__) == sorted(set(names) - {'__builtins__'}))",
+        "print(' '.join(postlie.__all__))",
+        "try:",
+        "    postlie.no_such_name",
+        "except AttributeError as exc:",
+        "    print(exc)",
+    ])
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines() == [
+        "True",
+        "True",
+        "FlowProblem GradedLieElement PostLieError bch bracket builtin builtin_rmatrix "
+        "check_postlie check_prelie chi_pm conservation_report enveloping errors "
+        "factorized_solution flows from_rmatrix is_rmatrix liealg load_algebra magnus "
+        "new_lie_algebra postlie_magnus prelie_magnus products rk4_reference rmatrix "
+        "rmatrix_context scalars splitting_r toda_problem verify_chi_ode "
+        "verify_grouplike_identity",
+        "module 'postlie' has no attribute 'no_such_name'",
+    ]
 
 
 @pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")], ids=["unset", "kept"])

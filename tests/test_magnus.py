@@ -239,7 +239,7 @@ def test_float_bch_bits_are_pinned():
 
 
 def test_graded_exp_log_reject_bad_degree_zero_part(sl2):
-    one = magnus._GradedEnv.unit(sl2, 3)
+    one = ev._GradedEnv.unit(sl2, 3)
     with pytest.raises(InvalidInput, match="without degree-0 part"):
         one.exp()
     # the boundary case the check accepts: exp(0) = 1
