@@ -13,7 +13,7 @@ degree in increasing i, a total in increasing n; zero factors add nothing.
 The star chi and the group-like check work in the truncated enveloping
 algebra, exactly: a degree-m coefficient only involves words of length
 <= m, so truncating words at the grading order loses nothing.  They load
-the enveloping module on first call (as prelie_magnus's exact check does).
+the enveloping module on first call.
 """
 
 from __future__ import annotations
@@ -428,8 +428,8 @@ def prelie_magnus(L, x, product, order):
         raise NotAbelian("prelie_magnus needs an abelian bracket")
     if not check_prelie(product)["ok"]:
         raise NotPreLie("the supplied product fails the pre-Lie identity")
-    from . import enveloping as ev
-    ev._require_exact(L)
+    if L.mode != scalars.EXACT:
+        raise ModeMismatch("prelie_magnus requires an exact-mode algebra")
     return postlie_magnus(L, x, product, order, method="ode")
 
 

@@ -663,6 +663,28 @@ def test_float_paths_do_not_import_enveloping():
     assert result.stdout.strip().splitlines()[-2:] == ["False", "EnvElement"]
 
 
+def test_float_prelie_magnus_refused_without_enveloping():
+    # prelie_magnus checks the mode itself: its chi is the g-level ode chi,
+    # so a float call is refused by name without loading U(g)
+    script = "\n".join([
+        "import sys",
+        "from postlie import liealg, magnus, products",
+        "flat = liealg.new_lie_algebra(2, ['a', 'b'], [], mode='float')",
+        "grow = products.BilinearProduct(flat, [(0, 0, 0, 2), (0, 1, 1, 1)])",
+        "try:",
+        "    magnus.prelie_magnus(flat, (1.0, -0.5), grow, 3)",
+        "except Exception as exc:",
+        "    print(type(exc).__name__, exc)",
+        "print('postlie.enveloping' in sys.modules)",
+    ])
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines() == [
+        "ModeMismatch prelie_magnus requires an exact-mode algebra",
+        "False",
+    ]
+
+
 def test_enveloping_binds_on_first_access():
     # __init__ binds enveloping through its module __getattr__: a star
     # import still binds it, __all__ is the eager package's, and any other
