@@ -71,9 +71,10 @@ def _expm(A):
         A2, A4, A6 = below
         d6, d8, d10 = norm(A6) ** (1 / 6), norm(last) ** (1 / 8), norm(A4 @ A6) ** (1 / 10)
         eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
-        # a slice whose powers leave the float range has no finite exponential
-        # here; it stays NaN and is kept out of the solve
-        ok = np.isfinite(eta)
+        # a slice whose powers, U or V leave the float range has no finite exponential
+        # here and stays NaN; it and a nilpotent slice (the Taylor sum) skip the solve
+        nilpotent = d8 == 0
+        ok = np.isfinite(eta) & ~nilpotent
         # theta_13 = 4.25: the largest eta at which Pade-13's backward error is <= 2^-53
         s = np.ceil(np.log2(np.maximum(eta[ok] / 4.25, 1.0)))
         c = (2.0 ** -s)[:, None, None]
@@ -81,15 +82,17 @@ def _expm(A):
         P = lambda k: _PADE13[k + 6] * A6 + _PADE13[k + 4] * A4 + _PADE13[k + 2] * A2
         U = A @ (A6 @ P(7) + P(1) + _PADE13[1] * I)
         V = A6 @ P(6) + P(0) + _PADE13[0] * I
+        finite = np.isfinite(U).all(axis=(1, 2)) & np.isfinite(V).all(axis=(1, 2))
+        U, V, Y = U[finite], V[finite], np.full((2,) + A.shape, np.nan)
         # r(-A) = r(A)^-1 for the diagonal Pade approximant r, from the same U and V
-        Y = np.linalg.solve(np.stack([V - U, V + U]), np.stack([V + U, V - U]))
+        Y[:, finite] = np.linalg.solve(np.stack([V - U, V + U]), np.stack([V + U, V - U]))
         # square each slice s times; a block can mix small and large t
         for k in range(int(s.max(initial=0))):
             m = s > k
             Y[:, m] = Y[:, m] @ Y[:, m]
         X = np.full((2,) + even.shape, np.nan)
         X[:, ok] = Y
-        nilpotent = (d8 == 0)[..., None, None]
+        nilpotent = nilpotent[..., None, None]
         return np.where(nilpotent, even + odd, X[0]), np.where(nilpotent, even - odd, X[1])
 
 

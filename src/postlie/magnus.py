@@ -225,14 +225,18 @@ def _series_coefficients(order, mode):
 def postlie_magnus(L, x, product, order, method="star"):
     """The expansion chi with chi_1 = x and
 
-        chi_n = x^n/n! - sum_{k=2..n} 1/k! sum_{p_1+..+p_k=n} chi_{p_1} * .. * chi_{p_k}
+        chi_n = -D_n/n! - sum_{k=2..n-1} 1/k! sum_{p_1+..+p_k=n} chi_{p_1} * .. * chi_{p_k}
 
-    computed in the truncated enveloping algebra.  Every chi_n must
-    collapse to words of length 1 (the computational witness that it is a
-    g-vector); a nonzero longer residual raises CollapseFailure.  Each term
-    is a pair (numerators, denominator), integers over integral structure
-    constants: products multiply both parts, sums scale to the lcm of the
-    denominators, and chi_n is divided once per entry (Fraction, or int 0).
+    computed in the truncated enveloping algebra.  D_n = x^{*n} - x^n folds
+    x^n/n! and the k = n term x^{*n}/n! of the defining sum, and x * W =
+    x.W + x |> W gives D_n = x.D_{n-1} + x |> x^{*(n-1)}, D_1 = 0: the words
+    of length n of x^n and x^{*n}, which cancel, are never built.  Every
+    chi_n must collapse to words of length 1 (the computational witness that
+    it is a g-vector); a nonzero longer residual raises CollapseFailure.
+    Each term is a pair (numerators, denominator), integers over integral
+    structure constants: products multiply both parts, sums scale to the lcm
+    of the denominators, and chi_n is divided once per entry (Fraction, or
+    int 0).
 
     method="ode" evaluates the same series through the defining
     differential equation instead (a g-level recursion that never builds
@@ -275,13 +279,16 @@ def postlie_magnus(L, x, product, order, method="star"):
     # P[k][m] = (numerator, den): the degree-m part of chi^{*k} is the integer
     # element numerator divided by the int den; order n adds only degree n
     P = [None, {1: (X, dx)}]
-    x_power = X
+    D = ev.EnvElement(L, order, {})
     for n in range(2, order + 1):
-        # x x^(n-1): the letter-word entries the plain half of each star product reads
-        x_power = ev.env_mul(X, x_power)
-        rhs = [(1, x_power, dx**n * factorial(n))]
+        # x * W = x.W + x |> W: D_n = x^{*n} - x^n = x.D_{n-1} + x |> x^{*(n-1)}, over dx^n
+        lift = ev.triangle_lift(X, P[n - 1][n - 1][0], product)
+        D = ev.env_mul(X, D) + lift
+        rhs = [(-1, D, dx**n * factorial(n))]
         P.append({})
-        for k in range(2, n + 1):
+        if n < order:  # x^{*n} = x.x^{*(n-1)} + x |> x^{*(n-1)}, read by the higher orders
+            P[n][n] = ev.env_mul(X, P[n - 1][n - 1][0]) + lift, dx**n
+        for k in range(2, n):
             pairs = (P[1][p] + P[k - 1][n - p] for p in range(1, n - k + 2))
             P[k][n] = _combine(
                 L, order, [(1, ev.star_mul(A, B, product), da * db) for A, da, B, db in pairs]

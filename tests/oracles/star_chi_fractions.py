@@ -6,8 +6,13 @@ coefficients, kept only to cross-check ``magnus.postlie_magnus``:
   rational factor as it is formed (the package keeps integer numerators
   over one denominator per element and divides once per chi entry).
 
-Both read chi_n off the same residual, so the entries must agree in value
-and in type: int for chi_1 and for zero entries, Fraction otherwise.
+It keeps the recursion as the defining identity writes it: the plain
+power x^n by env_mul and the k = n term x^{*n} by star_mul, whose words of
+length n cancel.  The package forms their difference D_n = x^{*n} - x^n
+as x.D_{n-1} + x |> x^{*(n-1)} and never builds those words.  Both read
+chi_n off the same residual, the same rational term map at every order,
+so the entries must agree in value and in type: int for chi_1 and for
+zero entries, Fraction otherwise.
 """
 
 from fractions import Fraction

@@ -107,6 +107,20 @@ def test_overflowing_slices_are_not_finite_and_silent():
     assert not np.isfinite(X[1]).all() and not np.isfinite(X[2]).all()
 
 
+def test_nilpotent_slice_beside_an_overflowing_one_is_its_taylor_sum():
+    # [[1, 1e200], [1, -1]] sends the stack to the Pade branch; the nilpotent
+    # [[0, 0], [1e300, 0]] would have U = b_1 A past the float range, and the
+    # solve raised LinAlgError (Singular matrix) on it.  It is kept out of the
+    # solve and gets I +- A, and the third slice keeps its value alone
+    A = np.array([[[1.0, 1e200], [1.0, -1.0]], [[0.0, 0.0], [1e300, 0.0]], [[0.5, 1.0], [-2.0, 0.25]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, Y = _expm(A)
+    assert not np.isfinite(X[0]).any() and not np.isfinite(Y[0]).any()
+    assert np.array_equal(X[1], np.eye(2) + A[1]) and np.array_equal(Y[1], np.eye(2) - A[1])
+    assert np.array_equal(X[2], _expm(A[2])[0]) and np.array_equal(Y[2], _expm(A[2])[1])
+
+
 def test_single_matrix():
     A = scaled_stack(np.random.default_rng(5).standard_normal((4, 4)), 20.0)
     X = _expm(A)[0]

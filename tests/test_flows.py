@@ -300,6 +300,21 @@ def test_nonfinite_expansion_names_first_t(grid, t):
     assert str(exc.value) == "the expansion u(t) is not finite at t=%s" % t
 
 
+@pytest.mark.parametrize("t2", [1e20, 1e30, 1e33, 1e35, 1e38])
+def test_overflowing_exponential_beside_a_nilpotent_one_names_first_t(t2):
+    # at t = 1e70 the powers of rho(u) leave the float range, which sends the
+    # whole stack to the Pade branch; the nilpotent slice at t2 is kept out of
+    # its solve, which raised LinAlgError (Singular matrix) for t2 = 1e30 to
+    # 1e35, and gets its Taylor sum, itself overflowing from t2 = 1e30 on
+    p = toda_problem(4, (0.1, 0.2, -0.1, 0.3), (0.2, 0.1, 0.3), (t2, 1e70), 4)
+    first = 1e70 if t2 < 1e30 else t2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput) as exc:
+            factorized_solution(p)
+    assert str(exc.value) == "the matrix exponential of u(t) overflows at t=%g" % first
+
+
 def test_overflowed_state_names_first_t():
     # u(t) and exp(u(t)) stay finite; the flowed point at t = 1e12 has trace
     # powers past the float range, which must be named before NumPy warns

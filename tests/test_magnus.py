@@ -20,6 +20,7 @@ from oracles.bch_enveloping import bch_enveloping
 from oracles.closed_forms import prelie_magnus_fixed_point
 from oracles.ode_chi_fractions import _ode_steps as fraction_ode_steps
 from oracles.ode_chi_fractions import ode_chi_fractions
+from oracles import star_chi_fractions as star_oracle
 from oracles.star_chi_fractions import star_chi_fractions
 
 F = Fraction
@@ -373,10 +374,57 @@ def test_star_chi_with_fraction_product_entries_matches_fraction_oracle(borel_ct
         assert _entries(chi) == _entries(star_chi_fractions(L, L.check_vector(x), half, 5))
 
 
+@pytest.mark.parametrize("sign", "-+")
+@pytest.mark.parametrize(
+    "name, order",
+    [("sl2-borel", 6), ("split2", 6), ("upper_lower_split(3)", 5), ("upper_lower_split(4)", 4)],
+)
+def test_star_chi_residual_matches_fraction_oracle_at_every_order(name, order, sign, monkeypatch):
+    # the package forms -D_n/n! from D_n = x^{*n} - x^n = x.D_{n-1} + x |> x^{*(n-1)},
+    # the oracle x^n/n! - x^{*n}/n!: the element each hands _extract_g_vector is the
+    # same rational term map at every order, the longer words (which sum to 0) included
+    ctx = exact_context(name)
+    L, prod = ctx.algebra, products.from_rmatrix(ctx, sign)
+    rng = seeded(3503)
+    x = L.check_vector([F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3))) for _ in range(L.dim)])
+    extract, seen = magnus._extract_g_vector, {}
+
+    def spy(who):
+        def read(L, element, n, den):
+            seen.setdefault(who, []).append(
+                (n, {w: F(c, den) for w, c in element.terms.items()})
+            )
+            return extract(L, element, n, den)
+        return read
+
+    monkeypatch.setattr(magnus, "_extract_g_vector", spy("package"))
+    monkeypatch.setattr(star_oracle, "_extract_g_vector", spy("oracle"))
+    magnus.postlie_magnus(L, x, prod, order)
+    star_chi_fractions(L, x, prod, order)
+    assert [n for n, _ in seen["package"]] == list(range(2, order + 1))
+    assert seen["package"] == seen["oracle"]
+
+
+@pytest.mark.parametrize("name, order", [("upper_lower_split(3)", 5), ("upper_lower_split(4)", 4)])
+def test_star_chi_normalizes_no_word_of_the_top_length(name, order):
+    # the words of length n of x^n and x^{*n} cancel, and are not built: D_n
+    # has shorter words only, and x^{*n} is formed below the top order only.
+    # Building x^N beside x^{*N} normalized every word of length N = order
+    ctx = exact_context(name)
+    L = ctx.algebra
+    assert not L._pbw_cache
+    x = [(-1) ** k * (k % 3 + 1) for k in range(L.dim)]
+    magnus.postlie_magnus(L, x, products.from_rmatrix(ctx, "-"), order)
+    assert max(map(len, L._pbw_cache)) == order - 1
+
+
 def test_collapse_failure_carries_the_rational_residual(borel_ctx, borel_product, monkeypatch):
     # twice the plain product in place of the star product leaves -x^2/2 at
-    # order 2; the residual is reported divided by the common denominator
+    # order 2; the residual is reported divided by the common denominator.
+    # The package reads x * W as x.W + x |> W, so its lift is the plain
+    # product; the oracle reads the star product itself
     monkeypatch.setattr(ev, "star_mul", lambda A, B, product: ev.env_mul(A, B).scale(2))
+    monkeypatch.setattr(ev, "triangle_lift", lambda A, B, product: ev.env_mul(A, B))
     L, x = borel_ctx.algebra, (F(1, 2), 1, F(2, 3))
     with pytest.raises(CollapseFailure) as got:
         magnus.postlie_magnus(L, x, borel_product, 3)

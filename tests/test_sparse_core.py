@@ -228,25 +228,34 @@ def test_exact_chi_ode_contracts_int_vectors_as_often_as_float(monkeypatch):
     assert calls[0] == 383
 
 
-@pytest.mark.parametrize("name, order, count", [("split2", 6, 35), ("sl2-borel", 8, 84)])
-def test_chi_star_product_count_is_pinned(monkeypatch, name, order, count):
+@pytest.mark.parametrize(
+    "name, order, stars, lifts, plains", [("split2", 6, 30, 5, 9), ("sl2-borel", 8, 77, 7, 13)]
+)
+def test_chi_star_product_count_is_pinned(monkeypatch, name, order, stars, lifts, plains):
     """Each order n adds only degree n to the star powers of chi: order n
-    makes n(n-1)/2 star products, whatever the terms.  Rebuilding every
-    lower degree of every power at each order made 70 (split2, order 6) and
-    210 (sl2-borel, order 8)."""
+    makes n(n-1)/2 - 1 star products, whatever the terms, one lift
+    x |> x^{*(n-1)} and at most two plain products, x.D_{n-1} for
+    D_n = x^{*n} - x^n and, below the top order, x.x^{*(n-1)} for x^{*n}.
+    Rebuilding every lower degree of every power at each order made 70
+    (split2, order 6) and 210 (sl2-borel, order 8) star products; one star
+    product for x^{*n} at every order, with the plain power x^n built
+    beside it, made 35 and 84."""
     ctx = rmatrix.builtin_rmatrix(name)
     L = ctx.algebra
-    calls = [0]
-    star_mul = enveloping.star_mul
+    originals = (enveloping.star_mul, enveloping.triangle_lift, enveloping.env_mul)
+    calls = dict.fromkeys(originals, 0)
 
-    def counted(A, B, product):
-        calls[0] += 1
-        return star_mul(A, B, product)
+    def counting(original):
+        def counted(*args):
+            calls[original] += 1
+            return original(*args)
+        return counted
 
-    _patch_everywhere(monkeypatch, star_mul, counted)
+    for original in originals:
+        _patch_everywhere(monkeypatch, original, counting(original))
     x = tuple(range(1, L.dim + 1))
     magnus.postlie_magnus(L, x, products.from_rmatrix(ctx, "-"), order)
-    assert calls[0] == count
+    assert list(calls.values()) == [stars, lifts, plains]
 
 
 def test_toda_coerce_count_is_pinned(monkeypatch):
