@@ -206,8 +206,9 @@ class FlowProblem:
     """A Lax flow instance: r-matrix context (float mode, theta = 1), initial point,
     evaluation grid, and the truncation order of the expansion, with the
     float data every evaluation reads: rho, the realization as a stack
-    (dim, size, size); pullback, the pseudo-inverse of vec(rho), which pulls
-    a matrix back to coordinates; and r_minus, R_minus as a float matrix
+    (dim, size, size); pullback, the pseudo-inverse of vec(rho) (its transpose
+    where the realization is by signed elementary matrices, _pullback), which
+    pulls a matrix back to coordinates; and r_minus, R_minus as a float matrix
     (column j = image of x_j)."""
 
     def __init__(self, ctx, x0, t_grid, order, flow_tolerance=1e-9):
@@ -233,7 +234,7 @@ class FlowProblem:
             raise InvalidInput("flow tolerance %r: it must be finite and >= 0" % (flow_tolerance,))
         import numpy as np
         self.rho = np.array(L.realization, dtype=float)
-        self.pullback = np.linalg.pinv(self.rho.reshape(L.dim, -1).T)
+        self.pullback = _pullback(self.rho.reshape(L.dim, -1))
         self.r_minus = np.array(ctx.r_plus_minus()[1].matrix, dtype=float)
 
     def chi_coefficients(self):
@@ -244,6 +245,19 @@ class FlowProblem:
             self.algebra, self.x0, from_rmatrix(self.ctx, "-"), self.order, method="ode"
         )
         return tuple(np.array(chi.coeff(m), dtype=float) for m in range(1, self.order + 1))
+
+
+def _pullback(vec_rows):
+    """The pseudo-inverse of vec(rho) = vec_rows.T (size^2, dim), C-contiguous.  Where each
+    column is a +-1 unit vector and no two share a row (elementary matrices, as for gl(n)),
+    vec(rho) has orthonormal columns and its pseudo-inverse is its transpose: that is built
+    with +0 zeros, which is what pinv returns there, to the bit; otherwise pinv's SVD."""
+    import numpy as np
+    nonzero = vec_rows != 0
+    if (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=0) <= 1).all() \
+            and (np.abs(vec_rows[nonzero]) == 1).all():
+        return np.where(nonzero, vec_rows, 0.0)
+    return np.linalg.pinv(vec_rows.T)
 
 
 def _flowed(problem, u, ts):

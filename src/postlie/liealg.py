@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, compress, repeat
 
 from . import scalars
 from .errors import (
@@ -101,10 +101,8 @@ class LinearEndo:
 
     @staticmethod
     def diagonal(entries):
-        n = len(entries)
-        return LinearEndo(tuple(
-            tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
-        ))
+        zeros = (0,) * len(entries)
+        return LinearEndo(zeros[:i] + (e,) + zeros[i + 1:] for i, e in enumerate(entries))
 
     @staticmethod
     def identity(n):
@@ -143,15 +141,31 @@ def tensor_rows(dim, entries, mode):
     the rows adds its terms in dense-scan order.  An integral Fraction is
     stored as an int, so exact contractions of integral tensors do integer
     arithmetic."""
+    coerced = []
+    for entry in entries:
+        i, j, k, v = entry
+        # before the coercion, so an entry out of range is named as given
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise _out_of_range(entry, dim)
+        try:
+            coerced.append((i, j, k, scalars.coerce_entry(v, mode)))
+        except NonFiniteNumber as exc:
+            raise NonFiniteNumber("entry %r: %s" % (entry, exc)) from None
+    return _summed_rows(dim, coerced)
+
+
+def _out_of_range(entry, dim):
+    return DimensionMismatch("entry %r out of range for dimension %d" % (entry, dim))
+
+
+def _summed_rows(dim, entries):
+    """The rows of tensor_rows from entries whose values are already scalars
+    of the mode."""
     sums = [{} for _ in range(dim)]
     for entry in entries:
         i, j, k, v = entry
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise DimensionMismatch("entry %r out of range for dimension %d" % (entry, dim))
-        try:
-            v = scalars.coerce_entry(v, mode)
-        except NonFiniteNumber as exc:
-            raise NonFiniteNumber("entry %r: %s" % (entry, exc)) from None
+            raise _out_of_range(entry, dim)
         row = sums[i]
         row[j, k] = row.get((j, k), 0) + v
     return tuple(
@@ -278,60 +292,108 @@ def _jacobi_defects(rows):
     return {t: p0 - p1 + p2 for t, (p0, p1, p2) in part.items()}
 
 
+def _realization_entries(L):
+    """Per basis vector, the nonzero entries (a, b, v) of its realization
+    matrix; None when the realization is not dim square matrices of one size."""
+    mats = L.realization
+    m = len(mats[0]) if mats else 0
+    if len(mats) != L.dim or any(len(M) != m or any(len(row) != m for row in M) for M in mats):
+        return None
+    return [[(a, b, row[b]) for a, row in enumerate(M) for b in compress(range(m), row)]
+            for M in mats]
+
+
+def _realization_mismatch(L, entries):
+    """The first pair i < j of a dense scan at which [rho(x_i), rho(x_j)] differs
+    from rho([x_i, x_j]) in L's mode, or None; composed over nonzero entries only."""
+    # by_row[t]: the nonzero entries (j, b, w) of row t of every rho(x_j)
+    by_row = [[] for _ in L.realization[0]]
+    for j, E in enumerate(entries):
+        for t, b, w in E:
+            by_row[t].append((j, b, w))
+    # defect[i, j, a, b] = ([rho(x_i), rho(x_j)] - sum_k C[i][j][k] rho(x_k))[a][b]
+    # for i < j, from its nonzero terms only: rho(x_i) rho(x_j), then
+    # -rho(x_j) rho(x_i), then the bracket, each added as a dense scan would
+    defect = {}
+    for p, E in enumerate(entries):
+        for a, t, v in E:
+            for q, b, w in by_row[t]:
+                if q != p:
+                    key = (p, q, a, b) if p < q else (q, p, a, b)
+                    defect[key] = defect.get(key, 0) + (1 if p < q else -1) * v * w
+    for i, row in enumerate(L.C_rows):
+        for j, k, c in row:
+            if j > i:
+                for a, b, v in entries[k]:
+                    defect[i, j, a, b] = defect.get((i, j, a, b), 0) - c * v
+    return min((key[:2] for key, d in defect.items() if not scalars.is_zero(d, L.mode)),
+               default=None)
+
+
+def _proves_jacobi(L, entries):
+    """True when a passing realization check proves the Jacobi identity.
+
+    The matrices are nonzero with pairwise disjoint supports, so vec(rho) is
+    injective, and the check's arithmetic is exact: exact mode, or float
+    structure constants and realization entries that are integers whose
+    absolute values sum to S < 2^26.  Every product and partial sum of the
+    realization check and of the Jacobi scan is then an integer of size at
+    most S^2 < 2^53.  A passing check gives rho(Jacobi(x, y, z)) = the matrix
+    Jacobi sum = 0, so Jacobi(x, y, z) = 0, and the scan would find every
+    defect exactly 0."""
+    support = {(a, b) for E in entries for a, b, _ in E}
+    if not all(entries) or len(support) != sum(map(len, entries)):
+        return False
+    if L.mode == scalars.EXACT:
+        return True
+    values = [c for row in L.C_rows for _, _, c in row] + [v for E in entries for _, _, v in E]
+    return all(map(float.is_integer, values)) and sum(map(abs, values)) < 2 ** 26
+
+
 def _validate(L):
     """Jacobi identity and realization, composed over nonzero entries only.
 
     Every term left out has a zero factor, so both checks stay complete and
-    exact and report the first failing index tuple of a dense scan.
+    exact and report the first failing index tuple of a dense scan.  Where
+    the realization proves the Jacobi identity (_proves_jacobi), its check
+    runs first and, when it passes, the Jacobi scan is skipped; otherwise the
+    scan runs first and a failing algebra raises what it raised in that
+    order: JacobiViolation, then DimensionMismatch or RealizationMismatch.
     """
-    n = L.dim
-    rows = L.C_rows
-    defects = _jacobi_defects(rows)
-    bad = min((t for t, d in defects.items() if not scalars.is_zero(d, L.mode)), default=None)
-    if bad:
-        raise JacobiViolation(*bad, defects[bad])
+    entries = None if L.realization is None else _realization_entries(L)
+    proved = entries is not None and _proves_jacobi(L, entries)
+    if proved:
+        bad = _realization_mismatch(L, entries)
+        if bad is None:
+            return L
+    defects = _jacobi_defects(L.C_rows)
+    first = min((t for t, d in defects.items() if not scalars.is_zero(d, L.mode)), default=None)
+    if first:
+        raise JacobiViolation(*first, defects[first])
     if L.realization is not None:
-        mats = L.realization
-        if len(mats) != n:
-            raise DimensionMismatch("realization must supply one matrix per basis vector")
-        m = len(mats[0])
-        for M in mats:
-            if len(M) != m or any(len(row) != m for row in M):
-                raise DimensionMismatch("realization matrices must be square of equal size")
-        entries = [
-            [(a, b, v) for a, row in enumerate(M) for b, v in enumerate(row) if v != 0]
-            for M in mats
-        ]
-        # by_row[t]: the nonzero entries (j, b, w) of row t of every rho(x_j)
-        by_row = [[] for _ in range(m)]
-        for j, E in enumerate(entries):
-            for t, b, w in E:
-                by_row[t].append((j, b, w))
-        # defect[i, j, a, b] = ([rho(x_i), rho(x_j)] - sum_k C[i][j][k] rho(x_k))[a][b]
-        # for i < j, from its nonzero terms only: rho(x_i) rho(x_j), then
-        # -rho(x_j) rho(x_i), then the bracket, each added as a dense scan would
-        defect = {}
-        for p, E in enumerate(entries):
-            for a, t, v in E:
-                for q, b, w in by_row[t]:
-                    if q != p:
-                        key = (p, q, a, b) if p < q else (q, p, a, b)
-                        defect[key] = defect.get(key, 0) + (1 if p < q else -1) * v * w
-        for i, row in enumerate(rows):
-            for j, k, c in row:
-                if j > i:
-                    for a, b, v in entries[k]:
-                        defect[i, j, a, b] = defect.get((i, j, a, b), 0) - c * v
-        bad = [key[:2] for key, d in defect.items() if not scalars.is_zero(d, L.mode)]
+        if entries is None:
+            raise DimensionMismatch(
+                "realization must supply one matrix per basis vector"
+                if len(L.realization) != L.dim
+                else "realization matrices must be square of equal size"
+            )
+        if not proved:
+            bad = _realization_mismatch(L, entries)
         if bad:
-            raise RealizationMismatch(*min(bad))
+            raise RealizationMismatch(*bad)
     return L
 
 
 def new_lie_algebra(dim, labels, structure_entries, realization=None, mode=scalars.EXACT):
     """Build and validate an algebra from sparse entries (i, j, k, value), i < j.
 
-    The antisymmetric completion C[j][i][k] = -C[i][j][k] is automatic.
+    The antisymmetric completion C[j][i][k] = -C[i][j][k] is automatic.  Each
+    structure value is coerced once (scalars.coerce_entry), and the realization
+    is kept as given when scalars.is_native accepts all its entries.  Validation
+    checks the Jacobi identity and the realization; where the realization
+    matrices are nonzero with disjoint supports and the arithmetic is exact
+    (every builtin), a passing realization check proves Jacobi and the Jacobi
+    scan is skipped (_validate).
     """
     scalars.check_mode(mode)
     if dim <= 0:
@@ -352,11 +414,13 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None, mode=scala
         v = scalars.coerce_entry(value, mode)
         entries += [(i, j, k, v), (j, i, k, -v)]
     if realization is not None:
-        realization = tuple(
-            tuple(tuple(scalars.coerce_entry(x, mode) for x in row) for row in M)
-            for M in realization
-        )
-    C_rows = tensor_rows(dim, entries, mode)
+        realization = tuple(tuple(map(tuple, M)) for M in realization)
+        if not scalars.is_native(chain.from_iterable(chain.from_iterable(realization)), mode):
+            realization = tuple(
+                tuple(tuple(scalars.coerce_entry(x, mode) for x in row) for row in M)
+                for M in realization
+            )
+    C_rows = _summed_rows(dim, entries)
     return _validate(LieAlgebra(dim, labels, C_rows, realization, mode))
 
 
@@ -419,19 +483,22 @@ def trace_form(L, x, y):
 # ---------------------------------------------------------------------------
 
 
-def _gl_structure(pairs, one):
+def _gl_structure(pairs, n, one):
+    """The entries (i, j, k, c), i < j, of [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
+    over the basis pairs, from the indices j at which each delta is 1."""
     index = {p: i for i, p in enumerate(pairs)}
     entries = []
     for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if i >= j:
-                continue
-            # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb; E_ad = E_cb only
-            # where i = j
-            if b == c:
-                entries.append((i, j, index[(a, d)], one))
-            if d == a:
-                entries.append((i, j, index[(c, b)], -one))
+        # both deltas are 1 only at E_cd = E_ba, with E_ad = E_aa and E_cb = E_bb
+        # apart unless i = j: no (i, j, k) comes twice
+        for d in range(n):
+            j = index[b, d]
+            if j > i:
+                entries.append((i, j, index[a, d], one))
+        for c in range(n):
+            j = index[c, a]
+            if j > i:
+                entries.append((i, j, index[c, b], -one))
     return entries
 
 
@@ -499,7 +566,7 @@ def builtin(name, mode=scalars.EXACT):
         labels = ["E%d%d" % (a + 1, b + 1) for (a, b) in pairs]
         zero, one = scalars.coerce(0, mode), scalars.coerce(1, mode)
         L = new_lie_algebra(
-            n * n, labels, _gl_structure(pairs, one), _gl_realization(pairs, n, zero, one), mode
+            n * n, labels, _gl_structure(pairs, n, one), _gl_realization(pairs, n, zero, one), mode
         )
         if head == "upper_lower_split":
             n_up = sum(1 for (a, b) in pairs if a <= b)

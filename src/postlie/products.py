@@ -59,18 +59,16 @@ class BilinearProduct:
 
 def from_rmatrix(ctx, sign):
     """The product x |>_sign y = [R_sign x, y] as the tensor
-    T[i] = sum_a R_sign[a][i] C[a], composed from the rows of C.  Its entries
-    come in increasing a, so each T[i][j][k] adds its terms in the order the
-    contraction of R_sign e_i with e_j does and equals that bracket to the
-    last bit."""
+    T[i] = sum_a R_sign[a][i] C[a], composed from the rows of C and the
+    nonzero entries of R_sign.  Its entries come in increasing a, so each
+    T[i][j][k] adds its terms in the order the contraction of R_sign e_i
+    with e_j does and equals that bracket to the last bit."""
     L = ctx.algebra
-    Rs = ctx.r_sign(sign).matrix
     entries = (
-        (i, j, k, Rs[a][i] * c)
-        for i in range(L.dim)
-        for a, row in enumerate(L.C_rows)
-        if Rs[a][i] != 0
-        for j, k, c in row
+        (i, j, k, r * c)
+        for i, column in enumerate(ctx.r_sign_columns(sign))
+        for a, r in column
+        for j, k, c in L.C_rows[a]
     )
     return BilinearProduct(L, entries)
 

@@ -10,7 +10,7 @@ im R_pm and ker R_mp.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 
 from . import scalars
@@ -105,15 +105,36 @@ def r_bracket(L, R, x, y):
 
 
 class RMatrixContext:
-    """A validated (algebra, R, theta) triple with its R_pm = (R +/- id)/2."""
+    """A validated (algebra, R, theta) triple with its R_pm = (R +/- id)/2,
+    built from the nonzero entries of R and the diagonal."""
 
     def __init__(self, algebra, R, theta):
         self.algebra = algebra
         self.R = R
         self.theta = theta
-        half = algebra.ratio(1, 2)  # (r +- delta_ij) * 1/2, as LinearEndo sum and scale form it
-        self._pm = tuple(LinearEndo([[half * (r + s * (i == j)) for j, r in enumerate(row)]
-                                     for i, row in enumerate(R.matrix)]) for s in (1, -1))
+        n = R.dim
+        # (r +- delta_ij) * 1/2, as LinearEndo sum and scale form it: off the diagonal
+        # r + 0 is r, and a zero r gives half * 0, 0.0 or Fraction(0).  Pickle writes a
+        # float by value but memoizes a Fraction, so one float zero may fill a row, and a
+        # Fraction zero is made anew for each entry, or the pickle of R_pm would change
+        half, zeros = algebra.ratio(1, 2), (0,) * n
+        zero = half * 0
+        pm, columns = [], []
+        for s in (1, -1):
+            rows, cols = [], [[] for _ in range(n)]
+            for i, row in enumerate(R.matrix):
+                out = [zero] * n if type(zero) is float else list(map(type(zero), zeros))
+                support = list(compress(range(n), row))
+                for j in support:
+                    out[j] = half * row[j]
+                out[i] = half * (row[i] + s)
+                for j in {i, *support}:
+                    if out[j] != 0:
+                        cols[j].append((i, out[j]))
+                rows.append(out)
+            pm.append(LinearEndo(rows))
+            columns.append(tuple(map(tuple, cols)))
+        self._pm, self._columns = tuple(pm), tuple(columns)
 
     def r_plus_minus(self):
         return self._pm
@@ -122,6 +143,11 @@ class RMatrixContext:
         """R_plus for sign '+', R_minus for sign '-'."""
         Rp, Rm = self.r_plus_minus()
         return Rp if _norm_sign(sign) > 0 else Rm
+
+    def r_sign_columns(self, sign):
+        """The nonzero entries of R_sign by column: for column i, the pairs
+        (a, R_sign[a][i]) in increasing a."""
+        return self._columns[0 if _norm_sign(sign) > 0 else 1]
 
     def __repr__(self):
         return "RMatrixContext(algebra=%r, theta=%r)" % (self.algebra, self.theta)

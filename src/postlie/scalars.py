@@ -68,6 +68,14 @@ def coerce_entry(value, mode):
     return coerce(value, mode)
 
 
+def is_native(values, mode):
+    """True when coerce_entry keeps each of the values as it is: every one is
+    of the mode's own types and, in float mode, their sum is finite, so no
+    value is NaN or infinite."""
+    values = list(values)
+    return set(map(type, values)) <= NATIVE[mode] and (mode == EXACT or math.isfinite(sum(values)))
+
+
 def parse_rational(s):
     """Parse 'p/q', 'p' or a decimal into a Fraction (used by the JSON
     loaders); any other text, 'nan' and 'p/0' among it, is MalformedNumber."""

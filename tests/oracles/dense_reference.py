@@ -60,6 +60,26 @@ def dense_jacobi_violation(C, is_zero):
     return None
 
 
+def dense_r_pm(R, half):
+    """R_pm = (r +/- delta_ij) * half over every entry of the dense matrix R."""
+    return tuple(
+        tuple(tuple(half * (r + s * (i == j)) for j, r in enumerate(row)) for i, row in enumerate(R))
+        for s in (1, -1)
+    )
+
+
+def dense_rmatrix_product_entries(Rs, C_rows):
+    """The entries (i, j, k, Rs[a][i] * c) of the product [R_s x_i, x_j] by a
+    scan of every pair (a, i), in increasing i, then a, then row order."""
+    return [
+        (i, j, k, Rs[a][i] * c)
+        for i in range(len(Rs))
+        for a, row in enumerate(C_rows)
+        if Rs[a][i] != 0
+        for j, k, c in row
+    ]
+
+
 def _apply(M, x):
     """M x for a dense square matrix (column convention), summed over the
     nonzero coordinates of x in index order."""

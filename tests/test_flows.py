@@ -24,10 +24,12 @@ from postlie.errors import (
     NoRealization,
     StepTooLarge,
 )
+from postlie import liealg
 from postlie.flows import (
     FlowProblem,
     FlowResult,
     FlowState,
+    _pullback,
     _sorted_eigs,
     _states,
     conservation_report,
@@ -663,3 +665,46 @@ def test_explicit_solution_solves_the_lax_flow_exactly(name, order):
         )
         assert _lax_series_failures(ctx, x0, "-", order) == []
         assert _lax_series_failures(ctx, x0, "+", order)[0] == 3
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name", ["upper_lower_split(%d)" % n for n in range(2, 9)]
+                         + ["gl(%d)" % n for n in range(2, 5)] + ["sl(2)", "so(3)"])
+def test_pullback_is_pinv_to_the_bit(monkeypatch, name):
+    """gl(n)'s elementary matrices make vec(rho) a permutation matrix, whose
+    transpose is built without pinv and equals pinv's output bit for bit,
+    C-contiguous as pinv returns it; sl(2) (h = diag(1, -1)) and so(3) keep pinv."""
+    rho = np.array(liealg.builtin(name, scalars.FLOAT).realization, dtype=float)
+    vec_rows = rho.reshape(len(rho), -1)
+    expected = np.linalg.pinv(vec_rows.T)
+    pinv = np.linalg.pinv
+    calls = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(1) or pinv(a))
+    got = _pullback(vec_rows)
+    assert _same_bits(got, expected) and got.flags.c_contiguous
+    assert calls == ([] if "gl" in name or "split" in name else [1])
+
+
+def test_pullback_of_signed_partial_permutations_is_pinv_to_the_bit():
+    """Columns that are +-1 unit vectors with distinct rows, fewer than the
+    rows (a realization by signed elementary matrices of a subalgebra), -0.0
+    among the zeros: the transpose, with +0 zeros, is pinv's output to the bit."""
+    rng = seeded(3602)
+    for _ in range(200):
+        size = rng.randint(1, 6)
+        dim = rng.randint(1, size * size)
+        vec_rows = np.zeros((dim, size * size))
+        for j, at in enumerate(rng.sample(range(size * size), dim)):
+            vec_rows[j, at] = rng.choice([1.0, -1.0])
+        vec_rows[vec_rows == 0] = rng.choice([0.0, -0.0])
+        assert _same_bits(_pullback(vec_rows), np.linalg.pinv(vec_rows.T))
+
+
+def test_toda_problem_pullback_is_pinv_to_the_bit():
+    for n in range(2, 9):
+        problem = toda_problem(n, [0.1] * n, [0.2] * (n - 1), (0.0, 1.0), 4)
+        expected = np.linalg.pinv(problem.rho.reshape(problem.algebra.dim, -1).T)
+        assert _same_bits(problem.pullback, expected)

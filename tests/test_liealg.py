@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from postlie.errors import (
     UnsupportedName,
 )
 from conftest import random_vector, seeded
+from oracles.jacobi_two_dict import two_dict_defects
 
 F = Fraction
 
@@ -320,3 +322,195 @@ def test_gl3_with_realization_validates():
         for i in range(3)
     ]
     assert tuple(map(tuple, comm)) == L.rho(liealg.bracket(L, x, y))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi identity proved by an injective realization
+# ---------------------------------------------------------------------------
+
+BUILTIN_ALGEBRAS = ["sl(2)", "so(3)", "gl(2)", "gl(3)", "gl(4)"] + [
+    "upper_lower_split(%d)" % n for n in range(2, 6)
+]
+
+
+def _count_scans(monkeypatch):
+    """Count the calls of the Jacobi scan from here on."""
+    calls = []
+    scan = liealg._jacobi_defects
+    monkeypatch.setattr(liealg, "_jacobi_defects", lambda rows: calls.append(1) or scan(rows))
+    return calls
+
+
+def _upper_entries(L):
+    return [(i, j, k, c) for i, row in enumerate(L.C_rows) for j, k, c in row if i < j]
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_builtins_are_accepted_without_the_jacobi_scan(monkeypatch, name, mode):
+    """Every builtin realization has nonzero matrices of disjoint supports and
+    integer entries, so its passing check proves Jacobi and the scan is skipped."""
+    calls = _count_scans(monkeypatch)
+    L = liealg.builtin(name, mode)
+    assert calls == []
+    assert liealg._proves_jacobi(L, liealg._realization_entries(L))
+    # the same data without the realization are scanned, and pass
+    liealg.new_lie_algebra(L.dim, L.labels, _upper_entries(L), None, mode)
+    assert calls == [1]
+
+
+def _scan_first(dim, entries, mats, mode):
+    """What the order scan, then realization check raises for structure entries
+    (i < j) and realization matrices, from the two-dictionary Jacobi scan and
+    the dense realization scan: (JacobiViolation, (indices, defect)),
+    (RealizationMismatch, pair) or None."""
+    completed = [e for i, j, k, v in entries for e in ((i, j, k, v), (j, i, k, -v))]
+    defects = two_dict_defects(liealg.tensor_rows(dim, completed, mode))
+    bad = min((t for t, d in defects.items() if not scalars.is_zero(d, mode)), default=None)
+    if bad is not None:
+        return JacobiViolation, (bad, defects[bad])
+    pairs = _failing_pairs(liealg.new_lie_algebra(dim, None, entries, None, mode), mats)
+    return (RealizationMismatch, pairs[0]) if pairs else None
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+@pytest.mark.parametrize("name", ["sl(2)", "so(3)", "upper_lower_split(3)"])
+def test_a_perturbed_constant_raises_what_the_scan_first_order_raises(name, mode):
+    """One structure constant changed (an integer step keeps float data
+    integral, so the realization check runs first; a half step does not), or
+    one added where there was none, with the realization kept: the same
+    exception, indices and defect (as pickles) as scan first, then realization."""
+    L = liealg.builtin(name, mode)
+    base, mats = _upper_entries(L), L.realization
+    steps = [L.ratio(s, 2) for s in (2, -2, 4, 1)]
+    cases = [base[:at] + [(i, j, k, c + step)] + base[at + 1:]
+             for at, (i, j, k, c) in enumerate(base) for step in steps]
+    rng = seeded(3601)
+    for _ in range(12):
+        i, j = sorted(rng.sample(range(L.dim), 2))
+        cases.append(base + [(i, j, rng.randrange(L.dim), rng.choice(steps))])
+    raised = set()
+    for entries in cases:
+        expected = _scan_first(L.dim, entries, mats, mode)
+        if expected is None:
+            liealg.new_lie_algebra(L.dim, L.labels, entries, mats, mode)
+            continue
+        error, fields = expected
+        with pytest.raises(error) as info:
+            liealg.new_lie_algebra(L.dim, L.labels, entries, mats, mode)
+        assert type(info.value) is error
+        got = (info.value.indices, info.value.defect) if error is JacobiViolation else info.value.pair
+        assert pickle.dumps(got) == pickle.dumps(fields)
+        raised.add(error)
+    assert JacobiViolation in raised
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_a_realization_mismatch_behind_a_valid_bracket_is_found_first(monkeypatch, mode):
+    """sl(2) with its structure intact and f's matrix doubled: the realization
+    check runs first, fails on the pair the dense scan names, and the scan
+    then runs and passes."""
+    calls = _count_scans(monkeypatch)
+    sl2 = liealg.builtin("sl(2)", mode)
+    mats = [list(M) for M in sl2.realization]
+    mats[2] = [[2 * v for v in row] for row in mats[2]]
+    with pytest.raises(RealizationMismatch) as info:
+        liealg.new_lie_algebra(3, sl2.labels, _upper_entries(sl2), mats, mode)
+    assert info.value.pair == _failing_pairs(sl2, mats)[0] == (0, 2)
+    assert calls == [1]
+
+
+def _conjugated_sl2(mode):
+    """sl(2) realized by g rho g^-1, g = [[1, 1], [0, 1]]: integer entries
+    whose supports overlap."""
+    e, h, f = [[0, 1], [0, 0]], [[1, -2], [0, -1]], [[1, -1], [1, -1]]
+    return _upper_entries(liealg.builtin("sl(2)", mode)), [e, h, f]
+
+
+def _scaled_sl2(mode, c):
+    """sl(2) realized by c rho, whose structure constants are c times sl(2)'s."""
+    sl2 = liealg.builtin("sl(2)", mode)
+    return ([(i, j, k, c * v) for i, j, k, v in _upper_entries(sl2)],
+            [[[c * v for v in row] for row in M] for M in sl2.realization])
+
+
+@pytest.mark.parametrize("case", ["overlapping supports", "a zero matrix", "half-integers",
+                                  "integers of sum 2^26"])
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_the_scan_runs_where_the_realization_proves_nothing(monkeypatch, case, mode):
+    """Overlapping supports or a zero matrix leave vec(rho) possibly not
+    injective, and float data that are not integers, or integers too large
+    for every partial sum to be exact, leave the check inexact: the Jacobi
+    scan runs first (in exact mode the last two are exact, and it does not)."""
+    if case == "overlapping supports":
+        entries, mats = _conjugated_sl2(mode)
+        runs = True
+    elif case == "a zero matrix":
+        # an abelian pair: x_0 as E_11, x_1 as 0
+        entries, mats = [], [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        runs = True
+    else:
+        c = scalars.ratio(1, 2, mode) if case == "half-integers" else scalars.ratio(2**24, 1, mode)
+        entries, mats = _scaled_sl2(mode, c)
+        runs = mode == scalars.FLOAT
+    calls = _count_scans(monkeypatch)
+    L = liealg.new_lie_algebra(len(mats), None, entries, mats, mode)
+    assert calls == ([1] if runs else [])
+    assert liealg._proves_jacobi(L, liealg._realization_entries(L)) is not runs
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_integers_below_the_bound_are_proved(monkeypatch, mode):
+    """sl(2) scaled by 2^14: float integers whose absolute sum is below 2^26."""
+    calls = _count_scans(monkeypatch)
+    entries, mats = _scaled_sl2(mode, scalars.ratio(2**14, 1, mode))
+    liealg.new_lie_algebra(3, None, entries, mats, mode)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# each datum coerced once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("sl(2)", scalars.EXACT), ("so(3)", scalars.EXACT), ("gl(3)", scalars.EXACT),
+    ("gl(3)", scalars.FLOAT), ("upper_lower_split(4)", scalars.EXACT),
+    ("upper_lower_split(4)", scalars.FLOAT),
+])
+def test_each_structure_value_is_coerced_once_and_a_native_realization_not_at_all(
+        monkeypatch, name, mode):
+    """gl(n) hands its values over in the mode's own type, sl(2) and so(3) as
+    ints, which exact mode keeps: one coerce_entry call per structure entry,
+    none per realization entry."""
+    calls = []
+    coerce_entry = scalars.coerce_entry
+    monkeypatch.setattr(scalars, "coerce_entry",
+                        lambda v, m: calls.append(v) or coerce_entry(v, m))
+    L = liealg.builtin(name, mode)
+    assert len(calls) == len(_upper_entries(L))
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+@pytest.mark.parametrize("where", ["structure", "realization"])
+@pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf, 10**400, "1e400",
+                                   "x", None, 0.5],
+                         ids=["True", "False", "nan", "inf", "-inf", "10**400", "'1e400'", "'x'",
+                              "None", "0.5"])
+def test_a_bad_entry_is_refused_with_the_message_of_its_coercion(mode, where, value):
+    """Booleans, NaN, infinities and other values the mode does not take are
+    refused, wherever they sit, with coerce_entry's own exception and message."""
+    try:
+        scalars.coerce_entry(value, mode)
+    except Exception as exc:
+        expected = exc
+    else:
+        return
+    entries, mats = list(SL2_ENTRIES), [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]]
+    if where == "structure":
+        entries[1] = (0, 2, 1, value)
+    else:
+        mats[2] = [[0, 0], [value, 0]]
+    with pytest.raises(type(expected)) as info:
+        liealg.new_lie_algebra(3, None, entries, mats, mode)
+    assert type(info.value) is type(expected) and str(info.value) == str(expected)

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import liealg, rmatrix, scalars
+from postlie import liealg, products, rmatrix, scalars
 from postlie.errors import InvalidInput, NotADirectSum, NotASubalgebra, UnsupportedName
 from postlie.liealg import LinearEndo
 from conftest import BUILTIN_RMATRICES, random_vector, seeded
 from oracles.closed_forms import r_bracket_unhalved
+from oracles.dense_reference import dense_r_pm, dense_rmatrix_product_entries
 
 F = Fraction
 
@@ -133,6 +134,44 @@ def test_r_plus_minus_equal_the_endo_sum_and_scale(mode):
         expected = ((R + ident).scale(half), (R - ident).scale(half))
         got = rmatrix.RMatrixContext(L, R, L.ratio(1)).r_plus_minus()
         assert pickle.dumps([e.matrix for e in got]) == pickle.dumps([e.matrix for e in expected])
+
+
+def _contexts(mode):
+    """Every builtin r-matrix context, the splittings of upper_lower_split(2..5),
+    the dense non-diagonal theta = 0 matrix on sl(2), and a float R whose
+    subnormal entry halves to 0.0."""
+    out = [rmatrix.builtin_rmatrix(name, mode) for name in BUILTIN_RMATRICES]
+    for n in range(2, 6):
+        L = liealg.builtin("upper_lower_split(%d)" % n, mode)
+        out.append(rmatrix.splitting_r(L, *L.splitting))
+    sl2 = liealg.builtin("sl(2)", mode)
+    theta0 = ((-1, 0, -1), (0, 0, 0), (-1, 0, -1))
+    out.append(rmatrix.RMatrixContext(sl2, LinearEndo(theta0), sl2.ratio(0)))
+    if mode == scalars.FLOAT:
+        tiny = ((1.0, 5e-324, 0.0), (-0.0, -1.0, 2.5), (0.0, 0.0, 1.0))
+        out.append(rmatrix.RMatrixContext(sl2, LinearEndo(tiny), 1.0))
+    return out
+
+
+@pytest.mark.parametrize("mode", [scalars.EXACT, scalars.FLOAT])
+def test_r_pm_and_products_from_nonzeros_equal_the_dense_scans(mode):
+    """R_pm, built from the nonzero entries of R, and from_rmatrix, built from
+    those of R_pm, have the reprs and pickles of (r +/- delta) * 1/2 over every
+    entry and of the product tabulated over every pair (a, i)."""
+    for ctx in _contexts(mode):
+        L = ctx.algebra
+        expected = dense_r_pm(ctx.R.matrix, L.ratio(1, 2))
+        got = tuple(e.matrix for e in ctx.r_plus_minus())
+        assert repr(got) == repr(expected)
+        assert pickle.dumps(got) == pickle.dumps(expected)
+        for sign, Rs in zip("+-", expected):
+            want = liealg.tensor_rows(L.dim, dense_rmatrix_product_entries(Rs, L.C_rows), mode)
+            rows = products.from_rmatrix(ctx, sign).T_rows
+            assert repr(rows) == repr(want)
+            assert pickle.dumps(rows) == pickle.dumps(want)
+            columns = [[(a, Rs[a][i]) for a in range(L.dim) if Rs[a][i] != 0]
+                       for i in range(L.dim)]
+            assert [list(c) for c in ctx.r_sign_columns(sign)] == columns
 
 
 def test_pm_identities_hold_on_builtin_splittings():
