@@ -7,8 +7,10 @@ identity that stays within total degree N holds exactly.  On top of the
 plain product live the full Hopf structure (unshuffle coproduct, counit,
 antipode), the lift of a bilinear g-product to words, the associated star
 product with its own antipode, a check of the identities of both Hopf
-structures, the word-to-star isomorphism phi and its inverse, and the
-r-matrix linearization map built from R_pm.
+structures, the word-to-star isomorphism phi and its inverse (valued in
+the enveloping algebra of the derived Lie algebra g-bar that
+products.derived_algebra reads off the rows of C and T), and the r-matrix
+linearization map built from R_pm.
 
 Float mode is rejected throughout: the identities checked here are exact
 statements.
@@ -32,8 +34,8 @@ from .errors import (
     NotUnitNormalized,
     OrderMismatch,
 )
-from .liealg import _check_order, _same_algebra, algebra_from_bracket
-from .products import star_commutator
+from .liealg import _check_order, _entries, _same_algebra
+from .products import derived_algebra
 
 
 def _require_exact(L):
@@ -59,10 +61,9 @@ def _bracket_index(L):
     its PBW cache."""
     if L._bracket_index is None:
         index = {}
-        for b, row in enumerate(L.C_rows):
-            for a, k, c in row:
-                if a < b:
-                    index.setdefault((b, a), []).append((k, c))
+        for b, a, k, c in _entries(L.C_rows):
+            if a < b:
+                index.setdefault((b, a), []).append((k, c))
         L._bracket_index = index
     return L._bracket_index
 
@@ -666,12 +667,6 @@ def phi_term_count(n):
     return row[0]
 
 
-def derived_bracket_algebra(L, product):
-    """The Lie algebra with bracket the star commutator
-    [x,y] + x |> y - y |> x (validated)."""
-    return algebra_from_bracket(L, partial(star_commutator, L.C_rows, product.T_rows))
-
-
 def phi_inverse(L, word, product, order):
     """Inverse of phi on a raw word, valued in the enveloping algebra of
     the star-commutator Lie algebra (available as the result's .algebra).
@@ -680,7 +675,7 @@ def phi_inverse(L, word, product, order):
     phi^{-1}(x.W) = x phi^{-1}(W) - sum_i phi^{-1}(y_1 ... (x |> y_i) ... y_m).
     A word longer than the grade is evaluated and cut as phi does it."""
     _check_order(order, 0)
-    bar = derived_bracket_algebra(L, product)
+    bar = derived_algebra(product)
     letters = _as_vector_letters(L, word)
     full = _phi_inverse_letters(bar, letters, product, max(order, len(letters)))
     return EnvElement(bar, order, {w: c for w, c in full.terms.items() if len(w) <= order})

@@ -5,10 +5,10 @@ sparse upper-triangular input, the Jacobi identity and the optional matrix
 realization are checked) and is immutable afterwards.  A rank-3 tensor, the
 structure constants here and a product in the products module, is given as
 sparse entries (i, j, k, value) and stored only as the rows tensor_rows
-builds from them; no dense tensor is built, and every contraction and check
-runs over the rows.  Vectors are plain tuples of scalars in the fixed basis;
-linear maps g -> g are LinearEndo objects storing a dense square matrix in
-column convention.
+builds from them; no dense tensor is built, and every contraction, check
+and derived tensor runs over the rows.  Vectors are plain tuples of scalars
+in the fixed basis; linear maps g -> g are LinearEndo objects storing a
+dense square matrix in column convention.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def vscale(c, x):
 
 def vzero(n):
     return (0,) * n
-
-
-def basis_vector(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def _mat_mul(A, B):
@@ -154,6 +150,11 @@ def tensor_rows(dim, entries, mode):
     return _summed_rows(dim, coerced)
 
 
+def _entries(rows):
+    """The entries (i, j, k, c) of a tensor stored as rows, in row order."""
+    return ((i, j, k, c) for i, row in enumerate(rows) for j, k, c in row)
+
+
 def _out_of_range(entry, dim):
     return DimensionMismatch("entry %r out of range for dimension %d" % (entry, dim))
 
@@ -225,7 +226,7 @@ class LieAlgebra:
         return scalars.ratio(p, q, self.mode)
 
     def basis(self, i):
-        return basis_vector(self.dim, i)
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def check_vector(self, x):
         if len(x) != self.dim:
@@ -262,6 +263,14 @@ def _same_algebra(L, M):
     """L and M are one algebra: the same object, or equal structure
     constants in the same mode."""
     return L is M or (L.mode == M.mode and L.C_rows == M.C_rows)
+
+
+def _index(value, where):
+    """value if it is an int and not a bool, else InvalidInput naming where: a
+    dimension or an index read from a file is taken as written (1.9, 1.0, "1", true)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput("%s: %r is not an integer" % (where, value))
+    return value
 
 
 def _check_order(order, least):
@@ -424,24 +433,6 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None, mode=scala
     return _validate(LieAlgebra(dim, labels, C_rows, realization, mode))
 
 
-def tabulate(L, f, pairs):
-    """The entries (i, j, k, c) of f(x_i, x_j) = sum_k c x_k over the index
-    pairs (i, j), zero values left out."""
-    return [
-        (i, j, k, c)
-        for i, j in pairs
-        for k, c in enumerate(f(L.basis(i), L.basis(j)))
-        if c != 0
-    ]
-
-
-def algebra_from_bracket(L, f):
-    """The validated algebra on L's basis, labels and mode whose bracket of
-    basis vectors is f, tabulated over the basis pairs i < j."""
-    pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
-    return new_lie_algebra(L.dim, list(L.labels), tabulate(L, f, pairs), None, L.mode)
-
-
 def defect_scan(L, defect, index_tuples):
     """Evaluate defect(*t) for each index tuple t.  Returns (ok, worst, where):
     ok when every defect vanishes in L's mode, worst the largest max_norm and
@@ -581,12 +572,7 @@ def builtin(name, mode=scalars.EXACT):
 
 
 def algebra_to_json(L):
-    structure = [
-        [i, j, k, scalars.to_text(c)]
-        for i, row in enumerate(L.C_rows)
-        for j, k, c in row
-        if j > i
-    ]
+    structure = [[i, j, k, scalars.to_text(c)] for i, j, k, c in _entries(L.C_rows) if j > i]
     data = {"dim": L.dim, "basis": list(L.labels), "structure": structure}
     if L.realization is not None:
         data["realization"] = {
@@ -600,13 +586,14 @@ def algebra_to_json(L):
 
 def algebra_from_json(data, mode=scalars.EXACT):
     try:
-        dim = int(data["dim"])
+        dim = _index(data["dim"], "dim")
         labels = data.get("basis")
-        structure = [(int(i), int(j), int(k), v) for (i, j, k, v) in data["structure"]]
+        structure = [(_index(i, e), _index(j, e), _index(k, e), v)
+                     for e in data["structure"] for i, j, k, v in [e]]
         realization = data.get("realization")
         if realization is not None:
             realization = [[list(row) for row in M] for M in realization["matrices"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidInput) as exc:
         raise InvalidInput("malformed algebra JSON: %s" % (exc,))
     return new_lie_algebra(dim, labels, structure, realization, mode)
 

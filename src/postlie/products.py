@@ -5,26 +5,27 @@ algebra as sparse entries (i, j, k, T[i][j][k]), as the structure constants
 of an algebra are, and stores only the rows liealg.tensor_rows builds from
 them; it is post-Lie over the bracket of that same algebra.  Axiom checks
 run over basis triples (bilinearity extends them) for an explicit
-handedness.  The derived bracket and the right-conversion follow the
-left-handed conventions and check the left axioms first; right-handed
-products have their own axiom set.
+handedness.  The structures a product derives are linear in the rows of C
+and T and are read off them: the Lie algebra of the star commutator
+[x,y] + x o y - y o x of a right post-Lie product, the right-conversion
+x o y - [x,y] of a left one and the companion x o y + [x,y]/2.
 """
 
 from __future__ import annotations
 
-from itertools import product as index_product
+from itertools import chain, product as index_product
 
 from . import scalars
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, InvalidInput, JacobiViolation
 from .liealg import (
-    algebra_from_bracket,
+    _entries,
+    _index,
     bracket,
     contract,
     defect_scan,
-    tabulate,
+    new_lie_algebra,
     tensor_rows,
     vadd,
-    vscale,
     vsub,
 )
 
@@ -40,12 +41,6 @@ class BilinearProduct:
     def __init__(self, algebra, entries):
         self.algebra = algebra
         self.T_rows = tensor_rows(algebra.dim, entries, algebra.mode)
-
-    @classmethod
-    def from_function(cls, algebra, f):
-        """Tabulate f(x_i, x_j) over all basis pairs into a tensor."""
-        pairs = index_product(range(algebra.dim), repeat=2)
-        return cls(algebra, tabulate(algebra, f, pairs))
 
     def apply(self, x, y):
         L = self.algebra
@@ -130,35 +125,43 @@ def _triple_report(L, defect):
     return {"ok": ok, "worst_defect_norm": worst, "worst_triple": where}
 
 
-def _require_left(product, name):
-    """Raise InvalidInput unless the left post-Lie axioms hold."""
-    report = check_postlie(product, LEFT)
-    if not report["ok"]:
-        raise InvalidInput(
-            "%s needs a left post-Lie product (derivation axiom ok=%s, "
-            "bracket axiom ok=%s)"
-            % (name, report["derivation_axiom"]["ok"], report["bracket_axiom"]["ok"])
-        )
-
-
-def derived_bracket(product):
-    """The bracket <<x,y>> = x o y - y o x - [x,y] of a left post-Lie
-    product, returned as a validated LieAlgebra."""
-    _require_left(product, "derived_bracket")
+def derived_algebra(product):
+    """The validated Lie algebra of the star commutator [x,y] + x o y - y o x,
+    its entries i < j read off the rows of C and T as c + (t - t'),
+    t' = T[j][i][k], added as star_commutator adds them.  A product whose star
+    commutator fails Jacobi is not right post-Lie: InvalidInput names the triple."""
     L = product.algebra
-    return algebra_from_bracket(
-        L, lambda x, y: vsub(vsub(product.apply(x, y), product.apply(y, x)), bracket(L, x, y))
-    )
+    C = {(i, j, k): c for i, j, k, c in _entries(L.C_rows) if i < j}
+    T = {(i, j, k): t for i, j, k, t in _entries(product.T_rows)}
+    entries = [(i, j, k, C.get((i, j, k), 0) + (T.get((i, j, k), 0) - T.get((j, i, k), 0)))
+               for i, j, k in C.keys() | {(min(i, j), max(i, j), k) for i, j, k in T if i != j}]
+    try:
+        return new_lie_algebra(L.dim, L.labels, entries, None, L.mode)
+    except JacobiViolation as exc:
+        raise InvalidInput(
+            "the product is not right post-Lie (for an r-matrix, [R_minus x, y] is the "
+            "right-handed one): in its star commutator [x,y] + x o y - y o x, %s" % exc
+        ) from exc
+
+
+def _plus_bracket(product, s):
+    """x o y + s[x,y] from the entries of T, then of s C: tensor_rows sums each
+    to t + s c, as the pointwise sum adds it."""
+    L = product.algebra
+    C = ((i, j, k, s * c) for i, j, k, c in _entries(L.C_rows))
+    return BilinearProduct(L, chain(_entries(product.T_rows), C))
 
 
 def to_right(product):
     """Convert a left post-Lie product to the right post-Lie product
     x o' y = x o y - [x,y]."""
-    _require_left(product, "to_right")
-    L = product.algebra
-    return BilinearProduct.from_function(
-        L, lambda x, y: vsub(product.apply(x, y), bracket(L, x, y))
-    )
+    report = check_postlie(product, LEFT)
+    if not report["ok"]:
+        raise InvalidInput(
+            "to_right needs a left post-Lie product (derivation axiom ok=%s, bracket axiom "
+            "ok=%s)" % (report["derivation_axiom"]["ok"], report["bracket_axiom"]["ok"])
+        )
+    return _plus_bracket(product, -1)
 
 
 def lie_admissible(product):
@@ -172,11 +175,7 @@ def lie_admissible(product):
     handednesses are accepted since the right case is the useful one for
     r-matrix products while zero products are naturally left.
     """
-    L = product.algebra
-    half = L.ratio(1, 2)
-    return BilinearProduct.from_function(
-        L, lambda x, y: vadd(product.apply(x, y), vscale(half, bracket(L, x, y)))
-    )
+    return _plus_bracket(product, product.algebra.ratio(1, 2))
 
 
 def check_prelie(product):
@@ -193,19 +192,16 @@ def check_prelie(product):
 
 
 def product_to_json(product):
-    entries = [
-        [i, j, k, scalars.to_text(v)]
-        for i, row in enumerate(product.T_rows)
-        for j, k, v in row
-    ]
+    entries = [[i, j, k, scalars.to_text(v)] for i, j, k, v in _entries(product.T_rows)]
     return {"dim": product.algebra.dim, "product": entries}
 
 
 def product_from_json(L, data):
     try:
-        n = int(data["dim"])
-        entries = [(int(i), int(j), int(k), v) for (i, j, k, v) in data["product"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _index(data["dim"], "dim")
+        entries = [(_index(i, e), _index(j, e), _index(k, e), v)
+                   for e in data["product"] for i, j, k, v in [e]]
+    except (KeyError, TypeError, ValueError, InvalidInput) as exc:
         raise InvalidInput("malformed product JSON: %s" % (exc,))
     if n != L.dim:
         raise DimensionMismatch("product file has dim %d, algebra has %d" % (n, L.dim))

@@ -1,11 +1,12 @@
 """Classical r-matrices on a Lie algebra.
 
 Provides the modified Yang-Baxter defect and its verification report, the
-half-convention R-bracket and the derived Lie algebra g_R it generates, the
-R_pm = (R +/- id)/2 pair with their structure identities, the two post-Lie
-products x |> y = [R_pm x, y], splitting r-matrices built from a direct-sum
-decomposition into two subalgebras, and exact subalgebra/ideal analysis of
-im R_pm and ker R_mp.
+half-convention R-bracket, the R_pm = (R +/- id)/2 pair with their
+structure identities and their nonzero entries by column (from which
+products.from_rmatrix builds the post-Lie products x |> y = [R_pm x, y],
+and products.derived_algebra the derived Lie algebra g_R of the right one),
+splitting r-matrices built from a direct-sum decomposition into two
+subalgebras, and exact subalgebra/ideal analysis of im R_pm and ker R_mp.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .liealg import (
     LinearEndo,
-    algebra_from_bracket,
+    _index,
     bracket,
     builtin,
     contract,
@@ -91,7 +92,7 @@ def is_rmatrix(L, R, theta):
 
 
 # ---------------------------------------------------------------------------
-# the R-bracket and the derived algebra
+# the R-bracket and R_pm
 # ---------------------------------------------------------------------------
 
 
@@ -139,11 +140,6 @@ class RMatrixContext:
     def r_plus_minus(self):
         return self._pm
 
-    def r_sign(self, sign):
-        """R_plus for sign '+', R_minus for sign '-'."""
-        Rp, Rm = self.r_plus_minus()
-        return Rp if _norm_sign(sign) > 0 else Rm
-
     def r_sign_columns(self, sign):
         """The nonzero entries of R_sign by column: for column i, the pairs
         (a, R_sign[a][i]) in increasing a."""
@@ -168,18 +164,6 @@ def rmatrix_context(L, R, theta=1):
             theta_val, report["worst_pair"], report["worst_defect_norm"]
         )
     return RMatrixContext(L, R, theta_val)
-
-
-def derived_algebra(ctx):
-    """The Lie algebra g_R carried by the same space with bracket [.,.]_R."""
-    L = ctx.algebra
-    return algebra_from_bracket(L, lambda x, y: r_bracket(L, ctx.R, x, y))
-
-
-def post_product(ctx, sign, x, y):
-    """x |>_sign y = [R_sign x, y]; the left (+) / right (-) post-Lie product."""
-    L = ctx.algebra
-    return bracket(L, ctx.r_sign(sign).apply(L.check_vector(x)), y)
 
 
 def _norm_sign(sign):
@@ -222,16 +206,16 @@ def check_pm_identities(ctx):
 def splitting_r(L, plus_indices, minus_indices):
     """R = pi_plus - pi_minus for a basis split into two subalgebras.
 
-    The index sets must partition the basis; each coordinate span must be
-    closed under the bracket.  Closure is the modified Yang-Baxter equation
+    The index sets, of ints, must partition the basis; each coordinate span
+    must be closed under the bracket.  Closure is the modified Yang-Baxter equation
     with theta = 1 for this R: on a pair from one side the defect is
     -4 pi_other [x,y], on a mixed pair it is 0.  So the scan tests 4 times
     each outside component, read off the rows of C, with scalars.is_zero,
     which accepts exactly the splittings is_rmatrix accepts; no second scan
     is made, and the first failing pair in the order of the lists is reported.
     """
-    plus = tuple(int(i) for i in plus_indices)
-    minus = tuple(int(i) for i in minus_indices)
+    plus = tuple(_index(i, "plus") for i in plus_indices)
+    minus = tuple(_index(i, "minus") for i in minus_indices)
     seen = set(plus) | set(minus)
     if (
         len(plus) + len(minus) != L.dim

@@ -25,6 +25,7 @@ from scipy.linalg import expm
 from postlie import enveloping as ev
 from postlie import flows, liealg, magnus, products, rmatrix, scalars
 from oracles.closed_forms import F_map_explicit
+from oracles.tabulation import product_from_function
 
 BUILTIN_CONTEXTS = ("sl2-borel", "split2", "sl2-id")
 
@@ -465,10 +466,10 @@ def test_criterion_11_prelie_specialization_matches():
         E = ident + adf + adf.compose(adf).scale(F(1, 2))
         Einv = ident + adf.scale(-1) + adf.compose(adf).scale(F(1, 2))
         R = E.compose(R).compose(Einv)
-        prod = products.BilinearProduct.from_function(
+        prod = product_from_function(
             sl2, lambda a, b: liealg.bracket(sl2, R.apply(a), b)
         )
-        flat_prod = products.BilinearProduct.from_function(flat, prod.apply)
+        flat_prod = product_from_function(flat, prod.apply)
         assert products.check_prelie(flat_prod)["ok"]
         x = _random_exact_vector(sl2, rng, span=2)
         pre = magnus.prelie_magnus(flat, x, flat_prod, 4)

@@ -33,7 +33,9 @@ def _entry_points():
         "bracket": (lambda x, y: liealg.bracket(L, x, y), 2),
         "apply": (P.apply, 2),
         "mcybe_defect": (lambda x, y: rmatrix.mcybe_defect(L, ctx.R, 1, x, y), 2),
-        "post_product": (lambda x, y: rmatrix.post_product(ctx, "+", x, y), 2),
+        # the left post-Lie product [R_plus x, y]
+        "post_product": (products.from_rmatrix(ctx, "+").apply, 2),
+        "r_bracket": (lambda x, y: rmatrix.r_bracket(L, ctx.R, x, y), 2),
         "magnus-star": (lambda x: magnus.postlie_magnus(L, x, P, 3), 1),
         "magnus-ode": (lambda x: magnus.postlie_magnus(L, x, P, 3, method="ode"), 1),
     }

@@ -233,6 +233,66 @@ def test_check_rmatrix_file_malformed(capsys, tmp_path, data):
     assert "malformed r-matrix JSON" in err
 
 
+SL2_INDEX_TYPOS = '{"dim": 3, "structure": [[0, 1.9, 0, -2], [0, 2, 1, 1], [true, 2, 2, -2]]}'
+INDEX_FILES = {
+    # subcommand, {file name: text} with SL2 for an exact sl(2) algebra file,
+    # argv with file names for their paths, and the message
+    "algebra-entries": (
+        "check-algebra", {"a": SL2_INDEX_TYPOS}, ["--algebra", "a"],
+        "malformed algebra JSON: [0, 1.9, 0, -2]: 1.9 is not an integer",
+    ),
+    "algebra-bool": (
+        "check-algebra", {"a": SL2_INDEX_TYPOS.replace("1.9", "1")}, ["--algebra", "a"],
+        "malformed algebra JSON: [True, 2, 2, -2]: True is not an integer",
+    ),
+    "algebra-string": (
+        "check-algebra", {"a": '{"dim": 2, "structure": [[0, "1", 1, 1]]}'}, ["--algebra", "a"],
+        "malformed algebra JSON: [0, '1', 1, 1]: '1' is not an integer",
+    ),
+    "algebra-dim": (
+        "check-rmatrix",
+        {"a": json.dumps(dict(SL2_JSON, dim=3.7)), "r": '{"plus": [0, 1], "minus": [2]}'},
+        ["--algebra", "a", "--rmatrix", "r"],
+        "malformed algebra JSON: dim: 3.7 is not an integer",
+    ),
+    "rmatrix": (
+        "check-rmatrix", {"a": "SL2", "r": '{"plus": [0, 1.5], "minus": [2.9]}'},
+        ["--algebra", "a", "--rmatrix", "r"],
+        "plus: 1.5 is not an integer",
+    ),
+    "rmatrix-bool": (
+        "check-rmatrix", {"a": "SL2", "r": '{"plus": [0, 1], "minus": [true]}'},
+        ["--algebra", "a", "--rmatrix", "r"],
+        "minus: True is not an integer",
+    ),
+    "product-entries": (
+        "check-postlie", {"a": "SL2", "p": '{"dim": 3, "product": [[0, 1, 2.0, 1]]}'},
+        ["--algebra", "a", "--product", "p"],
+        "malformed product JSON: [0, 1, 2.0, 1]: 2.0 is not an integer",
+    ),
+    "product-dim": (
+        "check-postlie", {"a": "SL2", "p": '{"dim": 3.0, "product": []}'},
+        ["--algebra", "a", "--product", "p"],
+        "malformed product JSON: dim: 3.0 is not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INDEX_FILES))
+def test_index_that_is_not_an_int_in_a_file_rejected(capsys, tmp_path, kind):
+    # a dimension or an index is taken as written: int() used to read 1.9 as
+    # 1, 3.7 as 3 and true as 1, so an sl(2) file with two such typos passed
+    # check-algebra, and {"plus": [0, 1.5], "minus": [2.9]} passed as sl2-borel
+    command, files, argv, message = INDEX_FILES[kind]
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / ("%s.json" % name)
+        paths[name].write_text(json.dumps(SL2_JSON) if text == "SL2" else text)
+    code, out, err = run(capsys, command, *[str(paths.get(a, a)) for a in argv])
+    assert code == 2 and out == ""
+    assert err == "input error: %s\n" % message
+
+
 NON_FINITE_FILES = {
     # subcommand, file text with LIT for the literal, argv with FILE for the
     # file and SL2 for an exact sl(2) algebra file

@@ -2,13 +2,18 @@
 check_prelie against the dense loops in tests/oracles/dense_reference.py,
 on seeded perturbations of R and of the product tensor T: ok, the worst
 norm and the first index reaching it must agree.  The product rows of
-from_rmatrix must equal a dense tabulation of [R_pm e_i, e_j]."""
+from_rmatrix must equal a dense tabulation of [R_pm e_i, e_j], and the
+structures products derives from the rows of C and T must equal their
+tabulation on basis vectors in tests/oracles/tabulation.py."""
 
+import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from postlie import liealg, products, rmatrix, scalars
+from postlie.errors import InvalidInput, JacobiViolation
 from postlie.liealg import LinearEndo
 from oracles.dense_reference import (
     dense_contract,
@@ -18,6 +23,7 @@ from oracles.dense_reference import (
     dense_prelie_report,
     dense_structure,
 )
+from oracles.tabulation import algebra_from_bracket, product_from_function
 from conftest import seeded
 
 TOL = 1e-10
@@ -171,7 +177,7 @@ def _dense_gl2(mode):
     P = [[1 if i <= j else 0 for j in range(4)] for i in range(4)]
     P_inv = [[1 if i == j else -1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
     mat = lambda M, v: tuple(sum(M[i][j] * v[j] for j in range(4)) for i in range(4))
-    dense = liealg.algebra_from_bracket(
+    dense = algebra_from_bracket(
         L, lambda x, y: mat(P_inv, liealg.bracket(L, mat(P, x), mat(P, y)))
     )
     convert = _convert(mode)
@@ -225,7 +231,7 @@ def test_prelie_report_on_theta_zero_products(mode):
     # the unperturbed cases report ok with a zero worst norm
     L = liealg.builtin("sl(2)", mode=mode)
     R = liealg.ad(L, L.basis(0))
-    base = products.BilinearProduct.from_function(
+    base = product_from_function(
         L, lambda x, y: liealg.bracket(L, R.apply(x), y)
     )
     rng = seeded(79)
@@ -239,3 +245,136 @@ def test_prelie_report_on_theta_zero_products(mode):
         )
         seen.add(want[0])
     assert seen == {True, False}
+
+
+def _tabulated_derived_algebra(product):
+    """The star-commutator algebra, tabulated on basis vectors."""
+    L = product.algebra
+    return algebra_from_bracket(L, partial(products.star_commutator, L.C_rows, product.T_rows))
+
+
+def _tabulated_to_right(product):
+    """x o y - [x,y], tabulated on basis vectors."""
+    L = product.algebra
+    return product_from_function(
+        L, lambda x, y: liealg.vsub(product.apply(x, y), liealg.bracket(L, x, y))
+    )
+
+
+def _tabulated_lie_admissible(product):
+    """x o y + [x,y]/2, tabulated on basis vectors."""
+    L = product.algebra
+    half = L.ratio(1, 2)
+    return product_from_function(
+        L,
+        lambda x, y: liealg.vadd(product.apply(x, y), liealg.vscale(half, liealg.bracket(L, x, y))),
+    )
+
+
+def _tabulated_left_derived_bracket(product):
+    """x o y - y o x - [x,y] of a left post-Lie product, tabulated on basis
+    vectors."""
+    L = product.algebra
+    return algebra_from_bracket(L, lambda x, y: liealg.vsub(
+        liealg.vsub(product.apply(x, y), product.apply(y, x)), liealg.bracket(L, x, y)
+    ))
+
+
+def _algebra_outcome(build, product):
+    """(pickle of the algebra build(product) returns, None), or (None, the
+    indices and defect of the JacobiViolation it raises or re-raises)."""
+    try:
+        return pickle.dumps(build(product)), None
+    except JacobiViolation as exc:
+        violation = exc
+    except InvalidInput as exc:
+        violation = exc.__cause__
+        assert isinstance(violation, JacobiViolation), exc
+        assert "is not right post-Lie" in str(exc) and "[R_minus x, y]" in str(exc)
+        assert "basis triple (%d,%d,%d), component %d: defect %s" % (
+            *violation.indices, violation.defect) in str(exc)
+    return None, (violation.indices, violation.defect)
+
+
+def _conjugated(ctx, s, k):
+    """The context of E R E^-1 for the automorphism E = exp(s ad x_k), x_k
+    nilpotent with ad^3 x_k = 0: its R has non-integral entries for a
+    non-integral s, and is an r-matrix up to rounding."""
+    L = ctx.algebra
+    ad = liealg.ad(L, L.basis(k)).scale(s)
+    half_square = ad.compose(ad).scale(L.ratio(1, 2))
+    one = LinearEndo.identity(L.dim)
+    E, E_inv = one + ad + half_square, one - ad + half_square
+    return rmatrix.RMatrixContext(L, E.compose(ctx.R).compose(E_inv), ctx.theta)
+
+
+def _perturbed_products(rng):
+    """At least 30 float products with non-integral entries: the products of
+    conjugated splittings, which are post-Lie up to rounding, and products
+    with a random entry added at (i, j, k), and in one case of two at
+    (j, i, k) too, which leaves the star commutator as it was up to
+    rounding.  (i, j, k) is a nonzero entry of C in one case of two, where
+    c + (t - t') and (c + t) - t' differ in the last bits."""
+    out = []
+    for name, nilpotent in (("sl2-borel", 2), ("split2", 3), ("upper_lower_split(3)", 8)):
+        ctx = _context(name, scalars.FLOAT)
+        n = ctx.algebra.dim
+        support = [(i, j, k) for i, row in enumerate(ctx.algebra.C_rows) for j, k, _ in row]
+        for _ in range(4):
+            conjugated = _conjugated(ctx, rng.uniform(-1.5, 1.5), nilpotent)
+            out += [products.from_rmatrix(conjugated, sign) for sign in "+-"]
+        for _ in range(4):
+            base = products.from_rmatrix(ctx, rng.choice("+-"))
+            if rng.randrange(2):
+                i, j, k = rng.choice(support)
+            else:
+                i, j, k = (rng.randrange(n) for _ in range(3))
+            v = rng.uniform(-2.0, 2.0)
+            extra = [(i, j, k, v)] + [(j, i, k, v)] * rng.randrange(2)
+            entries = [(a, b, c, t) for a, row in enumerate(base.T_rows) for b, c, t in row]
+            out.append(products.BilinearProduct(ctx.algebra, entries + extra))
+    return out
+
+
+def test_derived_structures_equal_the_dense_tabulation():
+    """derived_algebra, to_right and lie_admissible, read off the rows of C
+    and T, are pickle-identical to their tabulation on basis vectors, and
+    raise for the same Jacobi triple where it fails; derived_algebra of
+    [R_minus x, y] is the R-bracket algebra, and in exact mode that of the
+    right-conversion of a left product has x o y - y o x - [x,y]."""
+    contexts = [
+        _context(name, mode)
+        for name in (*rmatrix.BUILTIN_RMATRICES, *("upper_lower_split(%d)" % n for n in (2, 3, 4)))
+        for mode in MODES
+    ]
+    perturbed = _perturbed_products(seeded(89))
+    assert len(perturbed) >= 30
+    assert not any(all(float(t).is_integer() for row in p.T_rows for _, _, t in row)
+                   for p in perturbed)
+    cases = [products.from_rmatrix(ctx, sign) for ctx in contexts for sign in "+-"]
+    seen = {"derived": set(), "left": set()}
+    for product in cases + perturbed:
+        L = product.algebra
+        got = _algebra_outcome(products.derived_algebra, product)
+        assert got == _algebra_outcome(_tabulated_derived_algebra, product)
+        seen["derived"].add(got[1] is None)
+        want = _tabulated_lie_admissible(product).T_rows
+        assert pickle.dumps(products.lie_admissible(product).T_rows) == pickle.dumps(want)
+        try:
+            right = products.to_right(product)
+        except InvalidInput as exc:
+            assert "needs a left post-Lie product" in str(exc)
+            seen["left"].add(False)
+            continue
+        seen["left"].add(True)
+        assert pickle.dumps(right.T_rows) == pickle.dumps(_tabulated_to_right(product).T_rows)
+        if L.mode == scalars.EXACT:
+            assert _algebra_outcome(products.derived_algebra, right) == _algebra_outcome(
+                _tabulated_left_derived_bracket, product
+            )
+    assert seen == {"derived": {True, False}, "left": {True, False}}
+    for ctx in contexts:
+        L = ctx.algebra
+        r_algebra = algebra_from_bracket(L, lambda x, y: rmatrix.r_bracket(L, ctx.R, x, y))
+        derived = products.derived_algebra(products.from_rmatrix(ctx, "-"))
+        assert pickle.dumps(derived) == pickle.dumps(r_algebra)

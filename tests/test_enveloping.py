@@ -11,6 +11,8 @@ from postlie import liealg, magnus, products, rmatrix, scalars
 from postlie.errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    InvalidInput,
+    JacobiViolation,
     ModeMismatch,
     NotInAugmentationIdeal,
     NotUnitNormalized,
@@ -18,6 +20,7 @@ from postlie.errors import (
 )
 from conftest import random_word, random_vector, seeded
 from oracles.closed_forms import F_map_explicit, phi_partition, set_partitions, unshuffles
+from oracles.tabulation import product_from_function
 
 F = Fraction
 ORDER = 4
@@ -127,7 +130,7 @@ def test_a_product_over_another_algebra_is_rejected(sl2, so3, borel_ctx):
     the algebra of the elements; a product tabulated over so(3) has the
     dimension of sl(2) but another bracket, and is refused.  A product over
     an equal copy of sl(2) is accepted."""
-    other = products.BilinearProduct.from_function(
+    other = product_from_function(
         so3, lambda x, y: liealg.bracket(so3, x, y)
     )
     copy = rmatrix.rmatrix_context(liealg.builtin("sl(2)"), borel_ctx.R)
@@ -565,10 +568,29 @@ def test_phi_inverse_round_trip(borel_ctx, split2_ctx):
                 assert total == plain
 
 
+@pytest.mark.parametrize("name, triple", [
+    ("sl2-borel", "basis triple (0,1,2), component 1: defect -4"),
+    ("split2", "basis triple (0,1,3), component 0: defect 2"),
+])
+def test_phi_inverse_names_a_product_that_is_not_right_post_lie(name, triple):
+    # the star commutator of the left product [R_plus x, y] fails Jacobi;
+    # the error names the product and its right-handed alternative, not
+    # only the algebra it would have derived
+    ctx = rmatrix.builtin_rmatrix(name)
+    with pytest.raises(InvalidInput) as info:
+        env.phi_inverse(ctx.algebra, (0, 2), products.from_rmatrix(ctx, "+"), 3)
+    message = str(info.value)
+    assert "the product is not right post-Lie" in message
+    assert "[R_minus x, y] is the right-handed one" in message
+    assert message.endswith(triple)
+    assert isinstance(info.value.__cause__, JacobiViolation)
+    env.phi_inverse(ctx.algebra, (0, 2), products.from_rmatrix(ctx, "-"), 3)
+
+
 def test_phi_inverse_two_letter_closed_form(borel_ctx, borel_product):
     # the inverse on a two-letter word is the word minus the product term
     L = borel_ctx.algebra
-    bar = env.derived_bracket_algebra(L, borel_product)
+    bar = products.derived_algebra(borel_product)
     for i in range(L.dim):
         for j in range(L.dim):
             got = env.phi_inverse(L, (i, j), borel_product, ORDER)
@@ -588,17 +610,6 @@ def test_star_antipode_degenerates_without_product(sl2):
         assert env.star_antipode(A, zero) == env.antipode(A)
         B = _random_element(sl2, ORDER, rng)
         assert env.star_mul(A, B, zero) == env.env_mul(A, B)
-
-
-def test_derived_bracket_algebra_is_r_bracket(borel_ctx, borel_product):
-    L = borel_ctx.algebra
-    bar = env.derived_bracket_algebra(L, borel_product)
-    rng = seeded(113)
-    for _ in range(10):
-        x, y = random_vector(L, rng), random_vector(L, rng)
-        assert liealg.bracket(bar, x, y) == rmatrix.r_bracket(
-            L, borel_ctx.R, x, y
-        )
 
 
 def test_F_map_equals_phi_and_explicit_form(borel_ctx, borel_product):

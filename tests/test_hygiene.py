@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never reads,
-no module defines a private function or class that nothing reads, no
-class has a method that nothing reads, no two module-level functions share
+no module defines a private function or class that nothing reads, every
+public function or class is read by the program, exported or listed with
+its reason, no class has a method that nothing reads, no two module-level functions share
 a body, no parameter has a default that no call overrides, no private
 function has a default that every call overrides, every class of
 errors.py is raised, warned or subclassed, every name a test or an oracle
@@ -130,6 +131,82 @@ def test_scan_finds_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_definitions(sources) == []
+
+
+def unread_public_definitions(definitions, readers, exported):
+    """module.name for each public module-level function or class of the
+    definitions (module name -> source) that no Name or Attribute load of
+    the readers reads outside the definition itself and that exported does
+    not hold.  An import is no read: a name a module imports and never
+    calls is caught by the unused-import scan."""
+    read = set()
+    for source in readers:
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Load) and _name(node) != own:
+                    read.add(_name(node))
+    return sorted(
+        "%s.%s" % (module, node.name)
+        for module, source in definitions.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | set(exported)
+    )
+
+
+def test_scan_finds_an_unread_public_definition():
+    definitions = {
+        "a": "def used():\n    pass\n"
+             "def exported():\n    pass\n"
+             "def self_only(n):\n    return self_only(n - 1)\n"
+             "def imported():\n    pass\n"
+             "class Unread:\n    pass\n"
+             "def _private():\n    pass\n",
+        "b": "def by_attribute():\n    pass\n",
+    }
+    readers = list(definitions.values()) + [
+        "from a import imported\nused()\nb.by_attribute()\n",
+    ]
+    assert unread_public_definitions(definitions, readers, ["exported"]) == [
+        "a.Unread", "a.imported", "a.self_only",
+    ]
+
+
+# Public names that no program code reads, with the reason each stays public.
+UNREAD_PUBLIC = {
+    "enveloping.exp_star": "the exponential of the star Hopf structure, the paper's exp*",
+    "enveloping.log_star": "the logarithm of the star Hopf structure, inverse of exp_star",
+    "enveloping.is_grouplike": "the grouplike test of the plain Hopf structure, for callers",
+    "enveloping.is_primitive": "the primitive test of the plain Hopf structure, for callers",
+    "enveloping.pbw_normalize": "the PBW normal form of one raw word, the basis of U(g)",
+    "enveloping.phi_inverse": "the inverse of the paper's isomorphism phi into U(g-bar)",
+    "enveloping.star_antipode": "the antipode of the paper's star Hopf structure",
+    "enveloping.sts_product_check": "the paper's star product formula checked term by term",
+    "flows.lax_vector_field": "the right side [x, R_minus x] of the Lax flow the paper solves",
+    "liealg.algebra_to_json": "writes the files load_algebra reads",
+    "magnus.graded_from_json": "reads the files graded_to_json writes",
+    "products.lie_admissible": "the companion x o y + [x,y]/2, whose commutator is the R-bracket",
+    "products.product_to_json": "writes the files load_product reads",
+    "products.to_right": "the right post-Lie product x o y - [x,y] of a left one",
+    "rmatrix.mcybe_defect": "the Yang-Baxter defect on one pair, which is_rmatrix scans",
+    "rmatrix.rmatrix_to_json": "writes the files load_rmatrix reads",
+}
+
+
+def test_every_public_name_has_a_reader_or_a_reason():
+    # a listed name that gains a reader fails too: its line goes
+    definitions = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    readers = [
+        p.read_text()
+        for folder in ("src", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    import postlie
+
+    found = unread_public_definitions(definitions, readers, postlie.__all__)
+    assert found == sorted(UNREAD_PUBLIC)
 
 
 def orphaned_oracle_definitions(oracles, tests):

@@ -22,6 +22,7 @@ from oracles.ode_chi_fractions import _ode_steps as fraction_ode_steps
 from oracles.ode_chi_fractions import ode_chi_fractions
 from oracles import star_chi_fractions as star_oracle
 from oracles.star_chi_fractions import star_chi_fractions
+from oracles.tabulation import product_from_function
 
 F = Fraction
 
@@ -688,7 +689,7 @@ def _theta_zero_product(s=None):
         E = ident + adf + adf.compose(adf).scale(F(1, 2))
         Einv = ident + adf.scale(-1) + adf.compose(adf).scale(F(1, 2))
         R = E.compose(R).compose(Einv)
-    prod = products.BilinearProduct.from_function(
+    prod = product_from_function(
         sl2, lambda x, y: liealg.bracket(sl2, R.apply(x), y)
     )
     return sl2, prod
@@ -701,7 +702,7 @@ def test_prelie_magnus_matches_postlie_with_abelian_bracket():
     product whose l_a is not nilpotent (a o a = 2a, a o b = b)."""
     sl2, prod = _theta_zero_product()
     flat = liealg.new_lie_algebra(3, ["e", "h", "f"], [])
-    flat_prod = products.BilinearProduct.from_function(flat, prod.apply)
+    flat_prod = product_from_function(flat, prod.apply)
     rng = seeded(233)
     cases = [(flat, flat_prod, random_vector(sl2, rng, span=2)) for _ in range(5)]
     flat2 = liealg.new_lie_algebra(2, ["a", "b"], [])

@@ -7,6 +7,7 @@ import pytest
 from postlie import liealg, products, rmatrix
 from postlie.errors import DimensionMismatch, InvalidInput, NonFiniteNumber
 from conftest import random_vector, seeded
+from oracles.tabulation import product_from_function
 
 F = Fraction
 
@@ -18,11 +19,11 @@ def _zero_product(L):
 def test_from_rmatrix_matches_pointwise(borel_ctx):
     L = borel_ctx.algebra
     rng = seeded(31)
-    for sign in ("+", "-"):
+    for sign, Rs in zip("+-", borel_ctx.r_plus_minus()):
         prod = products.from_rmatrix(borel_ctx, sign)
         for _ in range(10):
             x, y = random_vector(L, rng), random_vector(L, rng)
-            assert prod.apply(x, y) == rmatrix.post_product(borel_ctx, sign, x, y)
+            assert prod.apply(x, y) == liealg.bracket(L, Rs.apply(x), y)
 
 
 def test_minus_product_is_right_post_lie(borel_ctx, split2_ctx):
@@ -59,17 +60,18 @@ def test_check_postlie_rejects_bad_handedness(sl2):
 
 
 def test_left_only_maps_reject_a_right_product(borel_ctx):
-    # [R- x, y] on sl2-borel is right post-Lie, not left: the maps defined
-    # for left products check the left axioms and refuse it
+    # [R- x, y] on sl2-borel is right post-Lie, not left: the map defined
+    # for left products checks the left axioms and refuses it
     prod = products.from_rmatrix(borel_ctx, "-")
     assert products.check_postlie(prod, products.RIGHT)["ok"]
-    for convert in (products.derived_bracket, products.to_right):
-        with pytest.raises(InvalidInput, match="left post-Lie"):
-            convert(prod)
+    with pytest.raises(InvalidInput, match="left post-Lie"):
+        products.to_right(prod)
 
 
 def test_derived_bracket_of_zero_product_is_negated_bracket(sl2):
-    derived = products.derived_bracket(_zero_product(sl2))
+    # x o y - y o x - [x,y] of the left zero product is the star commutator
+    # of its right-conversion
+    derived = products.derived_algebra(products.to_right(_zero_product(sl2)))
     rng = seeded(37)
     for _ in range(10):
         x, y = random_vector(sl2, rng), random_vector(sl2, rng)
@@ -128,7 +130,7 @@ def test_lie_admissible_quarter_associator_identity(split2_ctx):
 def test_check_prelie_on_theta_zero_product(sl2):
     # R = ad_e solves the theta=0 equation; x o y = [Rx, y] is then pre-Lie
     R = liealg.ad(sl2, sl2.basis(0))
-    prod = products.BilinearProduct.from_function(
+    prod = product_from_function(
         sl2, lambda x, y: liealg.bracket(sl2, R.apply(x), y)
     )
     assert products.check_prelie(prod)["ok"]

@@ -81,8 +81,9 @@ def test_r_bracket_antisymmetric_and_jacobi(borel_ctx):
         xy = rmatrix.r_bracket(L, borel_ctx.R, x, y)
         yx = rmatrix.r_bracket(L, borel_ctx.R, y, x)
         assert xy == tuple(-c for c in yx)
-    # derived_algebra construction re-runs the Jacobi validator
-    derived = rmatrix.derived_algebra(borel_ctx)
+    # the derived algebra of [R_minus x, y] has the R-bracket and is built
+    # by the Jacobi validator
+    derived = products.derived_algebra(products.from_rmatrix(borel_ctx, "-"))
     assert derived.dim == L.dim
 
 
@@ -185,14 +186,14 @@ def test_post_product_signs(borel_ctx):
     L = borel_ctx.algebra
     Rp, Rm = borel_ctx.r_plus_minus()
     x, y = (1, 2, 3), (0, -1, 1)
-    assert rmatrix.post_product(borel_ctx, "+", x, y) == liealg.bracket(
+    assert products.from_rmatrix(borel_ctx, "+").apply(x, y) == liealg.bracket(
         L, Rp.apply(x), y
     )
-    assert rmatrix.post_product(borel_ctx, "-", x, y) == liealg.bracket(
+    assert products.from_rmatrix(borel_ctx, "-").apply(x, y) == liealg.bracket(
         L, Rm.apply(x), y
     )
     with pytest.raises(InvalidInput):
-        rmatrix.post_product(borel_ctx, "*", x, y)
+        products.from_rmatrix(borel_ctx, "*")
 
 
 def test_splitting_r_requires_partition_of_subalgebras():
