@@ -433,8 +433,9 @@ class LiftedProduct:
     of A; A |> 1 = counit(A).  All internal maps are {normal word: coeff}
     dictionaries of words of length <= the context's grade: every product
     of words goes through _word_mul, which drops the longer ones.  The memo
-    keys are ("t", A, w) for A |> w, ("s", A, B) for A * B and ("a", w) for
-    the star antipode.
+    keys are ("t", A, w) for A |> w, ("s", A, B) for A * B, ("a", w) for
+    the star antipode and ("v", frozenset of X's terms) for a g-vector X:
+    there one dict {normal word w: X |> w}, seeded with the letters.
     """
 
     def __init__(self, algebra, product, order):
@@ -513,6 +514,31 @@ class LiftedProduct:
         """The star product of two term maps, unfiltered."""
         return _bilinear(self.star_word, tA, tB)
 
+    def vector_lift(self, X, tB):
+        """X |> B for a g-vector X (a term map of letters): the rows are
+        summed once per vector into the letter map y -> X |> y, which acts
+        on words as the derivation X |> y.w' = (X |> y).w' + y.(X |> w')."""
+        key = ("v", frozenset(X.items()))
+        acts = self._memo.get(key)
+        if acts is None:
+            acts = {}
+            for (x,), cx in X.items():
+                for j, k, c in self.rows[x]:
+                    _add_into(acts.setdefault((j,), {}), {(k,): c}, cx)
+            acts = self._memo[key] = {y: _nonzero(t) for y, t in acts.items()}
+        return _linear(partial(self._derive, acts), tB)
+
+    def _derive(self, acts, w):
+        hit = acts.get(w)
+        if hit is not None or len(w) <= 1:
+            return hit or {}
+        head, rest = w[:1], w[1:]
+        out = _linear(partial(self.mul, head), self._derive(acts, rest))
+        for y, c in acts.get(head, {}).items():
+            _add_into(out, self.mul(y, rest), c)
+        acts[w] = out = _nonzero(out)
+        return out
+
     # -- star antipode ----------------------------------------------------------
 
     def star_antipode_word(self, w):
@@ -548,18 +574,27 @@ def lifted(algebra, product, order):
     return ctx
 
 
+def _is_vector(terms):
+    return all(len(w) == 1 for w in terms)
+
+
 def triangle_lift(A, B, product):
-    """The lifted product A |> B of two elements."""
+    """The lifted product A |> B; a g-vector A acts by one derivation."""
     _check_pair(A, B)
     ctx = lifted(A.algebra, product, A.order)
-    return EnvElement(A.algebra, A.order, _bilinear(ctx.tri_word, A.terms, B.terms))
+    lift = ctx.vector_lift if _is_vector(A.terms) else partial(_bilinear, ctx.tri_word)
+    return EnvElement(A.algebra, A.order, lift(A.terms, B.terms))
 
 
 def star_mul(A, B, product):
-    """A * B = sum A1 . (A2 |> B); associative with unit 1."""
+    """A * B = sum A1 . (A2 |> B), A.B + A |> B for a g-vector A; associative with unit 1."""
     _check_pair(A, B)
     ctx = lifted(A.algebra, product, A.order)
-    return EnvElement(A.algebra, A.order, ctx.star_elem(A.terms, B.terms))
+    if not _is_vector(A.terms):
+        return EnvElement(A.algebra, A.order, ctx.star_elem(A.terms, B.terms))
+    out = ctx.vector_lift(A.terms, B.terms)
+    _add_into(out, _bilinear(ctx.mul, A.terms, B.terms))
+    return EnvElement(A.algebra, A.order, out)
 
 
 def star_antipode(A, product):

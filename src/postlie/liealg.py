@@ -588,6 +588,8 @@ def algebra_from_json(data, mode=scalars.EXACT):
     try:
         dim = _index(data["dim"], "dim")
         labels = data.get("basis")
+        if "basis" in data and not isinstance(labels, list):
+            raise InvalidInput("basis: %r is not a list of labels" % (labels,))
         structure = [(_index(i, e), _index(j, e), _index(k, e), v)
                      for e in data["structure"] for i, j, k, v in [e]]
         realization = data.get("realization")

@@ -13,7 +13,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import MalformedNumber, ModeMismatch, NonFiniteNumber
+from .errors import DimensionMismatch, InvalidInput, MalformedNumber, ModeMismatch, NonFiniteNumber
 
 EXACT = "exact"
 FLOAT = "float"
@@ -99,14 +99,20 @@ def to_text(v):
     return repr(v) if isinstance(v, float) else format_rational(v)
 
 
+# the input errors read_json names the file in; a check verdict such as
+# YangBaxterFailure, an InvalidInput too, keeps its type and fields
+_FILE_ERRORS = (InvalidInput, NonFiniteNumber, MalformedNumber, ModeMismatch, DimensionMismatch)
+
+
 def read_json(path, build):
     """build(document) for the JSON document in the file at path.  Every
     number in it must be finite: NaN, Infinity, a float literal beyond the
     float range, and a number that build coerces to float mode beyond it
-    raise NonFiniteNumber naming the file; text that build reads as a
-    number and is none raises MalformedNumber naming the file, and an entry
-    the mode does not take (null, true, a float literal in exact mode)
-    ModeMismatch naming the file."""
+    raise NonFiniteNumber; text that build reads as a number and is none
+    raises MalformedNumber, and an entry the mode does not take (null,
+    true, a float literal in exact mode) ModeMismatch.  These, a plain
+    InvalidInput and a DimensionMismatch raised while reading name the
+    file."""
 
     def finite(text):
         value = float(text)
@@ -117,7 +123,9 @@ def read_json(path, build):
     try:
         with open(path) as fh:
             return build(json.load(fh, parse_float=finite, parse_constant=finite))
-    except (NonFiniteNumber, MalformedNumber, ModeMismatch) as exc:
+    except _FILE_ERRORS as exc:
+        if type(exc) not in _FILE_ERRORS:
+            raise
         raise type(exc)("%s: %s" % (path, exc)) from None
 
 

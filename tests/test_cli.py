@@ -149,7 +149,33 @@ def test_check_algebra_malformed_realization(capsys, tmp_path, realization):
     path.write_text(json.dumps({"dim": 2, "structure": [], "realization": realization}))
     code, out, err = run(capsys, "check-algebra", "--algebra", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("input error: malformed algebra JSON: ")
+    assert err.startswith("input error: %s: malformed algebra JSON: " % path)
+
+
+@pytest.mark.parametrize("basis", [5, "efh", None, {"e": 0}], ids=["int", "str", "null", "object"])
+def test_check_algebra_basis_that_is_not_a_list_rejected(capsys, tmp_path, basis):
+    # the labels were read one by one outside the malformed-JSON check: 5
+    # ended in a TypeError traceback and "efh" passed as the labels e, f, h
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 3, "basis": basis, "structure": []}))
+    code, out, err = run(capsys, "check-algebra", "--algebra", str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: %s: malformed algebra JSON: basis: %r is not a list of labels\n" % (
+        path, basis)
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["check-algebra", "--algebra", "FILE"], '{"dim": 3, "basis": ["e", "f"], "structure": []}',
+     "need exactly 3 basis labels"),
+    (["check-postlie", "--builtin", "sl(2)", "--product", "FILE"], '{"dim": 2, "product": []}',
+     "product file has dim 2, algebra has 3"),
+])
+def test_dimension_mismatch_in_a_file_names_it(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err == "input error: %s: %s\n" % (path, message)
 
 
 def test_unknown_builtin(capsys):
@@ -236,44 +262,45 @@ def test_check_rmatrix_file_malformed(capsys, tmp_path, data):
 SL2_INDEX_TYPOS = '{"dim": 3, "structure": [[0, 1.9, 0, -2], [0, 2, 1, 1], [true, 2, 2, -2]]}'
 INDEX_FILES = {
     # subcommand, {file name: text} with SL2 for an exact sl(2) algebra file,
-    # argv with file names for their paths, and the message
+    # argv with file names for their paths, and the message with {name} for
+    # the path of the file it names
     "algebra-entries": (
         "check-algebra", {"a": SL2_INDEX_TYPOS}, ["--algebra", "a"],
-        "malformed algebra JSON: [0, 1.9, 0, -2]: 1.9 is not an integer",
+        "{a}: malformed algebra JSON: [0, 1.9, 0, -2]: 1.9 is not an integer",
     ),
     "algebra-bool": (
         "check-algebra", {"a": SL2_INDEX_TYPOS.replace("1.9", "1")}, ["--algebra", "a"],
-        "malformed algebra JSON: [True, 2, 2, -2]: True is not an integer",
+        "{a}: malformed algebra JSON: [True, 2, 2, -2]: True is not an integer",
     ),
     "algebra-string": (
         "check-algebra", {"a": '{"dim": 2, "structure": [[0, "1", 1, 1]]}'}, ["--algebra", "a"],
-        "malformed algebra JSON: [0, '1', 1, 1]: '1' is not an integer",
+        "{a}: malformed algebra JSON: [0, '1', 1, 1]: '1' is not an integer",
     ),
     "algebra-dim": (
         "check-rmatrix",
         {"a": json.dumps(dict(SL2_JSON, dim=3.7)), "r": '{"plus": [0, 1], "minus": [2]}'},
         ["--algebra", "a", "--rmatrix", "r"],
-        "malformed algebra JSON: dim: 3.7 is not an integer",
+        "{a}: malformed algebra JSON: dim: 3.7 is not an integer",
     ),
     "rmatrix": (
         "check-rmatrix", {"a": "SL2", "r": '{"plus": [0, 1.5], "minus": [2.9]}'},
         ["--algebra", "a", "--rmatrix", "r"],
-        "plus: 1.5 is not an integer",
+        "{r}: plus: 1.5 is not an integer",
     ),
     "rmatrix-bool": (
         "check-rmatrix", {"a": "SL2", "r": '{"plus": [0, 1], "minus": [true]}'},
         ["--algebra", "a", "--rmatrix", "r"],
-        "minus: True is not an integer",
+        "{r}: minus: True is not an integer",
     ),
     "product-entries": (
         "check-postlie", {"a": "SL2", "p": '{"dim": 3, "product": [[0, 1, 2.0, 1]]}'},
         ["--algebra", "a", "--product", "p"],
-        "malformed product JSON: [0, 1, 2.0, 1]: 2.0 is not an integer",
+        "{p}: malformed product JSON: [0, 1, 2.0, 1]: 2.0 is not an integer",
     ),
     "product-dim": (
         "check-postlie", {"a": "SL2", "p": '{"dim": 3.0, "product": []}'},
         ["--algebra", "a", "--product", "p"],
-        "malformed product JSON: dim: 3.0 is not an integer",
+        "{p}: malformed product JSON: dim: 3.0 is not an integer",
     ),
 }
 
@@ -290,7 +317,7 @@ def test_index_that_is_not_an_int_in_a_file_rejected(capsys, tmp_path, kind):
         paths[name].write_text(json.dumps(SL2_JSON) if text == "SL2" else text)
     code, out, err = run(capsys, command, *[str(paths.get(a, a)) for a in argv])
     assert code == 2 and out == ""
-    assert err == "input error: %s\n" % message
+    assert err == "input error: %s\n" % message.format(**paths)
 
 
 NON_FINITE_FILES = {

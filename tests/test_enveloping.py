@@ -18,7 +18,7 @@ from postlie.errors import (
     NotUnitNormalized,
     OrderMismatch,
 )
-from conftest import random_word, random_vector, seeded
+from conftest import BUILTIN_RMATRICES, exact_context, random_vector, random_word, seeded
 from oracles.closed_forms import F_map_explicit, phi_partition, set_partitions, unshuffles
 from oracles.tabulation import product_from_function
 
@@ -345,11 +345,7 @@ def test_letter_lift_is_a_derivation_of_words(name):
     # word y.w' of length <= 4, repeated letters included: the unshuffle
     # rule of tri_word with A = (i,); on upper_lower_split(3) the letters
     # that R_- kills take tri_word's zero shortcut
-    if name.startswith("upper_lower_split"):
-        L = liealg.builtin(name)
-        ctx = rmatrix.splitting_r(L, *L.splitting)
-    else:
-        ctx = rmatrix.builtin_rmatrix(name)
+    ctx = exact_context(name)
     L = ctx.algebra
     product = products.from_rmatrix(ctx, "-")
     lift = env.lifted(L, product, ORDER)
@@ -361,6 +357,48 @@ def test_letter_lift_is_a_derivation_of_words(name):
                 i_rest = env.EnvElement(L, ORDER, lift.tri_word((i,), w[1:]))
                 want = env.env_mul(i_y, rest) + env.env_mul(y, i_rest)
                 assert env.EnvElement(L, ORDER, lift.tri_word((i,), w)) == want, (i, w)
+
+
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("name", BUILTIN_RMATRICES + ("upper_lower_split(2)", "upper_lower_split(3)"))
+def test_vector_left_factor_equals_the_word_recursions(name, sign):
+    # a left factor of letters only lifts by one derivation per vector and
+    # star-multiplies as X.W + X |> W; both must be == the word recursions
+    # tri_word and star_elem of a context of their own.  The zero vector and
+    # a vector on letters with empty rows give 0 on both paths; a left factor
+    # with the empty word or a longer word takes the word recursions
+    ctx = exact_context(name)
+    L = ctx.algebra
+    product = products.from_rmatrix(ctx, sign)
+    idle = [i for i, row in enumerate(product.T_rows) if not row]
+    rng = seeded(383)
+    for order in range(2, 6):
+        words = env.LiftedProduct(L, product, order)
+        memo = env.lifted(L, product, order)._memo
+        vectors = [(0,) * L.dim, random_vector(L, rng), random_vector(L, rng)]
+        if idle:
+            vectors.append([F(rng.randint(1, 3)) if i in idle else 0 for i in range(L.dim)])
+        lefts = [env.from_g_vector(L, order, v) for v in vectors]
+        pair = env.env_element(L, order, {random_word(L, rng, 1) * 2: 1})
+        lefts += [lefts[1] + env.unit(L, order), lefts[2] + pair]
+        for X in lefts:
+            for _ in range(3):
+                W = _random_element(L, order, rng, max_len=order)
+                before = {key for key in memo if key[0] == "v"}
+                want = env.EnvElement(L, order, {})
+                for a, ca in X.terms.items():
+                    for b, cb in W.terms.items():
+                        want += env.EnvElement(L, order, words.tri_word(a, b)).scale(ca * cb)
+                assert env.triangle_lift(X, W, product) == want, (order, X, W)
+                want = env.EnvElement(L, order, words.star_elem(X.terms, W.terms))
+                assert env.star_mul(X, W, product) == want, (order, X, W)
+                vector_keys = {key for key in memo if key[0] == "v"} - before
+                if all(len(a) == 1 for a in X.terms):
+                    assert ("v", frozenset(X.terms.items())) in memo
+                else:
+                    assert not vector_keys
+        if idle:
+            assert env.triangle_lift(lefts[3], W, product).is_zero()
 
 
 def test_star_mul_associative_with_unit(borel_ctx, borel_product):
