@@ -430,12 +430,16 @@ class LiftedProduct:
 
     The extension rules are: 1 |> A = A;  x.A |> y = x |> (A |> y)
     - (x |> A) |> y;  A |> B.C = sum (A1 |> B)(A2 |> C) over the coproduct
-    of A; A |> 1 = counit(A).  All internal maps are {normal word: coeff}
-    dictionaries of words of length <= the context's grade: every product
-    of words goes through _word_mul, which drops the longer ones.  The memo
-    keys are ("t", A, w) for A |> w, ("s", A, B) for A * B, ("a", w) for
-    the star antipode and ("v", frozenset of X's terms) for a g-vector X:
-    there one dict {normal word w: X |> w}, seeded with the letters.
+    of A; A |> 1 = counit(A).  So a g-vector X acts on words as the
+    derivation that extends y -> X |> y, and vector_lift is the one place
+    that acts so.  All internal maps are {normal word: coeff} dictionaries
+    of words of length <= the context's grade: every product of words goes
+    through _word_mul, which drops the longer ones.  The memo keys are
+    ("t", A, w) for A |> w, ("s", A, B) for A * B, ("a", w) for the star
+    antipode and ("v", frozenset of X's terms) for a g-vector X: there one
+    dict {normal word w: X |> w}, seeded with the letters.  The "t" entry
+    of x.A' is read off the "v" entry of the letter x, whose key is
+    ("v", frozenset({((x,), 1)})), and "t" entries of shorter words.
     """
 
     def __init__(self, algebra, product, order):
@@ -453,11 +457,10 @@ class LiftedProduct:
     # -- the triangle lift --------------------------------------------------
 
     def tri_word(self, A, w):
-        """A |> w for normal words A, w; the unshuffle branch splits A with
-        _weighted_unshuffles, which needs a normal word.  A letter x with an
-        empty product row acts by zero on g, so by the derivation rule on
-        every nonempty word, and then x.A' |> w = x |> (A' |> w) - (x |> A')
-        |> w = 0 too: a word that starts with x gives 0 at once."""
+        """A |> w for normal words A, w, by recursion on the first letter x
+        of A: 1 |> w = w and x.A' |> w = x |> (A' |> w) - (x |> A') |> w,
+        where x acts through vector_lift.  A letter x with an empty product
+        row acts by zero, and then so does every word that starts with x."""
         if not A:
             return {w: 1} if len(w) <= self.order else {}
         if not w or not self.rows[A[0]]:
@@ -466,26 +469,10 @@ class LiftedProduct:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out = {}
-        if len(w) == 1:
-            x, rest = A[0], A[1:]
-            if not rest:  # letter on letter: the product tensor itself
-                out = {(k,): c for j, k, c in self.rows[x] if j == w[0]}
-            else:
-                for ww, c in self.tri_word(rest, w).items():
-                    _add_into(out, self.tri_word((x,), ww), c)
-                for ww, c in self.tri_word((x,), rest).items():
-                    _add_into(out, self.tri_word(ww, w), -c)
-        else:
-            B, C = w[:1], w[1:]
-            for left, right, k in _weighted_unshuffles(A):
-                lval = self.tri_word(left, B)
-                if not lval:
-                    continue
-                rval = self.tri_word(right, C)
-                if not rval:
-                    continue
-                _add_into(out, _bilinear(self.mul, lval, rval), k)
+        x, rest = {A[:1]: 1}, A[1:]
+        out = self.vector_lift(x, self.tri_word(rest, w))
+        for ww, c in self.vector_lift(x, {rest: 1}).items():
+            _add_into(out, self.tri_word(ww, w), -c)
         out = _nonzero(out)
         self._memo[key] = out
         return out
@@ -527,6 +514,12 @@ class LiftedProduct:
                     _add_into(acts.setdefault((j,), {}), {(k,): c}, cx)
             acts = self._memo[key] = {y: _nonzero(t) for y, t in acts.items()}
         return _linear(partial(self._derive, acts), tB)
+
+    def vector_star(self, X, tB):
+        """X * B = X.B + X |> B for a g-vector X."""
+        out = self.vector_lift(X, tB)
+        _add_into(out, _bilinear(self.mul, X, tB))
+        return out
 
     def _derive(self, acts, w):
         hit = acts.get(w)
@@ -590,11 +583,8 @@ def star_mul(A, B, product):
     """A * B = sum A1 . (A2 |> B), A.B + A |> B for a g-vector A; associative with unit 1."""
     _check_pair(A, B)
     ctx = lifted(A.algebra, product, A.order)
-    if not _is_vector(A.terms):
-        return EnvElement(A.algebra, A.order, ctx.star_elem(A.terms, B.terms))
-    out = ctx.vector_lift(A.terms, B.terms)
-    _add_into(out, _bilinear(ctx.mul, A.terms, B.terms))
-    return EnvElement(A.algebra, A.order, out)
+    star = ctx.vector_star if _is_vector(A.terms) else ctx.star_elem
+    return EnvElement(A.algebra, A.order, star(A.terms, B.terms))
 
 
 def star_antipode(A, product):
@@ -684,7 +674,7 @@ def phi(L, word, product, order):
     ctx = lifted(L, product, max(order, len(letters)))
     acc = {(): 1}
     for v in reversed(letters):
-        acc = ctx.star_elem({(k,): c for k, c in enumerate(v) if c != 0}, acc)
+        acc = ctx.vector_star({(k,): c for k, c in enumerate(v) if c != 0}, acc)
     return EnvElement(L, order, {w: c for w, c in acc.items() if len(w) <= order})
 
 

@@ -363,33 +363,28 @@ def _validate(L):
     """Jacobi identity and realization, composed over nonzero entries only.
 
     Every term left out has a zero factor, so both checks stay complete and
-    exact and report the first failing index tuple of a dense scan.  Where
-    the realization proves the Jacobi identity (_proves_jacobi), its check
-    runs first and, when it passes, the Jacobi scan is skipped; otherwise the
-    scan runs first and a failing algebra raises what it raised in that
-    order: JacobiViolation, then DimensionMismatch or RealizationMismatch.
+    exact and report the first failing index tuple of a dense scan.  A well
+    formed realization is checked first; when it passes and proves the
+    Jacobi identity (_proves_jacobi), the Jacobi scan is skipped.  A failing
+    algebra raises in this order: JacobiViolation, then DimensionMismatch
+    or RealizationMismatch.
     """
     entries = None if L.realization is None else _realization_entries(L)
-    proved = entries is not None and _proves_jacobi(L, entries)
-    if proved:
-        bad = _realization_mismatch(L, entries)
-        if bad is None:
-            return L
+    bad = None if entries is None else _realization_mismatch(L, entries)
+    if bad is None and entries is not None and _proves_jacobi(L, entries):
+        return L
     defects = _jacobi_defects(L.C_rows)
     first = min((t for t, d in defects.items() if not scalars.is_zero(d, L.mode)), default=None)
     if first:
         raise JacobiViolation(*first, defects[first])
-    if L.realization is not None:
-        if entries is None:
-            raise DimensionMismatch(
-                "realization must supply one matrix per basis vector"
-                if len(L.realization) != L.dim
-                else "realization matrices must be square of equal size"
-            )
-        if not proved:
-            bad = _realization_mismatch(L, entries)
-        if bad:
-            raise RealizationMismatch(*bad)
+    if L.realization is not None and entries is None:
+        raise DimensionMismatch(
+            "realization must supply one matrix per basis vector"
+            if len(L.realization) != L.dim
+            else "realization matrices must be square of equal size"
+        )
+    if bad:
+        raise RealizationMismatch(*bad)
     return L
 
 
@@ -412,6 +407,9 @@ def new_lie_algebra(dim, labels, structure_entries, realization=None, mode=scala
     labels = [str(s) for s in labels]
     if len(labels) != dim:
         raise DimensionMismatch("need exactly %d basis labels" % dim)
+    if len(set(labels)) < dim:
+        repeated = next(s for i, s in enumerate(labels) if s in labels[:i])
+        raise InvalidInput("basis label %r is repeated" % (repeated,))
     entries = []
     for entry in structure_entries:
         i, j, k, value = entry
@@ -590,6 +588,9 @@ def algebra_from_json(data, mode=scalars.EXACT):
         labels = data.get("basis")
         if "basis" in data and not isinstance(labels, list):
             raise InvalidInput("basis: %r is not a list of labels" % (labels,))
+        for label in labels or ():
+            if not isinstance(label, str):
+                raise InvalidInput("basis: label %r is not a string" % (label,))
         structure = [(_index(i, e), _index(j, e), _index(k, e), v)
                      for e in data["structure"] for i, j, k, v in [e]]
         realization = data.get("realization")

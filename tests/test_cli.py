@@ -164,6 +164,21 @@ def test_check_algebra_basis_that_is_not_a_list_rejected(capsys, tmp_path, basis
         path, basis)
 
 
+@pytest.mark.parametrize("basis,message", [
+    ([1, None, {"a": [2]}], "malformed algebra JSON: basis: label 1 is not a string"),
+    (["e", None, "f"], "malformed algebra JSON: basis: label None is not a string"),
+    (["e", "f", "e"], "basis label 'e' is repeated"),
+], ids=["int", "null", "repeated"])
+def test_check_algebra_bad_label_rejected(capsys, tmp_path, basis, message):
+    # a label that is not a string was printed as its repr, and a repeated
+    # label rendered two letters alike, both with exit code 0
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 3, "basis": basis, "structure": []}))
+    code, out, err = run(capsys, "check-algebra", "--algebra", str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: %s: %s\n" % (path, message)
+
+
 @pytest.mark.parametrize("argv,text,message", [
     (["check-algebra", "--algebra", "FILE"], '{"dim": 3, "basis": ["e", "f"], "structure": []}',
      "need exactly 3 basis labels"),

@@ -20,6 +20,7 @@ from postlie.errors import (
 )
 from conftest import BUILTIN_RMATRICES, exact_context, random_vector, random_word, seeded
 from oracles.closed_forms import F_map_explicit, phi_partition, set_partitions, unshuffles
+from oracles.lift_unshuffle import UnshuffleLift
 from oracles.tabulation import product_from_function
 
 F = Fraction
@@ -342,9 +343,9 @@ def test_triangle_lift_two_letter_recursion(borel_ctx, borel_product):
 @pytest.mark.parametrize("name", ["sl2-borel", "split2", "upper_lower_split(3)"])
 def test_letter_lift_is_a_derivation_of_words(name):
     # i |> y.w' = (i |> y).w' + y.(i |> w') for every letter i and normal
-    # word y.w' of length <= 4, repeated letters included: the unshuffle
-    # rule of tri_word with A = (i,); on upper_lower_split(3) the letters
-    # that R_- kills take tri_word's zero shortcut
+    # word y.w' of length <= 4, repeated letters included: the derivation
+    # a letter acts by through vector_lift; on upper_lower_split(3) the
+    # letters that R_- kills take tri_word's zero shortcut
     ctx = exact_context(name)
     L = ctx.algebra
     product = products.from_rmatrix(ctx, "-")
@@ -359,21 +360,59 @@ def test_letter_lift_is_a_derivation_of_words(name):
                 assert env.EnvElement(L, ORDER, lift.tri_word((i,), w)) == want, (i, w)
 
 
+LIFT_CONTEXTS = BUILTIN_RMATRICES + ("upper_lower_split(2)", "upper_lower_split(3)")
+
+
+@pytest.mark.parametrize("sign", ["+", "-", "zero"])
+@pytest.mark.parametrize("name", LIFT_CONTEXTS)
+def test_lift_equals_the_unshuffle_reference(name, sign):
+    # tri_word recurses on the first letter, which acts through vector_lift;
+    # the reference reads a letter on a letter off the row and splits the
+    # left word by its unshuffles.  On the products of both signs and the
+    # zero product the two recursions are one map, so tri_word, the lift,
+    # the star product, its antipode and phi must be == the reference's
+    ctx = exact_context(name)
+    L = ctx.algebra
+    product = (products.BilinearProduct(L, []) if sign == "zero"
+               else products.from_rmatrix(ctx, sign))
+    rng = seeded(397)
+    for order in range(2, 6):
+        ref = UnshuffleLift(L, product, order)
+        lift = env.lifted(L, product, order)
+        for _ in range(40):
+            A = tuple(sorted(random_word(L, rng, order)))
+            w = tuple(sorted(random_word(L, rng, order)))
+            assert lift.tri_word(A, w) == ref.tri_word(A, w), (order, A, w)
+        for _ in range(3):
+            A = _random_element(L, order, rng, max_len=order)
+            B = _random_element(L, order, rng, max_len=order)
+            want = env.EnvElement(L, order, env._bilinear(ref.tri_word, A.terms, B.terms))
+            assert env.triangle_lift(A, B, product) == want, (order, A, B)
+            want = env.EnvElement(L, order, env._bilinear(ref.star_word, A.terms, B.terms))
+            assert env.star_mul(A, B, product) == want, (order, A, B)
+            want = env.EnvElement(L, order, env._linear(ref.star_antipode_word, A.terms))
+            assert env.star_antipode(A, product) == want, (order, A)
+        word = random_word(L, rng, order + 1)
+        want = UnshuffleLift(L, product, max(order, len(word))).phi([L.basis(i) for i in word])
+        want = env.EnvElement(L, order, {w: c for w, c in want.items() if len(w) <= order})
+        assert env.phi(L, word, product, order) == want, (order, word)
+
+
 @pytest.mark.parametrize("sign", "+-")
-@pytest.mark.parametrize("name", BUILTIN_RMATRICES + ("upper_lower_split(2)", "upper_lower_split(3)"))
+@pytest.mark.parametrize("name", LIFT_CONTEXTS)
 def test_vector_left_factor_equals_the_word_recursions(name, sign):
     # a left factor of letters only lifts by one derivation per vector and
-    # star-multiplies as X.W + X |> W; both must be == the word recursions
-    # tri_word and star_elem of a context of their own.  The zero vector and
-    # a vector on letters with empty rows give 0 on both paths; a left factor
-    # with the empty word or a longer word takes the word recursions
+    # star-multiplies as X.W + X |> W; both must be == the unshuffle
+    # reference's tri_word and star_word.  The zero vector and a vector on
+    # letters with empty rows give 0 on both paths; a left factor with the
+    # empty word or a longer word takes the word recursions
     ctx = exact_context(name)
     L = ctx.algebra
     product = products.from_rmatrix(ctx, sign)
     idle = [i for i, row in enumerate(product.T_rows) if not row]
     rng = seeded(383)
     for order in range(2, 6):
-        words = env.LiftedProduct(L, product, order)
+        words = UnshuffleLift(L, product, order)
         memo = env.lifted(L, product, order)._memo
         vectors = [(0,) * L.dim, random_vector(L, rng), random_vector(L, rng)]
         if idle:
@@ -384,19 +423,15 @@ def test_vector_left_factor_equals_the_word_recursions(name, sign):
         for X in lefts:
             for _ in range(3):
                 W = _random_element(L, order, rng, max_len=order)
-                before = {key for key in memo if key[0] == "v"}
                 want = env.EnvElement(L, order, {})
                 for a, ca in X.terms.items():
                     for b, cb in W.terms.items():
                         want += env.EnvElement(L, order, words.tri_word(a, b)).scale(ca * cb)
                 assert env.triangle_lift(X, W, product) == want, (order, X, W)
-                want = env.EnvElement(L, order, words.star_elem(X.terms, W.terms))
+                want = env.EnvElement(L, order, env._bilinear(words.star_word, X.terms, W.terms))
                 assert env.star_mul(X, W, product) == want, (order, X, W)
-                vector_keys = {key for key in memo if key[0] == "v"} - before
                 if all(len(a) == 1 for a in X.terms):
                     assert ("v", frozenset(X.terms.items())) in memo
-                else:
-                    assert not vector_keys
         if idle:
             assert env.triangle_lift(lefts[3], W, product).is_zero()
 

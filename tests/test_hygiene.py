@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package imports a name it never reads,
 no module defines a private function or class that nothing reads, every
 public function or class is read by the program, exported or listed with
-its reason, no class has a method that nothing reads, no two module-level functions share
-a body, no parameter has a default that no call overrides, no private
-function has a default that every call overrides, every class of
+its reason, no class has a method that nothing reads, no two module-level
+functions share a body and no two methods of one class do, no parameter
+has a default that no call overrides, no private function has a default
+that every call overrides, every class of
 errors.py is raised, warned or subclassed, every name a test or an oracle
 imports from the package still exists, every module-level definition of
 an oracle is read by a test or an oracle, the benchmark's tracer still finds
@@ -247,14 +248,17 @@ def duplicate_functions(sources):
     bodies = {}
     for module, source in sorted(sources.items()):
         for node in ast.parse(source).body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            body = node.body
-            if ast.get_docstring(node) is not None:
-                body = body[1:]
-            key = ast.dump(ast.Module(body=body, type_ignores=[]))
-            bodies.setdefault(key, []).append("%s.%s" % (module, node.name))
+            if isinstance(node, ast.FunctionDef):
+                bodies.setdefault(_body_key(node), []).append("%s.%s" % (module, node.name))
     return sorted(names for names in bodies.values() if len(names) > 1)
+
+
+def _body_key(node):
+    """The AST dump of a def's body without its leading docstring."""
+    body = node.body
+    if ast.get_docstring(node) is not None:
+        body = body[1:]
+    return ast.dump(ast.Module(body=body, type_ignores=[]))
 
 
 def test_scan_finds_duplicate_functions():
@@ -271,6 +275,44 @@ def test_scan_finds_duplicate_functions():
 def test_no_duplicate_functions():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert duplicate_functions(sources) == []
+
+
+def duplicate_methods(sources):
+    """Groups of methods of one class, named module.Class.method, whose
+    bodies have identical ASTs once a leading docstring is dropped; sources
+    maps a module name to its text."""
+    groups = []
+    for module, source in sorted(sources.items()):
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bodies = {}
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = "%s.%s.%s" % (module, cls.name, node.name)
+                    bodies.setdefault(_body_key(node), []).append(name)
+            groups += [names for names in bodies.values() if len(names) > 1]
+    return sorted(groups)
+
+
+def test_scan_finds_duplicate_methods():
+    sources = {
+        "a": "class K:\n"
+             '    def first(self, v):\n        """Largest entry."""\n        return max(v)\n'
+             "    def second(self, v):\n        return max(v)\n"
+             "    def other(self, v):\n        return min(v)\n"
+             "    def renamed(self, w):\n        return max(w)\n"
+             "def top(self, v):\n    return max(v)\n",
+        "b": "class J:\n    def first(self, v):\n        return max(v)\n"
+             "    class Inner:\n        def one(self):\n            return 1\n"
+             "        def two(self):\n            return 1\n",
+    }
+    assert duplicate_methods(sources) == [["a.K.first", "a.K.second"], ["b.Inner.one", "b.Inner.two"]]
+
+
+def test_no_duplicate_methods():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert duplicate_methods(sources) == []
 
 
 def _functions(node, owner=None):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,20 @@ def test_float_entries_are_kept_and_a_float_in_exact_mode_refused(monkeypatch):
 def test_json_malformed_rejected():
     with pytest.raises(InvalidInput):
         liealg.algebra_from_json({"dim": 2})
+
+
+@pytest.mark.parametrize("label", [1, None, 2.5, ["e"], {"a": [2]}, True])
+def test_json_label_that_is_not_a_string_rejected(label):
+    data = {"dim": 2, "basis": ["e", label], "structure": []}
+    with pytest.raises(InvalidInput, match="label %s is not a string" % re.escape(repr(label))):
+        liealg.algebra_from_json(data)
+
+
+@pytest.mark.parametrize("labels,repeated", [(["e", "e"], "e"), (["a", "b", "a", "b"], "a"),
+                                              ([1, "1"], "1")])
+def test_repeated_labels_rejected(labels, repeated):
+    with pytest.raises(InvalidInput, match="basis label %r is repeated" % repeated):
+        liealg.new_lie_algebra(len(labels), labels, [])
 
 
 def test_gl3_with_realization_validates():
