@@ -14,6 +14,12 @@ linearization map built from R_pm.
 
 Float mode is rejected throughout: the identities checked here are exact
 statements.
+
+A word is stored as bytes, one byte per letter index: a bytes object keeps
+its hash once computed and compares by memcmp, where a tuple of ints
+hashes again on every dict lookup, and bytes order is the order of the
+index tuples.  So an algebra takes at most 256 basis elements here.  The
+public constructors take raw words as any sequence of int indices.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import groupby
+from itertools import chain, groupby
+from operator import itemgetter
 from math import comb, factorial
 
 from . import scalars
@@ -43,6 +50,11 @@ def _require_exact(L):
         raise ModeMismatch(
             "enveloping-algebra computations require an exact-mode algebra"
         )
+    if L.dim > 256:
+        raise DimensionMismatch(
+            "enveloping-algebra words hold one byte per letter, so at most 256 "
+            "basis elements (this algebra has %d)" % L.dim
+        )
     return L
 
 
@@ -56,14 +68,14 @@ def _nonzero(terms):
 
 
 def _bracket_index(L):
-    """{(b, a): [(k, c), ...]} for b > a with [x_b, x_a] = sum c x_k != 0,
-    read off C_rows on the algebra's first normalization and kept beside
-    its PBW cache."""
+    """{(b, a): [(bytes((k,)), c), ...]} for b > a with [x_b, x_a] =
+    sum c x_k != 0, read off C_rows on the algebra's first normalization and
+    kept beside its PBW cache."""
     if L._bracket_index is None:
         index = {}
         for b, a, k, c in _entries(L.C_rows):
             if a < b:
-                index.setdefault((b, a), []).append((k, c))
+                index.setdefault((b, a), []).append((bytes((k,)), c))
         L._bracket_index = index
     return L._bracket_index
 
@@ -83,12 +95,12 @@ def _normalize_terms(L, word):
     for i in range(len(word) - 1):
         b, a = word[i], word[i + 1]
         if b > a:
-            out = _normalize_terms(L, word[:i] + (a, b) + word[i + 2 :])
+            out = _normalize_terms(L, word[:i] + bytes((a, b)) + word[i + 2 :])
             bracket = _bracket_index(L).get((b, a))
             if bracket is not None:
                 out = dict(out)
                 for k, ck in bracket:
-                    for w, c in _normalize_terms(L, word[:i] + (k,) + word[i + 2 :]).items():
+                    for w, c in _normalize_terms(L, word[:i] + k + word[i + 2 :]).items():
                         out[w] = out.get(w, 0) + ck * c
                 out = _nonzero(out)
             cache[word] = out
@@ -139,12 +151,12 @@ def _weighted_unshuffles(word):
     and m - k in the right, in C(m, k) position subsets, so the Prod (m + 1)
     pairs carry Prod C(m, k) and the weights add up to 2^len(word).  On a
     normal word the pairs are distinct and both legs are normal; the first
-    split is ((), word, 1)."""
-    splits = [((), (), 1)]
+    split is (b"", word, 1)."""
+    splits = [(b"", b"", 1)]
     for a, run in groupby(word):
         m = len(tuple(run))
         splits = [
-            (left + (a,) * k, right + (a,) * (m - k), weight * comb(m, k))
+            (left + bytes((a,)) * k, right + bytes((a,)) * (m - k), weight * comb(m, k))
             for left, right, weight in splits
             for k in range(m + 1)
         ]
@@ -153,14 +165,23 @@ def _weighted_unshuffles(word):
 
 class _TermMap:
     """A finite sum of words or word pairs with coefficients, of total length
-    <= order; an immutable value, equal iff type, order and terms are."""
+    <= order; an immutable value, equal iff type, order and terms are.  A
+    word of another type than bytes would never meet the bytes word it
+    spells, so it is refused."""
 
     __slots__ = ("algebra", "order", "terms")
+    _words = staticmethod(iter)  # the words in the keys of a term map
 
     def __init__(self, algebra, order, terms):
         self.algebra = algebra
         self.order = order
         self.terms = _nonzero(terms)
+        if not {*map(type, self._words(self.terms))} <= {bytes}:
+            bad = next(w for w in self._words(self.terms) if type(w) is not bytes)
+            raise InvalidInput(
+                "%s word %r is not bytes, one byte per letter index"
+                % (type(self).__name__, bad)
+            )
 
     def is_zero(self):
         return not self.terms
@@ -187,15 +208,17 @@ class _TermMap:
 
 
 class EnvElement(_TermMap):
-    """A finite sum of PBW-normal words of length <= order."""
+    """A finite sum of PBW-normal words of length <= order, as
+    {word: coefficient} with each word bytes, one byte per letter index:
+    b"" is the unit and bytes((k,)) the letter x_k."""
 
     __slots__ = ()
 
     def coefficient(self, word):
-        return self.terms.get(tuple(word), 0)
+        return self.terms.get(bytes(_letter_index(self.algebra, i) for i in word), 0)
 
     def counit(self):
-        return self.terms.get((), 0)
+        return self.terms.get(b"", 0)
 
     def __neg__(self):
         return self.scale(-1)
@@ -217,7 +240,7 @@ def _check_pair(A, B):
 def unit(L, order):
     _require_exact(L)
     _check_order(order, 0)
-    return EnvElement(L, order, {(): 1})
+    return EnvElement(L, order, {b"": 1})
 
 
 def _letter_index(L, i):
@@ -242,8 +265,8 @@ def env_element(L, order, raw_terms):
     _check_order(order, 0)
     out = {}
     for word, c in raw_terms.items():
-        word = tuple(_letter_index(L, i) for i in word)
-        _add_into(out, _word_mul(L, order, word, ()), scalars.coerce(c, scalars.EXACT))
+        word = bytes(_letter_index(L, i) for i in word)
+        _add_into(out, _word_mul(L, order, word, b""), scalars.coerce(c, scalars.EXACT))
     return EnvElement(L, order, out)
 
 
@@ -277,6 +300,7 @@ class TensorSquareElement(_TermMap):
     """Finite sum of word pairs with total length <= order."""
 
     __slots__ = ()
+    _words = staticmethod(chain.from_iterable)
 
     def __repr__(self):
         return "TensorSquareElement(%d terms)" % (len(self.terms),)
@@ -288,15 +312,16 @@ class _GradedEnv(_TermMap):
     a word of degree m has length <= m."""
 
     __slots__ = ()
+    _words = staticmethod(partial(map, itemgetter(1)))
 
     @classmethod
     def unit(cls, algebra, order):
-        return cls(algebra, order, {(0, ()): 1})
+        return cls(algebra, order, {(0, b""): 1})
 
     @classmethod
     def from_graded_vector(cls, x):
         return cls(x.algebra, x.order, {
-            (m, (k,)): c for m, v in enumerate(x.coeffs) for k, c in enumerate(v)
+            (m, bytes((k,))): c for m, v in enumerate(x.coeffs) for k, c in enumerate(v)
         })
 
     def mul(self, other, star=None):
@@ -433,13 +458,14 @@ class LiftedProduct:
     of A; A |> 1 = counit(A).  So a g-vector X acts on words as the
     derivation that extends y -> X |> y, and vector_lift is the one place
     that acts so.  All internal maps are {normal word: coeff} dictionaries
-    of words of length <= the context's grade: every product of words goes
-    through _word_mul, which drops the longer ones.  The memo keys are
-    ("t", A, w) for A |> w, ("s", A, B) for A * B, ("a", w) for the star
-    antipode and ("v", frozenset of X's terms) for a g-vector X: there one
-    dict {normal word w: X |> w}, seeded with the letters.  The "t" entry
-    of x.A' is read off the "v" entry of the letter x, whose key is
-    ("v", frozenset({((x,), 1)})), and "t" entries of shorter words.
+    of words of length <= the context's grade, each word bytes as in
+    EnvElement: every product of words goes through _word_mul, which drops
+    the longer ones.  The memo keys are ("t", A, w) for A |> w, ("s", A, B)
+    for A * B, ("a", w) for the star antipode, with A, B and w bytes words,
+    and ("v", frozenset of X's terms) for a g-vector X: there one dict
+    {normal word w: X |> w}, seeded with the letters.  The "t" entry of
+    x.A' is read off the "v" entry of the letter x, whose key is
+    ("v", frozenset({(bytes((x,)), 1)})), and "t" entries of shorter words.
     """
 
     def __init__(self, algebra, product, order):
@@ -511,7 +537,7 @@ class LiftedProduct:
             acts = {}
             for (x,), cx in X.items():
                 for j, k, c in self.rows[x]:
-                    _add_into(acts.setdefault((j,), {}), {(k,): c}, cx)
+                    _add_into(acts.setdefault(bytes((j,)), {}), {bytes((k,)): c}, cx)
             acts = self._memo[key] = {y: _nonzero(t) for y, t in acts.items()}
         return _linear(partial(self._derive, acts), tB)
 
@@ -538,7 +564,7 @@ class LiftedProduct:
         """Solve the star antipode axiom: S(w) = -w - sum over proper
         nonempty position subsets of w_S * S(w_rest)."""
         if not w:
-            return {(): 1}
+            return {b"": 1}
         key = ("a", w)
         hit = self._memo.get(key)
         if hit is not None:
@@ -630,7 +656,7 @@ def hopf_identity_failures(A, B, product):
             _add_into(plain, ctx.mul(w, b), c * s)
         for w, s in ctx.star_antipode_word(a).items():
             _add_into(star, ctx.star_word(w, b), c * s)
-    counit = _nonzero({(): A.counit()})
+    counit = _nonzero({b"": A.counit()})
     DB = coproduct(B)
     failed = {
         "coassociativity": _nonzero(left) != _nonzero(right),
@@ -672,9 +698,9 @@ def phi(L, word, product, order):
     _check_order(order, 0)
     letters = _as_vector_letters(L, word)
     ctx = lifted(L, product, max(order, len(letters)))
-    acc = {(): 1}
+    acc = {b"": 1}
     for v in reversed(letters):
-        acc = ctx.vector_star({(k,): c for k, c in enumerate(v) if c != 0}, acc)
+        acc = ctx.vector_star({bytes((k,)): c for k, c in enumerate(v) if c != 0}, acc)
     return EnvElement(L, order, {w: c for w, c in acc.items() if len(w) <= order})
 
 

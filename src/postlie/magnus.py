@@ -272,7 +272,7 @@ def postlie_magnus(L, x, product, order, method="star"):
 
     def cleared(v):
         num, den = scalars.clear_denominators(v)
-        return ev.EnvElement(L, order, {(k,): c for k, c in enumerate(num)}), den
+        return ev.from_g_vector(L, order, num), den
 
     X, dx = cleared(x)
     chi_vec = [vzero(L.dim), x]

@@ -30,12 +30,12 @@ def _normalize_terms(L, word):
         b, a = word[i], word[i + 1]
         if b > a:
             out = {}
-            swapped = word[:i] + (a, b) + word[i + 2 :]
+            swapped = word[:i] + bytes((a, b)) + word[i + 2 :]
             for w, c in _normalize_terms(L, swapped).items():
                 out[w] = out.get(w, 0) + c
             for j, k, ck in L.C_rows[b]:
                 if j == a:
-                    shorter = word[:i] + (k,) + word[i + 2 :]
+                    shorter = word[:i] + bytes((k,)) + word[i + 2 :]
                     for w, c in _normalize_terms(L, shorter).items():
                         out[w] = out.get(w, 0) + ck * c
             out = _nonzero(out)

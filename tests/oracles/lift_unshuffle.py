@@ -46,11 +46,11 @@ class UnshuffleLift:
         if len(w) == 1:
             x, rest = A[0], A[1:]
             if not rest:
-                out = {(k,): c for j, k, c in self.rows[x] if j == w[0]}
+                out = {bytes((k,)): c for j, k, c in self.rows[x] if j == w[0]}
             else:
                 for ww, c in self.tri_word(rest, w).items():
-                    _add_into(out, self.tri_word((x,), ww), c)
-                for ww, c in self.tri_word((x,), rest).items():
+                    _add_into(out, self.tri_word(bytes((x,)), ww), c)
+                for ww, c in self.tri_word(bytes((x,)), rest).items():
                     _add_into(out, self.tri_word(ww, w), -c)
         else:
             B, C = w[:1], w[1:]
@@ -72,7 +72,7 @@ class UnshuffleLift:
         """S(w) = -w - sum over proper nonempty position subsets of
         w_S * S(w_rest)."""
         if not w:
-            return {(): 1}
+            return {b"": 1}
         out = {w: -1} if len(w) <= self.order else {}
         for left, right, k in _weighted_unshuffles(w):
             if left and right:
@@ -82,7 +82,7 @@ class UnshuffleLift:
 
     def phi(self, vectors):
         """x_1 * (x_2 * (... * x_n)) for g-vectors x_i, at this grade."""
-        acc = {(): 1}
+        acc = {b"": 1}
         for v in reversed(vectors):
-            acc = _bilinear(self.star_word, {(k,): c for k, c in enumerate(v) if c != 0}, acc)
+            acc = _bilinear(self.star_word, {bytes((k,)): c for k, c in enumerate(v) if c != 0}, acc)
         return acc

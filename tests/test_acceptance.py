@@ -281,7 +281,7 @@ def test_criterion_7_isomorphism_identities():
         assert back == raw
         # the half-image linearization map agrees with the letter map and
         # with its own closed form on sorted basis words
-        word = tuple(sorted(w1 + w2))
+        word = bytes(sorted(w1 + w2))
         A = ev.EnvElement(L, order, {word: F(1)})
         assert ev.F_map(A, ctx) == F_map_explicit(A, ctx)
         assert ev.F_map(A, ctx) == ev.phi(L, word, prod, order)

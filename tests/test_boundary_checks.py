@@ -209,3 +209,42 @@ def test_tensor_of_checks_its_operands():
     for S, T in ((A, ev.letter(M, 4, 3)), (ev.letter(M, 4, 3), A)):
         with pytest.raises(AlgebraMismatch):
             ev.tensor_of(S, T)
+
+
+def test_an_algebra_of_more_than_256_letters_is_refused():
+    """A word holds one byte per letter index, so the enveloping algebra
+    takes at most 256 basis elements: on 257 its entry points raise
+    DimensionMismatch naming the limit, and on 256 the last letter is a
+    letter like any other."""
+    big = liealg.new_lie_algebra(257, ["x%d" % i for i in range(257)], [])
+    calls = (
+        lambda: ev.unit(big, 2),
+        lambda: ev.letter(big, 2, 0),
+        lambda: ev.env_element(big, 2, {(): 1}),
+        lambda: ev.lifted(big, products.BilinearProduct(big, []), 2),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatch) as exc:
+            call()
+        assert "at most 256 basis elements (this algebra has 257)" in str(exc.value)
+    L = liealg.new_lie_algebra(256, ["x%d" % i for i in range(256)], [])
+    last = ev.letter(L, 2, 255)
+    assert last.coefficient([255]) == 1
+    assert ev.render(ev.env_mul(last, ev.letter(L, 2, 0))) == "x0·x255"
+
+
+def test_a_word_that_is_not_bytes_is_refused():
+    """Elements hold each word as bytes, and a tuple word would never meet
+    the bytes word it spells; EnvElement and TensorSquareElement refuse it
+    by name, and env_element takes raw words of ints."""
+    L = rmatrix.builtin_rmatrix("sl2-borel").algebra
+    cases = (
+        (ev.EnvElement, {(0, 2): 1}, "(0, 2)"),
+        (ev.EnvElement, {bytes((0,)): 1, (2,): 1}, "(2,)"),
+        (ev.TensorSquareElement, {(bytes((0,)), (2,)): 1}, "(2,)"),
+    )
+    for make, terms, word in cases:
+        with pytest.raises(InvalidInput) as exc:
+            make(L, 4, terms)
+        assert "word %s is not bytes" % word in str(exc.value)
+    assert ev.EnvElement(L, 4, {bytes((0, 2)): 1}) == ev.env_element(L, 4, {(0, 2): 1})

@@ -1012,3 +1012,14 @@ def test_hopf_suite_rejects_bad_counts(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "input error: %s must be at least" % flag in err
+
+
+def test_hopf_suite_refuses_an_algebra_of_more_than_256_letters(capsys, tmp_path):
+    # a word holds one byte per letter index
+    algebra, product = tmp_path / "abelian.json", tmp_path / "zero.json"
+    algebra.write_text(json.dumps({"dim": 257, "structure": []}))
+    product.write_text(json.dumps({"dim": 257, "product": []}))
+    code, _, err = run(capsys, "hopf-suite", "--algebra", str(algebra),
+                       "--product", str(product), "--cases", "1")
+    assert code == 2
+    assert "input error: " in err and "at most 256 basis elements (this algebra has 257)" in err
